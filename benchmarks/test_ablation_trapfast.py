@@ -17,12 +17,16 @@ same signal ordering, byte-identical trace files.  These benches measure
 all three configurations on an exception-dense packed-FMA storm (every
 ``vfmaddps`` raises Inexact, the paper's GROMACS headline case), assert
 three-way indistinguishability along with both speedup bars, and drop
-the numbers plus the batch statistics in ``BENCH_trapfast.json``.
+the numbers plus the storm and batch-softfloat statistics in
+``BENCH_trapfast.json``.  Every batch here is far above batchfloat's
+scalar crossover, so the storm gate times the NumPy kernels: the run
+asserts that no lane took the scalar loop.
 """
 
 import time
 from pathlib import Path
 
+from repro.fp.batchfloat import batch_stats, reset_batch_stats
 from repro.fp.formats import float_to_bits32
 from repro.fpspy import fpspy_env
 from repro.guest.program import KernelBuilder
@@ -85,11 +89,13 @@ def test_trapfast_speedup_individual_mode(benchmark):
     def compare():
         kp, state_p, precise = _run(False, False)
         kf, state_f, fused = _run(True, False)
+        reset_batch_stats()
         ks, state_s, storm = _run(True, True)
-        return kp, kf, ks, state_p, state_f, state_s, precise, fused, storm
+        return (kp, kf, ks, state_p, state_f, state_s, precise, fused, storm,
+                batch_stats())
 
     (kp, kf, ks, state_p, state_f, state_s,
-     precise, fused, storm) = benchmark.pedantic(
+     precise, fused, storm, batch) = benchmark.pedantic(
         compare, rounds=1, iterations=1
     )
     # Unobservable: equal cycle clocks and byte-identical VFS state (the
@@ -105,6 +111,8 @@ def test_trapfast_speedup_individual_mode(benchmark):
     groups_total = STORM_ELEMENTS // 8
     assert stats["groups"] >= groups_total * 0.9
     bailouts = sum(stats["bailouts"].values())
+    # Every storm batch ran the NumPy kernels, none the scalar loop.
+    assert batch["batches"] >= 1 and batch["scalar_lanes"] == 0, batch
 
     fused_speedup = precise / fused
     storm_speedup = precise / storm
@@ -128,6 +136,7 @@ def test_trapfast_speedup_individual_mode(benchmark):
             "mean_batch_groups": round(stats["groups"] / stats["batches"], 1),
             "storm_bailouts": dict(stats["bailouts"]),
             "bailout_rate": round(bailouts / (bailouts + stats["groups"]), 4),
+            "batchfloat": batch,
             "softfloat_memo": memo_stats(),
         },
         gates={

@@ -1,16 +1,22 @@
-"""Vectorized batch softfloat: whole-array trap-storm emulation.
+"""Batch softfloat: whole-array trap-storm emulation.
 
-NumPy integer-array kernels that, for a batch of same-form operands,
-compute result bit patterns and all six IEEE condition flags in one
-pass -- bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including
-NaN payload propagation, signed zeros, subnormals, all four rounding
-modes, and DAZ/FTZ.  This is the emulate half of the storm fast path
-(:mod:`repro.machine.storm`): PR 2's fusion cut the *delivery* cost of
-an Inexact storm, but each event still paid a scalar softfloat walk (and
-a memo probe with a measured 0% hit rate on real numeric streams).  Here
-the whole operand stream becomes a handful of int64 array ops.
+:func:`execute_batch` computes, for a batch of same-form operands, the
+result bit patterns and all six IEEE condition flags per lane --
+bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including NaN
+payload propagation, signed zeros, subnormals, all four rounding modes,
+and DAZ/FTZ.  This is the emulate half of the storm fast path
+(:mod:`repro.machine.storm`) and of blockexec's binary32/FMA chunks.
 
-Design notes (the equivalence arguments live in DESIGN.md #11):
+It picks its method by lane count (DESIGN.md #15).  A NumPy kernel pays
+about 80 ufunc dispatches per call whatever the lane count, while real
+application batches carry a handful of lanes, so batches of at most
+:data:`_SCALAR_MAX_LANES` lanes run one scalar loop over the
+property-tested :class:`repro.fp.fastpath.FastSoftFPU`.  Larger batches
+(the synthetic FMA storm's thousands of lanes) run the NumPy integer
+kernels, which keep the same loop for the lanes and forms they cannot
+compute: out-of-window div64/sqrt64 and wide mul64 lanes, and fma64.
+
+Kernel design notes (the equivalence arguments live in DESIGN.md #11):
 
 * Everything is int64 component arithmetic on (sign, mant, exp)
   decompositions; no host-FPU rounding is ever architecturally visible.
@@ -27,20 +33,21 @@ Design notes (the equivalence arguments live in DESIGN.md #11):
   candidate inside a certified mid-range exponent window; the exactly
   representable residual (classical division/sqrt residual theorems)
   gives the inexact flag and the directed-mode +-1ulp correction.
-  Out-of-window lanes fall back to the scalar oracle per lane.
-* fma64 has no int64-exact path and is delegated to the scalar oracle
-  (no catalogue form needs it: every FMA form is binary32).
+* fma64 has no int64-exact kernel (no catalogue form needs one: every
+  FMA form is binary32).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
+from repro.fp.fastpath import FastSoftFPU
 from repro.fp.rounding import RoundingMode
-from repro.fp.softfloat import FPContext, SoftFPU
+from repro.fp.softfloat import FPContext
 from repro.isa.forms import InstructionForm, OpKind
 
 _I = np.int64
@@ -49,10 +56,16 @@ _U = np.uint64
 #: Flag bits as plain ints (mirrors repro.fp.flags.Flag values).
 IE, DE, ZE, OE, UE, PE = 1, 2, 4, 8, 16, 32
 
-_FPU = SoftFPU()
+_FPU = FastSoftFPU()
 
-#: Kinds the batch kernels cover (bit-exactly; a kernel may route
-#: individual lanes through the scalar oracle internally).
+#: Batches of at most this many lanes run the scalar FastSoftFPU loop;
+#: larger ones run the NumPy kernels.  Set from the per-form crossover
+#: table in DESIGN.md #15: the kernels start to win at 16 lanes for
+#: min/max, 32-40 for FMA and for any form under directed rounding, and
+#: 48-192 for the host-fast-path forms under round-to-nearest.
+_SCALAR_MAX_LANES = 32
+
+#: Kinds execute_batch covers bit-exactly.
 BATCH_KINDS: frozenset[OpKind] = frozenset(
     {
         OpKind.ADD,
@@ -76,11 +89,11 @@ BATCH_KINDS: frozenset[OpKind] = frozenset(
 _DIV64_WIN = (523, 1523)
 _SQRT64_WIN = (300, 1800)
 
-_STATS = {"batches": 0, "lanes": 0, "fallback_lanes": 0}
+_STATS = {"batches": 0, "lanes": 0, "scalar_lanes": 0}
 
 
 def batch_stats() -> dict:
-    """Counters for the demotion/fallback story (surfaced in benchmarks)."""
+    """Batches, their lanes, and the lanes the scalar loop computed."""
     return dict(_STATS)
 
 
@@ -100,14 +113,12 @@ class BatchResult:
 
     ``bits`` are uint64 result patterns (low ``width`` bits significant),
     ``flags`` int64 flag bits per lane, ``tiny`` the pre-rounding
-    tininess indicator (the unmasked-UE corner), ``fallback_lanes`` how
-    many lanes the vector kernels delegated to the scalar oracle.
+    tininess indicator (the unmasked-UE corner).
     """
 
     bits: np.ndarray
     flags: np.ndarray
     tiny: np.ndarray
-    fallback_lanes: int = 0
 
 
 # --------------------------------------------------------------- plumbing
@@ -745,62 +756,28 @@ _FMA_NEGATE = {
 }
 
 
-def _scalar_lane(kind, fmt, ops, ctx):
-    if kind is OpKind.ADD:
-        return _FPU.add(fmt, ops[0], ops[1], ctx)
-    if kind is OpKind.SUB:
-        return _FPU.sub(fmt, ops[0], ops[1], ctx)
-    if kind is OpKind.MUL:
-        return _FPU.mul(fmt, ops[0], ops[1], ctx)
-    if kind is OpKind.DIV:
-        return _FPU.div(fmt, ops[0], ops[1], ctx)
-    if kind is OpKind.SQRT:
-        return _FPU.sqrt(fmt, ops[0], ctx)
-    if kind is OpKind.MIN:
-        return _FPU.min(fmt, ops[0], ops[1], ctx)
-    if kind is OpKind.MAX:
-        return _FPU.max(fmt, ops[0], ops[1], ctx)
-    neg_p, neg_c = _FMA_NEGATE[kind]
-    return _FPU.fma(
-        fmt, ops[0], ops[1], ops[2], ctx,
-        negate_product=neg_p, negate_c=neg_c,
-    )
-
-
-def execute_batch(
-    form: InstructionForm,
-    operands: tuple[np.ndarray, ...],
-    ctx: FPContext,
-) -> BatchResult:
-    """Execute one batch: ``operands[i]`` is the uint64 bit-pattern array
-    for operand position ``i`` (all the same length = total lane count).
-
-    Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
-    """
-    kind, fmt = form.kind, form.fmt
-    if not batch_covered(form):
-        raise NotImplementedError(f"batchfloat does not cover {form}")
-    F = _Fmt.of(fmt)
-    n = operands[0].shape[0]
-
-    if kind in _FMA_NEGATE and fmt.width == 64:
-        # No int64-exact fma64 path; whole batch through the oracle.
-        bits = np.empty(n, _U)
-        flags = np.empty(n, _I)
-        tiny = np.empty(n, np.bool_)
+def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
+    """Every lane through :class:`FastSoftFPU`, one Python call each."""
+    if kind in _FMA_NEGATE:
         neg_p, neg_c = _FMA_NEGATE[kind]
-        cols = [o.tolist() for o in operands]
-        for i in range(n):
-            r = _FPU.fma(
-                fmt, cols[0][i], cols[1][i], cols[2][i], ctx,
-                negate_product=neg_p, negate_c=neg_c,
-            )
-            bits[i], flags[i], tiny[i] = r.bits, int(r.flags), r.tiny
-        _STATS["batches"] += 1
-        _STATS["lanes"] += n
-        _STATS["fallback_lanes"] += n
-        return BatchResult(bits, flags, tiny, fallback_lanes=n)
+        op = partial(_FPU.fma, negate_product=neg_p, negate_c=neg_c)
+    else:
+        op = getattr(_FPU, kind.name.lower())
+    bits, flags, tiny = [], [], []
+    for lane in zip(*(o.tolist() for o in operands)):
+        r = op(fmt, *lane, ctx)
+        bits.append(r.bits)
+        flags.append(r.flags)
+        tiny.append(r.tiny)
+    return BatchResult(
+        np.array(bits, _U), np.array(flags, _I), np.array(tiny, np.bool_))
 
+
+def _vector_batch(form, operands, ctx) -> BatchResult:
+    """The NumPy kernels (any lane count; fma64 excluded), with the lanes
+    a kernel cannot compute recomputed by :func:`_scalar_batch`."""
+    kind = form.kind
+    F = _Fmt.of(form.fmt)
     with np.errstate(all="ignore"):
         cls = tuple(_classify_batch(F, o, ctx.daz) for o in operands)
         if kind is OpKind.ADD:
@@ -821,18 +798,35 @@ def execute_batch(
             neg_p, neg_c = _FMA_NEGATE[kind]
             out = _fma_kernel(F, cls[0], cls[1], cls[2], ctx, neg_p, neg_c)
     bits, flags, tiny, fallback = out
-
-    nfall = 0
     if fallback.any():
         idx = np.nonzero(fallback)[0]
-        nfall = len(idx)
-        for i in idx:
-            lane = tuple(int(o[i]) for o in operands)
-            r = _scalar_lane(kind, fmt, lane, ctx)
-            bits[i] = r.bits
-            flags[i] = int(r.flags)
-            tiny[i] = r.tiny
+        _STATS["scalar_lanes"] += len(idx)
+        sub = _scalar_batch(
+            kind, form.fmt, tuple(o[idx] for o in operands), ctx)
+        bits[idx] = sub.bits
+        flags[idx] = sub.flags
+        tiny[idx] = sub.tiny
+    return BatchResult(bits, flags, tiny)
+
+
+def execute_batch(
+    form: InstructionForm,
+    operands: tuple[np.ndarray, ...],
+    ctx: FPContext,
+) -> BatchResult:
+    """Execute one batch: ``operands[i]`` is the uint64 bit-pattern array
+    for operand position ``i`` (all the same length = total lane count).
+
+    Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
+    """
+    if not batch_covered(form):
+        raise NotImplementedError(f"batchfloat does not cover {form}")
+    n = operands[0].shape[0]
     _STATS["batches"] += 1
     _STATS["lanes"] += n
-    _STATS["fallback_lanes"] += nfall
-    return BatchResult(bits, flags, tiny, fallback_lanes=nfall)
+    if n <= _SCALAR_MAX_LANES or (
+        form.kind in _FMA_NEGATE and form.fmt.width == 64
+    ):
+        _STATS["scalar_lanes"] += n
+        return _scalar_batch(form.kind, form.fmt, operands, ctx)
+    return _vector_batch(form, operands, ctx)

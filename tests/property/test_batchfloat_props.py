@@ -1,20 +1,31 @@
-"""Batch softfloat kernels must be bit-equivalent to the scalar SoftFPU.
+"""Batch softfloat must be bit-equivalent to the scalar SoftFPU.
 
 Every lane of ``execute_batch`` -- result bit pattern, all six IEEE
 condition flags, and the pre-rounding tininess bit -- must match the
 scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
-rounding modes and the DAZ/FTZ context bits.
+rounding modes and the DAZ/FTZ context bits.  Both of its methods are
+pinned: the NumPy kernels are called directly at every lane count, and
+the two sides of the scalar crossover must agree byte for byte.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fp.batchfloat import _FMA_NEGATE, batch_covered, execute_batch
+from repro.fp.batchfloat import (
+    _FMA_NEGATE,
+    _SCALAR_MAX_LANES,
+    _vector_batch,
+    batch_covered,
+    batch_stats,
+    execute_batch,
+    reset_batch_stats,
+)
+from repro.fp.formats import BINARY64
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
-from repro.isa.forms import OpKind, form
+from repro.isa.forms import InstructionForm, OpKind, form
 
 _FPU = SoftFPU()
 
@@ -85,6 +96,26 @@ def _scalar(kind, fmt, ops, ctx):
     )
 
 
+def _draw_ops(data, f, n):
+    bits = bits32 if f.fmt.width == 32 else bits64
+    return tuple(
+        np.array(
+            data.draw(st.lists(bits, min_size=n, max_size=n)),
+            dtype=np.uint64,
+        )
+        for _ in range(f.arity)
+    )
+
+
+def _assert_lanes_match_oracle(f, ops, res, ctx):
+    for i in range(ops[0].shape[0]):
+        lane = tuple(int(o[i]) for o in ops)
+        oracle = _scalar(f.kind, f.fmt, lane, ctx)
+        assert int(res.bits[i]) == oracle.bits, (f.mnemonic, lane, ctx)
+        assert int(res.flags[i]) == int(oracle.flags), (f.mnemonic, lane, ctx)
+        assert bool(res.tiny[i]) == oracle.tiny, (f.mnemonic, lane, ctx)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     mnemonic=st.sampled_from(_MNEMONICS),
@@ -95,21 +126,39 @@ def _scalar(kind, fmt, ops, ctx):
 def test_batch_lanes_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
     f = form(mnemonic)
     assert batch_covered(f)
-    bits = bits32 if f.fmt.width == 32 else bits64
-    ops = tuple(
-        np.array(
-            data.draw(st.lists(bits, min_size=n, max_size=n)),
-            dtype=np.uint64,
-        )
-        for _ in range(f.arity)
-    )
-    res = execute_batch(f, ops, ctx)
-    for i in range(n):
-        lane = tuple(int(o[i]) for o in ops)
-        oracle = _scalar(f.kind, f.fmt, lane, ctx)
-        assert int(res.bits[i]) == oracle.bits, (mnemonic, lane, ctx)
-        assert int(res.flags[i]) == int(oracle.flags), (mnemonic, lane, ctx)
-        assert bool(res.tiny[i]) == oracle.tiny, (mnemonic, lane, ctx)
+    ops = _draw_ops(data, f, n)
+    _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx), ctx)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mnemonic=st.sampled_from(_MNEMONICS),
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=48),
+    ctx=contexts,
+)
+def test_vector_kernels_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
+    """The NumPy kernels themselves, at lane counts execute_batch would
+    hand to the scalar loop as well as above it."""
+    f = form(mnemonic)
+    ops = _draw_ops(data, f, n)
+    _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mnemonic=st.sampled_from(_MNEMONICS), data=st.data(), ctx=contexts)
+def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
+    """The same lanes give the same BatchResult bytes at the largest
+    scalar batch and the smallest vector batch."""
+    f = form(mnemonic)
+    ops = _draw_ops(data, f, _SCALAR_MAX_LANES + 1)
+    small = execute_batch(f, tuple(o[:_SCALAR_MAX_LANES] for o in ops), ctx)
+    big = execute_batch(f, ops, ctx)
+    for name in ("bits", "flags", "tiny"):
+        a = getattr(small, name)
+        b = getattr(big, name)[:_SCALAR_MAX_LANES]
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), (name, mnemonic, ctx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,15 +224,27 @@ def test_uncovered_form_raises():
 
 
 def test_batch_stats_account_lanes():
-    from repro.fp.batchfloat import batch_stats, reset_batch_stats
-
     reset_batch_stats()
     f = form("mulsd")
-    ops = (
-        np.full(8, 0x3FF0000000000000, np.uint64),
-        np.full(8, 0x4000000000000000, np.uint64),
-    )
-    execute_batch(f, ops, FPContext())
-    s = batch_stats()
-    assert s["batches"] == 1 and s["lanes"] == 8
-    assert s["fallback_lanes"] == 0
+    for n in (8, _SCALAR_MAX_LANES + 1):
+        ops = (
+            np.full(n, 0x3FF0000000000000, np.uint64),
+            np.full(n, 0x4000000000000000, np.uint64),
+        )
+        execute_batch(f, ops, FPContext())
+    assert batch_stats() == {
+        "batches": 2, "lanes": 8 + _SCALAR_MAX_LANES + 1, "scalar_lanes": 8,
+    }
+
+
+def test_fma64_runs_scalar_at_any_lane_count():
+    """fma64 has no vector kernel: every lane takes the scalar loop."""
+    f = InstructionForm("fma64", OpKind.FMADD, BINARY64, 1)
+    n = _SCALAR_MAX_LANES + 5
+    a = np.full(n, 0x3FF8000000000000, np.uint64)  # 1.5
+    b = np.full(n, 0x3FB999999999999A, np.uint64)  # 0.1
+    c = np.arange(n, dtype=np.uint64) << np.uint64(52)
+    reset_batch_stats()
+    res = execute_batch(f, (a, b, c), FPContext())
+    assert batch_stats()["scalar_lanes"] == n
+    _assert_lanes_match_oracle(f, (a, b, c), res, FPContext())
