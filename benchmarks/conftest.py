@@ -31,7 +31,10 @@ def bench_artifact(name: str) -> Path:
     return BENCH_ARTIFACTS / name
 
 
-def write_results(path, metrics: dict, gates: dict | None = None) -> None:
+def write_results(
+    path, metrics: dict, gates: dict | None = None,
+    unchecked: list[str] | None = None,
+) -> None:
     """Publish a BENCH_*.json artifact atomically.
 
     Every benchmark publishes the same envelope -- ``{"name",
@@ -39,7 +42,9 @@ def write_results(path, metrics: dict, gates: dict | None = None) -> None:
     enforced by ``tests/unit/test_bench_schema.py``) -- so the
     trajectory dashboard and CI tooling can read any artifact without
     per-benchmark cases.  ``gates`` mirrors the benchmark's own assert
-    thresholds as ``{metric: {"max"|"min": bound}}`` bands.
+    thresholds as ``{metric: {"max"|"min": bound}}`` bands, and
+    ``unchecked`` names the metrics whose host-conditional gate this
+    host skipped.
 
     Benchmarks used to ``write_text`` these directly; an interrupted run
     (Ctrl-C, OOM-killed CI job) could leave a truncated JSON file that a
@@ -50,7 +55,8 @@ def write_results(path, metrics: dict, gates: dict | None = None) -> None:
     name = path.stem
     if name.startswith("BENCH_"):
         name = name[len("BENCH_"):]
-    write_json_atomic(path, bench_envelope(name, metrics, gates=gates))
+    write_json_atomic(path, bench_envelope(
+        name, metrics, gates=gates, unchecked=unchecked))
 
 
 @pytest.fixture(scope="session")

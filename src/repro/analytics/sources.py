@@ -144,29 +144,36 @@ def _read_json(path: str) -> dict | None:
 
 #: Required top-level keys of an enveloped ``BENCH_*.json`` artifact.
 BENCH_SCHEMA_KEYS = ("name", "timestamp", "gates", "metrics")
+#: Optional top-level key: metrics a host-conditional gate did not check
+#: on the host that produced the artifact.
+BENCH_UNCHECKED_KEY = "unchecked"
 
 
 def bench_envelope(
     name: str, metrics: dict, gates: dict | None = None,
-    timestamp: str | None = None,
+    timestamp: str | None = None, unchecked: list[str] | None = None,
 ) -> dict:
     """The shared ``BENCH_*.json`` payload shape.
 
     ``benchmarks/conftest.write_results`` builds artifacts through this
     (so every benchmark publishes the same envelope) and the schema
     unit test validates against the same rules
-    (:func:`validate_bench_envelope`).
+    (:func:`validate_bench_envelope`).  ``unchecked`` names the metrics
+    whose gate this host could not evaluate; it is omitted when empty.
     """
     if timestamp is None:
         from datetime import datetime, timezone
 
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return {
+    env = {
         "name": name,
         "timestamp": timestamp,
         "gates": dict(gates or {}),
         "metrics": dict(metrics),
     }
+    if unchecked:
+        env[BENCH_UNCHECKED_KEY] = list(unchecked)
+    return env
 
 
 def validate_bench_envelope(d: object) -> list[str]:
@@ -177,7 +184,7 @@ def validate_bench_envelope(d: object) -> list[str]:
     for key in BENCH_SCHEMA_KEYS:
         if key not in d:
             problems.append(f"missing key {key!r}")
-    extra = set(d) - set(BENCH_SCHEMA_KEYS)
+    extra = set(d) - set(BENCH_SCHEMA_KEYS) - {BENCH_UNCHECKED_KEY}
     if extra:
         problems.append(f"unexpected top-level keys {sorted(extra)}")
     if problems:
@@ -198,6 +205,12 @@ def validate_bench_envelope(d: object) -> list[str]:
     if not isinstance(metrics, dict) or not metrics:
         problems.append("metrics must be a non-empty object")
         metrics = {}
+    if BENCH_UNCHECKED_KEY in d:
+        unchecked = d[BENCH_UNCHECKED_KEY]
+        if not isinstance(unchecked, list) or not unchecked or not all(
+                isinstance(m, str) and m in metrics for m in unchecked):
+            problems.append(
+                "unchecked must be a non-empty list of metric names")
     gates = d["gates"]
     if not isinstance(gates, dict):
         problems.append("gates must be an object")

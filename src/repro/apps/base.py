@@ -42,7 +42,8 @@ class SimApp(GuestProgram):
         self.rng = random.Random(f"{self.name}:{seed}")
         # hashlib, not hash(): builtin str hashing is salted per process
         # (PYTHONHASHSEED), which would give every worker process its own
-        # operand stream and silently defeat the cross-run memo cache.
+        # operand stream, so the same spec would yield different cycles
+        # and traces per process (tests/integration/test_hashseed.py).
         digest = hashlib.sha256(f"{self.name}:{seed}".encode()).digest()
         self.nprng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         self._build_sites()

@@ -3,14 +3,12 @@
 FPSpy's evaluation is a *campaign*: dozens of independent spy runs
 (seven apps, the PARSEC/NAS suites, aggregate/individual modes,
 sampling configurations) whose only shared state is the final report.
-This package shards such campaigns across a warm worker pool
-(:class:`~repro.campaign.pool.WorkerPool`: spawn-once members,
-warm-started once from a shared memo snapshot blob, batched dispatch)
-with a deterministic spec-order merge -- the merged report is
+This package shards such campaigns across a worker pool
+(:class:`~repro.campaign.pool.WorkerPool`: spawn-once members, batched
+dispatch) with a deterministic spec-order merge -- the merged report is
 byte-identical for any ``--workers``, ``--batch-size``, and
-``--execution`` value -- and persists the cross-run softfloat memo
-cache so repeated campaigns (CI, figure regeneration) skip recomputing
-the results that dominate guest cycles.  An amortization-aware planner
+``--execution`` value.  Like FPSpy's own runs, campaign runs keep no
+state from one invocation to the next.  An amortization-aware planner
 (:mod:`repro.campaign.planner`) degrades to in-process execution when
 the host cannot win; a campaign daemon
 (:class:`~repro.campaign.daemon.CampaignDaemon`) serves sustained

@@ -1,9 +1,9 @@
-"""The campaign daemon: a long-running service over one warm pool.
+"""The campaign daemon: a long-running service over one standing pool.
 
 ``python -m repro.study serve`` keeps a :class:`CampaignDaemon` alive so
 that campaign cost amortizes across *submissions*, not just across the
-runs of one campaign: the worker pool spawns once, warm-starts its
-softfloat memo once, and then serves every job the daemon ever accepts.
+runs of one campaign: the worker pool spawns once and then serves every
+job the daemon ever accepts.
 Clients submit campaign specs over a tiny HTTP API, poll job status,
 and fetch results; identical submissions are deduplicated by spec hash
 and their artifacts stored content-addressed
@@ -51,7 +51,7 @@ class AdmissionError(RuntimeError):
 
 
 class CampaignDaemon:
-    """Job queue + scheduler + artifact store around one warm pool.
+    """Job queue + scheduler + artifact store around one standing pool.
 
     Usable directly from Python (tests, the saturation benchmark) or
     through :func:`serve_http`.  ``autostart=False`` leaves the
@@ -64,7 +64,6 @@ class CampaignDaemon:
         self,
         data_dir: str | os.PathLike,
         workers: int | None = None,
-        memo_path: str | os.PathLike | None = None,
         max_queue: int = MAX_QUEUE,
         max_pending_per_submitter: int = MAX_PENDING_PER_SUBMITTER,
         autostart: bool = True,
@@ -72,15 +71,6 @@ class CampaignDaemon:
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.workers = workers
-        # Default memo inside the data dir: every job the daemon ever
-        # serves shares one cache, which is the whole point of serving.
-        # ``memo_path="off"`` disables the cache entirely.
-        if memo_path == "off":
-            self.memo_path = None
-        elif memo_path:
-            self.memo_path = os.fspath(memo_path)
-        else:
-            self.memo_path = os.path.join(self.data_dir, "memo.sqlite")
         self.store = ArtifactStore(os.path.join(self.data_dir, "store"))
         self.max_queue = max_queue
         self.max_pending_per_submitter = max_pending_per_submitter
@@ -378,20 +368,17 @@ class CampaignDaemon:
             # the first job's planned width would permanently cap every
             # later, wider job at that accident of arrival order.
             width = self.workers or os.cpu_count() or 1
-            self._pool = WorkerPool(
-                max(plan_workers, width),
-                memo_path=self.memo_path).start()
+            self._pool = WorkerPool(max(plan_workers, width)).start()
         return self._pool
 
     def _run_job(self, job: dict) -> None:
         out_dir = self._job_dir(job["id"])
         runner = CampaignRunner(
-            job["campaign"], workers=self.workers,
-            memo_path=self.memo_path, out_dir=out_dir)
+            job["campaign"], workers=self.workers, out_dir=out_dir)
         plan = runner.plan()
         if plan.mode == "pool":
-            # Jobs borrow the daemon's standing pool: spawn and memo
-            # warm-start amortize across every pool-mode job served.
+            # Jobs borrow the daemon's standing pool: spawn cost
+            # amortizes across every pool-mode job served.
             runner = CampaignRunner(
                 job["campaign"], workers=self.workers,
                 out_dir=out_dir, execution="pool",

@@ -30,8 +30,6 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 
 #: Measured cost of spawning one worker interpreter (spawn + imports).
 SPAWN_SECONDS = 0.45
-#: Measured cost of one worker loading a typical memo snapshot blob.
-SNAPSHOT_SECONDS = 0.15
 #: Per-run fixed cost (kernel construction, trace digesting).
 BASE_RUN_SECONDS = 0.04
 #: Marginal cost per unit of problem scale on the study targets.
@@ -85,13 +83,11 @@ def plan_execution(
     mode: str = "auto",
     cpu_count: int | None = None,
     pool_warm: bool = False,
-    has_snapshot: bool = False,
 ) -> ExecutionPlan:
     """Decide pool-vs-in-process and the dispatch batch size.
 
-    ``pool_warm`` says a started pool already exists (its spawn and
-    snapshot costs are sunk); ``has_snapshot`` says a cold pool would
-    additionally pay a snapshot load per worker.
+    ``pool_warm`` says a started pool already exists (its spawn cost is
+    sunk).
     """
     if mode not in EXECUTION_MODES:
         raise ValueError(
@@ -132,10 +128,7 @@ def plan_execution(
     # The divisible win is bounded by real cores, not requested workers.
     speedup_width = min(eff, cpus)
     parallel_win = est_total * (1.0 - 1.0 / speedup_width)
-    standing_cost = 0.0
-    if not pool_warm:
-        standing_cost = eff * (
-            SPAWN_SECONDS + (SNAPSHOT_SECONDS if has_snapshot else 0.0))
+    standing_cost = 0.0 if pool_warm else eff * SPAWN_SECONDS
     if parallel_win <= standing_cost:
         return plan(
             "inprocess", 1,

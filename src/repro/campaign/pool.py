@@ -1,24 +1,21 @@
-"""The persistent warm worker pool (DESIGN.md decision #13).
+"""The persistent worker pool (DESIGN.md decision #13).
 
 The first campaign runner paid its fixed costs per *campaign*: every
-``run()`` spawned fresh interpreters, every worker walked the sqlite
-memo cache, and every run index crossed a queue on its own.  At 27 runs
-x ~0.13 s that overhead was the whole budget -- BENCH_campaign.json
-recorded **0.75x** at 4 workers.  This module moves every fixed cost to
-the widest amortization scope available:
+``run()`` spawned fresh interpreters and every run index crossed a
+queue on its own.  At 27 runs x ~0.13 s that overhead was the whole
+budget -- BENCH_campaign.json recorded **0.75x** at 4 workers.  This
+module moves every fixed cost to the widest amortization scope
+available:
 
 * **Spawn once per pool.**  A :class:`WorkerPool` owns its worker
   processes for its whole lifetime; campaigns (and daemon jobs) borrow
   the pool, so the second campaign pays zero spawn cost.
-* **Warm-start once per worker lifetime.**  The pool flattens the
-  sqlite memo cache into a single snapshot blob
-  (:func:`repro.fp.memodisk.snapshot_from_cache`) when it starts;
-  each worker loads that blob exactly once, at birth, and keeps its
-  memo across every campaign it ever serves.  Memo deltas are
-  published back when the pool *closes*, not per campaign.
 * **Batched dispatch.**  Workers receive batches of run indices sized
   by the planner (:mod:`repro.campaign.planner`), not one index per
   ``Queue.put``; queue round-trips drop from O(runs) to O(batches).
+
+Workers keep no state between runs beyond the process-global softfloat
+caches, which are bit-transparent.
 
 Failure isolation keeps the old contract at batch granularity: a run
 that poisons its worker produces a ``crash`` message (or a silent
@@ -38,22 +35,13 @@ in :func:`repro.campaign.worker.execute_run`.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.campaign.spec import CampaignSpec
 
-#: Suffix of the snapshot blob the pool derives from the sqlite cache.
-SNAPSHOT_SUFFIX = ".snapshot.json"
 
-
-def pool_worker_main(
-    worker_id: int,
-    snapshot_path: str | None,
-    task_q,
-    result_q,
-) -> None:
+def pool_worker_main(worker_id: int, task_q, result_q) -> None:
     """Spawn entry point for one pool worker.
 
     Messages on ``task_q`` (coordinator -> worker):
@@ -63,31 +51,16 @@ def pool_worker_main(
     * ``("batch", key, batch_id, indices)`` -- execute each index of the
       cached campaign in order, streaming one ``run`` message per run
       and a ``batch_done`` at the end.
-    * ``("quit",)`` -- publish the memo delta and exit cleanly.
+    * ``("quit",)`` -- exit cleanly.
 
     Messages on ``result_q`` (worker -> coordinator, all picklable):
 
-    * ``("hello", wid, memo_status, warm_loaded, load_seconds)``
     * ``("run", wid, key, batch_id, RunOutcome)``
     * ``("batch_done", wid, key, batch_id)``
     * ``("crash", wid, key, batch_id, index, error)`` -- then the
       process exits (a poisoned interpreter never serves another run)
-    * ``("delta", wid, {memo key: result})``
-    * ``("bye", wid)``
     """
     from repro.campaign.worker import execute_run
-
-    memo_status, warm_loaded, load_seconds = "off", 0, 0.0
-    if snapshot_path:
-        from repro.isa.semantics import warm_start_from_snapshot
-
-        t0 = time.perf_counter()
-        report = warm_start_from_snapshot(snapshot_path)
-        load_seconds = time.perf_counter() - t0
-        memo_status, warm_loaded = report.status, report.loaded
-    result_q.put(
-        ("hello", worker_id, memo_status, warm_loaded,
-         round(load_seconds, 6)))
 
     campaigns: dict[str, tuple[CampaignSpec, str | None]] = {}
     while True:
@@ -113,12 +86,6 @@ def pool_worker_main(
             result_q.put(("run", worker_id, key, batch_id, outcome))
         result_q.put(("batch_done", worker_id, key, batch_id))
 
-    if snapshot_path is not None:
-        from repro.isa.semantics import export_memo_delta
-
-        result_q.put(("delta", worker_id, export_memo_delta()))
-    result_q.put(("bye", worker_id))
-
 
 @dataclass
 class PoolWorker:
@@ -133,8 +100,6 @@ class PoolWorker:
     #: ``(key, batch_id)`` currently executing, or None when idle.
     assigned: tuple | None = None
     dead: bool = False
-    said_bye: bool = False
-    hello: dict | None = None
 
     @property
     def alive(self) -> bool:
@@ -146,43 +111,28 @@ class PoolWorker:
 
 
 class WorkerPool:
-    """A persistent set of warm worker processes serving campaigns.
+    """A persistent set of worker processes serving campaigns.
 
-    Lifecycle: construct, :meth:`start` (idempotent; spawns workers and
-    builds the memo snapshot), serve any number of campaigns through
-    :class:`~repro.campaign.runner.CampaignRunner`, then :meth:`close`
-    (collects memo deltas and folds them into the sqlite cache).  A
-    pool is single-campaign-at-a-time by design: jobs borrow it
+    Lifecycle: construct, :meth:`start` (idempotent; spawns workers),
+    serve any number of campaigns through
+    :class:`~repro.campaign.runner.CampaignRunner`, then :meth:`close`.
+    A pool is single-campaign-at-a-time by design: jobs borrow it
     serially, which is exactly the daemon's queue discipline.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        memo_path: str | os.PathLike | None = None,
-        mp_context=None,
-    ) -> None:
+    def __init__(self, workers: int, mp_context=None) -> None:
         self.workers = max(1, workers)
-        self.memo_path = os.fspath(memo_path) if memo_path else None
         self.ctx = mp_context or multiprocessing.get_context("spawn")
         self.result_q = None
         self._workers: dict[int, PoolWorker] = {}
         self._next_id = 0
         self._started = False
         self._closed = False
-        self._snapshot_path: str | None = None
-        self._deltas: dict[int, dict] = {}
         self.stats = {
             "workers": self.workers,
             "spawned_total": 0,
             "crashed_total": 0,
             "campaigns_served": 0,
-            "snapshot_entries": 0,
-            "snapshot_build_seconds": 0.0,
-            "snapshot_loads": 0,
-            "snapshot_load_seconds": 0.0,
-            "warm_loaded_total": 0,
-            "published_entries": 0,
         }
 
     # -------------------------------------------------------- lifecycle
@@ -192,37 +142,12 @@ class WorkerPool:
         return self._started and not self._closed
 
     def start(self) -> "WorkerPool":
-        """Spawn the workers (idempotent) and build the memo snapshot."""
+        """Spawn the workers (idempotent)."""
         if self._closed:
             raise RuntimeError("pool is closed")
         if self._started:
             return self
         self.result_q = self.ctx.Queue()
-        if self.memo_path:
-            from repro.fp.memodisk import snapshot_from_cache
-
-            snap = self.memo_path + SNAPSHOT_SUFFIX
-            t0 = time.perf_counter()
-            report = snapshot_from_cache(self.memo_path, snap)
-            self.stats["snapshot_build_seconds"] = round(
-                time.perf_counter() - t0, 6)
-            self.stats["snapshot_entries"] = report.loaded
-            self.stats["snapshot_status"] = report.status
-            if report.status != "ok" or not report.loaded:
-                # snapshot_from_cache wrote no blob, so a leftover
-                # snapshot from an earlier pool run would warm workers
-                # with entries the current cache never sees -- and warm
-                # entries are excluded from deltas, so they would never
-                # be published to the new cache either.  Remove it.
-                try:
-                    os.unlink(snap)
-                except FileNotFoundError:
-                    pass
-            # Workers always get the path when a memo is configured: an
-            # absent/stale cache wrote no blob, so they load nothing and
-            # report a cold start ("absent"), but still export their
-            # memo deltas at close so the cache gets seeded.
-            self._snapshot_path = snap
         for _ in range(self.workers):
             self.spawn_worker()
         self._started = True
@@ -235,7 +160,7 @@ class WorkerPool:
         task_q = self.ctx.Queue()
         proc = self.ctx.Process(
             target=pool_worker_main,
-            args=(wid, self._snapshot_path, task_q, self.result_q),
+            args=(wid, task_q, self.result_q),
             daemon=True,
         )
         proc.start()
@@ -261,27 +186,6 @@ class WorkerPool:
         w.assigned = None
         self.stats["crashed_total"] += 1
 
-    def note_hello(self, wid: int, status: str, loaded: int,
-                   seconds: float) -> None:
-        """Record a worker's warm-start report (runner drains the queue)."""
-        self._workers[wid].hello = {
-            "memo_status": status,
-            "warm_loaded": loaded,
-            "load_seconds": seconds,
-        }
-        if status == "ok":
-            self.stats["snapshot_loads"] += 1
-            self.stats["snapshot_load_seconds"] = round(
-                self.stats["snapshot_load_seconds"] + seconds, 6)
-            self.stats["warm_loaded_total"] += loaded
-
-    def hello_info(self) -> dict[str, dict]:
-        return {
-            str(w.id): dict(w.hello)
-            for w in sorted(self._workers.values(), key=lambda w: w.id)
-            if w.hello is not None
-        }
-
     # --------------------------------------------------------- dispatch
 
     def send_campaign(
@@ -302,64 +206,25 @@ class WorkerPool:
 
     # ------------------------------------------------------------ close
 
-    def close(self, timeout: float = 60.0) -> dict:
-        """Shut workers down cleanly and publish memo deltas.
+    def close(self, timeout: float = 5.0) -> dict:
+        """Ask every worker to quit, give them ``timeout`` seconds in
+        total to exit, then terminate stragglers.
 
-        Returns the pool stats dict (``published_entries`` updated).
-        Safe to call twice.
+        Returns the pool stats dict.  Safe to call twice.
         """
         if self._closed or not self._started:
             self._closed = True
             return self.stats
-        quitting = []
         for w in self._workers.values():
             if w.proc.is_alive():
                 w.task_q.put(("quit",))
-            if not w.dead and not w.said_bye:
-                quitting.append(w)
-        # Drain until every non-crashed worker has said bye.  A worker
-        # exits right after enqueueing its delta/bye, so its process
-        # may be dead while those messages are still in the queue --
-        # liveness must not gate the drain, or a large memo delta gets
-        # dropped whenever its sender exits before we consume it.  A
-        # worker that died *without* a bye (killed on the way out)
-        # would stall the loop forever, so once every awaited process
-        # is dead we allow a short grace of empty polls, then give up
-        # on the silent ones.
         deadline = time.monotonic() + timeout
-        empty_after_death = 0
-        while (any(not w.said_bye for w in quitting)
-               and time.monotonic() < deadline):
-            try:
-                msg = self.result_q.get(timeout=0.2)
-            except Exception:
-                if all(not w.proc.is_alive() for w in quitting):
-                    empty_after_death += 1
-                    if empty_after_death >= 5:  # ~1s past the last death
-                        break
-                continue
-            empty_after_death = 0
-            kind, wid = msg[0], msg[1]
-            if kind == "delta":
-                self._deltas[wid] = msg[2]
-            elif kind == "bye":
-                self._workers[wid].said_bye = True
-            elif kind == "hello":
-                self.note_hello(wid, msg[2], msg[3], msg[4])
         for w in self._workers.values():
-            if w.proc.is_alive():
-                w.proc.join(timeout=5.0)
-            if w.proc.is_alive():  # pragma: no cover - stuck worker
+            w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for w in self._workers.values():
+            if w.proc.is_alive():  # stuck worker (e.g. mid-batch)
                 w.proc.terminate()
-                w.proc.join(timeout=5.0)
-        if self.memo_path and self._deltas:
-            from repro.fp.memodisk import merge_into_cache
-
-            self.stats["published_entries"] = merge_into_cache(
-                self.memo_path,
-                [self._deltas[wid] for wid in sorted(self._deltas)])
-        self.stats["delta_entries"] = sum(
-            len(d) for d in self._deltas.values())
+                w.proc.join(timeout=timeout)
         self._closed = True
         return self.stats
 

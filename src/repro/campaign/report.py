@@ -13,9 +13,9 @@ Two output sections are kept strictly apart:
 * the **deterministic** section (report text + ``deterministic`` dict):
   only architecturally-determined data -- simulated cycles and times,
   event inventories, record counts, trace digests;
-* the **host** section: wall-clock timings, worker count, retries, memo
-  cache statistics, and the merged telemetry snapshot -- everything that
-  legitimately varies between hosts, worker counts, and cache states.
+* the **host** section: wall-clock timings, worker count, retries, the
+  execution plan, and the merged telemetry snapshot -- everything that
+  legitimately varies between hosts and worker counts.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ def merge_outcomes(
         # merged result carries only the (name, size, sha256) triples.
         host_section["trace_artifacts"] = artifacts
     telem = [o.telemetry for o in outcomes if o.telemetry is not None]
-    # The coordinator's own bus (pool dispatch/batch counters, memo
-    # snapshot load time) merges in alongside the per-run kernels so
-    # telemetry tooling can attribute coordinator overhead -- even when
-    # no run had its kernel bus enabled.
+    # The coordinator's own bus (pool dispatch/batch counters) merges
+    # in alongside the per-run kernels so telemetry tooling can
+    # attribute coordinator overhead -- even when no run had its kernel
+    # bus enabled.
     coord = host_section.get("coordinator_telemetry")
     if telem or coord:
         from repro.telemetry.snapshot import merge_snapshots

@@ -1,4 +1,4 @@
-"""The campaign coordinator: planned execution over a warm worker pool.
+"""The campaign coordinator: planned execution over a worker pool.
 
 Design (DESIGN.md decisions #9 and #13):
 
@@ -8,11 +8,10 @@ Design (DESIGN.md decisions #9 and #13):
   **in-process** (1-CPU hosts, tiny campaigns -- no spawn tax at all)
   or dispatches **batches** of run indices over a persistent
   :class:`~repro.campaign.pool.WorkerPool`.
-* **Warm pools, borrowed or owned.**  A caller-supplied pool (the
-  daemon's) is borrowed and left running -- the second campaign pays
-  zero spawn and zero memo warm-start.  Without one, the runner owns a
-  private pool for the campaign and closes it at the end, which also
-  publishes the workers' memo deltas to the sqlite cache.
+* **Pools, borrowed or owned.**  A caller-supplied pool (the daemon's)
+  is borrowed and left running -- the second campaign pays zero spawn.
+  Without one, the runner owns a private pool for the campaign and
+  closes it at the end.
 * **Deterministic merge.**  Results stream back in completion order and
   are merged **in spec order** (:class:`ResultAccumulator`), so the
   merged report is byte-identical for any ``--workers``, any batch
@@ -73,7 +72,6 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         workers: int | None = None,
-        memo_path: str | os.PathLike | None = None,
         out_dir: str | os.PathLike | None = None,
         poll_seconds: float = 0.2,
         batch_size: int | None = None,
@@ -82,19 +80,16 @@ class CampaignRunner:
     ) -> None:
         self.campaign = campaign
         self.workers = workers
-        self.memo_path = os.fspath(memo_path) if memo_path else None
         self.out_dir = os.fspath(out_dir) if out_dir else None
         self.poll_seconds = poll_seconds
         self.batch_size = batch_size
         self.execution = execution
         self.pool = pool
-        if pool is not None and self.memo_path is None:
-            self.memo_path = pool.memo_path
         self._last_status: tuple | None = None
-        # Coordinator-side telemetry: dispatch/batch counters and memo
-        # snapshot timings ride the same bus/snapshot machinery as the
-        # simulated layers, so `repro.study telemetry` tooling can
-        # attribute coordinator overhead next to guest costs.
+        # Coordinator-side telemetry: dispatch/batch counters ride the
+        # same bus/snapshot machinery as the simulated layers, so
+        # `repro.study telemetry` tooling can attribute coordinator
+        # overhead next to guest costs.
         from repro.telemetry.bus import TelemetryBus
 
         self.bus = TelemetryBus()
@@ -113,8 +108,6 @@ class CampaignRunner:
             batch_size=self.batch_size,
             mode=self.execution,
             pool_warm=borrowed,
-            has_snapshot=bool(
-                self.memo_path and os.path.exists(self.memo_path)),
         )
 
     # ------------------------------------------------------------- run
@@ -129,16 +122,15 @@ class CampaignRunner:
         trace_dir = self._trace_dir()
 
         if n == 0:
-            result = acc.merge(host=self._host_stats(plan, 0, 0, {}, t_start))
+            result = acc.merge(host=self._host_stats(plan, 0, 0, t_start))
             self._write_artifacts(result)
             return result
 
         if plan.mode == "inprocess":
             retries, spawned = self._run_inprocess(plan, acc, trace_dir), 0
-            memo = self._memo_stats_inprocess()
         else:
-            retries, spawned, memo = self._run_pool(plan, acc, trace_dir)
-        host = self._host_stats(plan, spawned, retries, memo, t_start)
+            retries, spawned = self._run_pool(plan, acc, trace_dir)
+        host = self._host_stats(plan, spawned, retries, t_start)
 
         result = acc.merge(host=host)
         self._write_status("done", acc, plan, retries, spawned=spawned)
@@ -159,20 +151,6 @@ class CampaignRunner:
         interpreter isolation -- the planner only picks this mode when
         the pool cannot pay for itself.)
         """
-        self._warm_inprocess = {}
-        if self.memo_path:
-            from repro.isa.semantics import warm_start_memo
-
-            t0 = time.perf_counter()
-            report = warm_start_memo(self.memo_path)
-            self._warm_inprocess = {
-                "memo_status": report.status,
-                "warm_loaded": report.loaded,
-                "load_seconds": round(time.perf_counter() - t0, 6),
-            }
-            self._tel.gauge(
-                "memo_load_seconds",
-                lambda v=self._warm_inprocess["load_seconds"]: v)
         runs_c = self._tel.counter("inprocess_runs")
         retries = 0
         for index, spec in enumerate(self.campaign.runs):
@@ -197,36 +175,18 @@ class CampaignRunner:
             self._write_status("running", acc, plan, retries, spawned=0)
         return retries
 
-    def _memo_stats_inprocess(self) -> dict:
-        memo = {
-            "path": self.memo_path,
-            "per_worker": {},
-            "delta_entries": 0,
-            "published_entries": 0,
-        }
-        if not self.memo_path:
-            return memo
-        from repro.fp.memodisk import merge_into_cache
-        from repro.isa.semantics import export_memo_delta
-
-        delta = export_memo_delta()
-        memo["per_worker"] = {"0": dict(self._warm_inprocess)}
-        memo["delta_entries"] = len(delta)
-        memo["published_entries"] = merge_into_cache(self.memo_path, [delta])
-        return memo
-
     # ------------------------------------------------------------ pool
 
     def _run_pool(
         self, plan: ExecutionPlan, acc: ResultAccumulator,
         trace_dir: str | None,
-    ) -> tuple[int, int, dict]:
+    ) -> tuple[int, int]:
         campaign = self.campaign
         n = len(campaign.runs)
         pool = self.pool
         owned = pool is None
         if owned:
-            pool = WorkerPool(plan.workers, memo_path=self.memo_path)
+            pool = WorkerPool(plan.workers)
         borrowed_warm = pool.started
         pool.start()
         spawned_before = pool.stats["spawned_total"]
@@ -335,9 +295,7 @@ class CampaignRunner:
                     for _ in range(max(0, deficit)):
                         pool.spawn_worker()
                 continue
-            if kind == "hello":
-                pool.note_hello(wid, msg[2], msg[3], msg[4])
-            elif kind == "run":
+            if kind == "run":
                 outcome = msg[4]
                 if outcome.index in acc:  # pragma: no cover - late twin
                     # A silently-dying worker's buffered outcome can race
@@ -362,34 +320,10 @@ class CampaignRunner:
         spawned = pool.stats["spawned_total"] - (
             spawned_before if borrowed_warm else 0)
         if owned:
-            stats = pool.close()
-            memo = {
-                "path": self.memo_path,
-                "per_worker": pool.hello_info(),
-                "delta_entries": stats.get("delta_entries", 0),
-                "published_entries": stats.get("published_entries", 0),
-            }
-        else:
-            memo = {
-                "path": self.memo_path,
-                "per_worker": pool.hello_info(),
-                # Deltas stay resident in the warm workers until the
-                # borrowed pool closes; nothing published per campaign.
-                "delta_entries": 0,
-                "published_entries": 0,
-            }
+            pool.close()
         self._pool_stats = dict(pool.stats)
         self._pool_stats["reused"] = borrowed_warm
-        stats = self._pool_stats
-        self._tel.gauge(
-            "memo_snapshot_build_seconds",
-            lambda: stats["snapshot_build_seconds"])
-        self._tel.gauge(
-            "memo_snapshot_load_seconds",
-            lambda: stats["snapshot_load_seconds"])
-        self._tel.gauge(
-            "memo_snapshot_entries", lambda: stats["snapshot_entries"])
-        return retries, spawned, memo
+        return retries, spawned
 
     # ------------------------------------------------------- artifacts
 
@@ -470,21 +404,14 @@ class CampaignRunner:
         plan: ExecutionPlan,
         spawned: int,
         retries: int,
-        memo: dict,
         t_start: float,
     ) -> dict:
-        if not memo:
-            memo = {
-                "path": self.memo_path, "per_worker": {},
-                "delta_entries": 0, "published_entries": 0,
-            }
         host = {
             "workers": plan.workers,
             "spawned_workers": spawned,
             "retries": retries,
             "host_wall_seconds": round(time.perf_counter() - t_start, 6),
             "plan": plan.to_dict(),
-            "memo": memo,
             "coordinator_telemetry": self.bus.snapshot_typed(),
         }
         pool_stats = getattr(self, "_pool_stats", None)
@@ -496,7 +423,6 @@ class CampaignRunner:
 def run_campaign(
     campaign: CampaignSpec,
     workers: int | None = None,
-    memo_path: str | os.PathLike | None = None,
     out_dir: str | os.PathLike | None = None,
     batch_size: int | None = None,
     execution: str = "auto",
@@ -504,6 +430,6 @@ def run_campaign(
 ) -> CampaignResult:
     """Convenience one-shot wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(
-        campaign, workers=workers, memo_path=memo_path, out_dir=out_dir,
+        campaign, workers=workers, out_dir=out_dir,
         batch_size=batch_size, execution=execution, pool=pool,
     ).run()

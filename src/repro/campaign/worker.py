@@ -1,7 +1,7 @@
 """Campaign run execution: one spec, one fresh simulated kernel.
 
 :func:`execute_run` is the single execution path shared by every
-campaign strategy -- the warm worker pool's batch loop
+campaign strategy -- the worker pool's batch loop
 (:mod:`repro.campaign.pool`), the adaptive in-process fallback in the
 coordinator, and direct use from tests and notebooks.  Each run gets a
 **fresh** :class:`~repro.kernel.kernel.Kernel` (no simulated state

@@ -16,19 +16,11 @@ condition-code set.
 Eviction is FIFO over dict insertion order: O(1), deterministic, and
 plenty for the intended access pattern (a small hot working set with a
 long random tail).  ``hits``/``misses`` counters feed the ablation
-benchmark's report.
-
-The cache can also be *warm-started* from a persistent cross-run file
-(:mod:`repro.fp.memodisk`) via :meth:`MemoSoftFPU.load_entries`; hits
-served by warm entries are counted separately (``warm_hits``) so the
-campaign runner can report what the persistent cache saved.  Because
-every entry is a pure function of its key, a warm cache is
-architecturally invisible -- results are bit-identical either way.
+benchmark's report.  On the end-to-end workloads the hit rate is about
+3% of lookups (DESIGN.md decision #16).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.flags import Flag
@@ -52,12 +44,6 @@ class MemoSoftFPU(FastSoftFPU):
         self.misses = 0
         self.evictions = 0
         self._cache: dict[tuple, object] = {}
-        #: Keys that were warm-started from a persistent cache file
-        #: (:mod:`repro.fp.memodisk`).  Empty unless :meth:`load_entries`
-        #: ran, so the per-hit membership probe is against an empty
-        #: frozenset in the common case.
-        self._warm: frozenset = frozenset()
-        self.warm_hits = 0
 
     def _insert(self, key: tuple, out):
         self.misses += 1
@@ -73,51 +59,6 @@ class MemoSoftFPU(FastSoftFPU):
         """Entries currently resident in the FIFO."""
         return len(self._cache)
 
-    @property
-    def warm_loaded(self) -> int:
-        """Entries this cache was warm-started with."""
-        return len(self._warm)
-
-    def load_entries(self, entries: dict) -> int:
-        """Warm-start the cache from persisted ``{key: result}`` entries.
-
-        Loaded entries count as neither hits nor misses; hits they later
-        serve are additionally counted in ``warm_hits`` so the campaign
-        report can state how much work the persistent cache saved.
-        Insertion order is preserved (FIFO eviction treats warm entries
-        as oldest).  Returns the number of entries resident afterwards.
-        """
-        budget = max(0, self.capacity - len(self._cache))
-        fresh = (kv for kv in entries.items() if kv[0] not in self._cache)
-        take = dict(itertools.islice(fresh, budget))
-        take.update(self._cache)  # live results win; they are identical anyway
-        self._cache = take
-        self._warm = frozenset(entries) & frozenset(take)
-        return len(self._cache)
-
-    def reset_warm(self) -> None:
-        """Drop the warm-start baseline; every resident entry becomes
-        publishable again.
-
-        A long-lived process (the campaign daemon, a pytest run) can
-        warm-start against *different* cache files over its lifetime;
-        entries warm-started from an earlier file are fresh news to the
-        next one, so the baseline belongs to the current warm-start
-        target, not to the process.
-        """
-        self._warm = frozenset()
-
-    def export_delta(self) -> dict:
-        """Entries computed *this* process (everything not warm-started).
-
-        This is what a campaign worker publishes back to the persistent
-        cache; re-publishing warm entries would only churn the file.
-        """
-        warm = self._warm
-        if not warm:
-            return dict(self._cache)
-        return {k: v for k, v in self._cache.items() if k not in warm}
-
     def stats(self) -> dict[str, int]:
         """Point-in-time cache statistics (telemetry bus / benchmarks)."""
         return {
@@ -126,8 +67,6 @@ class MemoSoftFPU(FastSoftFPU):
             "evictions": self.evictions,
             "occupancy": len(self._cache),
             "capacity": self.capacity,
-            "warm_loaded": len(self._warm),
-            "warm_hits": self.warm_hits,
         }
 
     # ------------------------------------------------------- arithmetic
@@ -139,8 +78,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().add(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def sub(self, fmt: BinaryFormat, a: int, b: int,
@@ -150,8 +87,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().sub(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def mul(self, fmt: BinaryFormat, a: int, b: int,
@@ -161,8 +96,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().mul(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def div(self, fmt: BinaryFormat, a: int, b: int,
@@ -172,8 +105,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().div(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def sqrt(self, fmt: BinaryFormat, a: int,
@@ -183,8 +114,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().sqrt(fmt, a, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def fma(self, fmt: BinaryFormat, a: int, b: int, c: int,
@@ -198,8 +127,6 @@ class MemoSoftFPU(FastSoftFPU):
                                  negate_product=negate_product,
                                  negate_c=negate_c))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def min(self, fmt: BinaryFormat, a: int, b: int,
@@ -209,8 +136,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().min(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def max(self, fmt: BinaryFormat, a: int, b: int,
@@ -220,8 +145,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().max(fmt, a, b, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     # ------------------------------------------------ compare / converts
@@ -235,8 +158,6 @@ class MemoSoftFPU(FastSoftFPU):
             return self._insert(key, super().compare(fmt, a, b, ctx,
                                                      signal_qnan=signal_qnan))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def convert(self, src_fmt: BinaryFormat, dst_fmt: BinaryFormat, a: int,
@@ -246,8 +167,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().convert(src_fmt, dst_fmt, a, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def from_int(self, fmt: BinaryFormat, value: int,
@@ -257,8 +176,6 @@ class MemoSoftFPU(FastSoftFPU):
         if out is None:
             return self._insert(key, super().from_int(fmt, value, ctx))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def to_int(self, fmt: BinaryFormat, a: int,
@@ -270,8 +187,6 @@ class MemoSoftFPU(FastSoftFPU):
             return self._insert(
                 key, super().to_int(fmt, a, ctx, width=width, truncate=truncate))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out
 
     def round_to_integral(self, fmt: BinaryFormat, a: int,
@@ -285,6 +200,4 @@ class MemoSoftFPU(FastSoftFPU):
                 key, super().round_to_integral(
                     fmt, a, ctx, rmode=rmode, suppress_inexact=suppress_inexact))
         self.hits += 1
-        if key in self._warm:
-            self.warm_hits += 1
         return out

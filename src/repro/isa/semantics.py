@@ -279,54 +279,6 @@ def memo_stats() -> dict[str, int]:
         "op_evictions": _MEMO_FPU.evictions,
         "op_occupancy": _MEMO_FPU.occupancy,
         "op_capacity": _MEMO_FPU.capacity,
-        "op_warm_loaded": _MEMO_FPU.warm_loaded,
-        "op_warm_hits": _MEMO_FPU.warm_hits,
         "forms_interned": len(_EXECUTORS),
         "batch_demoted_forms": len(_BATCH_DEMOTED),
     }
-
-
-def memo_fpu() -> MemoSoftFPU:
-    """The process-global op-level memo (campaign warm-start target)."""
-    return _MEMO_FPU
-
-
-def warm_start_memo(path) -> "object":
-    """Warm-start the global memo from a persistent cache file.
-
-    Returns the :class:`repro.fp.memodisk.LoadReport`; on any problem
-    with the file (absent, stale schema, corrupt) the memo simply stays
-    cold and the report's ``status`` says why.
-    """
-    from repro.fp.memodisk import load_cache
-
-    report = load_cache(path, limit=_MEMO_FPU.capacity)
-    # A new warm-start target resets the delta baseline: resident
-    # entries warm-started from some *earlier* file must still publish
-    # to this one (the file being absent/corrupt means everything the
-    # process knows is fresh news to it).
-    _MEMO_FPU.reset_warm()
-    if report.entries:
-        _MEMO_FPU.load_entries(report.entries)
-    return report
-
-
-def warm_start_from_snapshot(path) -> "object":
-    """Warm-start the global memo from a flattened snapshot blob.
-
-    The warm worker pool's once-per-worker-lifetime load path (one blob
-    read instead of a per-campaign sqlite walk); same never-raises
-    contract as :func:`warm_start_memo`.
-    """
-    from repro.fp.memodisk import load_snapshot
-
-    report = load_snapshot(path, limit=_MEMO_FPU.capacity)
-    _MEMO_FPU.reset_warm()  # same baseline contract as warm_start_memo
-    if report.entries:
-        _MEMO_FPU.load_entries(report.entries)
-    return report
-
-
-def export_memo_delta() -> dict:
-    """Entries this process computed beyond its warm start (publishable)."""
-    return _MEMO_FPU.export_delta()

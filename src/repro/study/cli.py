@@ -283,11 +283,9 @@ def _cmd_campaign_run(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    memo_path = None if args.memo_cache in (None, "off") else args.memo_cache
     runner = CampaignRunner(
         campaign,
         workers=args.workers,
-        memo_path=memo_path,
         out_dir=args.out,
         batch_size=args.batch_size,
         execution=args.execution,
@@ -296,7 +294,6 @@ def _cmd_campaign_run(args) -> int:
     print(result.report_text, end="")
 
     host = result.host
-    memo = host["memo"]
     plan = host["plan"]
     print()
     print(f"execution: {plan['mode']} ({plan['reason']}), "
@@ -305,11 +302,6 @@ def _cmd_campaign_run(args) -> int:
           f"{host['spawned_workers']} spawned, {host['retries']} retr"
           f"{'y' if host['retries'] == 1 else 'ies'}")
     print(f"host wall time: {host['host_wall_seconds']:.3f} s")
-    if memo["path"]:
-        warm = sum(w.get("warm_loaded", 0) for w in memo["per_worker"].values())
-        print(f"memo cache: {memo['path']}  warm-start {warm} entries, "
-              f"published {memo['published_entries']} "
-              f"(+{memo['delta_entries']} delta)")
     if args.out:
         out = pathlib.Path(args.out)
         # The runner wrote these atomically as it went.
@@ -497,8 +489,7 @@ def _cmd_campaign_status(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.campaign import CampaignDaemon, serve_http
 
-    daemon = CampaignDaemon(
-        args.data_dir, workers=args.workers, memo_path=args.memo_cache)
+    daemon = CampaignDaemon(args.data_dir, workers=args.workers)
     server = serve_http(daemon, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"campaign daemon listening on http://{host}:{port} "
@@ -771,9 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run every spec with the flight recorder on; "
                            "merge provenance rollups and (with --out) "
                            "write per-run trace artifacts")
-    crun.add_argument("--memo-cache", default=None, metavar="PATH",
-                      help="persistent softfloat memo cache file "
-                           "('off' or omitted: cold runs, no publish)")
     crun.add_argument("--out", default=None,
                       help="artifact directory (status.json, "
                            "campaign_report.txt, campaign.json)")
@@ -838,18 +826,14 @@ def build_parser() -> argparse.ArgumentParser:
     cshut.set_defaults(fn=_cmd_campaign_shutdown)
 
     srv = sub.add_parser(
-        "serve", help="run the long-lived campaign daemon (warm pool + "
-                      "job queue + HTTP API)")
+        "serve", help="run the long-lived campaign daemon (worker pool "
+                      "+ job queue + HTTP API)")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
     srv.add_argument("--data-dir", dest="data_dir", default="campaignd",
-                     help="jobs, artifact store, and memo cache live here")
+                     help="jobs and the artifact store live here")
     srv.add_argument("--workers", type=int, default=None,
                      help="pool width (default: planner-chosen per job)")
-    srv.add_argument("--memo-cache", dest="memo_cache", default=None,
-                     metavar="PATH",
-                     help="memo cache path ('off' to disable; default "
-                          "<data-dir>/memo.sqlite)")
     srv.set_defaults(fn=_cmd_serve)
 
     trc = sub.add_parser(

@@ -74,6 +74,25 @@ def test_envelope_rejects_malformed_payloads():
          "gates": {}, "metrics": {"a": 1}, "speedup": 2.0}))
 
 
+def test_envelope_unchecked_is_optional_and_omitted_when_empty():
+    plain = bench_envelope("x", {"a": 1}, timestamp="2026-01-01")
+    assert bench_envelope("x", {"a": 1}, timestamp="2026-01-01",
+                          unchecked=[]) == plain
+    assert "unchecked" not in plain
+    env = bench_envelope("x", {"a": 1, "b": 2}, gates={"a": {"min": 0.5}},
+                         unchecked=["b"])
+    assert env["unchecked"] == ["b"]
+    assert validate_bench_envelope(env) == []
+
+
+def test_envelope_rejects_malformed_unchecked():
+    base = bench_envelope("x", {"a": 1}, timestamp="2026-01-01")
+    for bad in (["missing"], "a", [], [1], {"a": True}):
+        payload = dict(base, unchecked=bad)
+        assert any("unchecked" in p
+                   for p in validate_bench_envelope(payload)), bad
+
+
 def test_history_loader_reads_envelope_and_legacy(tmp_path):
     (tmp_path / "BENCH_new.json").write_text(json.dumps(
         bench_envelope("new", {"v": 1.5}, gates={"v": {"max": 2.0}},

@@ -1,13 +1,16 @@
-"""Warm worker pool, execution planner, and artifact store tests.
+"""Worker pool, execution planner, and artifact store tests.
 
 The multiprocessing lifecycle tests force ``execution="pool"``: on a
 small CI host the planner would (correctly) pick in-process mode, and
 these tests exist precisely to exercise the real pool machinery --
-spawn-once reuse, warm-start accounting, and crash retry at batch
+spawn-once reuse, bounded shutdown, and crash retry at batch
 granularity.
 """
 
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -23,7 +26,6 @@ from repro.campaign import (
     smoke_campaign,
 )
 from repro.campaign.planner import MAX_BATCH, SPAWN_SECONDS
-from repro.campaign.pool import SNAPSHOT_SUFFIX
 from repro.campaign.runner import MAX_ATTEMPTS
 
 TINY = CampaignSpec(
@@ -104,43 +106,33 @@ def test_plan_batch_size_scales_with_campaign_and_is_capped():
 
 # ------------------------------------------------------- pool lifecycle
 
-def test_pool_reuse_across_campaigns_zero_reloads(tmp_path):
-    """The tentpole contract: spawn once, warm-start once, serve many."""
-    memo = tmp_path / "memo.sqlite"
-    # Seed the cache so the pool has something to warm-start from.
-    seeded = run_campaign(TINY, workers=1, memo_path=memo)
-    assert seeded.host["memo"]["published_entries"] > 0
-
-    with WorkerPool(2, memo_path=memo) as pool:
+def test_pool_reuse_across_campaigns_zero_reloads():
+    """The tentpole contract: spawn once, serve many."""
+    with WorkerPool(2) as pool:
         first = CampaignRunner(TINY, execution="pool", pool=pool).run()
         spawned_after_first = pool.stats["spawned_total"]
-        loads_after_first = pool.stats["snapshot_loads"]
         second = CampaignRunner(TINY, execution="pool", pool=pool).run()
 
-        # Zero new spawns and zero warm-start reloads for campaign two.
+        # Zero new spawns for campaign two.
         assert pool.stats["spawned_total"] == spawned_after_first == 2
-        assert pool.stats["snapshot_loads"] == loads_after_first == 2
         assert pool.stats["campaigns_served"] == 2
-        assert pool.stats["warm_loaded_total"] > 0
         assert second.host["pool"]["reused"] is True
-    assert first.report_text == second.report_text == seeded.report_text
+    assert first.report_text == second.report_text
 
 
-def test_owned_pool_publishes_memo_deltas_cold_start(tmp_path):
-    memo = tmp_path / "memo.sqlite"
-    cold = run_campaign(TINY, workers=2, memo_path=memo, execution="pool")
-    assert memo.exists()
-    host_memo = cold.host["memo"]
-    assert all(
-        w["memo_status"] == "absent"
-        for w in host_memo["per_worker"].values())
-    assert host_memo["published_entries"] > 0
+def _child_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
 
-    warm = run_campaign(TINY, workers=2, memo_path=memo, execution="pool")
-    warm_workers = warm.host["memo"]["per_worker"].values()
-    assert all(w["memo_status"] == "ok" for w in warm_workers)
-    assert all(w["warm_loaded"] > 0 for w in warm_workers)
-    assert warm.report_text == cold.report_text
+
+def test_owned_pool_closed_after_campaign():
+    before = _child_pids()
+    pooled = run_campaign(TINY, workers=2, execution="pool")
+    assert pooled.host["pool"]["reused"] is False
+    assert pooled.host["pool"]["spawned_total"] == 2
+    # The runner closes the pool it owns: no worker outlives the call.
+    assert _child_pids() <= before
+    inproc = run_campaign(TINY, workers=1)
+    assert pooled.report_text == inproc.report_text
 
 
 def test_crash_mid_batch_retries_unfinished_on_fresh_member(tmp_path):
@@ -174,38 +166,36 @@ def test_crash_mid_batch_retries_unfinished_on_fresh_member(tmp_path):
     assert pool_tel["batch_retries"] == 2
 
 
-def test_stale_snapshot_unlinked_when_cache_absent(tmp_path):
-    """A leftover snapshot blob must not outlive its cache: workers
-    would warm-load entries that are excluded from deltas and therefore
-    never published to the new cache."""
-    memo = tmp_path / "memo.sqlite"
-    snap = tmp_path / ("memo.sqlite" + SNAPSHOT_SUFFIX)
-    run_campaign(TINY, workers=1, memo_path=memo)  # seed the cache
-    with WorkerPool(1, memo_path=memo):
-        pass
-    assert snap.exists()
-    memo.unlink()  # the cache is gone; the blob is now stale
-    with WorkerPool(1, memo_path=memo) as pool:
-        assert not snap.exists()
-        assert pool.stats["snapshot_status"] == "absent"
-        for hello in pool.hello_info().values():
-            assert hello["memo_status"] == "absent"
+#: Upper bound for a pool shutdown with no busy worker: the quit
+#: message plus interpreter teardown, far below close()'s own timeout.
+CLOSE_BOUND_SECONDS = 4.0
 
 
-def test_close_drains_delta_from_worker_that_already_exited(tmp_path):
-    """A worker enqueues its delta/bye and exits immediately; the close
-    drain must keep consuming even though the process is already dead,
-    or the memo delta is silently dropped."""
-    memo = tmp_path / "memo.sqlite"
-    pool = WorkerPool(1, memo_path=memo).start()
+def _assert_closed_promptly(pool: WorkerPool) -> None:
+    t0 = time.monotonic()
+    pool.close()
+    assert time.monotonic() - t0 < CLOSE_BOUND_SECONDS
+    assert not pool.started
+    assert all(not w.proc.is_alive() for w in pool.all_workers())
+    assert not _child_pids() & {w.proc.pid for w in pool.all_workers()}
+
+
+def test_close_clean_pool_is_bounded_and_leaves_no_children():
+    pool = WorkerPool(2).start()
     CampaignRunner(TINY, execution="pool", pool=pool).run()
-    w = pool.live_workers()[0]
-    w.task_q.put(("quit",))
-    w.proc.join(timeout=60)
-    assert not w.proc.is_alive()
-    stats = pool.close()
-    assert w.said_bye
-    assert stats["published_entries"] > 0
+    _assert_closed_promptly(pool)
+
+
+def test_close_after_idle_worker_sigkilled():
+    """A worker killed while idle never answers quit; close must not
+    wait on it, and must still reap the survivor."""
+    pool = WorkerPool(2).start()
+    CampaignRunner(TINY, execution="pool", pool=pool).run()
+    victim = pool.idle_workers()[0]
+    os.kill(victim.proc.pid, signal.SIGKILL)
+    victim.proc.join(timeout=10)
+    assert not victim.proc.is_alive()
+    _assert_closed_promptly(pool)
 
 
 def test_borrowed_pool_drops_stale_campaign_messages(tmp_path):
@@ -226,8 +216,8 @@ def test_borrowed_pool_drops_stale_campaign_messages(tmp_path):
     assert all(o.status == "ok" for o in second.outcomes)
 
 
-def test_pool_rejects_use_after_close(tmp_path):
-    pool = WorkerPool(1, memo_path=tmp_path / "memo.sqlite").start()
+def test_pool_rejects_use_after_close():
+    pool = WorkerPool(1).start()
     pool.close()
     assert not pool.started
     with pytest.raises(RuntimeError, match="closed"):
@@ -236,24 +226,16 @@ def test_pool_rejects_use_after_close(tmp_path):
     pool.close()
 
 
-def test_pool_mode_emits_dispatch_telemetry(tmp_path):
-    result = run_campaign(
-        TINY, workers=2, memo_path=tmp_path / "memo.sqlite",
-        execution="pool", batch_size=1)
+def test_pool_mode_emits_dispatch_telemetry():
+    result = run_campaign(TINY, workers=2, execution="pool", batch_size=1)
     tel = result.host["telemetry"]["scopes"]["campaign.pool"]
     assert tel["batches_dispatched"] == len(TINY.runs)
     assert tel["runs_dispatched"] == len(TINY.runs)
-    # Memo snapshot timings ride the bus as gauges (satellite #6).
-    assert "memo_snapshot_build_seconds" in tel
-    assert "memo_snapshot_load_seconds" in tel
 
 
-def test_inprocess_mode_emits_memo_load_gauge(tmp_path):
-    memo = tmp_path / "memo.sqlite"
-    run_campaign(TINY, workers=1, memo_path=memo)
-    result = run_campaign(TINY, workers=1, memo_path=memo)
+def test_inprocess_mode_emits_run_counter():
+    result = run_campaign(TINY, workers=1)
     tel = result.host["telemetry"]["scopes"]["campaign.pool"]
-    assert tel["memo_load_seconds"] >= 0.0
     assert tel["inprocess_runs"] == len(TINY.runs)
 
 

@@ -338,8 +338,7 @@ class TestMemoStats:
         assert fpu.occupancy == 2
         s = fpu.stats()
         assert s == {"hits": 0, "misses": 3, "evictions": 1,
-                     "occupancy": 2, "capacity": 2,
-                     "warm_loaded": 0, "warm_hits": 0}
+                     "occupancy": 2, "capacity": 2}
         fpu.add(BINARY64, b64(1.0), b64(4.0))
         assert fpu.stats()["hits"] == 1
 
