@@ -38,13 +38,16 @@ class KernelConfig:
     #: oracle for benchmarks/test_ablation_trapfast.py.
     trapfast: bool = True
     #: Enable the storm batch driver (DESIGN.md #11): consecutive
-    #: same-RIP faulting groups of an FPBlock are computed as one
-    #: array-kernel batch and their whole trap lifecycles -- SIGFPE,
-    #: handler, masked re-execution, fused SIGTRAP, re-arm -- are
-    #: replicated event-by-event without stepping the machine.  Only
-    #: admissible when the replay is provably byte-identical (the
-    #: admission checks in :mod:`repro.machine.storm`); off, every trap
-    #: takes the per-event path, which is the byte-identity oracle for
+    #: same-RIP groups of an FPBlock are computed as one array-kernel
+    #: batch; faulting groups have their whole trap lifecycles --
+    #: SIGFPE, handler, masked re-execution, fused SIGTRAP, re-arm --
+    #: replicated event-by-event and quiet groups retire in place,
+    #: without stepping the machine.  Batches stop short of the
+    #: scheduler quantum's end, the virtual timer's expiry and
+    #: ``maxcount``; an armed real timer rejects them.  Only admissible
+    #: when the replay is provably byte-identical (the admission checks
+    #: in :mod:`repro.machine.storm`); off, every group takes the
+    #: per-event path, which is the byte-identity oracle for
     #: benchmarks/test_ablation_trapfast.py.
     stormbatch: bool = True
     #: Enable the cross-layer telemetry bus (DESIGN.md #8) and mount the

@@ -96,7 +96,8 @@ class CPU:
         #: accounting, exposed as a pull gauge when telemetry is on.
         self.stormbatch = kernel.config.stormbatch
         self.storm_stats: dict = {
-            "batches": 0, "groups": 0, "records": 0, "bailouts": {},
+            "batches": 0, "groups": 0, "quiet": 0, "records": 0,
+            "bailouts": {},
         }
         #: Per-RIP cache: address -> (site, memoized executor, end rip).
         #: ``TEXT_BASE`` is shared across processes, so entries validate
@@ -157,6 +158,7 @@ class CPU:
         out = {
             "batches": st["batches"],
             "groups": st["groups"],
+            "quiet": st["quiet"],
             "records": st["records"],
         }
         for reason, n in st["bailouts"].items():

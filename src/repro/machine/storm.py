@@ -8,23 +8,33 @@ re-execution, fused SIGTRAP, handler (re-arm).  The per-event fast path
 still walks the whole state machine one event at a time through Python.
 
 This driver (DESIGN.md #11) recognizes the storm as a *batch*: a run of
-consecutive same-RIP faulting groups whose outcomes the batch softfloat
-kernels (:mod:`repro.fp.batchfloat`) compute in one integer-array pass.
-It then *replicates* -- rather than executes -- the per-event effects:
-trace records are serialized in one structured-array pass, cycle/time
-accounting is closed-form, and every telemetry counter, ``/proc/fpspy``
-event, and flight-recorder span the per-event path would emit is
-emitted with identical contents and cycle stamps.
+consecutive same-RIP groups whose outcomes the batch softfloat kernels
+(:mod:`repro.fp.batchfloat`) compute in one integer-array pass.  A
+batch mixes two kinds of group, exactly as application traffic does:
+*faulting* groups (an unmasked condition: a whole trap lifecycle) and
+*quiet* groups (no condition at all: the group retires like any other
+instruction).  The driver *replicates* -- rather than executes -- the
+per-event effects: trace records are serialized in one structured-array
+pass, cycle/time accounting is closed-form over the mixed schedule, and
+every telemetry counter, ``/proc/fpspy`` event, and flight-recorder span
+the per-event path would emit is emitted with identical contents and
+cycle stamps.
 
 Admissibility is the whole game.  ``try_storm`` proves, before
 committing anything, that the replicated story is *byte-identical* to
 the per-event one: FPSpy's own handlers installed (any guest handler
 bails), monitor live in ``AWAIT_FPE``, masks exactly the capture set,
-sticky status clear, equal faulting/masked contexts, no armed timers,
-enough scheduler quantum, and headroom under ``maxcount``.  Anything
-else takes the precise path -- the bail-out is counted, never silent.
-Turning ``KernelConfig.stormbatch`` off is the byte-identity oracle the
-ablation benchmark runs against.
+sticky status clear, equal faulting/masked contexts, no armed real
+timer, and -- from prefix sums over the batch window -- a run of
+eligible groups that fits the scheduler quantum, stays strictly below
+the virtual timer's expiry, and leaves headroom under ``maxcount``.  A
+group raising only masked conditions ends the run (it would leave
+sticky status behind).  With the flight recorder on, the run is
+faulting groups only and an armed virtual timer rejects: the recorder
+stamps one ``storm`` span per batch, so there batch boundaries are
+observable output.  Anything else takes the precise path -- the
+bail-out is counted, never silent.  Turning ``KernelConfig.stormbatch``
+off is the byte-identity oracle the ablation benchmark runs against.
 """
 
 from __future__ import annotations
@@ -55,9 +65,26 @@ _SICODE_LUT = np.zeros(_ALL + 1, dtype=np.int64)
 for _flag, _code in FLAG_SICODE_INT.items():
     _SICODE_LUT[int(_flag)] = int(_code)
 
-#: Minimum admissible batch: below this the per-event path is at least
-#: as cheap as the admission work.
-_MIN_GROUPS = 2
+#: Minimum admissible batch.  Admission is a few prefix-sum lookups over
+#: a window whose outcomes are already computed, so committing even one
+#: group from it beats recomputing that group on the per-event path.
+#: Under the flight recorder batch boundaries are output (one ``storm``
+#: span per batch), so they stay where runs of two or more faulting
+#: groups put them.
+_MIN_GROUPS = 1
+_MIN_TRACED_GROUPS = 2
+
+#: Bound on first use: the fpspy package pulls in the loader, which
+#: imports the machine package (cold when this module loads).
+_Mode = _FPSpyEngine = _MonitorState = None
+
+
+def _bind_fpspy() -> None:
+    global _Mode, _FPSpyEngine, _MonitorState
+    from repro.fpspy.config import Mode
+    from repro.fpspy.engine import FPSpyEngine, MonitorState
+
+    _Mode, _FPSpyEngine, _MonitorState = Mode, FPSpyEngine, MonitorState
 
 
 def _reject(cpu: "CPU", reason: str) -> bool:
@@ -67,21 +94,23 @@ def _reject(cpu: "CPU", reason: str) -> bool:
 
 
 def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
-    """Batch-replicate a run of faulting groups if provably unobservable.
+    """Batch-replicate a run of quiet and faulting groups if provably
+    unobservable.
 
     Returns True having committed a whole batch (the CPU step is done),
     False to fall through to the precise scalar sub-step.  Mid-cycle
     states (current group's FP already retired, TF set, signals queued)
     return False without counting a bail-out: they are the *interior* of
     an event the scalar path is already executing, not a rejected storm.
+    A batch ends before the first group that raises only masked codes,
+    before the group that would fire the virtual timer, where the
+    scheduler quantum runs out, and before the faulting group that could
+    reach ``maxcount``; those groups take the per-event path.
     """
     if block.fp_done or task.trap_flag or task.pending_signals:
         return False
-    # Deferred: the fpspy package pulls in the loader, which imports the
-    # machine package (cold by the first try_storm call).
-    from repro.fpspy.config import Mode
-    from repro.fpspy.engine import FPSpyEngine, MonitorState
-
+    if _FPSpyEngine is None:
+        _bind_fpspy()
     kernel = cpu.kernel
     if getattr(block, "_storm_uncovered", False):
         return _reject(cpu, "uncovered")
@@ -101,28 +130,33 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # and codes fields; the first event's handler clears it, after
         # which the storm admits (self-healing).
         return _reject(cpu, "status")
-    if task.vtimer is not None or kernel._timer_heap:
-        # Any armed timer (Poisson sampler, app itimer) may fire inside
-        # the batch window: precise stepping only.
+    # The flight recorder stamps one span per batch, so under it batch
+    # boundaries are output: keep them where faulting-only runs put them.
+    quiet_ok = cpu._tr is None
+    vtimer = task.vtimer
+    if kernel._timer_heap or (vtimer is not None and not quiet_ok):
+        # A real timer's expiry depends on the cycle schedule and the
+        # fusion fence: precise stepping only.  The virtual timer bounds
+        # the batch below instead.
         return _reject(cpu, "timer")
     proc = task.process
     dfpe = proc.disposition(Signal.SIGFPE)
-    if getattr(dfpe, "__func__", None) is not FPSpyEngine._sigfpe_handler:
+    if getattr(dfpe, "__func__", None) is not _FPSpyEngine._sigfpe_handler:
         return _reject(cpu, "disposition")
     engine: FPSpyEngine = dfpe.__self__
     dtrap = proc.disposition(Signal.SIGTRAP)
     if (
-        getattr(dtrap, "__func__", None) is not FPSpyEngine._sigtrap_handler
+        getattr(dtrap, "__func__", None) is not _FPSpyEngine._sigtrap_handler
         or dtrap.__self__ is not engine
     ):
         return _reject(cpu, "disposition")
-    if not engine.active or engine.config.mode is not Mode.INDIVIDUAL:
+    if not engine.active or engine.config.mode is not _Mode.INDIVIDUAL:
         return _reject(cpu, "engine")
     mon = engine.monitors.get(task.tid)
     if (
         mon is None
         or mon.disabled
-        or mon.state is not MonitorState.AWAIT_FPE
+        or mon.state is not _MonitorState.AWAIT_FPE
         or not mon.sampling_on
     ):
         return _reject(cpu, "engine")
@@ -137,65 +171,102 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # (only differs when FTZ rides an unmasked Underflow).
         return _reject(cpu, "ctx")
 
-    cache = getattr(block, "_storm_cache", None)
+    win = getattr(block, "_storm_cache", None)
     if (
-        cache is None
-        or cache[0] != ctx
-        or cache[1] != base
-        or cache[2] > block.index
+        win is None
+        or win.ctx != ctx
+        or win.base != base
+        or win.start > block.index
     ):
-        cache = _build_cache(block, form, ctx, base, cpu._prov)
-        block._storm_cache = cache
-    rel = block.index - cache[2]
-    pend_w = cache[5]
-    nz = pend_w[rel:] != 0
-    streak = len(nz) if nz.all() else int(np.argmin(nz))
+        win = block._storm_cache = _Window(
+            block, form, ctx, base, quiet_ok, cpu._prov)
+    rel = block.index - win.start
 
-    # Scheduler-quantum cap: a group is 3 precise steps with interleave
-    # (fault, deliver+re-exec+fused-trap, int) else 2 -- and the fused
-    # delivery needs one spare unit, so interleave-0 is (budget-1)//2.
-    if block.interleave > 0:
-        kmax = cpu.step_budget // 3
-    else:
-        kmax = (cpu.step_budget - 1) // 2
-    k = min(streak, kmax)
-    if engine.config.maxcount is not None:
+    # The eligible run: up to the next ineligible group.
+    bad = win.bad
+    j = int(np.searchsorted(bad, rel))
+    k = (int(bad[j]) if j < len(bad) else win.ng) - rel
+    # Scheduler quantum: every group's slice needs must fit what is left.
+    k = min(k, int(np.searchsorted(
+        win.need_end, cpu.step_budget + int(win.steps[rel]), "right")) - rel)
+    if vtimer is not None:
+        # Strictly below the expiry: the expiring group goes per-event,
+        # where the timer posts its signal at the exact instruction.
+        k = min(k, (vtimer.remaining - 1) // (1 + block.interleave))
+    maxcount = engine.config.maxcount
+    if maxcount is not None:
         # Stay strictly below the cap: the disarm transition must run on
-        # the per-event path (conservative: every group might record).
-        k = min(k, engine.config.maxcount - mon.recorded - 1)
-    if k < _MIN_GROUPS:
+        # the per-event path (conservative: every fault might record).
+        room = maxcount - mon.recorded - 1
+        k = min(k, int(np.searchsorted(
+            win.faults, int(win.faults[rel]) + room, "right")) - 1 - rel)
+    if k < (_MIN_GROUPS if quiet_ok else _MIN_TRACED_GROUPS):
         return _reject(cpu, "short")
-    _commit(cpu, task, block, engine, mon, cache, rel, k, base)
+    _commit(cpu, task, block, engine, mon, win, rel, k, base)
     return True
 
 
-def _build_cache(block: FPBlock, form, ctx, base: int, prov=None):
-    """Batch-execute the block's remaining window once, cache per-group
-    codes / pending-exception / si_code arrays keyed on (ctx, base)."""
-    lanes = form.lanes
-    lo = block.index * lanes
-    ops = tuple(a[lo:] for a in block.arrays)
-    res = batchfloat.execute_batch(form, ops, ctx)
-    ng = block.n_groups - block.index
-    flags_g = res.flags.reshape(ng, lanes)
-    codes_g = np.bitwise_or.reduce(flags_g, axis=1).astype(np.int64)
-    unmasked = ~(base >> MASK_SHIFT) & _ALL
-    pend = codes_g & unmasked
-    if unmasked & _UE:
-        # Unmasked-UM corner: an exact-but-tiny result traps too.
-        tiny_g = res.tiny.reshape(ng, lanes).any(axis=1)
-        pend = pend | np.where(tiny_g, _UE, 0)
-    sic = _SICODE_LUT[pend & -pend]
-    # Trailing cell: the provenance pre-scan of this whole window (one
-    # scan serves every storm committed out of this cache).  Filled
-    # eagerly while the operand and result arrays are cache-hot;
-    # _replicate_events fills it lazily as a fallback.
-    cell = [None]
-    if prov is not None:
-        cell[0] = prov.scan_window(
-            block.site, ops, res.bits, ng, lanes,
-            block.take(block.n_groups - 1))
-    return (ctx, base, block.index, res.bits, codes_g, pend, sic, cell)
+class _Window:
+    """The block's remaining groups, batch-executed once under
+    ``(ctx, base)``: per-group outcomes plus the prefix sums admission
+    reads, so each attempt is a few ``searchsorted`` lookups.
+
+    ``steps[g]`` is the scheduler-slice units groups ``[0, g)`` of the
+    window consume on the per-event path, and ``need_end[g]`` is
+    ``steps[g]`` plus what group ``g`` needs left to run whole: a quiet
+    group its own steps (1, or 2 interleaved), a faulting group 3 (its
+    fused delivery needs a spare unit past the re-execution step).
+    ``need_end`` is nondecreasing, which is what makes the quantum cap a
+    single lookup.  ``faults[g]`` counts faulting groups in ``[0, g)``.
+    """
+
+    __slots__ = ("ctx", "base", "start", "ng", "bits", "codes", "pend",
+                 "sic", "fault", "bad", "steps", "need_end", "faults", "sus")
+
+    def __init__(self, block: FPBlock, form, ctx, base: int, quiet_ok: bool,
+                 prov=None) -> None:
+        lanes = form.lanes
+        lo = block.index * lanes
+        ops = tuple(a[lo:] for a in block.arrays)
+        res = batchfloat.execute_batch(form, ops, ctx)
+        ng = block.n_groups - block.index
+        flags_g = res.flags.reshape(ng, lanes)
+        codes = np.bitwise_or.reduce(flags_g, axis=1).astype(np.int64)
+        unmasked = ~(base >> MASK_SHIFT) & _ALL
+        pend = codes & unmasked
+        if unmasked & _UE:
+            # Unmasked-UM corner: an exact-but-tiny result traps too.
+            tiny_g = res.tiny.reshape(ng, lanes).any(axis=1)
+            pend = pend | np.where(tiny_g, _UE, 0)
+        fault = pend != 0
+        eligible = fault | (codes == 0) if quiet_ok else fault
+        w = 2 if block.interleave > 0 else 1
+        steps = np.zeros(ng + 1, dtype=np.int64)
+        np.cumsum(w + fault, out=steps[1:])
+        faults = np.zeros(ng + 1, dtype=np.int64)
+        np.cumsum(fault, out=faults[1:])
+
+        self.ctx = ctx
+        self.base = base
+        self.start = block.index
+        self.ng = ng
+        self.bits = res.bits
+        self.codes = codes
+        self.pend = pend
+        self.sic = _SICODE_LUT[pend & -pend]
+        self.fault = fault
+        self.bad = np.flatnonzero(~eligible)
+        self.steps = steps
+        self.need_end = steps[:-1] + np.where(fault, 3, w)
+        self.faults = faults
+        # The provenance pre-scan of this whole window (one scan serves
+        # every storm committed out of it), run while the operand and
+        # result arrays are cache-hot.
+        self.sus = None
+        if prov is not None:
+            self.sus = prov.scan_window(
+                block.site, ops, res.bits, ng, lanes,
+                block.take(block.n_groups - 1))
 
 
 def _commit(
@@ -204,12 +275,14 @@ def _commit(
     block: FPBlock,
     engine: FPSpyEngine,
     mon,
-    cache,
+    win: _Window,
     rel: int,
     k: int,
     base: int,
 ) -> None:
-    """Replicate ``k`` whole trap lifecycles without stepping the machine.
+    """Replicate ``k`` groups -- whole trap lifecycles for the faulting
+    ones, plain retirements for the quiet ones -- without stepping the
+    machine.
 
     Everything the per-event path writes -- records, counters, spans,
     cycle/time splits -- is produced here with identical contents; the
@@ -220,10 +293,10 @@ def _commit(
     site = block.site
     lanes = site.form.lanes
     interleave = block.interleave
-    bits_flat, codes_w, pend_w, sic_w = cache[3], cache[4], cache[5], cache[6]
-    codes = codes_w[rel:rel + k]
-    pend = pend_w[rel:rel + k]
-    sic = sic_w[rel:rel + k]
+    fi = np.flatnonzero(win.fault[rel:rel + k])  # faulting, batch-relative
+    kf = len(fi)
+    gi = rel + fi
+    codes, pend, sic = win.codes[gi], win.pend[gi], win.sic[gi]
 
     fault_c = costs.fault_entry
     deliv_c = costs.signal_deliver
@@ -231,25 +304,27 @@ def _commit(
     huser_c = costs.handler_user
     tapp_c = costs.trace_append
     fp_c = costs.fp_instr
-    int_c = costs.int_instr
 
-    # Which groups record (the engine's modular subsample, vectorized).
+    # Which faults record (the engine's modular subsample, vectorized).
     sample = engine.config.sample
-    rec = ((mon.observed + 1 + np.arange(k)) % sample) == 0
+    rec = ((mon.observed + 1 + np.arange(kf)) % sample) == 0
     r = int(rec.sum())
     seq0 = mon.seq
 
-    # Per-group cycle schedule: fault entry, SIGFPE delivery, handler
-    # (+record), sigreturn, masked re-exec, fused trap entry + delivery,
-    # handler, sigreturn, integer phase -- exactly the fused path.
-    group_cost = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c + fp_c \
-        + interleave * int_c
-    gcosts = np.full(k, group_cost, dtype=np.int64)
-    gcosts[rec] += tapp_c
-    cum = np.concatenate(([0], np.cumsum(gcosts)))
+    # Per-group cycle schedule.  Every group retires its FP instruction
+    # and integer phase; a faulting one first takes fault entry, SIGFPE
+    # delivery, handler (+record), sigreturn, then after the masked
+    # re-execution the fused trap entry + delivery, handler, sigreturn
+    # -- exactly the fused path.
+    retire_c = fp_c + interleave * costs.int_instr
+    trap_c = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c
     c0 = kernel.cycles
-    starts = c0 + cum[:-1]
-    total = int(cum[-1])
+    total = k * retire_c + kf * trap_c + r * tapp_c
+    if kf:
+        gcosts = np.full(k, retire_c, dtype=np.int64)
+        gcosts[fi] += trap_c + tapp_c * rec
+        # Start cycle of each faulting group.
+        fstarts = c0 + (np.cumsum(gcosts) - gcosts)[fi]
 
     # Trace records, one structured-array pass (byte-identical to the
     # engine's per-event pack_record calls).
@@ -257,7 +332,7 @@ def _commit(
         rows = np.zeros(r, dtype=RECORD_DTYPE)
         rows["seq"] = seq0 + np.arange(r)
         rows["time"] = (
-            starts[rec] + (fault_c + deliv_c + huser_c)
+            fstarts[rec] + (fault_c + deliv_c + huser_c)
         ) / kernel.config.freq_hz
         rows["rip"] = site.address
         rows["rsp"] = task.rsp
@@ -270,27 +345,24 @@ def _commit(
         mon.writer.append_packed(rows.tobytes(), r)
 
     end_rip = site.address + len(site.encoding)
-    tr = cpu._tr
-    prov = cpu._prov
-    t_scope = engine._t_scope
-    if tr is not None or prov is not None or t_scope is not None:
+    if kf and (cpu._tr is not None or cpu._prov is not None
+               or engine._t_scope is not None):
         _replicate_events(
-            cpu, task, block, engine, rel, k, base, codes, pend, sic, rec,
-            c0, end_rip, seq0,
+            cpu, task, block, engine, win, rel, k, base, codes, pend, sic,
+            rec, fstarts, c0, end_rip, seq0,
         )
     kernel.cycles = c0 + total
-    task.stime_cycles += k * 2 * (fault_c + deliv_c + ret_c)
-    task.utime_cycles += k * (2 * huser_c + fp_c + interleave * int_c) \
-        + r * tapp_c
+    task.stime_cycles += kf * 2 * (fault_c + deliv_c + ret_c)
+    task.utime_cycles += k * retire_c + kf * 2 * huser_c + r * tapp_c
 
     # Monitor bookkeeping.
-    mon.observed += k
+    mon.observed += kf
     mon.seq = seq0 + r
     mon.recorded += r
 
     # Telemetry counters the per-event path would have bumped.
-    if engine._t_observed is not None:
-        engine._t_observed.value += k
+    if engine._t_observed is not None and kf:
+        engine._t_observed.value += kf
         engine._t_recorded.value += r
         uniq, counts = np.unique(codes, return_counts=True)
         for c, n in zip(uniq.tolist(), counts.tolist()):
@@ -298,42 +370,50 @@ def _commit(
                 engine._t_events.inc(name, n)
     cpu._site_entry(site)  # keep the per-RIP cache warm (and count one)
     if cpu._t_site_hits is not None:
-        # Two execute_site calls per group (faulting + masked re-exec),
-        # minus the probe just made: exact parity warm and cold.
-        cpu._t_site_hits.value += 2 * k - 1
-    if cpu._t_fused is not None:
-        cpu._t_fused.value += k
-    if cpu._t_signals is not None:
-        cpu._t_signals.inc(Signal.SIGFPE, k)
-        cpu._t_signals.inc(Signal.SIGTRAP, k)
-
-    # The fused path raises one timer-defer fence per group; the heap is
-    # empty (admission), so replicate the final floor + the counter.
-    floor_last = int(starts[-1]) + fault_c + deliv_c + huser_c \
-        + (tapp_c if bool(rec[-1]) else 0) + ret_c + fp_c + fault_c
-    kernel.defer_timers_once(floor_last)
-    if kernel.telemetry:
-        kernel._t_defer_fences.value += k - 1
+        # One execute_site call per group, plus the masked re-execution
+        # of each faulting one, minus the probe just made: exact parity
+        # warm and cold.
+        cpu._t_site_hits.value += k + kf - 1
+    if kf:
+        if cpu._t_fused is not None:
+            cpu._t_fused.value += kf
+        if cpu._t_signals is not None:
+            cpu._t_signals.inc(Signal.SIGFPE, kf)
+            cpu._t_signals.inc(Signal.SIGTRAP, kf)
+        # The fused path raises one timer-defer fence per fault and the
+        # scheduler clears it after the next check; the heap is empty
+        # (admission), so replicate the counter, and the floor itself
+        # only when the batch's last step was a fused delivery.
+        fences = kf
+        if win.fault[rel + k - 1]:
+            kernel.defer_timers_once(
+                int(fstarts[-1]) + fault_c + deliv_c + huser_c
+                + (tapp_c if rec[-1] else 0) + ret_c + fp_c + fault_c)
+            fences -= 1
+        if kernel.telemetry:
+            kernel._t_defer_fences.value += fences
 
     # Writeback: identical to k retire_fp calls.
     lo = block.index * lanes
     end = block.index + k
     valid = min(end * lanes, block.n_elements) - lo
-    seg = bits_flat[(rel * lanes):(rel + k) * lanes]
+    seg = win.bits[(rel * lanes):(rel + k) * lanes]
     block.results.extend(seg[:valid].tolist())
     block.index = end
     block.fp_done = False
     task.last_rip = end_rip
-    task.advance_vtime(k * (1 + interleave))  # vtimer is None (admission)
+    # Admission kept this strictly below any armed vtimer's expiry.
+    task.advance_vtime(k * (1 + interleave))
     if block.done:
         from repro.machine.blockexec import _finish
 
         _finish(task, block)
-    cpu.step_cost = (3 if interleave > 0 else 2) * k
+    cpu.step_cost = int(win.steps[rel + k] - win.steps[rel])
 
     st = cpu.storm_stats
     st["batches"] += 1
     st["groups"] += k
+    st["quiet"] += k - kf
     st["records"] += r
 
 
@@ -342,6 +422,7 @@ def _replicate_events(
     task: Task,
     block: FPBlock,
     engine: FPSpyEngine,
+    win: _Window,
     rel: int,
     k: int,
     base: int,
@@ -349,6 +430,7 @@ def _replicate_events(
     pend,
     sic,
     rec,
+    fstarts,
     c0: int,
     end_rip: int,
     seq0: int,
@@ -357,69 +439,58 @@ def _replicate_events(
     ``/proc/fpspy/events`` entries, provenance observations.
 
     Only runs when at least one observer is live, so the plain storm hot
-    path never enters this loop.  The loop itself performs only the
-    per-event work that *must* be exact per event -- telemetry span
-    events at the SIGFPE delivery cycle and provenance observations at
-    the masked-re-execution retirement cycle (``kernel.cycles`` is slid
-    to each stamp because both read it directly).  The 14-span trap
-    trees are emitted by one bulk :meth:`TraceRecorder.replicate_trees`
-    call with identical ids, parents, cycles, and args to the per-event
-    path -- and, with tail sampling on, boring trees are discarded
-    *before* any span tuple is built, which is what keeps an always-on
-    recorder affordable in a storm.
+    path never enters this loop.  ``codes``/``pend``/``sic``/``rec``
+    and the start cycles ``fstarts`` cover the batch's faulting groups
+    only.  The flight recorder and provenance tracker only ever see
+    faulting-only batches (admission), so for them faulting event ``j``
+    is batch group ``j``.  The loop itself performs only the per-event
+    work that *must* be exact per event -- telemetry span events at the
+    SIGFPE delivery cycle and provenance observations at the
+    masked-re-execution retirement cycle (``kernel.cycles`` is slid to
+    each stamp because both read it directly).  The 14-span trap trees
+    are emitted by one bulk :meth:`TraceRecorder.replicate_trees` call
+    with identical ids, parents, cycles, and args to the per-event path
+    -- and, with tail sampling on, boring trees are discarded *before*
+    any span tuple is built, which is what keeps an always-on recorder
+    affordable in a storm.
     """
     kernel = cpu.kernel
     costs = cpu.costs
     site = block.site
     lanes = site.form.lanes
-    bits_flat = block._storm_cache[3]
+    bits_flat = win.bits
     tr = cpu._tr
     prov = cpu._prov
     t_scope = engine._t_scope
     rip = site.address
-    rsp = task.rsp
-    pid = engine.process.pid
-    tid = task.tid
-    insn = site.encoding
-    masked_base = base | (_ALL << MASK_SHIFT)
     fault_c = costs.fault_entry
     deliv_c = costs.signal_deliver
     ret_c = costs.sigreturn
     huser_c = costs.handler_user
     tapp_c = costs.trace_append
     fp_c = costs.fp_instr
-    int_tail = costs.int_instr * block.interleave
 
     # Only ``rec`` is indexed for every event; codes / si_codes /
     # pending masks are touched solely for retained trees and the rare
     # suspicious observes, so they stay numpy (scalar indexing on the
     # cold path beats converting whole windows on the hot one).
     rec_l = rec.tolist()
-    r = sum(rec_l)
     if tr is not None:
         # One summary span *plus* full per-event trees: batching must
-        # never under-count (satellite 6).
-        tr.storm(task, rip, k, r)
+        # never under-count.
+        tr.storm(task, rip, k, sum(rec_l))
 
-    # Event start cycles mirror the fused path's charge schedule:
-    # event j starts at c0 + j * group_cost, plus one trace-append per
-    # earlier recorded event.  Kept as a formula -- not a list -- so the
-    # common batch (every tree discarded, no observer events) never
-    # materializes per-event cycles at all.
-    group_cost = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c + fp_c \
-        + int_tail
     obs_off = fault_c + deliv_c + huser_c + ret_c  # SIGFPE delivery+handler
     marks = [0] * k
     try:
         if t_scope is not None:
-            sic_l = sic.tolist()
-            c = c0
-            for j in range(k):
+            pid = engine.process.pid
+            tid = task.tid
+            for c, s in zip(fstarts.tolist(), sic.tolist()):
                 t_scope.event(
                     "sigfpe", c + fault_c + deliv_c,
-                    pid=pid, tid=tid, rip=rip, sicode=sic_l[j],
+                    pid=pid, tid=tid, rip=rip, sicode=s,
                 )
-                c += group_cost + (tapp_c if rec_l[j] else 0)
         if prov is not None:
             # Vectorized pre-scan: groups with only ordinary lanes can
             # neither create, propagate, nor sink a chain, so only the
@@ -427,27 +498,14 @@ def _replicate_events(
             # exact per-event observe -- in event order, at the exact
             # cycle the per-event path observes at (the masked
             # re-execution, after the recording handler returns).  The
-            # scan covers the whole cached window once; each committed
-            # storm just slices its k groups out of it.
-            cache = block._storm_cache
-            cell = cache[7]
-            sus_w = cell[0]
-            if sus_w is None:
-                i0 = cache[2]
-                ng = block.n_groups - i0
-                sus_w = cell[0] = prov.scan_window(
-                    site,
-                    tuple(a[i0 * lanes:] for a in block.arrays),
-                    bits_flat, ng, lanes,
-                    block.take(block.n_groups - 1),
-                )
+            # scan covers the whole window once; each committed storm
+            # just slices its k groups out of it.
             idxs = [j for j, s in
-                    enumerate(sus_w[rel:rel + k].tolist()) if s]
+                    enumerate(win.sus[rel:rel + k].tolist()) if s]
             prov.observed += k - len(idxs)
             for j in idxs:
                 kernel.cycles = (
-                    c0 + j * group_cost + tapp_c * sum(rec_l[:j])
-                    + obs_off + (tapp_c if rec_l[j] else 0)
+                    int(fstarts[j]) + obs_off + (tapp_c if rec_l[j] else 0)
                 )
                 g = block.index + j
                 take = block.take(g)
@@ -458,9 +516,12 @@ def _replicate_events(
                     Flag(int(codes[j])),
                 )
         if tr is not None:
+            group_cost = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c \
+                + fp_c + costs.int_instr * block.interleave
             tr.replicate_trees(
-                task, rip, end_rip, insn, rsp, base, masked_base,
-                sic, pend, codes, rec_l, seq0, c0,
+                task, rip, end_rip, site.encoding, task.rsp, base,
+                base | (_ALL << MASK_SHIFT), sic, pend, codes, rec_l, seq0,
+                c0,
                 (fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c,
                  group_cost),
                 marks,

@@ -1,9 +1,11 @@
 """The storm batch driver must be byte-identical to per-event stepping.
 
 ``KernelConfig.stormbatch`` toggles DESIGN.md decision #11: batches of
-consecutive same-RIP faulting groups have their whole trap lifecycles
-replicated from one array-kernel pass instead of being stepped one
-event at a time.  Nothing architecturally observable may change: trace
+consecutive same-RIP groups -- faulting ones with their whole trap
+lifecycles, quiet ones as plain retirements -- are replicated from one
+array-kernel pass instead of being stepped one event at a time, bounded
+by the scheduler quantum and the virtual timer.  Nothing
+architecturally observable may change: trace
 files (every record field, including the float timestamp), cycle
 counts, user/system splits, virtual time, ``%mxcsr``, results.  The
 host-side observers must not under-count either: per-event telemetry
@@ -126,16 +128,52 @@ def test_storm_batches_actually_engage():
     assert st_["groups"] >= 16
 
 
+#: Small powers of four: sums, products, quotients and square roots of
+#: these are exact, so a group built from them raises no condition.
+_EXACT32 = [float_to_bits32(2.0 ** e) for e in (-4, -2, 0, 2, 4)]
+_INEXACT32 = [float_to_bits32(v) for v in (1.1, 0.7, -0.033, 3.3, 0.21)]
+
+#: Group kinds: quiet (exact operands), faulting (Inexact), or random
+#: bit patterns (specials, NaNs, denormals: anything may fault).
+_group = st.one_of(
+    st.tuples(st.sampled_from("qqff"), st.integers(0, 4)),
+    st.tuples(st.just("?"), st.lists(bits32, min_size=1, max_size=3)),
+)
+
+
+def _group_streams(groups, lanes, arity):
+    streams = [[] for _ in range(arity)]
+    for kind, arg in groups:
+        for lane in range(lanes):
+            for pos in range(arity):
+                i = lane * arity + pos
+                if kind == "?":
+                    b = arg[i % len(arg)]
+                else:
+                    pool = _EXACT32 if kind == "q" else _INEXACT32
+                    b = pool[(arg + i) % len(pool)]
+                streams[pos].append(b)
+    return streams
+
+
 def test_storm_telemetry_does_not_undercount():
     """Per-event telemetry must be replicated: fpspy observed/recorded,
     per-flag event counters, delivered-signal counts, fused-trap count,
-    and each ``/proc/fpspy/events`` ring entry (cycle stamp included)."""
+    per-RIP site-cache hits, and each ``/proc/fpspy/events`` ring entry
+    (cycle stamp included) -- on a pure storm and on a stream that mixes
+    quiet groups in, where quiet groups ride the batches."""
     cfg = {"telemetry": True}
-    streams = _storm_streams(192)
+    assert _check_telemetry_parity(_storm_streams(192), cfg) == 0
+    mixed = _group_streams(
+        [(kind, 0) for kind in "fqqfffqfqqqqffqfqfqqf" * 3], 8, 3)
+    assert _check_telemetry_parity(mixed, cfg) >= 1
+
+
+def _check_telemetry_parity(streams, cfg):
     kf, on = _run("vfmaddps", streams, 2, True, config=cfg)
     ks, off = _run("vfmaddps", streams, 2, False, config=cfg)
     assert kf.cpu.storm_stats["batches"] >= 1
-    assert on["cycles"] == off["cycles"]
+    assert on == off
 
     def invariants(k):
         fpspy = k.telemetry.scope("fpspy")
@@ -148,10 +186,14 @@ def test_storm_telemetry_does_not_undercount():
             "event_ring": fpspy.events(),
             "signals": kern.labeled("signals.delivered").as_dict(),
             "fused": cpu.counter("trapfusion.fused").value,
+            "site_hits": cpu.counter("site_cache.hits").value,
             "defer_fences": kern.counter("timers.defer_fences").value,
         }
 
     assert invariants(kf) == invariants(ks)
+    cpu_snap = kf.telemetry.scope("cpu").snapshot()
+    assert cpu_snap["storm.quiet"] == kf.cpu.storm_stats["quiet"]
+    return kf.cpu.storm_stats["quiet"]
 
 
 def test_storm_span_trees_replicated():
@@ -185,8 +227,10 @@ def test_storm_span_trees_replicated():
 
 
 def test_storm_off_matches_under_poisson_sampler():
-    """Armed sampler timers reject admission ("timer" bail-out), so a
-    Poisson-sampled run must be byte-identical by *falling back*."""
+    """An armed virtual timer bounds each batch instead of rejecting it:
+    the batch stops short of the expiring group, which the per-event
+    path runs so the sampler's SIGVTALRM lands on the exact instruction.
+    A Poisson-sampled run must stay byte-identical while batching."""
     streams = _storm_streams(1024)
     kf, on = _run(
         "vfmaddps", streams, 2, True,
@@ -197,5 +241,102 @@ def test_storm_off_matches_under_poisson_sampler():
         poisson="150:100", timer="virtual", seed=7,
     )
     assert on == off
-    assert kf.cpu.storm_stats["batches"] == 0
-    assert kf.cpu.storm_stats["bailouts"].get("timer", 0) >= 1
+    assert kf.cpu.storm_stats["batches"] >= 1
+    assert "timer" not in kf.cpu.storm_stats["bailouts"]
+
+
+def test_storm_armed_timer_rejects_when_traced_or_real():
+    """Two armed-timer cases still reject every batch ("timer"
+    bail-out) and stay byte-identical by falling back: a real timer,
+    whose expiry races the cycle schedule, and a virtual timer under the
+    flight recorder, where batch boundaries are output (one ``storm``
+    span per batch)."""
+    streams = _storm_streams(1024)
+    # Real-timer periods are microseconds: the whole run is about half a
+    # millisecond of simulated time, so the phases must be shorter.
+    for timer, config, poisson in (
+        ("real", None, "1:0.01"),
+        ("virtual", {"tracing": True}, "150:100"),
+    ):
+        env = dict(poisson=poisson, timer=timer, seed=7)
+        kf, on = _run("vfmaddps", streams, 2, True, config=config, **env)
+        _, off = _run("vfmaddps", streams, 2, False, config=config, **env)
+        assert on == off, timer
+        assert kf.cpu.storm_stats["batches"] == 0, timer
+        assert kf.cpu.storm_stats["bailouts"].get("timer", 0) >= 1, timer
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    form=st.sampled_from([("vfmaddps", 3), ("addss", 2), ("divss", 2)]),
+    tasks=st.lists(st.lists(_group, min_size=10, max_size=48),
+                   min_size=2, max_size=2),
+    # Small quanta put slice ends inside batches; large ones let a batch
+    # run a whole block.
+    quantum=st.one_of(st.integers(min_value=4, max_value=12),
+                      st.integers(min_value=4, max_value=128)),
+    interleave=st.sampled_from([0, 2]),
+    sample=st.integers(min_value=1, max_value=3),
+    maxcount=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    # Mean on/off periods in instructions; a task retires at most 147.
+    poisson=st.one_of(
+        st.none(),
+        st.tuples(st.integers(min_value=4, max_value=120),
+                  st.integers(min_value=1, max_value=30)),
+    ),
+    telemetry=st.booleans(),
+)
+def test_storm_mixed_quiet_and_faulting_groups_byte_identical(
+    form, tasks, quantum, interleave, sample, maxcount, poisson, telemetry
+):
+    """Batches spanning quiet and faulting groups, two interleaved tasks,
+    any quantum, subsampling, ``maxcount`` and a Poisson virtual timer:
+    ``stormbatch`` on must equal off in every guest-visible byte and
+    every ``/proc/fpspy/events`` stamp."""
+    mnemonic, arity = form
+    lanes = 8 if mnemonic == "vfmaddps" else 1
+    # A leading quiet group: each task's first batch attempt opens its
+    # first slice, so without a sampler it batches quiet work.
+    streams_per_task = [
+        _group_streams([("q", 0)] + groups, lanes, arity) for groups in tasks
+    ]
+    env = dict(sample=sample, maxcount=maxcount, seed=11)
+    if poisson is not None:
+        env.update(poisson=f"{poisson[0]}:{poisson[1]}", timer="virtual")
+
+    def run(stormbatch):
+        k = Kernel(KernelConfig(
+            stormbatch=stormbatch, quantum=quantum, telemetry=telemetry))
+        outs = []
+        for t, streams in enumerate(streams_per_task):
+            kb = KernelBuilder()
+            site = kb.site(mnemonic, key="mixed")
+            out = {}
+
+            def main(kb=kb, site=site, out=out, streams=streams):
+                out["results"] = yield from kb.emit(
+                    site, *streams, interleave=interleave)
+
+            proc = k.exec_process(
+                main, env=fpspy_env("individual", **env), name=f"mixed{t}")
+            outs.append((proc, out))
+        k.run()
+        per_task = [
+            (list(out["results"]), p.main_task.vtime,
+             p.main_task.mxcsr.value, p.main_task.utime_cycles,
+             p.main_task.stime_cycles)
+            for p, out in outs
+        ]
+        events = None
+        if telemetry:
+            events = [e for e in k.telemetry.scope("fpspy").events()
+                      if e[1] == "sigfpe"]
+        state = {p: k.vfs.read(p) for p in k.vfs.listdir("")
+                 if not p.startswith("/proc/")}
+        return k, (k.cycles, per_task, events, state)
+
+    kf, on = run(True)
+    _, off = run(False)
+    assert on == off
+    if poisson is None:
+        assert kf.cpu.storm_stats["quiet"] >= 1
