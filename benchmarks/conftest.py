@@ -1,10 +1,14 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-The full four-pass study is expensive (tens of seconds), so it runs once
-per session; the per-figure benchmarks then time the trace analysis and
-rendering for their figure and assert the paper's qualitative shape.
-Benchmarks that need dedicated runs (Figure 6's overhead sweep, Figure
-10's per-benchmark runs) use ``benchmark.pedantic`` with a single round.
+The ``figures`` campaign (four passes over nine targets) is expensive
+(tens of seconds), so it runs once per session in-process and loads
+into an analytics context; the benchmarks for the registry's paper
+figures time their generator over it and assert the paper's
+qualitative shape on the frame rows.  Figures 12, 13 and 16 read the
+live filtered and sampled passes, run once per session for just the
+targets they plot.  Benchmarks that need dedicated runs (Figure 6's
+overhead sweep, Figure 10's per-benchmark runs) use
+``benchmark.pedantic`` with a single round.
 """
 
 from pathlib import Path
@@ -13,7 +17,9 @@ import pytest
 
 from repro.analytics.sources import bench_envelope
 from repro.campaign.artifacts import write_json_atomic
-from repro.study.passes import get_study
+from repro.study.figures import FILTERED_TARGETS, SAMPLED_TARGETS
+from repro.study.passes import run_pass
+from repro.study.report import figures_context
 
 #: Workload scale for benchmark runs (1.0 = the validated study scale).
 BENCH_SCALE = 1.0
@@ -59,6 +65,32 @@ def write_results(
         name, metrics, gates=gates, unchecked=unchecked))
 
 
+def present_sets(figure, key: str, item: str) -> dict[str, set]:
+    """``{key: {item, ...}}`` over the present cells of a T/f figure."""
+    out: dict[str, set] = {}
+    for row in figure.frame.rows:
+        cell = out.setdefault(row[key], set())
+        if row["present"]:
+            cell.add(row[item])
+    return out
+
+
+def print_frame(figure) -> None:
+    print("\n" + figure.frame.to_csv_bytes().decode())
+
+
 @pytest.fixture(scope="session")
-def study():
-    return get_study(BENCH_SCALE, BENCH_SEED)
+def paper_ctx(tmp_path_factory):
+    """The ``figures`` campaign at ``BENCH_SCALE``, loaded for the registry."""
+    return figures_context(
+        BENCH_SCALE, BENCH_SEED, tmp_path_factory.mktemp("figures"))
+
+
+@pytest.fixture(scope="session")
+def filtered_pass():
+    return run_pass("filtered", BENCH_SCALE, BENCH_SEED, only=FILTERED_TARGETS)
+
+
+@pytest.fixture(scope="session")
+def sampled_pass():
+    return run_pass("sampled", BENCH_SCALE, BENCH_SEED, only=SAMPLED_TARGETS)

@@ -1,13 +1,14 @@
 """Figure 7: application/benchmark inventory and unencumbered exec time."""
 
-from repro.study.figures import fig07_inventory
+from benchmarks.conftest import print_frame
+from repro.analytics.figures_paper import fig07_inventory
 from repro.study.targets import TARGET_NAMES
 
 
-def test_fig07_inventory(benchmark, study):
-    result = benchmark(fig07_inventory, study)
-    print("\n" + result.text)
-    rows = {r["name"]: r for r in result.data["rows"]}
+def test_fig07_inventory(benchmark, paper_ctx):
+    fig = benchmark(fig07_inventory, paper_ctx)
+    print_frame(fig)
+    rows = {r["name"]: r for r in fig.frame.rows}
     assert set(rows) == set(TARGET_NAMES)
     # Dependency and problem columns match the paper's table.
     assert rows["LAGHOS"]["dependencies"] == "hypre, METIS, MFEM, MPI"

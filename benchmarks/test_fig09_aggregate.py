@@ -1,6 +1,7 @@
 """Figure 9: aggregate-mode tracing event table for the applications."""
 
-from repro.study.figures import fig09_aggregate
+from benchmarks.conftest import present_sets, print_frame
+from repro.analytics.figures_paper import fig09_aggregate
 
 #: The paper's Figure 9, row by row.
 PAPER_FIG9 = {
@@ -17,10 +18,10 @@ PAPER_FIG9 = {
 }
 
 
-def test_fig09_aggregate(benchmark, study):
-    result = benchmark(fig09_aggregate, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+def test_fig09_aggregate(benchmark, paper_ctx):
+    fig = benchmark(fig09_aggregate, paper_ctx)
+    print_frame(fig)
+    table = present_sets(fig, "code", "event")
     for name, expected in PAPER_FIG9.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

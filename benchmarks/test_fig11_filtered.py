@@ -1,6 +1,7 @@
 """Figure 11: individual-mode tracing with filtering (no Inexact)."""
 
-from repro.study.figures import fig11_filtered
+from benchmarks.conftest import present_sets, print_frame
+from repro.analytics.figures_paper import fig11_filtered
 
 #: The paper's Figure 11 (full instruction coverage, Inexact untracked).
 PAPER_FIG11 = {
@@ -17,10 +18,10 @@ PAPER_FIG11 = {
 }
 
 
-def test_fig11_filtered(benchmark, study):
-    result = benchmark(fig11_filtered, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+def test_fig11_filtered(benchmark, paper_ctx):
+    fig = benchmark(fig11_filtered, paper_ctx)
+    print_frame(fig)
+    table = present_sets(fig, "code", "event")
     for name, expected in PAPER_FIG11.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

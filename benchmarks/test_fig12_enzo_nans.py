@@ -10,8 +10,8 @@ import numpy as np
 from repro.study.figures import fig12_enzo_nans
 
 
-def test_fig12_enzo_nans(benchmark, study):
-    result = benchmark(fig12_enzo_nans, study)
+def test_fig12_enzo_nans(benchmark, filtered_pass):
+    result = benchmark(fig12_enzo_nans, filtered_pass)
     print("\n" + result.text)
     rates = np.asarray(result.data["rate"])
     assert result.data["total"] >= 50

@@ -10,8 +10,8 @@ import numpy as np
 from repro.study.figures import fig13_laghos_bursts
 
 
-def test_fig13_laghos_bursts(benchmark, study):
-    result = benchmark(fig13_laghos_bursts, study)
+def test_fig13_laghos_bursts(benchmark, filtered_pass):
+    result = benchmark(fig13_laghos_bursts, filtered_pass)
     print("\n" + result.text)
     rates = np.asarray(result.data["rate"])
     assert rates.size > 0

@@ -6,7 +6,8 @@ sampling *misses* Miniaero's and GROMACS's rare Denorm/Underflow
 clusters and LAGHOS's Underflow phase.
 """
 
-from repro.study.figures import fig14_sampled
+from benchmarks.conftest import present_sets, print_frame
+from repro.analytics.figures_paper import fig14_sampled
 
 #: The paper's Figure 14.
 PAPER_FIG14 = {
@@ -23,10 +24,10 @@ PAPER_FIG14 = {
 }
 
 
-def test_fig14_sampled(benchmark, study):
-    result = benchmark(fig14_sampled, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+def test_fig14_sampled(benchmark, paper_ctx):
+    fig = benchmark(fig14_sampled, paper_ctx)
+    print_frame(fig)
+    table = present_sets(fig, "code", "event")
     for name, expected in PAPER_FIG14.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

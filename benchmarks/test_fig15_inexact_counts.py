@@ -7,13 +7,14 @@ Absolute numbers are scaled down with the workloads; the orderings are
 the reproduced shape.
 """
 
-from repro.study.figures import fig15_inexact_counts
+from benchmarks.conftest import print_frame
+from repro.analytics.figures_paper import fig15_inexact_counts
 
 
-def test_fig15_inexact_counts(benchmark, study):
-    result = benchmark(fig15_inexact_counts, study)
-    print("\n" + result.text)
-    rows = {r["name"]: r for r in result.data["rows"]}
+def test_fig15_inexact_counts(benchmark, paper_ctx):
+    fig = benchmark(fig15_inexact_counts, paper_ctx)
+    print_frame(fig)
+    rows = {r["name"]: r for r in fig.frame.rows}
     rate = {n: rows[n]["rate"] for n in rows}
     count = {n: rows[n]["count"] for n in rows}
 

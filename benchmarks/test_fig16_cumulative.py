@@ -10,8 +10,8 @@ import numpy as np
 from repro.study.figures import fig16_cumulative
 
 
-def test_fig16_cumulative(benchmark, study):
-    result = benchmark(fig16_cumulative, study)
+def test_fig16_cumulative(benchmark, sampled_pass):
+    result = benchmark(fig16_cumulative, sampled_pass)
     print("\n" + result.text)
     series = result.data["series"]
     assert len(series) == 7

@@ -5,17 +5,18 @@ use 20 or fewer; the distribution is heavily skewed, with fewer than ~5
 forms covering >99% of rounding for most codes.
 """
 
-from repro.study.figures import fig17_form_rankpop
+from benchmarks.conftest import print_frame
+from repro.analytics.figures_paper import fig17_form_rankpop
 
 
-def test_fig17_form_rankpop(benchmark, study):
-    result = benchmark(fig17_form_rankpop, study)
-    print("\n" + result.text)
-    stats = result.data["stats"]
-    assert stats, "no rounding records found"
+def test_fig17_form_rankpop(benchmark, paper_ctx):
+    fig = benchmark(fig17_form_rankpop, paper_ctx)
+    assert fig is not None, "no rounding records found"
+    print_frame(fig)
+    rows = fig.frame.rows
 
-    n_forms = {c: s["n_forms"] for c, s in stats.items()}
-    rank99 = {c: s["rank99"] for c, s in stats.items()}
+    n_forms = {r["code"]: r["n_forms"] for r in rows}
+    rank99 = {r["code"]: r["rank99"] for r in rows}
 
     # Fewer than 45 forms for every code; most codes 20 or fewer.
     assert max(n_forms.values()) < 45

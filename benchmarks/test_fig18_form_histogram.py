@@ -7,21 +7,23 @@ shared forms; the common scalar-double arithmetic forms are used by
 nearly every code.
 """
 
+from benchmarks.conftest import print_frame
 from repro.isa.forms import SSE_FORMS
-from repro.study.figures import fig18_form_histogram
+from repro.analytics.figures_paper import fig18_form_histogram
 
 
-def test_fig18_form_histogram(benchmark, study):
-    result = benchmark(fig18_form_histogram, study)
-    print("\n" + result.text)
+def test_fig18_form_histogram(benchmark, paper_ctx):
+    fig = benchmark(fig18_form_histogram, paper_ctx)
+    print_frame(fig)
+    rows = fig.frame.rows
 
     # Exactly the paper's 25 GROMACS-only forms.
-    gromacs_only = set(result.data["gromacs_only"])
+    gromacs_only = {r["form"] for r in rows if r["gromacs_only"]}
     assert len(gromacs_only) == 25
     assert "vfmaddps" in gromacs_only and "cvtsi2sdq" in gromacs_only
 
     # The non-GROMACS codes collectively exercise all 39 shared forms.
-    histogram = result.data["histogram"]
+    histogram = {r["form"]: r["codes"] for r in rows if not r["gromacs_only"]}
     sse = {f.mnemonic for f in SSE_FORMS}
     assert set(histogram) == sse
     assert len(histogram) == 39

@@ -1,12 +1,10 @@
 """Shared figure-data extraction over individual trace records.
 
-The paper's evaluation figures are computed twice in this repo: live
-from a :class:`~repro.study.passes.Study` (the ``benchmarks/test_fig*``
-suite) and offline from campaign artifacts (:mod:`repro.analytics`).
-Both paths must agree to the declared tolerances, so the distilling
-steps -- per-event record counts, per-code rank-popularity inputs, and
-the coverage statistics computed from them -- live here, importable by
-either side without dragging in the other.
+The campaign worker distils each run's trace records here -- per-event
+record counts and per-code rank-popularity inputs -- and ships the
+rollups in ``campaign.json``; the ``paper`` figure group
+(:mod:`repro.analytics.figures_paper`) merges them and computes the
+coverage statistics, also here.  The module imports neither side.
 
 Everything in this module is a pure function of its inputs and returns
 deterministically-ordered data (ties broken by key), so campaign-side

@@ -1,17 +1,16 @@
 """The ``paper`` figure group: Figures 7-19 from campaign artifacts.
 
-Each generator reads **only** the deterministic section of a campaign
-result (plus static target metadata), so its frame is byte-identical
-no matter which host, worker count, or completion order produced the
-campaign.  Extraction semantics are shared with the live benchmark
-suite through :mod:`repro.analysis.extract` -- the benchmarks distil a
-:class:`~repro.study.passes.Study`, these distil the per-run rollups
-the workers shipped in ``campaign.json``, and the two agree to the
-declared tolerances (``tests/integration/test_analytics_figures.py``).
+This registry group is the only implementation of every paper figure a
+campaign carries the inputs for.  Each generator reads **only** the
+deterministic section of a campaign result (plus static target
+metadata), so its frame is byte-identical no matter which host, worker
+count, or completion order produced the campaign.  The distilling
+steps live in :mod:`repro.analysis.extract`, which the campaign worker
+also uses to ship each run's rollups in ``campaign.json``.
 
 Figures needing data that campaigns do not persist (6's dedicated
 overhead sweep, 10's per-PARSEC-benchmark runs, 12/13/16's raw
-timelines) stay live-only and are skipped here by design.
+timelines) live in :mod:`repro.study.figures` and are absent here.
 """
 
 from __future__ import annotations
@@ -24,8 +23,19 @@ from repro.analytics.registry import register_figure
 from repro.fp.flags import EVENT_ORDER
 from repro.study.targets import TARGET_NAMES
 
+#: Column order of the paper's Figure 8.
+FIG8_SYMBOLS: tuple[str, ...] = (
+    "fork", "clone", "pthread_create", "pthread_exit", "signal",
+    "sigaction", "feenableexcept", "fedisableexcept", "fegetexcept",
+    "feclearexcept", "fegetexceptflag", "feraiseexcept",
+    "fesetexceptflag", "fetestexcept", "fegetround", "fesetround",
+    "fegetenv", "feholdexcept", "fesetenv", "feupdateenv",
+    "uc_mcontext.fpregs", "uc_mcontext.fpregs->mxcsr", "REG_EFL",
+    "SIGTRAP", "SIGFPE", "FE_",
+)
+
 #: Suite targets (per-benchmark codes, not single applications); the
-#: per-application figures (15/16) exclude them, as in the paper.
+#: per-application Figure 15 excludes them, as in the paper.
 SUITES = ("PARSEC 3.0", "NAS 3.0")
 
 
@@ -77,7 +87,6 @@ def fig07_inventory(ctx) -> Figure | None:
     title="Source code analysis (Figure 8)")
 def fig08_source_analysis(ctx) -> Figure:
     """Which intercepted symbols appear in each code (static)."""
-    from repro.study.figures import FIG8_SYMBOLS
     from repro.study.targets import make_targets
 
     targets = make_targets()

@@ -3,9 +3,9 @@
 A campaign is a named, ordered list of independent run specs.  Each
 :class:`RunSpec` pins everything a worker needs to reproduce the run
 bit-for-bit -- target, study pass (FPSpy configuration), problem scale
-and variant, app seed, and the kernel engine switches -- so the merged
-campaign output is a pure function of the spec, never of worker count
-or completion order.
+and variant, app seed, and the telemetry and tracing switches -- so
+the merged campaign output is a pure function of the spec, never of
+worker count or completion order.
 
 Specs round-trip through JSON (``repro.study campaign run --spec
 path.json``) and two builtin campaigns cover the common cases:
@@ -41,8 +41,6 @@ class RunSpec:
     variant: str = "default"
     telemetry: bool = False
     tracing: bool = False  #: flight recorder + provenance (DESIGN.md #10)
-    blockexec: bool = True
-    trapfast: bool = True
 
     @property
     def label(self) -> str:

@@ -110,8 +110,6 @@ def execute_run(
 
     env = pass_env(spec.mode)
     kernel = Kernel(KernelConfig(
-        blockexec=spec.blockexec,
-        trapfast=spec.trapfast,
         telemetry=spec.telemetry,
         tracing=spec.tracing,
     ))

@@ -9,6 +9,13 @@ NAS suites):
    instruction except Inexact (Figures 11, 12, 13);
 4. **individual-mode tracing with 5% Poisson sampling** -- everything,
    including Inexact (Figures 14, 15, 16, 17, 18, 19).
+
+Each figure has one producer.  The ``figures`` builtin campaign runs
+every pass, and the analytics registry's ``paper`` group
+(:mod:`repro.analytics.figures_paper`) renders Figures 7-9, 11, 14, 15
+and 17-19 from it.  :mod:`repro.study.figures` holds the five figures
+no campaign carries the inputs for (6, 10, 12, 13, 16); they read live
+:func:`run_pass` results or dedicated runs.
 """
 
 from repro.study.targets import (
@@ -21,16 +28,10 @@ from repro.study.passes import (
     StudyPass,
     PassResult,
     run_pass,
-    run_aggregate_pass,
-    run_filtered_pass,
-    run_sampled_pass,
-    run_baseline_pass,
-    get_study,
     STUDY_SEED,
     FILTER_NO_INEXACT,
     POISSON_5PCT,
 )
-from repro.study import figures
 
 __all__ = [
     "RunResult",
@@ -40,13 +41,7 @@ __all__ = [
     "StudyPass",
     "PassResult",
     "run_pass",
-    "run_aggregate_pass",
-    "run_filtered_pass",
-    "run_sampled_pass",
-    "run_baseline_pass",
-    "get_study",
     "STUDY_SEED",
     "FILTER_NO_INEXACT",
     "POISSON_5PCT",
-    "figures",
 ]

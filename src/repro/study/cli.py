@@ -2,10 +2,11 @@
 
 Commands
 --------
-``figures``   run the four-pass study and print every table/figure
-              (optionally a subset, optionally written to a directory);
-              subcommands ``list``/``generate``/``diff``/``serve`` drive
-              the offline analytics engine over campaign artifacts
+``figures``   print the five figures no campaign carries (6, 10, 12,
+              13, 16; optionally a subset, optionally written to a
+              directory); subcommands ``list``/``generate``/``diff``/
+              ``serve`` drive the analytics registry over campaign
+              artifacts, the only producer of every other figure
               (``repro.analytics``: Vega-Lite specs + CSVs + HTML index,
               CI regression diffing against a committed baseline)
 ``validate``  run the paper's validation matrix
@@ -24,44 +25,55 @@ import sys
 
 
 def _cmd_figures(args) -> int:
+    from functools import cache
+
+    from repro.analytics import AnalyticsContext, all_figures
     from repro.study import figures as F
-    from repro.study.passes import get_study
+    from repro.study.passes import run_pass
 
-    wanted = set(args.only) if args.only else None
-    needs_study = wanted is None or wanted - {"fig06", "fig08", "fig10"}
-    study = get_study(args.scale, args.seed) if needs_study else None
+    @cache
+    def filtered():
+        return run_pass("filtered", args.scale, args.seed,
+                        only=F.FILTERED_TARGETS)
 
-    producers = {
+    live = {
         "fig06": lambda: F.fig06_overhead(args.scale, args.seed),
-        "fig07": lambda: F.fig07_inventory(study),
-        "fig08": F.fig08_source_analysis,
-        "fig09": lambda: F.fig09_aggregate(study),
         "fig10": lambda: F.fig10_parsec(args.scale, args.seed),
-        "fig11": lambda: F.fig11_filtered(study),
-        "fig12": lambda: F.fig12_enzo_nans(study),
-        "fig13": lambda: F.fig13_laghos_bursts(study),
-        "fig14": lambda: F.fig14_sampled(study),
-        "fig15": lambda: F.fig15_inexact_counts(study),
-        "fig16": lambda: F.fig16_cumulative(study),
-        "fig17": lambda: F.fig17_form_rankpop(study),
-        "fig18": lambda: F.fig18_form_histogram(study),
-        "fig19": lambda: F.fig19_addr_rankpop(study),
+        "fig12": lambda: F.fig12_enzo_nans(filtered()),
+        "fig13": lambda: F.fig13_laghos_bursts(filtered()),
+        "fig16": lambda: F.fig16_cumulative(run_pass(
+            "sampled", args.scale, args.seed, only=F.SAMPLED_TARGETS)),
     }
-    for ident, produce in producers.items():
-        if wanted is not None and ident not in wanted:
-            continue
-        result = produce()
-        text = f"== {result.ident}: {result.title} ==\n{result.text}\n"
+    registry = {d.name.split("_")[0]: d for d in all_figures(group="paper")}
+    rc = 0
+    for ident in args.only or live:
+        if ident in live:
+            result = live[ident]()
+            title, body = result.title, result.text
+        else:
+            # A registry figure: only a static one renders without a
+            # campaign; the rest come from ``figures generate``.
+            fdef = registry.get(ident)
+            fig = fdef.fn(AnalyticsContext()) if fdef else None
+            if fig is None:
+                hint = ("render it from a campaign with `python -m "
+                        "repro.study figures generate --campaign DIR "
+                        "--out DIR`" if fdef else "unknown figure id")
+                print(f"{ident}: not a live figure; {hint}", file=sys.stderr)
+                rc = 2
+                continue
+            title, body = fdef.title, fig.frame.to_csv_bytes().decode()
+        text = f"== {ident}: {title} ==\n{body}\n"
         if args.out:
             import pathlib
 
-            path = pathlib.Path(args.out) / f"{result.ident}.txt"
+            path = pathlib.Path(args.out) / f"{ident}.txt"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             print(f"wrote {path}")
         else:
             print(text)
-    return 0
+    return rc
 
 
 def _cmd_figures_list(args) -> int:
@@ -640,12 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--scale", type=float, default=1.0)
     fig.add_argument("--seed", type=int, default=1234)
     fig.add_argument("--only", nargs="*", metavar="figNN",
-                     help="subset of figure ids (default: all)")
+                     help="subset of figure ids (default: the five live "
+                          "figures 06, 10, 12, 13, 16)")
     fig.add_argument("--out", help="write each figure to <out>/<id>.txt")
     fig.set_defaults(fn=_cmd_figures)
 
     # Analytics-engine subcommands; a bare ``figures`` (no subcommand)
-    # keeps the legacy live-study regeneration above.
+    # prints the live figures above.
     figsub = fig.add_subparsers(dest="figures_command")
 
     flist = figsub.add_parser(

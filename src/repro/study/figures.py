@@ -1,4 +1,11 @@
-"""Regeneration of every table and figure in the paper's evaluation.
+"""The five paper figures whose inputs no campaign carries.
+
+Figures 7, 8, 9, 11, 14, 15, 17, 18 and 19 come from the ``paper``
+group of the analytics registry (:mod:`repro.analytics.figures_paper`),
+rendered from a campaign's ``campaign.json``.  The figures here need
+data a campaign does not persist: Figure 6's dedicated overhead sweep,
+Figure 10's per-PARSEC-benchmark runs, and the raw trace timelines of
+Figures 12, 13 and 16, which read live :class:`PassResult` traces.
 
 Each ``figNN_*`` function returns a :class:`FigureResult` whose ``text``
 is a rendered table/series and whose ``data`` carries the structured
@@ -10,27 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.analysis.events import EventTable, event_set
-from repro.analysis.extract import (
-    addr_stats_by_code,
-    code_rankpop_inputs,
-    form_sets_by_code,
-    form_stats_by_code,
-    per_event_counts,
-)
-from repro.analysis.rankpop import form_histogram, forms_only_in
-from repro.analysis.timeline import cumulative_series, rate_series
-from repro.fp.flags import EVENT_ORDER
+from repro.analysis.timeline import burstiness, cumulative_series, rate_series
 from repro.fpspy import fpspy_env
 from repro.study.passes import (
     FILTER_NO_INEXACT,
     STUDY_SEED,
-    Study,
+    PassResult,
     pass_env,
 )
 from repro.study.targets import TARGET_NAMES, make_targets
+
+#: The filtered-pass runs Figures 12 and 13 read, for ``run_pass(only=)``.
+FILTERED_TARGETS = ("ENZO", "LAGHOS")
+#: The sampled-pass runs Figure 16 reads: the seven applications.
+SAMPLED_TARGETS = tuple(
+    n for n in TARGET_NAMES if n not in ("PARSEC 3.0", "NAS 3.0"))
 
 
 @dataclass
@@ -89,119 +91,6 @@ def fig06_overhead(scale: float = 1.0, seed: int = 1234) -> FigureResult:
     )
 
 
-# ---------------------------------------------------------------- Figure 7
-
-
-def fig07_inventory(study: Study) -> FigureResult:
-    """Application/benchmark inventory with unencumbered exec time."""
-    rows = []
-    targets = make_targets()
-    for name in TARGET_NAMES:
-        cls = targets[name].meta["cls"]
-        base = study.baseline[name]
-        rows.append(
-            {
-                "name": name,
-                "dependencies": ", ".join(cls.dependencies) or "N/A",
-                "problem": cls.problem,
-                "loc": cls.loc,
-                "languages": ", ".join(cls.languages),
-                "parallelism": cls.parallelism,
-                "paper_time": cls.paper_exec_time,
-                "sim_wall_ms": base.wall_seconds * 1e3,
-            }
-        )
-    lines = [f"{'name':<12s} {'dependencies':<26s} {'problem':<18s} "
-             f"{'paper time':<14s} {'sim wall(ms)':>12s}"]
-    for r in rows:
-        lines.append(
-            f"{r['name']:<12s} {r['dependencies']:<26s} {r['problem']:<18s} "
-            f"{r['paper_time']:<14s} {r['sim_wall_ms']:>12.3f}"
-        )
-    return FigureResult(
-        ident="fig07",
-        title="Applications and benchmarks in study",
-        text="\n".join(lines) + "\n",
-        data={"rows": rows},
-    )
-
-
-# ---------------------------------------------------------------- Figure 8
-
-#: Column order of the paper's Figure 8.
-FIG8_SYMBOLS: tuple[str, ...] = (
-    "fork", "clone", "pthread_create", "pthread_exit", "signal",
-    "sigaction", "feenableexcept", "fedisableexcept", "fegetexcept",
-    "feclearexcept", "fegetexceptflag", "feraiseexcept",
-    "fesetexceptflag", "fetestexcept", "fegetround", "fesetround",
-    "fegetenv", "feholdexcept", "fesetenv", "feupdateenv",
-    "uc_mcontext.fpregs", "uc_mcontext.fpregs->mxcsr", "REG_EFL",
-    "SIGTRAP", "SIGFPE", "FE_",
-)
-
-
-def fig08_source_analysis() -> FigureResult:
-    """Static source-code analysis: which intercepted symbols appear."""
-    targets = make_targets()
-    rows = {}
-    for name in TARGET_NAMES:
-        rows[name] = set(targets[name].static_symbols)
-    lines = []
-    header = f"{'code':<12s}" + " ".join(f"{i:>2d}" for i in range(len(FIG8_SYMBOLS)))
-    lines.append("columns: " + ", ".join(
-        f"{i}={s}" for i, s in enumerate(FIG8_SYMBOLS)))
-    lines.append(header)
-    for name, syms in rows.items():
-        cells = " ".join(
-            f"{'T' if s in syms else 'f':>2s}" for s in FIG8_SYMBOLS
-        )
-        lines.append(f"{name:<12s}{cells}")
-    return FigureResult(
-        ident="fig08",
-        title="Source code analysis",
-        text="\n".join(lines) + "\n",
-        data={"rows": {k: sorted(v) for k, v in rows.items()},
-              "columns": FIG8_SYMBOLS},
-    )
-
-
-# --------------------------------------------------------- Figures 9/11/14
-
-
-def _event_table(study_pass, ident: str, title: str,
-                 columns=EVENT_ORDER) -> FigureResult:
-    table = EventTable(columns=tuple(columns))
-    for name, result in study_pass.items():
-        table.add(name, event_set(result.traces) & set(columns))
-    return FigureResult(
-        ident=ident, title=title, text=table.render(),
-        data={"table": table.as_dict()},
-    )
-
-
-def fig09_aggregate(study: Study) -> FigureResult:
-    return _event_table(
-        study.aggregate, "fig09",
-        "Analysis of aggregate-mode tracing of applications",
-    )
-
-
-def fig11_filtered(study: Study) -> FigureResult:
-    columns = tuple(c for c in EVENT_ORDER if c != "Inexact")
-    return _event_table(
-        study.filtered, "fig11",
-        "Individual-mode tracing with filtering (Inexact not tracked)",
-        columns=columns,
-    )
-
-
-def fig14_sampled(study: Study) -> FigureResult:
-    return _event_table(
-        study.sampled, "fig14",
-        "Individual-mode tracing with 5% Poisson sampling, incl. Inexact",
-    )
-
-
 # ---------------------------------------------------------------- Figure 10
 
 
@@ -231,9 +120,9 @@ def fig10_parsec(scale: float = 1.0, seed: int = 1234) -> FigureResult:
 # ------------------------------------------------------------ Figures 12/13
 
 
-def fig12_enzo_nans(study: Study, bins: int = 40) -> FigureResult:
+def fig12_enzo_nans(filtered: PassResult, bins: int = 40) -> FigureResult:
     """Rate of Invalid events over time in ENZO (filtered pass)."""
-    records = list(study.filtered["ENZO"].traces.all_records())
+    records = list(filtered["ENZO"].traces.all_records())
     centers, rates = rate_series(records, event="Invalid", bins=bins)
     lines = [f"{'t(ms)':>10s} {'Invalid/s':>12s}"]
     for t, r in zip(centers, rates):
@@ -247,21 +136,19 @@ def fig12_enzo_nans(study: Study, bins: int = 40) -> FigureResult:
     )
 
 
-def fig13_laghos_bursts(study: Study, bins: int = 120) -> FigureResult:
+def fig13_laghos_bursts(filtered: PassResult, bins: int = 120) -> FigureResult:
     """Bursts of DivideByZero events in LAGHOS (filtered pass).
 
     Plots a single rank's log (the paper's zoomed window is one event
     stream); the busiest per-thread trace file is used.
     """
-    traces = study.filtered["LAGHOS"].traces
+    traces = filtered["LAGHOS"].traces
     busiest = max(traces.individual.values(), key=len, default=[])
     records = list(busiest)
     centers, rates = rate_series(records, event="DivideByZero", bins=bins)
     lines = [f"{'t(ms)':>10s} {'DBZ/s':>12s}"]
     for t, r in zip(centers, rates):
         lines.append(f"{t*1e3:>10.4f} {r:>12.1f}")
-    from repro.analysis.timeline import burstiness
-
     b = burstiness(records, event="DivideByZero")
     silent = float((rates == 0).mean()) if rates.size else 0.0
     return FigureResult(
@@ -273,40 +160,15 @@ def fig13_laghos_bursts(study: Study, bins: int = 120) -> FigureResult:
     )
 
 
-# ---------------------------------------------------------------- Figure 15
-
-
-def fig15_inexact_counts(study: Study) -> FigureResult:
-    """Inexact event count and rate per application (sampled pass)."""
-    apps = [n for n in TARGET_NAMES if n not in ("PARSEC 3.0", "NAS 3.0")]
-    rows = []
-    for name in apps:
-        r = study.sampled[name]
-        count = per_event_counts(r.traces.all_records()).get("Inexact", 0)
-        rate = count / r.wall_seconds if r.wall_seconds > 0 else 0.0
-        rows.append({"name": name, "count": count, "rate": rate})
-    lines = [f"{'name':<10s} {'Inexact events':>15s} {'events/sec':>14s}"]
-    for row in rows:
-        lines.append(
-            f"{row['name']:<10s} {row['count']:>15,d} {row['rate']:>14,.0f}"
-        )
-    return FigureResult(
-        ident="fig15",
-        title="Inexact event count and rate for each application",
-        text="\n".join(lines) + "\n",
-        data={"rows": rows},
-    )
-
-
 # ---------------------------------------------------------------- Figure 16
 
 
-def fig16_cumulative(study: Study, window_fraction: float = 1.0) -> FigureResult:
+def fig16_cumulative(sampled: PassResult,
+                     window_fraction: float = 1.0) -> FigureResult:
     """Cumulative Inexact events over execution, per application."""
-    apps = [n for n in TARGET_NAMES if n not in ("PARSEC 3.0", "NAS 3.0")]
     series = {}
-    for name in apps:
-        records = list(study.sampled[name].traces.all_records())
+    for name in SAMPLED_TARGETS:
+        records = list(sampled[name].traces.all_records())
         t, c = cumulative_series(records, event="Inexact")
         if window_fraction < 1.0 and t.size:
             cut = t[0] + window_fraction * (t[-1] - t[0])
@@ -332,86 +194,3 @@ def fig16_cumulative(study: Study, window_fraction: float = 1.0) -> FigureResult
             }
         },
     )
-
-
-# ------------------------------------------------------------ Figures 17-19
-
-
-def _per_code_records(study: Study) -> dict[str, list]:
-    """Per-code individual records: apps as-is, suites per-benchmark.
-
-    Uses the union of the filtered and sampled passes, as the analysis
-    of section 6 draws on all collected trace data.
-    """
-    out: dict[str, list] = {}
-    for pass_result in (study.sampled, study.filtered):
-        for target, result in pass_result.items():
-            groups = result.traces.records_by_app()
-            for app, recs in groups.items():
-                out.setdefault(app, []).extend(recs)
-    return out
-
-
-def fig17_form_rankpop(study: Study) -> FigureResult:
-    """Rank-popularity of rounding instruction forms per code."""
-    stats = form_stats_by_code(code_rankpop_inputs(_per_code_records(study)))
-    lines = [f"{'code':<26s} {'forms':>6s} {'99% rank':>9s} {'events':>10s}"]
-    for code, s in sorted(stats.items()):
-        lines.append(
-            f"{code:<26s} {s['n_forms']:>6d} {s['rank99']:>9d} {s['total']:>10d}"
-        )
-    return FigureResult(
-        ident="fig17",
-        title="Rank-popularity of rounding instruction form",
-        text="\n".join(lines) + "\n",
-        data={"stats": stats},
-    )
-
-
-def fig18_form_histogram(study: Study) -> FigureResult:
-    """Count of codes showing rounding with each instruction form, and
-    the set of GROMACS-only forms."""
-    per_code_forms = form_sets_by_code(
-        code_rankpop_inputs(_per_code_records(study)))
-    gromacs_only = forms_only_in(per_code_forms, "gromacs")
-    histogram = form_histogram(per_code_forms, exclude=("gromacs",))
-    lines = [f"{'form':<12s} {'codes':>6s}"]
-    for form, n in histogram.most_common():
-        lines.append(f"{form:<12s} {n:>6d}")
-    lines.append("")
-    lines.append(f"GROMACS-only forms ({len(gromacs_only)}):")
-    lines.append("  " + " ".join(sorted(gromacs_only)))
-    return FigureResult(
-        ident="fig18",
-        title="Rank-popularity of instruction forms among codes",
-        text="\n".join(lines) + "\n",
-        data={
-            "histogram": dict(histogram),
-            "gromacs_only": sorted(gromacs_only),
-            "shared_count": len(histogram),
-        },
-    )
-
-
-def fig19_addr_rankpop(study: Study) -> FigureResult:
-    """Rank-popularity of rounding instruction addresses per code."""
-    stats = addr_stats_by_code(code_rankpop_inputs(_per_code_records(study)))
-    lines = [f"{'code':<26s} {'sites':>6s} {'99% rank':>9s} {'events':>10s}"]
-    for code, s in sorted(stats.items()):
-        lines.append(
-            f"{code:<26s} {s['n_addresses']:>6d} {s['rank99']:>9d} {s['total']:>10d}"
-        )
-    max_sites = max((s["n_addresses"] for s in stats.values()), default=0)
-    lines.append(f"\nmax sites across codes: {max_sites}")
-    return FigureResult(
-        ident="fig19",
-        title="Rank-popularity of rounding instruction address",
-        text="\n".join(lines) + "\n",
-        data={"stats": stats, "max_sites": max_sites},
-    )
-
-
-ALL_FIGURES = (
-    "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-)

@@ -1,9 +1,8 @@
-"""The study passes (paper section 4) and a memoized study runner."""
+"""The study passes (paper section 4): FPSpy environments and a runner."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.fpspy import fpspy_env
 from repro.study.targets import RunResult, StudyTarget, TARGET_NAMES, make_targets
@@ -101,44 +100,3 @@ def run_pass(
             env, scale=scale, variant=variant, seed=seed
         )
     return out
-
-
-def run_baseline_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("baseline", scale, seed, **kw)
-
-
-def run_aggregate_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("aggregate", scale, seed, **kw)
-
-
-def run_filtered_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("filtered", scale, seed, **kw)
-
-
-def run_sampled_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("sampled", scale, seed, **kw)
-
-
-@dataclass
-class Study:
-    """All four passes, plus the per-benchmark PARSEC aggregate runs."""
-
-    scale: float
-    seed: int
-    baseline: PassResult
-    aggregate: PassResult
-    filtered: PassResult
-    sampled: PassResult
-
-
-@lru_cache(maxsize=4)
-def get_study(scale: float = 1.0, seed: int = 1234) -> Study:
-    """Run (once per configuration) and cache the full study."""
-    return Study(
-        scale=scale,
-        seed=seed,
-        baseline=run_baseline_pass(scale, seed),
-        aggregate=run_aggregate_pass(scale, seed),
-        filtered=run_filtered_pass(scale, seed),
-        sampled=run_sampled_pass(scale, seed),
-    )

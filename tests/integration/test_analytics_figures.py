@@ -1,157 +1,34 @@
-"""Campaign-path figures agree with the live benchmark extraction.
+"""The paper figure group over a real ``figures`` campaign.
 
-The paper figures regenerate two ways: live (``repro.study.figures``
-over a freshly-run :class:`Study`) and offline (``repro.analytics``
-over ``campaign.json``).  Both distil through
-:mod:`repro.analysis.extract`, and the campaign's ``figures`` builtin
-mirrors the study's pass/variant matrix run for run -- so at equal
-scale and seed the two paths must produce the same figure data.  These
-tests run both at scale 0.3 and hold them together: event tables and
-rank-popularity stats exactly, wall-clock-derived cells to the same
-relative tolerance the CI diff gate grants them (campaign artifacts
-round simulated wall time to nanoseconds).
+The ``figures`` builtin campaign runs in-process at scale 0.3; these
+tests regenerate the registry's paper group from its ``campaign.json``,
+check that a fresh generation diffs clean against itself, and drive the
+``figures generate``/``figures diff`` command line round trip,
+including a deliberately drifted cell the gate must catch.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.analytics import build_context, diff_figures, generate_figures
-from repro.campaign import ResultAccumulator, execute_run, figures_campaign
-from repro.study import figures as F
-from repro.study.passes import get_study
+from repro.study.report import figures_context
 
 SCALE = 0.3
 SEED = 1234
 
-#: Relative tolerance for wall-clock-derived cells (fig07 wall, fig15
-#: rate): campaign.json stores wall_seconds rounded to 9 decimals.
-WALL_RTOL = 1e-6
-
-
-@pytest.fixture(scope="module")
-def study():
-    return get_study(SCALE, SEED)
-
 
 @pytest.fixture(scope="module")
 def campaign_dir(tmp_path_factory):
-    """The figures campaign executed in-process, artifacts on disk."""
-    campaign = figures_campaign(scale=SCALE, seed=SEED)
-    acc = ResultAccumulator(campaign)
-    for i, spec in enumerate(campaign.runs):
-        acc.add(execute_run(i, spec))
-    result = acc.merge()
-    assert not result.failed
+    """The figures campaign run in-process, artifacts on disk."""
     out = tmp_path_factory.mktemp("figcamp")
-    (out / "campaign.json").write_text(
-        json.dumps(result.to_dict()), encoding="utf-8")
-    (out / "campaign_report.txt").write_text(
-        result.report_text, encoding="utf-8")
+    figures_context(SCALE, SEED, out)
     return out
 
 
 @pytest.fixture(scope="module")
 def ctx(campaign_dir):
     return build_context(campaign_dirs=[campaign_dir])
-
-
-def _rows(figure):
-    return figure.frame.to_records()
-
-
-def _event_table_from_frame(figure):
-    table: dict[str, dict[str, bool]] = {}
-    for row in _rows(figure):
-        table.setdefault(row["code"], {})[row["event"]] = row["present"]
-    return table
-
-
-@pytest.mark.parametrize("mode,campaign_fig,study_fig", [
-    ("aggregate", "fig09_aggregate", F.fig09_aggregate),
-    ("filtered", "fig11_filtered", F.fig11_filtered),
-    ("sampled", "fig14_sampled", F.fig14_sampled),
-])
-def test_event_tables_match_study(ctx, study, mode, campaign_fig, study_fig):
-    from repro.analytics import all_figures
-
-    (fdef,) = all_figures(names=[campaign_fig])
-    fig = fdef.fn(ctx)
-    assert fig is not None, f"{campaign_fig} skipped on a full campaign"
-    assert _event_table_from_frame(fig) == study_fig(study).data["table"]
-
-
-def test_fig07_inventory_matches_study(ctx, study):
-    from repro.analytics.figures_paper import fig07_inventory
-
-    fig = fig07_inventory(ctx)
-    assert fig is not None
-    rows = {r["name"]: r for r in _rows(fig)}
-    expected = {r["name"]: r for r in F.fig07_inventory(study).data["rows"]}
-    assert set(rows) == set(expected)
-    for name, exp in expected.items():
-        got = rows[name]
-        assert got["sim_wall_ms"] == pytest.approx(
-            exp["sim_wall_ms"], rel=WALL_RTOL)
-        for key in ("dependencies", "problem", "loc", "languages",
-                    "parallelism", "paper_time"):
-            assert got[key] == exp[key], (name, key)
-
-
-def test_fig15_counts_exact_rates_close(ctx, study):
-    from repro.analytics.figures_paper import fig15_inexact_counts
-
-    fig = fig15_inexact_counts(ctx)
-    assert fig is not None
-    rows = _rows(fig)
-    expected = F.fig15_inexact_counts(study).data["rows"]
-    assert [r["name"] for r in rows] == [r["name"] for r in expected]
-    for got, exp in zip(rows, expected):
-        assert got["count"] == exp["count"], got["name"]
-        assert got["rate"] == pytest.approx(exp["rate"], rel=WALL_RTOL)
-
-
-def test_fig17_and_fig19_rankpop_match_study(ctx, study):
-    from repro.analytics.figures_paper import (
-        fig17_form_rankpop,
-        fig19_addr_rankpop,
-    )
-
-    forms = fig17_form_rankpop(ctx)
-    assert forms is not None
-    study_stats = F.fig17_form_rankpop(study).data["stats"]
-    assert {
-        r["code"]: {"n_forms": r["n_forms"], "rank99": r["rank99"],
-                    "total": r["total"]}
-        for r in _rows(forms)
-    } == {
-        code: {k: s[k] for k in ("n_forms", "rank99", "total")}
-        for code, s in study_stats.items()
-    }
-
-    addrs = fig19_addr_rankpop(ctx)
-    assert addrs is not None
-    study_stats = F.fig19_addr_rankpop(study).data["stats"]
-    assert {
-        r["code"]: {"n_addresses": r["n_addresses"], "rank99": r["rank99"],
-                    "total": r["total"]}
-        for r in _rows(addrs)
-    } == study_stats
-
-
-def test_fig18_histogram_matches_study(ctx, study):
-    from repro.analytics.figures_paper import fig18_form_histogram
-
-    fig = fig18_form_histogram(ctx)
-    assert fig is not None
-    expected = F.fig18_form_histogram(study).data
-    shared = {r["form"]: r["codes"] for r in _rows(fig)
-              if not r["gromacs_only"]}
-    only = sorted(r["form"] for r in _rows(fig) if r["gromacs_only"])
-    assert shared == expected["histogram"]
-    assert only == expected["gromacs_only"]
 
 
 def test_full_campaign_regenerates_enough_paper_figures(ctx, tmp_path):

@@ -64,6 +64,19 @@ def test_registry_covers_all_groups_in_order():
     assert len(paper) >= 6
 
 
+def test_every_paper_figure_has_exactly_one_producer():
+    """Figures 6-19 each come from the registry's paper group or from
+    the live ``repro.study.figures``, never from both or neither."""
+    from repro.study import figures as live
+
+    producers = [d.name for d in all_figures(group="paper")]
+    producers += [n for n in dir(live) if n.startswith("fig")]
+    for number in range(6, 20):
+        ident = f"fig{number:02d}_"
+        owners = [n for n in producers if n.startswith(ident)]
+        assert len(owners) == 1, (ident, owners)
+
+
 def test_registry_rejects_duplicates_and_unknown_names():
     with pytest.raises(ValueError):
         register_figure(
