@@ -9,8 +9,8 @@ SIGTRAP, handler (unmask + clear TF).  Two accelerations stack on top:
   memoizes decode/semantics per RIP (the per-event fast path);
 * ``stormbatch`` recognizes runs of consecutive same-RIP faulting groups
   and replicates their whole trap lifecycles -- records, counters, cycle
-  schedule -- from one vectorized softfloat pass over the operand arrays,
-  turning the trap storm into a handful of numpy kernel calls.
+  schedule -- from one batch softfloat call over the operand arrays plus
+  plain-Python bookkeeping over the window's groups.
 
 Neither is admissible unless the guest cannot tell: same cycle clock,
 same signal ordering, byte-identical trace files.  These benches measure
@@ -21,9 +21,19 @@ the numbers plus the storm and batch-softfloat statistics in
 ``BENCH_trapfast.json``.  Every batch here is far above batchfloat's
 scalar crossover, so the storm gate times the NumPy kernels: the run
 asserts that no lane took the scalar loop.
+
+Application storms are not one long block: the study targets' storm
+windows hold about seven groups.  An application-shaped case -- many
+seven-group blocks from two interleaved sites of the same form -- must
+be indistinguishable too, and there the storm driver must never lose to
+the per-event path (best of three runs each) when operands do not
+repeat.  The same case on repeating operands is recorded beside it but
+not gated: there the per-event path answers groups from its per-form
+outcome cache, which storm windows do not consult, and storm loses.
 """
 
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.fp.batchfloat import batch_stats, reset_batch_stats
@@ -48,6 +58,16 @@ STORM_ELEMENTS = 19200
 #: three configurations run under the same quantum, so the byte-identity
 #: oracle is unaffected.
 STORM_QUANTUM = 2048
+#: The application-shaped case: blocks of seven 8-lane groups (the study
+#: targets' mean storm window), alternating between two sites, under the
+#: default scheduler slice.
+SHORT_GROUPS = 7
+SHORT_BLOCKS = 240
+SHORT_QUANTUM = 128
+#: Storm must at least match the per-event path on traffic-sized windows
+#: of non-repeating operands.  On repeating operands it loses (about
+#: 0.8x); that case is recorded, not gated.
+MIN_SHORT_STORM_VS_TRAPFAST = 1.0
 
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_trapfast.json"
 
@@ -60,14 +80,33 @@ def _operands(n):
     return a, b, c
 
 
+def _distinct_operands(n, start=0):
+    """Like :func:`_operands`, but elements ``start .. start + n`` of a
+    sequence that does not repeat.  A repeating stream lets the
+    per-event path's per-form outcome memo (which outlives a run) skip
+    the FP work entirely."""
+    idx = range(start, start + n)
+    a = [float_to_bits32(1.1 + (i * 0.618034) % 7.2) for i in idx]
+    b = [float_to_bits32(0.7 + (i * 0.414214) % 2.3) for i in idx]
+    c = [float_to_bits32(-0.033 * (1 + (i * 0.732051) % 5)) for i in idx]
+    return a, b, c
+
+
 def _run(trapfast, stormbatch, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
-         **env_extra):
-    a, b, c = _operands(n)
+         blocks=1, operands=_operands, **env_extra):
+    """``blocks`` blocks of ``n`` elements each; more than one alternate
+    between two same-form sites."""
+    a, b, c = operands(n * blocks)
     kb = KernelBuilder()
-    site = kb.site("vfmaddps", key="hot")
+    sites = [kb.site("vfmaddps", key="hot")]
+    if blocks > 1:
+        sites.append(kb.site("vfmaddps", key="warm"))
 
     def main():
-        yield from kb.emit(site, a, b, c, interleave=2)
+        for i in range(blocks):
+            lo, hi = i * n, (i + 1) * n
+            yield from kb.emit(sites[i % len(sites)], a[lo:hi], b[lo:hi],
+                               c[lo:hi], interleave=2)
 
     k = Kernel(KernelConfig(
         trapfast=trapfast, stormbatch=stormbatch, quantum=quantum))
@@ -114,6 +153,14 @@ def test_trapfast_speedup_individual_mode(benchmark):
     # Every storm batch ran the NumPy kernels, none the scalar loop.
     assert batch["batches"] >= 1 and batch["scalar_lanes"] == 0, batch
 
+    # Fresh operands every repetition, so no run finds the outcome memo
+    # warmed by an earlier one; then the period-24 stream, which warms it.
+    n_short = SHORT_GROUPS * 8 * SHORT_BLOCKS
+    short, short_fused, short_storm, short_stats = _short_storm_case(
+        lambda rep: partial(_distinct_operands, start=rep * n_short))
+    repeat, repeat_fused, repeat_storm, _ = _short_storm_case(
+        lambda rep: _operands)
+
     fused_speedup = precise / fused
     storm_speedup = precise / storm
     write_results(
@@ -138,10 +185,21 @@ def test_trapfast_speedup_individual_mode(benchmark):
             "bailout_rate": round(bailouts / (bailouts + stats["groups"]), 4),
             "batchfloat": batch,
             "softfloat_memo": memo_stats(),
+            "short_blocks": SHORT_BLOCKS,
+            "short_groups_per_block": SHORT_GROUPS,
+            "short_storm_batches": short_stats["batches"],
+            "short_storm_groups": short_stats["groups"],
+            "short_trapfast_s": round(short_fused, 4),
+            "short_storm_s": round(short_storm, 4),
+            "short_storm_vs_trapfast": round(short, 2),
+            "short_repeat_trapfast_s": round(repeat_fused, 4),
+            "short_repeat_storm_s": round(repeat_storm, 4),
+            "short_repeat_storm_vs_trapfast": round(repeat, 2),
         },
         gates={
             "speedup": {"min": MIN_SPEEDUP},
             "storm_speedup": {"min": MIN_STORM_SPEEDUP},
+            "short_storm_vs_trapfast": {"min": MIN_SHORT_STORM_VS_TRAPFAST},
         },
     )
     assert fused_speedup >= MIN_SPEEDUP, (
@@ -155,6 +213,38 @@ def test_trapfast_speedup_individual_mode(benchmark):
     assert storm_speedup > fused_speedup, (
         "batching must beat per-event fusion on its home workload"
     )
+    assert short >= MIN_SHORT_STORM_VS_TRAPFAST, (
+        f"storm driver {short:.2f}x the per-event path on seven-group "
+        f"windows, below {MIN_SHORT_STORM_VS_TRAPFAST}x"
+    )
+
+
+def _short_storm_case(operands):
+    """The application-shaped storm, repetition ``rep`` on operands
+    ``operands(rep)``: precise, fused and storm runs must be
+    indistinguishable; returns ``(storm vs fused, fused_s, storm_s,
+    storm stats)`` with each time the best of three runs."""
+    n = SHORT_GROUPS * 8
+    fused_s, storm_s = [], []
+    for rep in range(3):
+        # The order alternates between repetitions.
+        kw = dict(n=n, quantum=SHORT_QUANTUM, blocks=SHORT_BLOCKS,
+                  operands=operands(rep))
+        for stormbatch in ((False, True) if rep % 2 == 0 else (True, False)):
+            k, state, t = _run(True, stormbatch, **kw)
+            if stormbatch:
+                ks, state_s = k, state
+                storm_s.append(t)
+            else:
+                kf, state_f = k, state
+                fused_s.append(t)
+    kp, state_p, _ = _run(False, False, **kw)
+    assert kp.cycles == kf.cycles == ks.cycles
+    assert state_p == state_f == state_s
+    stats = ks.cpu.storm_stats
+    # Every block's storm rode a batch of its own.
+    assert stats["batches"] >= SHORT_BLOCKS
+    return min(fused_s) / min(storm_s), min(fused_s), min(storm_s), stats
 
 
 def test_trapfast_poisson_sampling_traces_byte_identical(benchmark):

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 from repro.study.passes import pass_variant
 from repro.study.targets import TARGET_NAMES
@@ -83,9 +84,10 @@ class CampaignSpec:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    @property
+    @cached_property
     def spec_hash(self) -> str:
-        """Stable content hash identifying the exact run list."""
+        """Stable content hash identifying the exact run list (computed
+        once: the spec is frozen, and every status write reads it)."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
     def with_overrides(

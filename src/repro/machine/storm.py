@@ -1,4 +1,4 @@
-"""The storm batch driver: whole trap storms as one array operation.
+"""The storm batch driver: whole trap storms as one batch operation.
 
 Individual-mode monitoring of an exception-dense loop (the paper's
 GROMACS packed-FMA case) turns every group of an :class:`FPBlock` into a
@@ -8,24 +8,26 @@ re-execution, fused SIGTRAP, handler (re-arm).  The per-event fast path
 still walks the whole state machine one event at a time through Python.
 
 This driver (DESIGN.md #11) recognizes the storm as a *batch*: a run of
-consecutive same-RIP groups whose outcomes the batch softfloat kernels
-(:mod:`repro.fp.batchfloat`) compute in one integer-array pass.  A
-batch mixes two kinds of group, exactly as application traffic does:
-*faulting* groups (an unmasked condition: a whole trap lifecycle) and
-*quiet* groups (no condition at all: the group retires like any other
+consecutive same-RIP groups whose outcomes one batch softfloat call
+(:func:`repro.fp.batchfloat.execute_batch`) computes.  A batch mixes
+two kinds of group, exactly as application traffic does: *faulting*
+groups (an unmasked condition: a whole trap lifecycle) and *quiet*
+groups (no condition at all: the group retires like any other
 instruction).  The driver *replicates* -- rather than executes -- the
-per-event effects: trace records are serialized in one structured-array
-pass, cycle/time accounting is closed-form over the mixed schedule, and
-every telemetry counter, ``/proc/fpspy`` event, and flight-recorder span
-the per-event path would emit is emitted with identical contents and
-cycle stamps.
+per-event effects: trace records are packed and appended in one write,
+the cycle/time schedule is closed-form per group, and every telemetry
+counter, ``/proc/fpspy`` event, and flight-recorder span the per-event
+path would emit is emitted with identical contents and cycle stamps.
+Application windows hold about seven groups, where a NumPy call costs
+more than its work, so everything around the one batch call is plain
+Python over lists.
 
 Admissibility is the whole game.  ``try_storm`` proves, before
 committing anything, that the replicated story is *byte-identical* to
 the per-event one: FPSpy's own handlers installed (any guest handler
 bails), monitor live in ``AWAIT_FPE``, masks exactly the capture set,
 sticky status clear, equal faulting/masked contexts, no armed real
-timer, and -- from prefix sums over the batch window -- a run of
+timer, and -- bisecting prefix lists over the batch window -- a run of
 eligible groups that fits the scheduler quantum, stays strictly below
 the virtual timer's expiry, and leaves headroom under ``maxcount``.  A
 group raising only masked conditions ends the run (it would leave
@@ -39,6 +41,8 @@ off is the byte-identity oracle the ablation benchmark runs against.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +54,7 @@ from repro.fp.mxcsr import MXCSR
 from repro.guest.ops import FPBlock
 from repro.kernel.signals import FLAG_SICODE_INT, Signal
 from repro.kernel.task import Task
-from repro.trace.records import RECORD_DTYPE
+from repro.trace.records import RECORD_STRUCT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fpspy.engine import FPSpyEngine
@@ -59,13 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover
 _ALL = 0x3F
 _UE = int(Flag.UE)
 
-#: ``lowest set pending bit -> si_code``, derived from the kernel's own
-#: table (``highest_priority`` is the lowest set bit, IE first).
-_SICODE_LUT = np.zeros(_ALL + 1, dtype=np.int64)
-for _flag, _code in FLAG_SICODE_INT.items():
-    _SICODE_LUT[int(_flag)] = int(_code)
+#: ``pending mask -> si_code`` of its lowest set bit, derived from the
+#: kernel's own table (``highest_priority`` is the lowest set bit, IE
+#: first).
+_SICODE_LUT = [0] + [
+    FLAG_SICODE_INT[Flag(p & -p)] for p in range(1, _ALL + 1)]
 
-#: Minimum admissible batch.  Admission is a few prefix-sum lookups over
+#: Minimum admissible batch.  Admission is a few bisections over
 #: a window whose outcomes are already computed, so committing even one
 #: group from it beats recomputing that group on the per-event path.
 #: Under the flight recorder batch boundaries are output (one ``storm``
@@ -184,11 +188,11 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
 
     # The eligible run: up to the next ineligible group.
     bad = win.bad
-    j = int(np.searchsorted(bad, rel))
-    k = (int(bad[j]) if j < len(bad) else win.ng) - rel
+    j = bisect_left(bad, rel)
+    k = (bad[j] if j < len(bad) else win.ng) - rel
     # Scheduler quantum: every group's slice needs must fit what is left.
-    k = min(k, int(np.searchsorted(
-        win.need_end, cpu.step_budget + int(win.steps[rel]), "right")) - rel)
+    k = min(k, bisect_right(
+        win.need_end, cpu.step_budget + win.steps[rel]) - rel)
     if vtimer is not None:
         # Strictly below the expiry: the expiring group goes per-event,
         # where the timer posts its signal at the exact instruction.
@@ -198,8 +202,8 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # Stay strictly below the cap: the disarm transition must run on
         # the per-event path (conservative: every fault might record).
         room = maxcount - mon.recorded - 1
-        k = min(k, int(np.searchsorted(
-            win.faults, int(win.faults[rel]) + room, "right")) - 1 - rel)
+        k = min(k, bisect_right(
+            win.faults, win.faults[rel] + room) - 1 - rel)
     if k < (_MIN_GROUPS if quiet_ok else _MIN_TRACED_GROUPS):
         return _reject(cpu, "short")
     _commit(cpu, task, block, engine, mon, win, rel, k, base)
@@ -208,20 +212,23 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
 
 class _Window:
     """The block's remaining groups, batch-executed once under
-    ``(ctx, base)``: per-group outcomes plus the prefix sums admission
-    reads, so each attempt is a few ``searchsorted`` lookups.
+    ``(ctx, base)``: per-group outcomes plus the prefix lists admission
+    reads, so each attempt is a few bisections.
 
-    ``steps[g]`` is the scheduler-slice units groups ``[0, g)`` of the
-    window consume on the per-event path, and ``need_end[g]`` is
-    ``steps[g]`` plus what group ``g`` needs left to run whole: a quiet
-    group its own steps (1, or 2 interleaved), a faulting group 3 (its
-    fused delivery needs a spare unit past the re-execution step).
-    ``need_end`` is nondecreasing, which is what makes the quantum cap a
-    single lookup.  ``faults[g]`` counts faulting groups in ``[0, g)``.
+    ``codes[g]`` is group ``g``'s OR of lane flags, ``pend[g]`` its
+    unmasked part (nonzero exactly for faulting groups), and ``bad`` the
+    ineligible groups in order.  ``steps[g]`` is the scheduler-slice
+    units groups ``[0, g)`` of the window consume on the per-event path,
+    and ``need_end[g]`` is ``steps[g]`` plus what group ``g`` needs left
+    to run whole: a quiet group its own steps (1, or 2 interleaved), a
+    faulting group 3 (its fused delivery needs a spare unit past the
+    re-execution step).  ``need_end`` is nondecreasing, which is what
+    makes the quantum cap a single bisection.  ``faults[g]`` counts
+    faulting groups in ``[0, g)``.
     """
 
     __slots__ = ("ctx", "base", "start", "ng", "bits", "codes", "pend",
-                 "sic", "fault", "bad", "steps", "need_end", "faults", "sus")
+                 "bad", "steps", "need_end", "faults", "sus")
 
     def __init__(self, block: FPBlock, form, ctx, base: int, quiet_ok: bool,
                  prov=None) -> None:
@@ -229,36 +236,38 @@ class _Window:
         lo = block.index * lanes
         ops = tuple(a[lo:] for a in block.arrays)
         res = batchfloat.execute_batch(form, ops, ctx)
-        ng = block.n_groups - block.index
-        flags_g = res.flags.reshape(ng, lanes)
-        codes = np.bitwise_or.reduce(flags_g, axis=1).astype(np.int64)
+        self.ctx, self.base, self.start = ctx, base, block.index
+        self.ng = ng = block.n_groups - block.index
+        self.bits = res.bits.tolist()
+        # The one array reduction left: on a large storm, OR-ing lanes in
+        # Python would cost more than the batch softfloat call itself.
+        self.codes = codes = np.bitwise_or.reduce(
+            res.flags.reshape(ng, lanes), axis=1).tolist()
         unmasked = ~(base >> MASK_SHIFT) & _ALL
-        pend = codes & unmasked
+        self.pend = pend = [c & unmasked for c in codes]
         if unmasked & _UE:
             # Unmasked-UM corner: an exact-but-tiny result traps too.
-            tiny_g = res.tiny.reshape(ng, lanes).any(axis=1)
-            pend = pend | np.where(tiny_g, _UE, 0)
-        fault = pend != 0
-        eligible = fault | (codes == 0) if quiet_ok else fault
+            tiny = res.tiny.tobytes()
+            i = tiny.find(1)
+            while i >= 0:
+                pend[i // lanes] |= _UE
+                i = tiny.find(1, i + 1)
         w = 2 if block.interleave > 0 else 1
-        steps = np.zeros(ng + 1, dtype=np.int64)
-        np.cumsum(w + fault, out=steps[1:])
-        faults = np.zeros(ng + 1, dtype=np.int64)
-        np.cumsum(fault, out=faults[1:])
-
-        self.ctx = ctx
-        self.base = base
-        self.start = block.index
-        self.ng = ng
-        self.bits = res.bits
-        self.codes = codes
-        self.pend = pend
-        self.sic = _SICODE_LUT[pend & -pend]
-        self.fault = fault
-        self.bad = np.flatnonzero(~eligible)
-        self.steps = steps
-        self.need_end = steps[:-1] + np.where(fault, 3, w)
-        self.faults = faults
+        self.bad, self.need_end = bad, need_end = [], []
+        self.steps, self.faults = steps, faults = [0], [0]
+        s = f = 0
+        for g, p in enumerate(pend):
+            if p:
+                need_end.append(s + 3)
+                s += w + 1
+                f += 1
+            else:
+                need_end.append(s + w)
+                s += w
+                if codes[g] or not quiet_ok:
+                    bad.append(g)
+            steps.append(s)
+            faults.append(f)
         # The provenance pre-scan of this whole window (one scan serves
         # every storm committed out of it), run while the operand and
         # result arrays are cache-hot.
@@ -291,24 +300,16 @@ def _commit(
     kernel = cpu.kernel
     costs = cpu.costs
     site = block.site
-    lanes = site.form.lanes
     interleave = block.interleave
-    fi = np.flatnonzero(win.fault[rel:rel + k])  # faulting, batch-relative
+    pend, codes = win.pend, win.codes
+    fi = [g for g in range(rel, rel + k) if pend[g]]  # faulting groups
     kf = len(fi)
-    gi = rel + fi
-    codes, pend, sic = win.codes[gi], win.pend[gi], win.sic[gi]
-
-    fault_c = costs.fault_entry
-    deliv_c = costs.signal_deliver
-    ret_c = costs.sigreturn
-    huser_c = costs.handler_user
-    tapp_c = costs.trace_append
-    fp_c = costs.fp_instr
-
-    # Which faults record (the engine's modular subsample, vectorized).
+    # Which faults record: the engine's modular subsample, so fault ``j``
+    # of the batch records iff ``(observed + 1 + j) % sample == 0``.
     sample = engine.config.sample
-    rec = ((mon.observed + 1 + np.arange(kf)) % sample) == 0
-    r = int(rec.sum())
+    obs = mon.observed
+    first = -(obs + 1) % sample
+    r = len(range(first, kf, sample))
     seq0 = mon.seq
 
     # Per-group cycle schedule.  Every group retires its FP instruction
@@ -316,47 +317,60 @@ def _commit(
     # delivery, handler (+record), sigreturn, then after the masked
     # re-execution the fused trap entry + delivery, handler, sigreturn
     # -- exactly the fused path.
+    fault_c = costs.fault_entry
+    deliv_c = costs.signal_deliver
+    ret_c = costs.sigreturn
+    huser_c = costs.handler_user
+    tapp_c = costs.trace_append
+    fp_c = costs.fp_instr
     retire_c = fp_c + interleave * costs.int_instr
     trap_c = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c
+    rec_off = fault_c + deliv_c + huser_c  # fault start -> record stamp
     c0 = kernel.cycles
     total = k * retire_c + kf * trap_c + r * tapp_c
-    if kf:
-        gcosts = np.full(k, retire_c, dtype=np.int64)
-        gcosts[fi] += trap_c + tapp_c * rec
-        # Start cycle of each faulting group.
-        fstarts = c0 + (np.cumsum(gcosts) - gcosts)[fi]
 
-    # Trace records, one structured-array pass (byte-identical to the
-    # engine's per-event pack_record calls).
+    def fstart(j: int, g: int) -> int:
+        # Start cycle of fault ``j`` (group ``g``): the groups before it,
+        # its earlier faults' lifecycles, one trace append per earlier
+        # record.  Record stamps and observer events both read it.
+        return (c0 + (g - rel) * retire_c + j * trap_c
+                + ((obs + j) // sample - obs // sample) * tapp_c)
+
+    # Trace records, byte-identical to the engine's per-event pack_record
+    # calls, in one write.  Cycle counts stay below 2**53, so the
+    # timestamp is the same IEEE division the per-event path does.
+    rip = site.address
     if r:
-        rows = np.zeros(r, dtype=RECORD_DTYPE)
-        rows["seq"] = seq0 + np.arange(r)
-        rows["time"] = (
-            fstarts[rec] + (fault_c + deliv_c + huser_c)
-        ) / kernel.config.freq_hz
-        rows["rip"] = site.address
-        rows["rsp"] = task.rsp
-        rows["mxcsr"] = base | codes[rec]
-        rows["sicode"] = sic[rec]
-        rows["codes"] = codes[rec]
-        insn16 = site.encoding[:16].ljust(16, b"\x00")
-        rows["insn_len"] = min(len(site.encoding), 16)
-        rows["insn"] = np.frombuffer(insn16, dtype="V16")[0]
-        mon.writer.append_packed(rows.tobytes(), r)
+        pack = RECORD_STRUCT.pack
+        freq = kernel.config.freq_hz
+        rsp = task.rsp
+        insn = site.encoding[:16]
+        insn_len = len(insn)
+        insn = insn.ljust(16, b"\x00")
+        mon.writer.append_packed(b"".join([
+            pack(seq0 + i, (fstart(j, g) + rec_off) / freq, rip, rsp,
+                 base | codes[g], _SICODE_LUT[pend[g]], codes[g], insn_len,
+                 insn)
+            for i, (j, g) in enumerate(
+                zip(range(first, kf, sample), fi[first::sample]))
+        ]), r)
 
-    end_rip = site.address + len(site.encoding)
+    end_rip = rip + len(site.encoding)
     if kf and (cpu._tr is not None or cpu._prov is not None
                or engine._t_scope is not None):
+        fstarts = [fstart(j, g) for j, g in enumerate(fi)]
         _replicate_events(
-            cpu, task, block, engine, win, rel, k, base, codes, pend, sic,
-            rec, fstarts, c0, end_rip, seq0,
+            cpu, task, block, engine, win, rel, k, base, fi,
+            [(obs + 1 + j) % sample == 0 for j in range(kf)], fstarts, c0,
+            end_rip, seq0, (fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c,
+                            trap_c + retire_c),
         )
     kernel.cycles = c0 + total
     task.stime_cycles += kf * 2 * (fault_c + deliv_c + ret_c)
     task.utime_cycles += k * retire_c + kf * 2 * huser_c + r * tapp_c
 
     # Monitor bookkeeping.
-    mon.observed += kf
+    mon.observed = obs + kf
     mon.seq = seq0 + r
     mon.recorded += r
 
@@ -364,9 +378,8 @@ def _commit(
     if engine._t_observed is not None and kf:
         engine._t_observed.value += kf
         engine._t_recorded.value += r
-        uniq, counts = np.unique(codes, return_counts=True)
-        for c, n in zip(uniq.tolist(), counts.tolist()):
-            for name in flags_to_events(Flag(c)):
+        for code, n in sorted(Counter([codes[g] for g in fi]).items()):
+            for name in flags_to_events(Flag(code)):
                 engine._t_events.inc(name, n)
     cpu._site_entry(site)  # keep the per-RIP cache warm (and count one)
     if cpu._t_site_hits is not None:
@@ -383,22 +396,22 @@ def _commit(
         # The fused path raises one timer-defer fence per fault and the
         # scheduler clears it after the next check; the heap is empty
         # (admission), so replicate the counter, and the floor itself
-        # only when the batch's last step was a fused delivery.
+        # only when the batch's last step was a fused delivery (the last
+        # group faults, so the batch ends with its lifecycle).
         fences = kf
-        if win.fault[rel + k - 1]:
+        if pend[rel + k - 1]:
             kernel.defer_timers_once(
-                int(fstarts[-1]) + fault_c + deliv_c + huser_c
-                + (tapp_c if rec[-1] else 0) + ret_c + fp_c + fault_c)
+                c0 + total - retire_c - trap_c + rec_off + ret_c + fp_c
+                + fault_c)
             fences -= 1
         if kernel.telemetry:
             kernel._t_defer_fences.value += fences
 
     # Writeback: identical to k retire_fp calls.
-    lo = block.index * lanes
+    lanes = site.form.lanes
     end = block.index + k
-    valid = min(end * lanes, block.n_elements) - lo
-    seg = win.bits[(rel * lanes):(rel + k) * lanes]
-    block.results.extend(seg[:valid].tolist())
+    valid = min(end * lanes, block.n_elements) - block.index * lanes
+    block.results.extend(win.bits[rel * lanes:rel * lanes + valid])
     block.index = end
     block.fp_done = False
     task.last_rip = end_rip
@@ -408,7 +421,7 @@ def _commit(
         from repro.machine.blockexec import _finish
 
         _finish(task, block)
-    cpu.step_cost = int(win.steps[rel + k] - win.steps[rel])
+    cpu.step_cost = win.steps[rel + k] - win.steps[rel]
 
     st = cpu.storm_stats
     st["batches"] += 1
@@ -426,59 +439,50 @@ def _replicate_events(
     rel: int,
     k: int,
     base: int,
-    codes,
-    pend,
-    sic,
-    rec,
-    fstarts,
+    fi: list,
+    rec: list,
+    fstarts: list,
     c0: int,
     end_rip: int,
     seq0: int,
+    cost_t: tuple,
 ) -> None:
     """Per-event observer replication: flight-recorder span trees,
     ``/proc/fpspy/events`` entries, provenance observations.
 
     Only runs when at least one observer is live, so the plain storm hot
-    path never enters this loop.  ``codes``/``pend``/``sic``/``rec``
-    and the start cycles ``fstarts`` cover the batch's faulting groups
-    only.  The flight recorder and provenance tracker only ever see
-    faulting-only batches (admission), so for them faulting event ``j``
-    is batch group ``j``.  The loop itself performs only the per-event
-    work that *must* be exact per event -- telemetry span events at the
-    SIGFPE delivery cycle and provenance observations at the
-    masked-re-execution retirement cycle (``kernel.cycles`` is slid to
-    each stamp because both read it directly).  The 14-span trap trees
-    are emitted by one bulk :meth:`TraceRecorder.replicate_trees` call
-    with identical ids, parents, cycles, and args to the per-event path
-    -- and, with tail sampling on, boring trees are discarded *before*
-    any span tuple is built, which is what keeps an always-on recorder
-    affordable in a storm.
+    path never enters this loop.  ``fi`` lists the batch's faulting
+    groups (window-relative); ``rec`` and the start cycles ``fstarts``
+    run parallel to it, and ``cost_t`` is the cycle-cost tuple
+    :meth:`TraceRecorder.replicate_trees` takes.  The flight recorder and provenance tracker only ever
+    see faulting-only batches (admission), so for them faulting event
+    ``j`` is batch group ``j``.  The loop itself performs only the
+    per-event work that *must* be exact per event -- telemetry span
+    events at the SIGFPE delivery cycle and provenance observations at
+    the masked-re-execution retirement cycle (``kernel.cycles`` is slid
+    to each stamp because both read it directly).  The 14-span trap
+    trees are emitted by one bulk :meth:`TraceRecorder.replicate_trees`
+    call with identical ids, parents, cycles, and args to the per-event
+    path -- and, with tail sampling on, boring trees are discarded
+    *before* any span tuple is built, which is what keeps an always-on
+    recorder affordable in a storm.
     """
     kernel = cpu.kernel
-    costs = cpu.costs
     site = block.site
     lanes = site.form.lanes
-    bits_flat = win.bits
     tr = cpu._tr
     prov = cpu._prov
     t_scope = engine._t_scope
     rip = site.address
-    fault_c = costs.fault_entry
-    deliv_c = costs.signal_deliver
-    ret_c = costs.sigreturn
-    huser_c = costs.handler_user
-    tapp_c = costs.trace_append
-    fp_c = costs.fp_instr
+    fault_c, deliv_c, huser_c, tapp_c, ret_c, _, _ = cost_t
+    codes = [win.codes[g] for g in fi]
+    pend = [win.pend[g] for g in fi]
+    sic = [_SICODE_LUT[p] for p in pend]
 
-    # Only ``rec`` is indexed for every event; codes / si_codes /
-    # pending masks are touched solely for retained trees and the rare
-    # suspicious observes, so they stay numpy (scalar indexing on the
-    # cold path beats converting whole windows on the hot one).
-    rec_l = rec.tolist()
     if tr is not None:
         # One summary span *plus* full per-event trees: batching must
         # never under-count.
-        tr.storm(task, rip, k, sum(rec_l))
+        tr.storm(task, rip, k, sum(rec))
 
     obs_off = fault_c + deliv_c + huser_c + ret_c  # SIGFPE delivery+handler
     marks = [0] * k
@@ -486,7 +490,7 @@ def _replicate_events(
         if t_scope is not None:
             pid = engine.process.pid
             tid = task.tid
-            for c, s in zip(fstarts.tolist(), sic.tolist()):
+            for c, s in zip(fstarts, sic):
                 t_scope.event(
                     "sigfpe", c + fault_c + deliv_c,
                     pid=pid, tid=tid, rip=rip, sicode=s,
@@ -505,26 +509,19 @@ def _replicate_events(
             prov.observed += k - len(idxs)
             for j in idxs:
                 kernel.cycles = (
-                    int(fstarts[j]) + obs_off + (tapp_c if rec_l[j] else 0)
-                )
+                    fstarts[j] + obs_off + (tapp_c if rec[j] else 0))
                 g = block.index + j
                 take = block.take(g)
                 glo = (rel + j) * lanes
                 marks[j] = prov.observe(
                     task, site, block.group(g)[:take],
-                    tuple(bits_flat[glo:glo + take].tolist()),
-                    Flag(int(codes[j])),
+                    tuple(win.bits[glo:glo + take]), Flag(codes[j]),
                 )
         if tr is not None:
-            group_cost = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c \
-                + fp_c + costs.int_instr * block.interleave
             tr.replicate_trees(
                 task, rip, end_rip, site.encoding, task.rsp, base,
-                base | (_ALL << MASK_SHIFT), sic, pend, codes, rec_l, seq0,
-                c0,
-                (fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c,
-                 group_cost),
-                marks,
+                base | (_ALL << MASK_SHIFT), sic, pend, codes, rec, seq0,
+                c0, cost_t, marks,
             )
     finally:
         kernel.cycles = c0

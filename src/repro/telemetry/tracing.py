@@ -555,10 +555,9 @@ class TraceRecorder:
         :meth:`repro.fp.provenance.ProvenanceTracker.observe` returned
         for the event (no tree is open during replication, so marks
         travel by value instead of through ``note_mark``).  ``sic``,
-        ``pend``, and ``codes`` may be numpy integer arrays -- they are
-        indexed only for retained trees, and the ring packer normalizes
-        numpy scalars -- while ``rec`` and ``marks`` are plain lists
-        because every tree reads them.
+        ``pend``, ``codes``, ``rec`` and ``marks`` are per-event
+        sequences (the storm driver passes plain lists); the first
+        three are indexed only for retained trees.
         """
         fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c, group_cost = costs
         pid = task.process.pid

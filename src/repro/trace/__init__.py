@@ -12,6 +12,7 @@ from repro.trace.records import (
     IndividualRecord,
     RECORD_SIZE,
     RECORD_DTYPE,
+    RECORD_STRUCT,
     pack_record,
     unpack_records,
     records_to_numpy,
@@ -24,6 +25,7 @@ __all__ = [
     "IndividualRecord",
     "RECORD_SIZE",
     "RECORD_DTYPE",
+    "RECORD_STRUCT",
     "pack_record",
     "unpack_records",
     "records_to_numpy",

@@ -70,8 +70,12 @@ def cls_label(cls: int) -> str:
     return "+".join(name for bit, name in _CLS_NAMES if cls & bit) or "none"
 
 
-_STRUCT = struct.Struct("<QdQQIIII16s")
-RECORD_SIZE = _STRUCT.size
+#: The packed individual-mode record, fields in this order: ``seq``,
+#: ``time``, ``rip``, ``rsp``, ``mxcsr``, ``sicode``, ``codes``,
+#: ``insn_len``, and ``insn`` zero-padded to 16 bytes.  Writers that
+#: pack many records at once (the storm driver) use it directly.
+RECORD_STRUCT = struct.Struct("<QdQQIIII16s")
+RECORD_SIZE = RECORD_STRUCT.size
 assert RECORD_SIZE == 64
 
 #: NumPy structured dtype matching the packed layout (for mmap-style reads).
@@ -121,7 +125,7 @@ class IndividualRecord:
 
 def pack_record(rec: IndividualRecord) -> bytes:
     insn = rec.insn[:16]
-    return _STRUCT.pack(
+    return RECORD_STRUCT.pack(
         rec.seq,
         rec.time,
         rec.rip,
@@ -142,9 +146,8 @@ def unpack_records(data: bytes) -> list[IndividualRecord]:
         )
     out = []
     for offset in range(0, len(data), RECORD_SIZE):
-        seq, t, rip, rsp, mxcsr, sicode, codes, n, raw = _STRUCT.unpack_from(
-            data, offset
-        )
+        seq, t, rip, rsp, mxcsr, sicode, codes, n, raw = (
+            RECORD_STRUCT.unpack_from(data, offset))
         out.append(
             IndividualRecord(
                 seq=seq, time=t, rip=rip, rsp=rsp, mxcsr=mxcsr,

@@ -83,8 +83,8 @@ class TraceWriter:
     def append_packed(self, data: bytes, count: int) -> None:
         """Append ``count`` already-packed individual records at once.
 
-        The storm batch driver serializes a whole batch of records in one
-        NumPy structured-array pass; the bytes are exactly ``count``
+        The storm batch driver packs a whole batch of records and joins
+        them into one buffer; the bytes are exactly ``count``
         back-to-back :func:`pack_record` outputs, so the file contents are
         byte-identical to ``count`` ``append_individual`` calls -- only
         the host-side flush boundary (never guest-visible) can differ.

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.fp.formats import float_to_bits32
 from repro.fpspy import fpspy_env
+from repro.guest.ops import LibcCall
 from repro.guest.program import KernelBuilder
 from repro.kernel.kernel import Kernel, KernelConfig
+from repro.kernel.signals import SIG_IGN, Signal
 
 _SPECIALS32 = [
     0x00000000, 0x80000000,  # +-0
@@ -39,13 +41,16 @@ bits32 = st.one_of(
 _FORMS = [("vfmaddps", 3), ("addss", 2), ("divss", 2), ("sqrtss", 1)]
 
 
-def _run(mnemonic, streams, interleave, stormbatch, *, config=None, **env):
+def _run(mnemonic, streams, interleave, stormbatch, *, config=None,
+         prelude=(), **env):
     kb = KernelBuilder()
     site = kb.site(mnemonic, key="storm")
     k = Kernel(KernelConfig(stormbatch=stormbatch, **(config or {})))
     out = {}
 
     def main():
+        for op in prelude:
+            yield op
         out["results"] = yield from kb.emit(
             site, *streams, interleave=interleave
         )
@@ -340,3 +345,77 @@ def test_storm_mixed_quiet_and_faulting_groups_byte_identical(
     assert on == off
     if poisson is None:
         assert kf.cpu.storm_stats["quiet"] >= 1
+
+
+# ------------------------------------------------------ admission bounds
+#
+# Each admission cap is a bisection over the window's prefix lists (or,
+# for the virtual timer, one division).  These cases sit exactly on a
+# cap's boundary, so an off-by-one in either direction changes how many
+# groups the driver commits; the byte-identity oracle alone cannot see a
+# cap that is one group too tight.
+
+#: All eight lanes raise Invalid and nothing else (inf * 0 + 1).
+_INVALID = ("?", [0x7F800000, 0x00000000, 0x3F800000])
+
+
+def _admitted(groups, *, interleave=2, config=None, prelude=(), **env):
+    """Storm on must equal off; returns the storm-on batch counters."""
+    streams = _group_streams(
+        [g if isinstance(g, tuple) else (g, 0) for g in groups], 8, 3)
+    kf, on = _run("vfmaddps", streams, interleave, True, config=config,
+                  prelude=prelude, **env)
+    _, off = _run("vfmaddps", streams, interleave, False, config=config,
+                  prelude=prelude, **env)
+    assert on == off
+    return kf.cpu.storm_stats
+
+
+def test_storm_quantum_cap_admits_a_group_ending_on_the_budget():
+    """Interleaved faulting groups need 3 slice units each, so a
+    12-unit quantum fits exactly 4: ``need_end`` of the fourth equals
+    the budget and must be admitted, every slice."""
+    st_ = _admitted("f" * 40, config={"quantum": 12})
+    assert (st_["groups"], st_["batches"]) == (40, 10)
+    assert st_["bailouts"] == {}
+
+
+def _vtimer(initial):
+    # The guest arms its own one-shot virtual timer and ignores the
+    # signal; the setitimer call retires one unit after arming.
+    return (LibcCall("signal", (int(Signal.SIGVTALRM), SIG_IGN)),
+            LibcCall("setitimer", ("virtual", initial)))
+
+
+def test_storm_vtimer_cap_of_zero_and_one_group():
+    """A batch stays strictly below the virtual timer's expiry.  Each
+    interleaved group retires 3 units: with 3 left (cap 0) the first
+    group goes per-event; with 6 left (cap 1) one group batches and the
+    expiring one goes per-event.  The rest batch once the timer fired."""
+    st_ = _admitted("f" * 20, prelude=_vtimer(4))
+    assert (st_["groups"], st_["batches"]) == (19, 1)
+    assert st_["bailouts"] == {"short": 1}
+    st_ = _admitted("f" * 20, prelude=_vtimer(7))
+    assert (st_["groups"], st_["batches"]) == (19, 2)
+    assert st_["bailouts"] == {"short": 1}
+
+
+def test_storm_maxcount_room_of_zero_and_one():
+    """Headroom under ``maxcount`` counts faulting groups only.  Room 1
+    admits one faulting group; room 0 still admits the quiet groups
+    before the next fault."""
+    st_ = _admitted("f" * 12, maxcount=2)
+    assert (st_["groups"], st_["batches"], st_["quiet"]) == (1, 1, 0)
+    st_ = _admitted("qqq" + "f" * 9, maxcount=1)
+    assert (st_["groups"], st_["batches"], st_["quiet"]) == (3, 1, 3)
+
+
+def test_storm_masked_only_group_at_rel_is_not_admitted():
+    """With only Invalid captured, an Inexact-only group raises masked
+    codes alone: a batch must stop before it and must not start at it.
+    Its sticky status then rejects one attempt until the next event's
+    handler clears it."""
+    st_ = _admitted([_INVALID, "f"] + [_INVALID] * 10,
+                    except_list="Invalid")
+    assert (st_["groups"], st_["batches"]) == (10, 2)
+    assert st_["bailouts"] == {"short": 1, "status": 1}

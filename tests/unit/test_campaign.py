@@ -47,6 +47,34 @@ def test_spec_hash_tracks_content():
     assert a.with_overrides() is a
 
 
+def test_spec_hash_is_computed_once(tmp_path, monkeypatch):
+    """The hash is the sha256 of the spec JSON, cached on the frozen
+    spec: an in-process campaign's status writes serialize it once."""
+    import hashlib
+
+    calls = []
+    to_json = CampaignSpec.to_json
+
+    def counting(self):
+        calls.append(self.name)
+        return to_json(self)
+
+    monkeypatch.setattr(CampaignSpec, "to_json", counting)
+    fresh = CampaignSpec.from_json(to_json(TINY))
+    first = fresh.spec_hash
+    assert first == hashlib.sha256(to_json(TINY).encode()).hexdigest()[:12]
+    assert fresh.spec_hash is first
+    assert calls == ["tiny"]
+
+    calls.clear()
+    campaign = CampaignSpec.from_json(to_json(TINY))
+    run_campaign(campaign, workers=1, out_dir=tmp_path / "out",
+                 execution="inprocess")
+    status = json.loads((tmp_path / "out" / "status.json").read_text())
+    assert status["spec_hash"] == fresh.spec_hash
+    assert calls == ["tiny"]
+
+
 def test_build_campaign_resolves_builtins_files_and_rejects_junk(tmp_path):
     assert build_campaign("smoke").name == "smoke"
     assert build_campaign("smoke", scale=0.5).runs[0].scale == 0.5
