@@ -40,12 +40,17 @@ ABLATION_SCALE = 3.0
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
 
-def _run(telemetry, profile=False):
+def _kernel(telemetry):
     app = APPLICATIONS.create("miniaero", scale=ABLATION_SCALE, seed=BENCH_SEED)
-    k = Kernel(KernelConfig(telemetry=telemetry, profile=profile))
+    k = Kernel(KernelConfig(telemetry=telemetry))
     k.exec_process(
         app.main, env=fpspy_env("individual"), name=app.name
     )
+    return k
+
+
+def _run(telemetry):
+    k = _kernel(telemetry)
     t0 = time.perf_counter()
     k.run()
     elapsed = time.perf_counter() - t0
@@ -55,6 +60,22 @@ def _run(telemetry, profile=False):
         if not p.startswith(PROC_ROOT)
     }
     return k, state, elapsed
+
+
+def _count_steps() -> int:
+    """Exact ``CPU.step`` count of the workload, on an untimed run."""
+    k = _kernel(False)
+    step = k.cpu.step
+    calls = 0
+
+    def counted(task):
+        nonlocal calls
+        calls += 1
+        return step(task)
+
+    k.cpu.step = counted
+    k.run()
+    return calls
 
 
 def _per_guard_cost() -> float:
@@ -77,7 +98,7 @@ def _per_guard_cost() -> float:
 def test_telemetry_overhead(benchmark):
     def compare():
         k_off, state_off, t_off = _run(False)
-        k_on, state_on, t_on = _run(True, profile=True)
+        k_on, state_on, t_on = _run(True)
         return k_off, state_off, t_off, k_on, state_on, t_on
 
     k_off, state_off, t_off, k_on, state_on, t_on = benchmark.pedantic(
@@ -88,9 +109,9 @@ def test_telemetry_overhead(benchmark):
     assert k_on.cycles == k_off.cycles
     assert state_on == state_off
 
-    prof = k_on.telemetry.profiler
+    steps = _count_steps()
     per_guard = _per_guard_cost()
-    disabled_pct = 100.0 * GUARDS_PER_STEP * prof.steps * per_guard / t_off
+    disabled_pct = 100.0 * GUARDS_PER_STEP * steps * per_guard / t_off
     enabled_pct = 100.0 * (t_on - t_off) / t_off
 
     write_results(
@@ -104,18 +125,14 @@ def test_telemetry_overhead(benchmark):
             "enabled_overhead_pct": round(enabled_pct, 2),
             "disabled_guard_overhead_pct": round(disabled_pct, 4),
             "guard_cost_ns": round(per_guard * 1e9, 2),
-            "steps": prof.steps,
+            "steps": steps,
             "cycles": k_on.cycles,
-            "profile": {
-                k: round(v, 6) for k, v in prof.report().items()
-            },
         },
         gates={
             "disabled_guard_overhead_pct": {"max": MAX_DISABLED_PCT},
         },
     )
-    # The tier-1 promise; the enabled-mode delta is reported, not gated
-    # (it includes the self-profiler's perf_counter pairs here).
+    # The tier-1 promise; the enabled-mode delta is reported, not gated.
     assert disabled_pct <= MAX_DISABLED_PCT, (
         f"extrapolated disabled-telemetry overhead {disabled_pct:.3f}% "
         f"exceeds {MAX_DISABLED_PCT}%"

@@ -56,11 +56,10 @@ class KernelConfig:
     #: either way (tests/property/test_telemetry_props.py) -- so this
     #: switch only trades a small host-side counting cost for
     #: introspection.  Off, every instrumented site sees the falsy
-    #: module-level NULL_BUS and skips itself with one branch.
+    #: module-level NULL_BUS and skips itself with one branch.  The bus
+    #: counts events, never host time: ``repro.study telemetry run
+    #: --profile`` measures that from outside, with ``cProfile``.
     telemetry: bool = False
-    #: Attribute simulator wall-clock to {guest, trap, tracing,
-    #: telemetry} via the self-profiler (implies ``telemetry``).
-    profile: bool = False
     #: Enable the trap-lifecycle flight recorder and the NaN/Inf/denorm
     #: provenance tracker (DESIGN.md #10).  Spans and coils are
     #: host-side observations only: guest-visible traces, cycles, and
@@ -132,12 +131,8 @@ class Kernel:
 
         from repro.telemetry.bus import NULL_BUS, TelemetryBus
 
-        if self.config.telemetry or self.config.profile:
+        if self.config.telemetry:
             self.telemetry = TelemetryBus(self)
-            if self.config.profile:
-                from repro.telemetry.profiler import SelfProfiler
-
-                self.telemetry.profiler = SelfProfiler()
             self._install_telemetry()
         else:
             self.telemetry = NULL_BUS
@@ -379,7 +374,6 @@ class Kernel:
         """
         executed = 0
         tel = self.telemetry
-        prof = tel.profiler if tel else None
         last_task = None
         while self._runq:
             task = self._runq.popleft()
@@ -398,13 +392,7 @@ class Kernel:
             remaining = self.config.quantum
             while remaining > 0:
                 self.cpu.step_budget = remaining
-                if prof is not None:
-                    t0 = prof.clock()
-                    stepped = self.cpu.step(task)
-                    prof.total_s += prof.clock() - t0
-                    prof.steps += 1
-                else:
-                    stepped = self.cpu.step(task)
+                stepped = self.cpu.step(task)
                 cost = self.cpu.step_cost
                 if self._timer_heap:
                     self._fire_timers()

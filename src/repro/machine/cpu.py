@@ -107,7 +107,6 @@ class CPU:
         #: hot paths pay one ``is not None`` test when disabled; none of
         #: them may charge cycles or touch architectural state.
         tel = kernel.telemetry
-        self._prof = tel.profiler if tel else None
         if tel:
             sc = tel.scope("cpu")
             self._t_site_hits = sc.counter("site_cache.hits")
@@ -292,18 +291,7 @@ class CPU:
         if not task.alive:
             return False
         self.kernel.current_task = task
-        prof = self._prof
-        if prof is not None:
-            # Attribute the delivery burst (kernel crossings + handler
-            # bodies) to the trap bin, minus any trace appends the
-            # handlers issued, which TraceWriter credits to tracing.
-            t0 = prof.clock()
-            tr0 = prof.tracing_s
-            delivered = self.deliver_signals(task)
-            prof.account_trap(prof.clock() - t0, prof.tracing_s - tr0)
-            if not delivered:
-                return False
-        elif not self.deliver_signals(task):
+        if not self.deliver_signals(task):
             return False
         op = self._fetch(task)
         if op is None:
@@ -537,10 +525,6 @@ class CPU:
         self._fuse_armed = False
         costs = self.costs
         kernel = self.kernel
-        prof = self._prof
-        if prof is not None:
-            t0 = prof.clock()
-            tr0 = prof.tracing_s
         task.stime_cycles += costs.fault_entry
         kernel.cycles += costs.fault_entry
         info = SigInfo(signo=Signal.SIGTRAP, code=TRAP_TRACE_CODE)
@@ -556,5 +540,3 @@ class CPU:
         disposition(info.signo, info, uctx)
         self._apply_handler_writes(task, uctx)
         kernel.defer_timers_once(floor)
-        if prof is not None:
-            prof.account_trap(prof.clock() - t0, prof.tracing_s - tr0)

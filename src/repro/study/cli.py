@@ -203,48 +203,96 @@ def _cmd_overhead(args) -> int:
     return 0
 
 
-def _cmd_spy(args) -> int:
+def _run_app(args, config=None, env=None, profiler=None, also=()):
+    """Boot a kernel with ``config``, exec ``args.app`` (at ``args.scale``)
+    under ``env`` and run it to completion; the launcher behind ``spy``,
+    ``telemetry run`` and the ``trace`` family.  An unknown app prints the
+    choices (plus ``also``) and returns None, and the command exits 2.
+    ``profiler``, a ``cProfile.Profile``, wraps ``kernel.run()`` alone."""
     from repro.apps import APPLICATIONS
-    from repro.fpspy import fpspy_env
     from repro.kernel.kernel import Kernel
-    from repro.trace.dump import dump_vfs
 
     if args.app not in APPLICATIONS:
-        print(f"unknown app {args.app!r}; choose from {APPLICATIONS.names()}",
-              file=sys.stderr)
-        return 2
+        print(f"unknown app {args.app!r}; choose from "
+              f"{APPLICATIONS.names() + list(also)}", file=sys.stderr)
+        return None
     app = APPLICATIONS.create(args.app, scale=args.scale)
+    kernel = Kernel(config)
+    kernel.exec_process(app.main, env=env, name=app.name)
+    if profiler is None:
+        kernel.run()
+    else:
+        profiler.runcall(kernel.run)
+    return kernel
+
+
+def _cmd_spy(args) -> int:
+    from repro.fpspy import fpspy_env
+    from repro.trace.dump import dump_vfs
+
     env = fpspy_env(
         args.mode,
         except_list=args.except_list,
         poisson=args.poisson,
     )
-    kernel = Kernel()
-    kernel.exec_process(app.main, env=env, name=app.name)
-    kernel.run()
+    kernel = _run_app(args, env=env)
+    if kernel is None:
+        return 2
     print(dump_vfs(kernel.vfs, limit_per_file=args.limit))
     print(f"simulated wall time: {kernel.now_seconds * 1e3:.3f} ms")
     return 0
 
 
+def layer_self_times(stats: dict) -> dict[str, float]:
+    """Host self time per simulator layer from a ``pstats.Stats.stats`` dict.
+
+    A function's ``tottime`` goes to ``<layer>`` when its file lies in
+    ``repro/<layer>/``; everything else (stdlib, builtins, NumPy) goes to
+    ``python``.  Every function lands in exactly one row, so the rows sum
+    to the profile's total self time.
+    """
+    import os
+
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    out: dict[str, float] = {}
+    for (filename, _line, _func), row in stats.items():
+        layer = os.path.relpath(os.path.abspath(filename), root).split(os.sep)[0]
+        if layer == os.pardir:
+            layer = "python"
+        out[layer] = out.get(layer, 0.0) + row[2]  # tottime
+    return out
+
+
+def render_layer_table(times: dict[str, float]) -> str:
+    """One ``layer self(ms) share`` row per layer, largest first, then ``total``."""
+    total = sum(times.values())
+    lines = [f"{'layer':<12s} {'self(ms)':>10s} {'share':>8s}",
+             f"{'-' * 12} {'-' * 10} {'-' * 8}"]
+    for layer, s in sorted(times.items(), key=lambda kv: -kv[1]):
+        share = 100.0 * s / total if total > 0 else 0.0
+        lines.append(f"{layer:<12s} {s * 1e3:>10.3f} {share:>7.1f}%")
+    lines.append(f"{'total':<12s} {total * 1e3:>10.3f} {'100.0%':>8s}")
+    return "\n".join(lines)
+
+
 def _cmd_telemetry_run(args) -> int:
+    import cProfile
     import json
     import pathlib
+    import pstats
 
-    from repro.apps import APPLICATIONS
     from repro.fpspy import fpspy_env
-    from repro.kernel.kernel import Kernel, KernelConfig
+    from repro.kernel.kernel import KernelConfig
     from repro.telemetry.procfs import render_counters, render_status
 
-    if args.app not in APPLICATIONS:
-        print(f"unknown app {args.app!r}; choose from {APPLICATIONS.names()}",
-              file=sys.stderr)
+    profiler = cProfile.Profile() if args.profile else None
+    kernel = _run_app(args, KernelConfig(telemetry=True),
+                      fpspy_env(args.mode, except_list=args.except_list),
+                      profiler=profiler)
+    if kernel is None:
         return 2
-    app = APPLICATIONS.create(args.app, scale=args.scale)
-    env = fpspy_env(args.mode, except_list=args.except_list)
-    kernel = Kernel(KernelConfig(telemetry=True, profile=args.profile))
-    kernel.exec_process(app.main, env=env, name=app.name)
-    kernel.run()
 
     snapshot = kernel.telemetry.snapshot()
     if args.out:
@@ -257,9 +305,9 @@ def _cmd_telemetry_run(args) -> int:
     else:
         print(render_status(kernel), end="")
         print(render_counters(kernel.telemetry), end="")
-    if args.profile:
+    if profiler is not None:
         print()
-        print(kernel.telemetry.profiler.render_table())
+        print(render_layer_table(layer_self_times(pstats.Stats(profiler).stats)))
     return 0
 
 
@@ -330,7 +378,7 @@ def _trace_kernel(args):
 
     sample = getattr(args, "sample", 0)
     keep_all = getattr(args, "keep_all", False) or not sample
-    kernel = Kernel(KernelConfig(
+    config = KernelConfig(
         tracing=True,
         trace_capacity=args.capacity,
         # Interactive recording defaults to keep-all (tail sampling
@@ -340,24 +388,15 @@ def _trace_kernel(args):
         trace_sample=sample if sample else 64,
         trace_seed=getattr(args, "seed", 0),
         telemetry=bool(getattr(args, "telemetry", False)),
-    ))
+    )
     env = {} if args.mode == "none" else fpspy_env(args.mode)
-    expected = None
-    if args.app == "nanchain":
-        from repro.validation.programs import provenance_program
+    if args.app != "nanchain":
+        return _run_app(args, config, env, also=["nanchain"]), None
+    from repro.validation.programs import provenance_program
 
-        launch, expected = provenance_program()
-        launch(kernel, env)
-    else:
-        from repro.apps import APPLICATIONS
-
-        if args.app not in APPLICATIONS:
-            names = APPLICATIONS.names() + ["nanchain"]
-            print(f"unknown app {args.app!r}; choose from {names}",
-                  file=sys.stderr)
-            return None, None
-        app = APPLICATIONS.create(args.app, scale=args.scale)
-        kernel.exec_process(app.main, env=env, name=app.name)
+    kernel = Kernel(config)
+    launch, expected = provenance_program()
+    launch(kernel, env)
     kernel.run()
     return kernel, expected
 
@@ -744,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     trun.add_argument("--format", default="table", choices=["table", "json"])
     trun.add_argument("--out", help="also write the JSON snapshot here")
     trun.add_argument("--profile", action="store_true",
-                      help="enable the overhead self-profiler and print its table")
+                      help="profile kernel.run() with cProfile and print "
+                           "host self time per simulator layer")
     trun.set_defaults(fn=_cmd_telemetry_run)
 
     tdiff = telsub.add_parser(

@@ -8,16 +8,20 @@ itself.  It is deliberately zero-dependency (stdlib only) and strictly
 serialized, timestamped, or aggregated until someone asks for a
 :meth:`~repro.telemetry.bus.TelemetryBus.snapshot`.
 
-Three consumers sit on top of one :class:`~repro.telemetry.bus.TelemetryBus`
+Two consumers sit on top of one :class:`~repro.telemetry.bus.TelemetryBus`
 per kernel:
 
 * :mod:`repro.telemetry.procfs` mounts a read-only ``/proc/fpspy/`` tree
   into the simulated VFS, so *guest* programs can introspect the monitor
   the way real FPSpy users read its log files;
 * ``python -m repro.study telemetry`` dumps and diffs snapshots from the
-  host side (``repro.telemetry.snapshot`` holds the flatten/diff logic);
-* :mod:`repro.telemetry.profiler` attributes simulator wall-clock to
-  {guest execution, trap handling, tracing, telemetry itself}.
+  host side (``repro.telemetry.snapshot`` holds the flatten/diff logic).
+
+The bus counts events, never host time.  Where the simulator's own
+wall-clock goes is measured from outside, the way FPSpy observes an
+unmodified program: ``telemetry run --profile`` wraps ``kernel.run()``
+in ``cProfile`` and sums self time per ``repro/<layer>/`` package, and
+``python -m bench --trace`` gives the paired-difference timings.
 
 The cardinal rule is **zero perturbation**: no instrumentation point may
 charge cycles, post signals, or touch architectural state, so traces and

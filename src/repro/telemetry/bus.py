@@ -238,9 +238,6 @@ class TelemetryBus:
     def __init__(self, kernel=None) -> None:
         self.kernel = kernel
         self._scopes: dict[str, Scope] = {}
-        #: Optional :class:`repro.telemetry.profiler.SelfProfiler`;
-        #: ``None`` unless wall-time attribution was requested.
-        self.profiler = None
 
     def __bool__(self) -> bool:
         return True
@@ -264,16 +261,10 @@ class TelemetryBus:
         Pull-based: this is the only place gauges run, and it is the
         only cost telemetry adds outside the counter bumps themselves.
         """
-        prof = self.profiler
-        t0 = prof.clock() if prof is not None else 0.0
-        snap = {
+        return {
             "cycles": self.cycles,
             "scopes": {s.name: s.snapshot() for s in self.scopes()},
         }
-        if prof is not None:
-            snap["profile"] = prof.report()
-            prof.telemetry_s += prof.clock() - t0
-        return snap
 
     def snapshot_typed(self) -> dict:
         """Kind-preserving snapshot of every scope (mergeable form)."""
@@ -354,7 +345,6 @@ class NullBus:
     __slots__ = ()
     enabled = False
     kernel = None
-    profiler = None
     cycles = 0
 
     def __bool__(self) -> bool:

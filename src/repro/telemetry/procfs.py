@@ -73,32 +73,15 @@ def render_events(bus: "TelemetryBus") -> str:
 
 
 def mount_proc(kernel: "Kernel") -> None:
-    """Register the ``/proc/fpspy/`` providers on the kernel's VFS.
-
-    Each provider accounts its render time to the self-profiler's
-    ``telemetry`` bin when profiling is on, so the cost of looking is
-    itself visible in the overhead table.
-    """
+    """Register the ``/proc/fpspy/`` providers on the kernel's VFS."""
     bus = kernel.telemetry
-
-    def profiled(render):
-        def provide() -> bytes:
-            prof = bus.profiler
-            t0 = prof.clock() if prof is not None else 0.0
-            data = render().encode()
-            if prof is not None:
-                prof.telemetry_s += prof.clock() - t0
-            return data
-
-        return provide
-
     vfs = kernel.vfs
-    vfs.register_provider(PROC_ROOT + "status", profiled(lambda: render_status(kernel)))
-    vfs.register_provider(PROC_ROOT + "counters", profiled(lambda: render_counters(bus)))
+    vfs.register_provider(PROC_ROOT + "status", lambda: render_status(kernel).encode())
+    vfs.register_provider(PROC_ROOT + "counters", lambda: render_counters(bus).encode())
     vfs.register_provider(
-        PROC_ROOT + "snapshot.json", profiled(lambda: render_snapshot_json(bus))
+        PROC_ROOT + "snapshot.json", lambda: render_snapshot_json(bus).encode()
     )
-    vfs.register_provider(PROC_ROOT + "events", profiled(lambda: render_events(bus)))
+    vfs.register_provider(PROC_ROOT + "events", lambda: render_events(bus).encode())
 
 
 def mount_trace(kernel: "Kernel") -> None:

@@ -56,12 +56,10 @@ class TraceWriter:
             self._t_flushes = scope.counter("flushes")
             self._t_sync_flushes = scope.counter("sync_flushes")
             self._t_bytes = scope.counter("bytes_flushed")
-            self._prof = telemetry.profiler
         else:
             self._t_flushes = None
             self._t_sync_flushes = None
             self._t_bytes = None
-            self._prof = None
         vfs.register_sync(path, self._sync_flush)
 
     @property
@@ -115,8 +113,6 @@ class TraceWriter:
 
     def flush(self) -> None:
         """Drain the buffer to the VFS as a single append."""
-        prof = self._prof
-        t0 = prof.clock() if prof is not None else 0.0
         if self._buffer:
             n = len(self._buffer)
             self._file.append(bytes(self._buffer))
@@ -127,8 +123,6 @@ class TraceWriter:
                 self._t_flushes.value += 1
                 self._t_bytes.value += n
         self._buffered_records = 0
-        if prof is not None:
-            prof.tracing_s += prof.clock() - t0
 
     def close(self) -> None:
         """Drain and detach from the VFS.  Idempotent.

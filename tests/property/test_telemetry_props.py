@@ -4,11 +4,11 @@ The bus's cardinal rule: instrumentation never charges cycles and never
 touches guest-visible state.  Each example runs a random workload --
 random operand bit patterns (specials included), random capture sets
 driving an FPSpy-style handler pair, both block-engine regimes -- twice,
-with telemetry (and the self-profiler) on and off, and requires the
-entire observable record to be byte-identical: results, fault/trap
-events with their virtual-time landing points, ``%mxcsr``, the cycle
-clock, and every VFS file outside the synthetic ``/proc/fpspy/`` tree
-(which only exists when telemetry is on, and is rendered, not stored).
+with telemetry on and off, and requires the entire observable record to
+be byte-identical: results, fault/trap events with their virtual-time
+landing points, ``%mxcsr``, the cycle clock, and every VFS file outside
+the synthetic ``/proc/fpspy/`` tree (which only exists when telemetry is
+on, and is rendered, not stored).
 """
 
 from hypothesis import given, settings
@@ -49,7 +49,7 @@ def _guest_state(k):
 def _run(mnemonic, streams, interleave, capture, *, telemetry):
     kb = KernelBuilder()
     site = kb.site(mnemonic)
-    k = Kernel(KernelConfig(telemetry=telemetry, profile=telemetry))
+    k = Kernel(KernelConfig(telemetry=telemetry))
     events = []
     out = {}
 
@@ -121,7 +121,7 @@ def _run_fpspy(n, seed, *, telemetry):
     def main():
         yield from kb.emit(site, a, b, interleave=2)
 
-    k = Kernel(KernelConfig(telemetry=telemetry, profile=telemetry))
+    k = Kernel(KernelConfig(telemetry=telemetry))
     k.exec_process(
         main,
         env=fpspy_env("individual", poisson="60:40", timer="virtual",

@@ -6,7 +6,12 @@ from repro.fp.formats import float_to_bits64 as b64
 from repro.fpspy import fpspy_env
 from repro.isa.instruction import CodeLayout, FPInstruction
 from repro.kernel.kernel import Kernel
-from repro.study.cli import build_parser, main as cli_main
+from repro.study.cli import (
+    build_parser,
+    layer_self_times,
+    main as cli_main,
+    render_layer_table,
+)
 from repro.trace.dump import dump_individual, dump_vfs, format_record
 
 
@@ -108,7 +113,36 @@ class TestTelemetryCLI:
             ["telemetry", "run", "moose", "--scale", "0.2", "--profile"]
         ) == 0
         out = capsys.readouterr().out
-        assert "component" in out and "guest" in out
+        table = out[out.index("layer "):].splitlines()[2:]
+        rows = {line.split()[0]: float(line.split()[1]) for line in table}
+        for layer in ("fp", "machine", "total"):
+            assert layer in rows
+        total = rows.pop("total")
+        # Rows print rounded to the microsecond.
+        assert sum(rows.values()) == pytest.approx(total, abs=1e-3 * len(rows))
+
+    def test_layer_self_times_partition_the_total(self):
+        import os
+
+        import repro
+
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        stats = {
+            (os.path.join(root, "fp", "softfloat.py"), 10, "add"):
+                (3, 3, 0.25, 0.5, {}),
+            (os.path.join(root, "fp", "fastpath.py"), 20, "mul"):
+                (1, 1, 0.125, 0.125, {}),
+            (os.path.join(root, "machine", "cpu.py"), 30, "step"):
+                (5, 5, 0.5, 1.5, {}),
+            ("~", 0, "<built-in method math.frexp>"): (9, 9, 0.0625, 0.0625, {}),
+        }
+        times = layer_self_times(stats)
+        assert times == {"fp": 0.375, "machine": 0.5, "python": 0.0625}
+        assert sum(times.values()) == sum(v[2] for v in stats.values())
+        table = render_layer_table(times).splitlines()
+        assert [line.split()[0] for line in table[2:]] == [
+            "machine", "fp", "python", "total"]
+        assert table[-1].split()[1] == "937.500"
 
     def test_diff_identical_snapshots_exits_zero(self, tmp_path, capsys):
         snap = tmp_path / "a.json"

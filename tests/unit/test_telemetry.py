@@ -31,7 +31,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.bus import EVENT_WINDOW, Histogram
 from repro.telemetry.procfs import PROC_ROOT, render_counters, render_status
-from repro.telemetry.profiler import SelfProfiler
 from repro.telemetry.snapshot import derive_rates
 from repro.trace.records import IndividualRecord
 from repro.trace.writer import TraceWriter
@@ -100,7 +99,6 @@ class TestInstruments:
 class TestNullBus:
     def test_falsy_and_inert(self):
         assert not NULL_BUS
-        assert NULL_BUS.profiler is None
         scope = NULL_BUS.scope("anything")
         scope.counter("x").inc(5)
         scope.labeled("y").inc("l")
@@ -169,7 +167,7 @@ class TestSnapshotTools:
 # ------------------------------------------------------------- /proc tree
 
 
-def _storm_kernel(telemetry=True, profile=False, n=48):
+def _storm_kernel(telemetry=True, n=48):
     kb = KernelBuilder()
     a = [b64(1.1 + (i % 7) * 0.3) for i in range(n)]
     b = [b64(0.7 + (i % 5) * 0.21) for i in range(n)]
@@ -178,7 +176,7 @@ def _storm_kernel(telemetry=True, profile=False, n=48):
     def main():
         yield from kb.emit(site, a, b, interleave=2)
 
-    k = Kernel(KernelConfig(telemetry=telemetry, profile=profile))
+    k = Kernel(KernelConfig(telemetry=telemetry))
     k.exec_process(main, env=fpspy_env("individual"), name="storm")
     k.run()
     return k
@@ -351,35 +349,6 @@ class TestMemoStats:
         assert 0 <= stats["op_occupancy"] <= stats["op_capacity"]
 
 
-# ---------------------------------------------------------- self-profiler
-
-
-class TestSelfProfiler:
-    def test_trap_bin_excludes_nested_tracing(self):
-        p = SelfProfiler()
-        p.total_s = 1.0
-        p.account_trap(0.5, tracing_within=0.2)
-        p.account_tracing(0.2)
-        assert p.trap_s == pytest.approx(0.3)
-        assert p.tracing_s == pytest.approx(0.2)
-        assert p.guest_s == pytest.approx(0.5)
-        rep = p.report()
-        assert rep["guest_s"] + rep["trap_s"] + rep["tracing_s"] + rep[
-            "telemetry_s"] == pytest.approx(rep["total_s"])
-
-    def test_profiled_run_attributes_wall_time(self):
-        k = _storm_kernel(profile=True)
-        prof = k.telemetry.profiler
-        assert prof.steps > 0
-        assert prof.total_s > 0
-        # An individual-mode storm spends real time in trap delivery.
-        assert prof.trap_s > 0
-        table = prof.render_table()
-        for row in ("guest", "trap", "tracing", "telemetry", "total"):
-            assert row in table
-        assert "profile" in k.telemetry.snapshot()
-
-
 # ----------------------------------------------- disabled-overhead bound
 
 
@@ -391,8 +360,8 @@ class TestDisabledOverhead:
         computed by extrapolation: time the exact guard patterns the hot
         paths use (`x is not None` on a prefetched instrument, truthiness
         of the falsy NULL_BUS), multiply by a generous overcount of guard
-        executions (8 per CPU step, measured via the self-profiler's
-        step count on an identical enabled run), and divide by the
+        executions (8 per CPU step, counted exactly by wrapping
+        ``CPU.step`` on an identical untimed run), and divide by the
         disabled run's wall time.  The honest A/B numbers live in
         ``benchmarks/test_telemetry_overhead.py``.
         """
@@ -416,12 +385,20 @@ class TestDisabledOverhead:
         wall = time.perf_counter() - t0
         assert k.telemetry is NULL_BUS
 
-        # Identical enabled+profiled run: exact CPU.step count.
-        kp = Kernel(KernelConfig(telemetry=True, profile=True))
+        # Identical untimed enabled run: exact CPU.step count.
+        kp = Kernel(KernelConfig(telemetry=True))
         kp.exec_process(make_main(), env={}, name="bench")
+        step = kp.cpu.step
+        steps = 0
+
+        def counted(task):
+            nonlocal steps
+            steps += 1
+            return step(task)
+
+        kp.cpu.step = counted
         kp.run()
         assert kp.cycles == k.cycles  # zero perturbation, while we're here
-        steps = kp.telemetry.profiler.steps
 
         # Marginal guard cost: subtract timeit's per-iteration loop
         # overhead (an empty expression), which would otherwise dwarf
