@@ -1,10 +1,10 @@
 """Campaign scaling: pool sweep, adaptive fallback, saturation.
 
 Three honest measurements of ``repro.campaign`` (DESIGN.md decisions #9
-and #13), published together to ``BENCH_campaign.json``:
+and #17), published together to ``BENCH_campaign.json``:
 
 * **Forced-pool worker sweep** -- the full figure-suite campaign (27
-  runs) executed cold over the worker pool at 1, 2, 4, and 8
+  runs) executed cold over the process pool at 1, 2, 4, and 8
   workers.  Byte-identical merged reports are asserted at every width;
   the >=2.5x speedup bar at 4 workers is asserted only when the host
   actually has >=4 CPUs.
@@ -18,8 +18,7 @@ and #13), published together to ``BENCH_campaign.json``:
   the artifact's ``unchecked`` list.
 * **Saturation** -- sustained submission throughput (runs/sec) through a
   :class:`~repro.campaign.daemon.CampaignDaemon`: distinct jobs queued
-  back-to-back so pool spawn amortizes across the whole burst, the
-  regime the daemon exists for.
+  back-to-back, each planned and executed as ``campaign run`` would.
 """
 
 import json

@@ -3,18 +3,17 @@
 FPSpy's evaluation is a *campaign*: dozens of independent spy runs
 (seven apps, the PARSEC/NAS suites, aggregate/individual modes,
 sampling configurations) whose only shared state is the final report.
-This package shards such campaigns across a worker pool
-(:class:`~repro.campaign.pool.WorkerPool`: spawn-once members, batched
-dispatch) with a deterministic spec-order merge -- the merged report is
-byte-identical for any ``--workers``, ``--batch-size``, and
+This package runs such campaigns on a stdlib process pool (one
+spawn-context :class:`~concurrent.futures.ProcessPoolExecutor` per
+campaign, one submitted task per run) with a deterministic spec-order
+merge -- the merged report is byte-identical for any ``--workers`` and
 ``--execution`` value.  Like FPSpy's own runs, campaign runs keep no
 state from one invocation to the next.  An amortization-aware planner
 (:mod:`repro.campaign.planner`) degrades to in-process execution when
 the host cannot win; a campaign daemon
 (:class:`~repro.campaign.daemon.CampaignDaemon`) serves sustained
-submissions over one shared pool behind an async job queue with
-spec-hash dedup, a content-addressed artifact store, and per-submitter
-admission control.
+submissions behind an async job queue with spec-hash dedup, a
+content-addressed artifact store, and per-submitter admission control.
 
 Entry points: ``python -m repro.study campaign run/status`` and
 ``python -m repro.study serve`` /
@@ -32,12 +31,7 @@ from repro.campaign.artifacts import (
     write_text_atomic,
 )
 from repro.campaign.daemon import AdmissionError, CampaignDaemon, serve_http
-from repro.campaign.planner import (
-    ExecutionPlan,
-    plan_batches,
-    plan_execution,
-)
-from repro.campaign.pool import WorkerPool
+from repro.campaign.planner import ExecutionPlan, plan_execution
 from repro.campaign.report import (
     CampaignResult,
     ResultAccumulator,
@@ -68,13 +62,11 @@ __all__ = [
     "ResultAccumulator",
     "RunOutcome",
     "RunSpec",
-    "WorkerPool",
     "build_campaign",
     "execute_run",
     "figbench_campaign",
     "figures_campaign",
     "merge_outcomes",
-    "plan_batches",
     "plan_execution",
     "render_report",
     "run_campaign",

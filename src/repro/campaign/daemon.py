@@ -1,21 +1,20 @@
-"""The campaign daemon: a long-running service over one standing pool.
+"""The campaign daemon: a long-running job queue in front of the runner.
 
 ``python -m repro.study serve`` keeps a :class:`CampaignDaemon` alive so
-that campaign cost amortizes across *submissions*, not just across the
-runs of one campaign: the worker pool spawns once and then serves every
-job the daemon ever accepts.
-Clients submit campaign specs over a tiny HTTP API, poll job status,
-and fetch results; identical submissions are deduplicated by spec hash
-and their artifacts stored content-addressed
+clients can submit campaign specs over a tiny HTTP API, poll job status,
+and fetch results.  Each job is one :func:`~repro.campaign.run_campaign`
+call, planned exactly as the command line plans it (in-process, or a
+process pool that lives for that job).  Identical submissions are
+deduplicated by spec hash and their artifacts stored content-addressed
 (:class:`repro.campaign.artifacts.ArtifactStore`), so a CI fleet
 re-submitting the same figure campaign pays for it once.
 
 Concurrency model: submissions are accepted from any number of HTTP
-threads, but jobs execute **serially** on one scheduler thread -- the
-pool is single-campaign-at-a-time by design, and run-level parallelism
-already saturates the host.  Admission control therefore bounds the
-*queue*, not the executor: a full queue returns 503, a submitter over
-their pending quota returns 429.
+threads, but jobs execute **serially** on one scheduler thread --
+run-level parallelism inside a job already saturates the host.
+Admission control therefore bounds the *queue*, not the executor: a
+full queue returns 503, a submitter over their pending quota returns
+429.
 
 Everything here is stdlib (``http.server``, ``threading``, ``urllib``)
 -- the daemon must work in the same no-new-dependencies environment as
@@ -31,8 +30,7 @@ import time
 from collections import deque
 
 from repro.campaign.artifacts import ArtifactStore, write_json_atomic
-from repro.campaign.pool import WorkerPool
-from repro.campaign.runner import REPORT_FILE, CampaignRunner
+from repro.campaign.runner import REPORT_FILE, run_campaign
 from repro.campaign.spec import CampaignSpec, build_campaign
 
 #: Queue-wide admission bound: beyond this, every submit gets 503.
@@ -51,7 +49,7 @@ class AdmissionError(RuntimeError):
 
 
 class CampaignDaemon:
-    """Job queue + scheduler + artifact store around one standing pool.
+    """Job queue + scheduler + artifact store around the campaign runner.
 
     Usable directly from Python (tests, the saturation benchmark) or
     through :func:`serve_http`.  ``autostart=False`` leaves the
@@ -81,7 +79,6 @@ class CampaignDaemon:
         self._queue: deque[str] = deque()
         self._by_hash: dict[str, str] = {}  #: spec_hash -> newest job id
         self._seq = 0
-        self._pool: WorkerPool | None = None
         self._stopping = False
         self._started_monotonic = time.monotonic()
         self._busy_seconds = 0.0
@@ -117,15 +114,12 @@ class CampaignDaemon:
         return self
 
     def shutdown(self, timeout: float = 60.0) -> None:
-        """Stop accepting, drain nothing further, close the pool."""
+        """Stop accepting, finish the running job, cancel queued ones."""
         with self._wake:
             self._stopping = True
             self._wake.notify_all()
         if self._started:
             self._thread.join(timeout=timeout)
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     # -------------------------------------------------------- submission
 
@@ -260,8 +254,6 @@ class CampaignDaemon:
                 "runs_per_sec": round(runs / busy, 3) if busy > 0 else 0.0,
                 "store": dict(self.store.stats),
             }
-            if self._pool is not None:
-                out["pool"] = dict(self._pool.stats)
             out["http_requests"] = dict(self._http_requests.as_dict())
             out["telemetry"] = self.telemetry.snapshot_typed()
         return out
@@ -361,30 +353,11 @@ class CampaignDaemon:
                     job["error"] = f"{type(exc).__name__}: {exc}"
                     self.counters["failed_jobs"] += 1
 
-    def _ensure_pool(self, plan_workers: int) -> WorkerPool:
-        if self._pool is None or not self._pool.started:
-            # Size the standing pool for the daemon's lifetime, not for
-            # whichever job happens to arrive first: a pool created at
-            # the first job's planned width would permanently cap every
-            # later, wider job at that accident of arrival order.
-            width = self.workers or os.cpu_count() or 1
-            self._pool = WorkerPool(max(plan_workers, width)).start()
-        return self._pool
-
     def _run_job(self, job: dict) -> None:
         out_dir = self._job_dir(job["id"])
-        runner = CampaignRunner(
-            job["campaign"], workers=self.workers, out_dir=out_dir)
-        plan = runner.plan()
-        if plan.mode == "pool":
-            # Jobs borrow the daemon's standing pool: spawn cost
-            # amortizes across every pool-mode job served.
-            runner = CampaignRunner(
-                job["campaign"], workers=self.workers,
-                out_dir=out_dir, execution="pool",
-                pool=self._ensure_pool(plan.workers))
         t0 = time.monotonic()
-        result = runner.run()
+        result = run_campaign(
+            job["campaign"], workers=self.workers, out_dir=out_dir)
         elapsed = time.monotonic() - t0
 
         manifest = self._store_artifacts(job, out_dir, result)
@@ -496,7 +469,16 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
         def do_POST(self) -> None:  # noqa: N802
             path, _q = self._query()
             daemon.record_request(path)
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so the connection cannot
+                # carry another request.
+                self.close_connection = True
+                self._reply(400, {"error": "bad Content-Length"})
+                return
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw.decode() or "{}")

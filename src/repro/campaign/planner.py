@@ -8,9 +8,7 @@ finish in-process before the first spawned interpreter has imported
 numpy.  So execution is *planned*: the coordinator estimates total run
 cost from the specs, weighs it against the pool's standing cost, and
 degrades to plain in-process execution whenever the pool cannot pay for
-itself.  The plan also fixes the dispatch batch size -- several batches
-per worker for load balancing, but far fewer queue round-trips than
-one-index-per-``Queue.put``.
+itself.
 
 The cost model is deliberately a two-constant affine estimate measured
 on the study targets, not a profile: planning must cost microseconds
@@ -22,7 +20,6 @@ speedup on a host with idle cores).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -35,12 +32,6 @@ BASE_RUN_SECONDS = 0.04
 #: Marginal cost per unit of problem scale on the study targets.
 PER_SCALE_SECONDS = 0.11
 
-#: Batches handed to each worker over a campaign, roughly: small enough
-#: to amortize queue chatter, large enough that a slow batch cannot
-#: convoy the whole tail behind one worker.
-OVERSUBSCRIPTION = 4
-MAX_BATCH = 16
-
 EXECUTION_MODES = ("auto", "pool", "inprocess")
 
 
@@ -50,8 +41,6 @@ class ExecutionPlan:
 
     mode: str  #: "pool" | "inprocess"
     workers: int  #: pool width (1 for in-process)
-    batch_size: int
-    batches: int
     reason: str
     est_run_seconds: float  #: mean per-run estimate
     est_total_seconds: float
@@ -68,27 +57,13 @@ def estimate_run_seconds(spec: RunSpec) -> float:
     return cost
 
 
-def plan_batches(n_runs: int, batch_size: int) -> list[tuple[int, ...]]:
-    """Deterministic contiguous partition of run indices into batches."""
-    return [
-        tuple(range(lo, min(lo + batch_size, n_runs)))
-        for lo in range(0, n_runs, batch_size)
-    ]
-
-
 def plan_execution(
     campaign: CampaignSpec,
     workers: int | None = None,
-    batch_size: int | None = None,
     mode: str = "auto",
     cpu_count: int | None = None,
-    pool_warm: bool = False,
 ) -> ExecutionPlan:
-    """Decide pool-vs-in-process and the dispatch batch size.
-
-    ``pool_warm`` says a started pool already exists (its spawn cost is
-    sunk).
-    """
+    """Decide pool-vs-in-process and the pool width."""
     if mode not in EXECUTION_MODES:
         raise ValueError(
             f"unknown execution mode {mode!r}; choose from {EXECUTION_MODES}")
@@ -100,16 +75,9 @@ def plan_execution(
     est_run = est_total / n if n else 0.0
 
     def plan(m: str, w: int, reason: str) -> ExecutionPlan:
-        if m == "inprocess":
-            w, bs = 1, n or 1
-        else:
-            bs = batch_size if batch_size else max(
-                1, min(MAX_BATCH, math.ceil(n / (w * OVERSUBSCRIPTION))))
         return ExecutionPlan(
             mode=m,
             workers=w,
-            batch_size=bs,
-            batches=math.ceil(n / bs) if n else 0,
             reason=reason,
             est_run_seconds=round(est_run, 6),
             est_total_seconds=round(est_total, 6),
@@ -128,7 +96,7 @@ def plan_execution(
     # The divisible win is bounded by real cores, not requested workers.
     speedup_width = min(eff, cpus)
     parallel_win = est_total * (1.0 - 1.0 / speedup_width)
-    standing_cost = 0.0 if pool_warm else eff * SPAWN_SECONDS
+    standing_cost = eff * SPAWN_SECONDS
     if parallel_win <= standing_cost:
         return plan(
             "inprocess", 1,

@@ -120,7 +120,7 @@ def merge_outcomes(
         # merged result carries only the (name, size, sha256) triples.
         host_section["trace_artifacts"] = artifacts
     telem = [o.telemetry for o in outcomes if o.telemetry is not None]
-    # The coordinator's own bus (pool dispatch/batch counters) merges
+    # The coordinator's own bus (pool dispatch/retry counters) merges
     # in alongside the per-run kernels so telemetry tooling can
     # attribute coordinator overhead -- even when no run had its kernel
     # bus enabled.

@@ -1,45 +1,39 @@
-"""The campaign coordinator: planned execution over a worker pool.
+"""The campaign coordinator: planned execution over a process pool.
 
-Design (DESIGN.md decisions #9 and #13):
+Design (DESIGN.md decisions #9, #13 and #17):
 
 * **Planned execution.**  Every campaign is first planned
   (:mod:`repro.campaign.planner`): the coordinator weighs estimated
   total run cost against the pool's standing cost and either executes
   **in-process** (1-CPU hosts, tiny campaigns -- no spawn tax at all)
-  or dispatches **batches** of run indices over a persistent
-  :class:`~repro.campaign.pool.WorkerPool`.
-* **Pools, borrowed or owned.**  A caller-supplied pool (the daemon's)
-  is borrowed and left running -- the second campaign pays zero spawn.
-  Without one, the runner owns a private pool for the campaign and
-  closes it at the end.
-* **Deterministic merge.**  Results stream back in completion order and
+  or submits each run to a spawn-context
+  :class:`~concurrent.futures.ProcessPoolExecutor` that lives for the
+  campaign.
+* **Deterministic merge.**  Results come back in completion order and
   are merged **in spec order** (:class:`ResultAccumulator`), so the
-  merged report is byte-identical for any ``--workers``, any batch
-  size, and either execution mode.
-* **Failure isolation at batch granularity.**  A run that poisons its
-  worker crashes the whole worker; the batch's unfinished runs are
-  retried on a fresh pool member and a run that demonstrably crashed
-  ``MAX_ATTEMPTS`` times becomes a structured failure.  Attempts are
-  charged only on evidence of execution, so an innocent run that never
-  started cannot exhaust its attempts.
+  merged report is byte-identical for any ``--workers`` and either
+  execution mode.
+* **Failure isolation.**  A run that raises is charged one attempt and
+  resubmitted; a run that failed ``MAX_ATTEMPTS`` times becomes a
+  structured failure.  A worker that dies without a report breaks the
+  executor: every run in flight is charged (nothing attributes the
+  death to one of them), and the still-eligible runs are requeued on a
+  fresh executor.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.campaign.artifacts import write_json_atomic, write_text_atomic
-from repro.campaign.planner import ExecutionPlan, plan_batches, plan_execution
-from repro.campaign.pool import WorkerPool
+from repro.campaign.planner import ExecutionPlan, plan_execution
 from repro.campaign.report import CampaignResult, ResultAccumulator
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.worker import RunOutcome, execute_run
 
-#: First try plus one retry on a fresh worker.
+#: First try plus one retry.
 MAX_ATTEMPTS = 2
 
 STATUS_FILE = "status.json"
@@ -48,24 +42,12 @@ RESULT_FILE = "campaign.json"
 TRACE_DIR = "traces"
 
 
-@dataclass
-class _BatchState:
-    """One in-flight batch: which of its runs have reported back."""
-
-    id: int
-    indices: tuple[int, ...]
-    worker: int
-    done: set = field(default_factory=set)
-
-
 class CampaignRunner:
     """Run a :class:`CampaignSpec` under a planned execution strategy.
 
-    ``pool`` borrows an existing started :class:`WorkerPool` (daemon
-    jobs, consecutive campaigns); otherwise the runner owns a private
-    pool when the plan calls for one.  ``execution`` forces the mode
-    (``"pool"``/``"inprocess"``) or leaves it to the planner
-    (``"auto"``).
+    ``execution`` forces the mode (``"pool"``/``"inprocess"``) or leaves
+    it to the planner (``"auto"``).  A pool-mode campaign owns its
+    executor and shuts it down before :meth:`run` returns.
     """
 
     def __init__(
@@ -73,20 +55,14 @@ class CampaignRunner:
         campaign: CampaignSpec,
         workers: int | None = None,
         out_dir: str | os.PathLike | None = None,
-        poll_seconds: float = 0.2,
-        batch_size: int | None = None,
         execution: str = "auto",
-        pool: WorkerPool | None = None,
     ) -> None:
         self.campaign = campaign
         self.workers = workers
         self.out_dir = os.fspath(out_dir) if out_dir else None
-        self.poll_seconds = poll_seconds
-        self.batch_size = batch_size
         self.execution = execution
-        self.pool = pool
         self._last_status: tuple | None = None
-        # Coordinator-side telemetry: dispatch/batch counters ride the
+        # Coordinator-side telemetry: dispatch/retry counters ride the
         # same bus/snapshot machinery as the simulated layers, so
         # `repro.study telemetry` tooling can attribute coordinator
         # overhead next to guest costs.
@@ -98,27 +74,16 @@ class CampaignRunner:
     # ------------------------------------------------------------ plan
 
     def plan(self) -> ExecutionPlan:
-        borrowed = self.pool is not None and self.pool.started
-        workers = self.workers
-        if workers is None and self.pool is not None:
-            workers = self.pool.workers
         return plan_execution(
-            self.campaign,
-            workers=workers,
-            batch_size=self.batch_size,
-            mode=self.execution,
-            pool_warm=borrowed,
-        )
+            self.campaign, workers=self.workers, mode=self.execution)
 
     # ------------------------------------------------------------- run
 
     def run(self) -> CampaignResult:
         t_start = time.perf_counter()
-        campaign = self.campaign
-        n = len(campaign.runs)
-        acc = ResultAccumulator(campaign)
+        n = len(self.campaign.runs)
+        acc = ResultAccumulator(self.campaign)
         plan = self.plan()
-        self._tel.counter("campaigns").inc()
         trace_dir = self._trace_dir()
 
         if n == 0:
@@ -181,148 +146,92 @@ class CampaignRunner:
         self, plan: ExecutionPlan, acc: ResultAccumulator,
         trace_dir: str | None,
     ) -> tuple[int, int]:
-        campaign = self.campaign
-        n = len(campaign.runs)
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = WorkerPool(plan.workers)
-        borrowed_warm = pool.started
-        pool.start()
-        spawned_before = pool.stats["spawned_total"]
+        """Submit every run to a spawn-context process pool.
 
-        key = campaign.spec_hash
-        campaign_json = campaign.to_json()
-        batches: deque = deque(
-            (bid, indices)
-            for bid, indices in enumerate(plan_batches(n, plan.batch_size)))
-        next_batch_id = len(batches)
-        inflight: dict[int, _BatchState] = {}
-        attempts = [0] * n
-        retries = 0
-        width = min(plan.workers, pool.workers)
+        At most ``plan.workers + 1`` runs are in flight, so one run
+        waits queued behind each busy worker and a requeued run never
+        lands behind the whole campaign.
+        """
+        # Imported here so in-process campaigns never load them (they
+        # add about 1 MB to the in-process peak RSS).
+        import multiprocessing
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
 
-        batches_c = self._tel.counter("batches_dispatched")
-        runs_c = self._tel.counter("runs_dispatched")
-        retry_c = self._tel.counter("batch_retries")
-        crash_c = self._tel.counter("workers_crashed")
+        runs = self.campaign.runs
+        attempts = [0] * len(runs)
+        pending = deque(range(len(runs)))
+        retries = spawned = 0
+        dispatched_c = self._tel.counter("runs_dispatched")
+        retry_c = self._tel.counter("run_retries")
+        rebuild_c = self._tel.counter("pool_rebuilds")
+        ctx = multiprocessing.get_context("spawn")
 
-        def resolve_death(w, crashed_index: int | None, error: str) -> None:
-            """A worker died mid-batch: retry its unfinished runs."""
-            nonlocal retries, next_batch_id
-            state = inflight.pop(w.assigned[1], None) if w.assigned else None
-            pool.mark_crashed(w)
-            crash_c.inc()
-            if state is None:
-                return
-            unfinished = [
-                i for i in state.indices
-                if i not in state.done and i not in acc]
-            if crashed_index is None:
-                # Silent death: no crash report attributes the kill, so
-                # every unfinished run in the batch is charged.
-                for i in unfinished:
-                    attempts[i] += 1
-            requeue = []
-            for i in unfinished:
-                if attempts[i] >= MAX_ATTEMPTS:
-                    acc.add(RunOutcome(
-                        index=i, label=campaign.runs[i].label,
-                        status="failed", attempts=attempts[i], error=error))
-                else:
-                    requeue.append(i)
-                    retries += 1
-            if requeue:
-                batches.append((next_batch_id, tuple(requeue)))
-                next_batch_id += 1
+        def charge(index: int, error: str) -> None:
+            """One failed attempt: requeue the run, or record it failed."""
+            nonlocal retries
+            attempts[index] += 1
+            if attempts[index] >= MAX_ATTEMPTS:
+                acc.add(RunOutcome(
+                    index=index, label=runs[index].label, status="failed",
+                    attempts=attempts[index], error=error))
+            else:
+                pending.append(index)
+                retries += 1
                 retry_c.inc()
-            # Keep enough fresh members to drain the remaining work.
-            deficit = min(width, len(batches) + len(inflight)) - len(
-                pool.live_workers())
-            for _ in range(max(0, deficit)):
-                pool.spawn_worker()
 
-        def dispatch() -> None:
-            for w in pool.idle_workers():
-                if not batches:
-                    return
-                bid, indices = batches.popleft()
-                pool.send_campaign(w, key, campaign_json, trace_dir)
-                pool.send_batch(w, key, bid, indices)
-                inflight[bid] = _BatchState(
-                    id=bid, indices=indices, worker=w.id)
-                batches_c.inc()
-                runs_c.inc(len(indices))
-
-        # A borrowed pool may carry dead members from earlier work.
-        deficit = min(width, len(batches)) - len(pool.live_workers())
-        for _ in range(max(0, deficit)):
-            pool.spawn_worker()
-
-        while not acc.complete:
-            dispatch()
-            self._write_status(
-                "running", acc, plan, retries,
-                spawned=pool.stats["spawned_total"])
+        while pending:
+            executor = ProcessPoolExecutor(plan.workers, mp_context=ctx)
+            inflight: dict = {}
+            submitted = 0
+            broken = False
             try:
-                msg = pool.result_q.get(timeout=self.poll_seconds)
-            except queue.Empty:
-                # No message in flight: any dead worker with an
-                # unresolved assignment died silently.
-                for w in pool.all_workers():
-                    if not w.dead and not w.proc.is_alive():
-                        resolve_death(
-                            w, None, "worker process died without a report")
-                continue
-            kind, wid = msg[0], msg[1]
-            w = pool.worker(wid)
-            if kind in ("run", "batch_done", "crash") and msg[2] != key:
-                # Stale message from a previous campaign, buffered on a
-                # borrowed pool (e.g. the silent-death duplicate race
-                # below): another campaign's outcome must never land in
-                # this accumulator, and its crash index may not even
-                # exist in this spec.  Worker-level state is still
-                # real, though -- a finished old batch frees the
-                # worker, and a crashed worker is dead whichever
-                # campaign poisoned it.
-                if kind == "batch_done":
-                    w.assigned = None
-                elif kind == "crash" and not w.dead:
-                    pool.mark_crashed(w)
-                    crash_c.inc()
-                    deficit = min(width, len(batches) + len(inflight)) - len(
-                        pool.live_workers())
-                    for _ in range(max(0, deficit)):
-                        pool.spawn_worker()
-                continue
-            if kind == "run":
-                outcome = msg[4]
-                if outcome.index in acc:  # pragma: no cover - late twin
-                    # A silently-dying worker's buffered outcome can race
-                    # its own death resolution; the retry's result (bit
-                    # -identical by construction) already landed.
-                    continue
-                attempts[outcome.index] += 1
-                outcome.attempts = attempts[outcome.index]
-                acc.add(outcome)
-                state = inflight.get(msg[3])
-                if state is not None:
-                    state.done.add(outcome.index)
-            elif kind == "batch_done":
-                inflight.pop(msg[3], None)
-                w.assigned = None
-            elif kind == "crash":
-                _, _, _, batch_id, index, error = msg
-                attempts[index] += 1
-                resolve_death(w, index, error)
-
-        pool.stats["campaigns_served"] += 1
-        spawned = pool.stats["spawned_total"] - (
-            spawned_before if borrowed_warm else 0)
-        if owned:
-            pool.close()
-        self._pool_stats = dict(pool.stats)
-        self._pool_stats["reused"] = borrowed_warm
+                while inflight or (pending and not broken):
+                    while (pending and not broken
+                           and len(inflight) <= plan.workers):
+                        index = pending[0]
+                        try:
+                            future = executor.submit(
+                                execute_run, index, runs[index], trace_dir)
+                        except BrokenProcessPool:
+                            broken = True
+                            break
+                        inflight[future] = pending.popleft()
+                        submitted += 1
+                        dispatched_c.inc()
+                    # Once broken, nothing more is submitted and every
+                    # in-flight future fails promptly; the loop drains
+                    # them before the executor is rebuilt.
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                    for future in sorted(done, key=inflight.get):
+                        index = inflight.pop(future)
+                        error = future.exception()
+                        if error is None:
+                            outcome = future.result()
+                            attempts[index] += 1
+                            outcome.attempts = attempts[index]
+                            acc.add(outcome)
+                        elif isinstance(error, BrokenProcessPool):
+                            # A worker died without a report: nothing
+                            # says which run killed it, so every run in
+                            # flight is charged.
+                            broken = True
+                            charge(index,
+                                   "worker process died without a report")
+                        else:
+                            charge(index, f"{type(error).__name__}: {error}")
+                    self._write_status(
+                        "running", acc, plan, retries,
+                        spawned=spawned + min(plan.workers, submitted))
+            finally:
+                executor.shutdown(cancel_futures=True)
+                spawned += min(plan.workers, submitted)
+            if broken:
+                rebuild_c.inc()
         return retries, spawned
 
     # ------------------------------------------------------- artifacts
@@ -387,7 +296,6 @@ class CampaignRunner:
             "spec_hash": self.campaign.spec_hash,
             "state": state,
             "mode": plan.mode,
-            "batch_size": plan.batch_size,
             "total": len(self.campaign.runs),
             "done": acc.done,
             "failed": failed,
@@ -406,7 +314,7 @@ class CampaignRunner:
         retries: int,
         t_start: float,
     ) -> dict:
-        host = {
+        return {
             "workers": plan.workers,
             "spawned_workers": spawned,
             "retries": retries,
@@ -414,22 +322,15 @@ class CampaignRunner:
             "plan": plan.to_dict(),
             "coordinator_telemetry": self.bus.snapshot_typed(),
         }
-        pool_stats = getattr(self, "_pool_stats", None)
-        if pool_stats is not None:
-            host["pool"] = pool_stats
-        return host
 
 
 def run_campaign(
     campaign: CampaignSpec,
     workers: int | None = None,
     out_dir: str | os.PathLike | None = None,
-    batch_size: int | None = None,
     execution: str = "auto",
-    pool: WorkerPool | None = None,
 ) -> CampaignResult:
     """Convenience one-shot wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(
-        campaign, workers=workers, out_dir=out_dir,
-        batch_size=batch_size, execution=execution, pool=pool,
+        campaign, workers=workers, out_dir=out_dir, execution=execution,
     ).run()

@@ -1,18 +1,18 @@
 """Campaign run execution: one spec, one fresh simulated kernel.
 
 :func:`execute_run` is the single execution path shared by every
-campaign strategy -- the worker pool's batch loop
-(:mod:`repro.campaign.pool`), the adaptive in-process fallback in the
-coordinator, and direct use from tests and notebooks.  Each run gets a
-**fresh** :class:`~repro.kernel.kernel.Kernel` (no simulated state
-crosses runs -- only the host-side softfloat memo, which is
-architecturally invisible), and returns a compact, picklable
-:class:`RunOutcome`.
+campaign strategy -- the task each pool worker runs (submitted by
+:class:`~repro.campaign.runner.CampaignRunner`), the adaptive
+in-process fallback in the coordinator, and direct use from tests and
+notebooks.  Each run gets a **fresh**
+:class:`~repro.kernel.kernel.Kernel` (no simulated state crosses runs
+-- only the host-side softfloat memo, which is architecturally
+invisible), and returns a compact, picklable :class:`RunOutcome`.
 
 Exceptions escaping a run are deliberately left to propagate: the pool
-worker treats them as poisoning its interpreter (crash message, exit,
-batch retried on a fresh member), the in-process path treats them as a
-retryable structured failure, and a direct caller sees a test failure.
+and in-process paths both treat them as a retryable structured failure
+(the pool ships the exception back from the worker), and a direct
+caller sees a test failure.
 """
 
 from __future__ import annotations

@@ -347,7 +347,6 @@ def _cmd_campaign_run(args) -> int:
         campaign,
         workers=args.workers,
         out_dir=args.out,
-        batch_size=args.batch_size,
         execution=args.execution,
     )
     result = runner.run()
@@ -356,8 +355,7 @@ def _cmd_campaign_run(args) -> int:
     host = result.host
     plan = host["plan"]
     print()
-    print(f"execution: {plan['mode']} ({plan['reason']}), "
-          f"batch size {plan['batch_size']}")
+    print(f"execution: {plan['mode']} ({plan['reason']})")
     print(f"workers: {host['workers']} requested, "
           f"{host['spawned_workers']} spawned, {host['retries']} retr"
           f"{'y' if host['retries'] == 1 else 'ies'}")
@@ -823,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="force the execution mode (default: the "
                            "planner weighs pool standing cost against "
                            "estimated campaign cost)")
-    crun.add_argument("--batch-size", dest="batch_size", type=int,
-                      default=None,
-                      help="runs per dispatched batch (default: planned "
-                           "from campaign size and worker count)")
     crun.set_defaults(fn=_cmd_campaign_run)
 
     cstat = campsub.add_parser(
@@ -879,14 +873,14 @@ def build_parser() -> argparse.ArgumentParser:
     cshut.set_defaults(fn=_cmd_campaign_shutdown)
 
     srv = sub.add_parser(
-        "serve", help="run the long-lived campaign daemon (worker pool "
-                      "+ job queue + HTTP API)")
+        "serve", help="run the long-lived campaign daemon (job queue "
+                      "+ HTTP API)")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
     srv.add_argument("--data-dir", dest="data_dir", default="campaignd",
                      help="jobs and the artifact store live here")
     srv.add_argument("--workers", type=int, default=None,
-                     help="pool width (default: planner-chosen per job)")
+                     help="pool width per job (default: planner-chosen)")
     srv.set_defaults(fn=_cmd_serve)
 
     trc = sub.add_parser(

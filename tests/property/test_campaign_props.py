@@ -48,7 +48,7 @@ def _baseline_report() -> str:
 
 
 def _shard(n_runs: int, workers: int) -> list[list[int]]:
-    """Round-robin assignment, mirroring the coordinator's dispatch."""
+    """Round-robin assignment of runs to workers' FIFO streams."""
     queues: list[list[int]] = [[] for _ in range(workers)]
     for i in range(n_runs):
         queues[i % workers].append(i)
@@ -83,47 +83,6 @@ def test_report_bytes_invariant_under_sharding_and_completion_order(
     assert result.report_text == _baseline_report()
     assert [o.index for o in result.outcomes] == list(
         range(len(CAMPAIGN.runs)))
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    workers=st.integers(min_value=1, max_value=6),
-    batch_size=st.integers(min_value=1, max_value=6),
-    data=st.data(),
-)
-def test_report_bytes_invariant_under_batched_dispatch(
-    workers, batch_size, data
-):
-    """The batched pool dispatch preserves the byte-identity contract.
-
-    Batches are the real scheduler's unit of work: this replays the
-    planner's contiguous batch split for an arbitrary ``(workers,
-    batch_size)``, delivers whole batches in an arbitrary interleaving
-    (runs stream in order *within* a batch, exactly as a pool worker
-    emits them), and asserts the rendered report never moves."""
-    from repro.campaign import plan_batches
-
-    batches = [list(b) for b in plan_batches(len(CAMPAIGN.runs), batch_size)]
-    assert sorted(i for b in batches for i in b) == list(
-        range(len(CAMPAIGN.runs)))
-    # Deal batches round-robin to workers, then interleave the workers'
-    # result streams: each draw picks which worker delivers next.
-    streams = [[] for _ in range(min(workers, len(batches)) or 1)]
-    for bid, batch in enumerate(batches):
-        streams[bid % len(streams)].extend(batch)
-    order: list[int] = []
-    cursors = [0] * len(streams)
-    while len(order) < len(CAMPAIGN.runs):
-        ready = [w for w, s in enumerate(streams) if cursors[w] < len(s)]
-        w = data.draw(st.sampled_from(ready), label="next worker")
-        order.append(streams[w][cursors[w]])
-        cursors[w] += 1
-
-    outcomes = _outcomes()
-    acc = ResultAccumulator(CAMPAIGN)
-    for index in order:
-        acc.add(outcomes[index])
-    assert acc.merge().report_text == _baseline_report()
 
 
 @settings(deadline=None, max_examples=25)

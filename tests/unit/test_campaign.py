@@ -146,6 +146,10 @@ def test_parallel_report_matches_serial_and_artifacts(tmp_path):
     assert status["done"] == len(TINY.runs)
     result = json.loads((out / "campaign.json").read_text())
     assert result["deterministic"]["campaign"] == "tiny"
+    # The worker-count half of the determinism contract.
+    for workers in (1, 3):
+        pooled = run_campaign(TINY, workers=workers, execution="pool")
+        assert pooled.report_text == serial.report_text
 
 
 def test_poisoned_spec_retried_once_then_failed_structured(tmp_path):

@@ -1,6 +1,7 @@
 """Campaign daemon tests: job lifecycle, dedup, admission, HTTP API."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -222,19 +223,22 @@ def test_http_artifact_rejects_path_escapes(http_daemon):
     assert exc.value.code == 404
 
 
-def test_daemon_pool_sized_for_daemon_lifetime_not_first_job(
-        tmp_path, monkeypatch):
-    """The standing pool must not be capped at the first job's planned
-    width; later, wider jobs share the same pool."""
-    import os
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    daemon = CampaignDaemon(tmp_path / "d", autostart=False)
-    try:
-        pool = daemon._ensure_pool(1)
-        assert pool.workers == 3
-    finally:
-        daemon.shutdown()
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_http_post_rejects_bad_content_length(http_daemon, length):
+    """A non-integer or negative Content-Length is a 400, not a dropped
+    connection or a handler blocked reading to EOF."""
+    _daemon, _server, url = http_daemon
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /submit HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400")
+    assert "Content-Length" in json.loads(body)["error"]
 
 
 def test_http_shutdown_stops_server(tmp_path):

@@ -1,31 +1,29 @@
-"""Worker pool, execution planner, and artifact store tests.
+"""Process pool, execution planner, and artifact store tests.
 
-The multiprocessing lifecycle tests force ``execution="pool"``: on a
-small CI host the planner would (correctly) pick in-process mode, and
-these tests exist precisely to exercise the real pool machinery --
-spawn-once reuse, bounded shutdown, and crash retry at batch
-granularity.
+The multiprocessing tests force ``execution="pool"``: on a small CI
+host the planner would (correctly) pick in-process mode, and these
+tests exist precisely to exercise the real pool path -- shutdown with
+no surviving children, retry of a raising run, and recovery from a
+worker killed mid-run.
 """
 
+import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.campaign import (
     ArtifactStore,
-    CampaignRunner,
     CampaignSpec,
     RunSpec,
-    WorkerPool,
-    plan_batches,
     plan_execution,
     run_campaign,
-    smoke_campaign,
 )
-from repro.campaign.planner import MAX_BATCH, SPAWN_SECONDS
+from repro.campaign.planner import SPAWN_SECONDS
 from repro.campaign.runner import MAX_ATTEMPTS
 
 TINY = CampaignSpec(
@@ -39,15 +37,6 @@ TINY = CampaignSpec(
 
 
 # -------------------------------------------------------------- planner
-
-def test_plan_batches_partitions_contiguously():
-    assert plan_batches(7, 3) == [(0, 1, 2), (3, 4, 5), (6,)]
-    assert plan_batches(0, 4) == []
-    assert plan_batches(2, 16) == [(0, 1)]
-    for n, bs in [(1, 1), (9, 2), (27, 5)]:
-        flat = [i for b in plan_batches(n, bs) for i in b]
-        assert flat == list(range(n))
-
 
 def test_plan_forced_modes_and_degenerate_campaigns():
     assert plan_execution(TINY, workers=4, mode="pool").mode == "pool"
@@ -84,41 +73,8 @@ def test_plan_weighs_standing_cost_against_parallel_win():
     assert plan.mode == "pool"
     assert plan.est_total_seconds > 4 * SPAWN_SECONDS
 
-    # A warm pool has no standing cost left to amortize.
-    warm = plan_execution(TINY, workers=4, cpu_count=8, pool_warm=True)
-    assert warm.mode == "pool"
 
-
-def test_plan_batch_size_scales_with_campaign_and_is_capped():
-    big = CampaignSpec(
-        name="big",
-        runs=tuple(
-            RunSpec(app="Miniaero", mode="aggregate", scale=4.0)
-            for _ in range(600)),
-    )
-    plan = plan_execution(big, workers=2, cpu_count=8)
-    assert plan.mode == "pool"
-    assert plan.batch_size == MAX_BATCH
-    forced = plan_execution(big, workers=2, cpu_count=8, batch_size=5)
-    assert forced.batch_size == 5
-    assert forced.batches == 120
-
-
-# ------------------------------------------------------- pool lifecycle
-
-def test_pool_reuse_across_campaigns_zero_reloads():
-    """The tentpole contract: spawn once, serve many."""
-    with WorkerPool(2) as pool:
-        first = CampaignRunner(TINY, execution="pool", pool=pool).run()
-        spawned_after_first = pool.stats["spawned_total"]
-        second = CampaignRunner(TINY, execution="pool", pool=pool).run()
-
-        # Zero new spawns for campaign two.
-        assert pool.stats["spawned_total"] == spawned_after_first == 2
-        assert pool.stats["campaigns_served"] == 2
-        assert second.host["pool"]["reused"] is True
-    assert first.report_text == second.report_text
-
+# ------------------------------------------------------------- pool
 
 def _child_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
@@ -127,110 +83,92 @@ def _child_pids() -> set[int]:
 def test_owned_pool_closed_after_campaign():
     before = _child_pids()
     pooled = run_campaign(TINY, workers=2, execution="pool")
-    assert pooled.host["pool"]["reused"] is False
-    assert pooled.host["pool"]["spawned_total"] == 2
-    # The runner closes the pool it owns: no worker outlives the call.
+    assert pooled.host["spawned_workers"] == 2
+    # The runner shuts its executor down: no worker outlives the call.
     assert _child_pids() <= before
     inproc = run_campaign(TINY, workers=1)
     assert pooled.report_text == inproc.report_text
 
 
-def test_crash_mid_batch_retries_unfinished_on_fresh_member(tmp_path):
-    """A poisoned run kills its worker mid-batch; the batch's unfinished
-    runs are retried on a fresh pool member, and only the run that
-    demonstrably crashed is charged attempts."""
+def test_raising_run_retried_in_pool_then_failed(tmp_path):
+    """A run that raises is charged one attempt per try and fails
+    structured at ``MAX_ATTEMPTS``; its neighbours run once."""
     poisoned = CampaignSpec(
         name="poisoned",
         runs=(
             RunSpec(app="Miniaero", mode="aggregate", scale=0.1),
-            RunSpec(app="NotAnApp"),  # poisons its worker
+            RunSpec(app="NotAnApp"),  # raises in the worker
             RunSpec(app="WRF", mode="sampled", scale=0.1),
         ),
     )
-    # One worker, one batch of three: the crash leaves run 2 unstarted.
     result = run_campaign(
-        poisoned, workers=1, out_dir=tmp_path,
-        execution="pool", batch_size=3)
+        poisoned, workers=1, out_dir=tmp_path, execution="pool")
     first, bad, last = result.outcomes
     assert first.status == "ok" and first.attempts == 1
     assert bad.status == "failed"
     assert bad.attempts == MAX_ATTEMPTS  # first try + one retry, then fail
-    # The innocent never-started run is re-dispatched WITHOUT being
-    # charged: it must complete with attempts == 1.
+    assert "unknown campaign target" in bad.error
     assert last.status == "ok" and last.attempts == 1
-    # Every crash spawned a fresh member: initial 1 + 2 replacements.
-    assert result.host["pool"]["spawned_total"] == 3
-    assert result.host["pool"]["crashed_total"] == 2
+    # A raising run leaves its worker alive: one executor, one spawn.
+    assert result.host["spawned_workers"] == 1
+    assert result.host["retries"] == MAX_ATTEMPTS - 1
     pool_tel = result.host["telemetry"]["scopes"]["campaign.pool"]
-    assert pool_tel["workers_crashed"] == 2
-    assert pool_tel["batch_retries"] == 2
+    assert pool_tel["run_retries"] == MAX_ATTEMPTS - 1
+    assert pool_tel["pool_rebuilds"] == 0
 
 
-#: Upper bound for a pool shutdown with no busy worker: the quit
-#: message plus interpreter teardown, far below close()'s own timeout.
-CLOSE_BOUND_SECONDS = 4.0
+#: A run slow enough (~1 s) that a kill aimed at it lands mid-run.
+SLOW_RUN = RunSpec(app="LAGHOS", mode="aggregate", scale=3.0)
 
 
-def _assert_closed_promptly(pool: WorkerPool) -> None:
-    t0 = time.monotonic()
-    pool.close()
-    assert time.monotonic() - t0 < CLOSE_BOUND_SECONDS
-    assert not pool.started
-    assert all(not w.proc.is_alive() for w in pool.all_workers())
-    assert not _child_pids() & {w.proc.pid for w in pool.all_workers()}
+def test_worker_sigkilled_mid_run_rebuilds_pool(tmp_path):
+    """A worker killed while a run executes breaks the executor: every
+    run in flight is charged one attempt and requeued on a fresh
+    executor, and the merged report still matches an undisturbed run."""
+    spec = CampaignSpec(
+        name="killed",
+        runs=(TINY.runs[0], SLOW_RUN, TINY.runs[2]),
+    )
+    before = _child_pids()
+    box = {}
+    runner = threading.Thread(target=lambda: box.update(result=run_campaign(
+        spec, workers=1, out_dir=tmp_path, execution="pool")))
+    runner.start()
+    # Run 0 reporting back means the worker has moved on to the slow
+    # run 1, with run 2 queued behind it (workers + 1 in flight).
+    status = tmp_path / "status.json"
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        try:
+            if json.loads(status.read_text())["done"] >= 1:
+                break
+        except (OSError, ValueError):
+            pass
+        time.sleep(0.01)
+    else:
+        pytest.fail("run 0 never reported back")
+    time.sleep(0.1)  # let the coordinator submit run 2 behind run 1
+    (victim,) = _child_pids() - before
+    os.kill(victim, signal.SIGKILL)
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    result = box["result"]
 
-
-def test_close_clean_pool_is_bounded_and_leaves_no_children():
-    pool = WorkerPool(2).start()
-    CampaignRunner(TINY, execution="pool", pool=pool).run()
-    _assert_closed_promptly(pool)
-
-
-def test_close_after_idle_worker_sigkilled():
-    """A worker killed while idle never answers quit; close must not
-    wait on it, and must still reap the survivor."""
-    pool = WorkerPool(2).start()
-    CampaignRunner(TINY, execution="pool", pool=pool).run()
-    victim = pool.idle_workers()[0]
-    os.kill(victim.proc.pid, signal.SIGKILL)
-    victim.proc.join(timeout=10)
-    assert not victim.proc.is_alive()
-    _assert_closed_promptly(pool)
-
-
-def test_borrowed_pool_drops_stale_campaign_messages(tmp_path):
-    """Buffered messages keyed to a previous campaign (the silent-death
-    duplicate race) must never land in the next campaign's accumulator
-    -- and a stale crash index may not even exist in the new spec."""
-    from repro.campaign.worker import RunOutcome
-
-    with WorkerPool(2) as pool:
-        first = CampaignRunner(TINY, execution="pool", pool=pool).run()
-        w = pool.all_workers()[0]
-        stale = RunOutcome(index=0, label="stale", status="ok")
-        pool.result_q.put(("run", w.id, "stale-key", 99, stale))
-        pool.result_q.put(("crash", w.id, "stale-key", 99, 999, "boom"))
-        pool.result_q.put(("batch_done", w.id, "stale-key", 99))
-        second = CampaignRunner(TINY, execution="pool", pool=pool).run()
-    assert second.report_text == first.report_text
-    assert all(o.status == "ok" for o in second.outcomes)
-
-
-def test_pool_rejects_use_after_close():
-    pool = WorkerPool(1).start()
-    pool.close()
-    assert not pool.started
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.start()
-    # close is idempotent
-    pool.close()
+    assert [o.status for o in result.outcomes] == ["ok"] * 3
+    assert [o.attempts for o in result.outcomes] == [1, 2, 2]
+    pool_tel = result.host["telemetry"]["scopes"]["campaign.pool"]
+    assert pool_tel["pool_rebuilds"] == 1
+    assert result.host["spawned_workers"] == 2
+    assert _child_pids() <= before
+    undisturbed = run_campaign(spec, workers=1, execution="inprocess")
+    assert result.report_text == undisturbed.report_text
 
 
 def test_pool_mode_emits_dispatch_telemetry():
-    result = run_campaign(TINY, workers=2, execution="pool", batch_size=1)
+    result = run_campaign(TINY, workers=2, execution="pool")
     tel = result.host["telemetry"]["scopes"]["campaign.pool"]
-    assert tel["batches_dispatched"] == len(TINY.runs)
     assert tel["runs_dispatched"] == len(TINY.runs)
+    assert tel["run_retries"] == tel["pool_rebuilds"] == 0
 
 
 def test_inprocess_mode_emits_run_counter():
