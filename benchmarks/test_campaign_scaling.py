@@ -44,7 +44,7 @@ MIN_FALLBACK_RATIO = 0.95
 #: Campaign scale: ~3s serial with a ~0.7s critical-path run, so the
 #: sweep finishes quickly while leaving real parallelism to expose.
 CAMPAIGN_SCALE = 0.3
-#: Saturation burst: distinct jobs (different seeds defeat dedup).
+#: Saturation burst: jobs queued back-to-back, one seed each.
 SATURATION_JOBS = 6
 
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
@@ -181,13 +181,11 @@ def test_campaign_daemon_saturation(benchmark, tmp_path):
     base = figbench_campaign(scale=0.1, seed=BENCH_SEED)
 
     def saturate():
-        daemon = CampaignDaemon(
-            tmp_path / "daemon", max_pending_per_submitter=SATURATION_JOBS)
+        daemon = CampaignDaemon(tmp_path / "daemon").start()
         try:
             t0 = time.perf_counter()
             tickets = [
-                daemon.submit(base.with_overrides(seed=BENCH_SEED + i),
-                              submitter="bench")
+                daemon.submit(base.with_overrides(seed=BENCH_SEED + i))
                 for i in range(SATURATION_JOBS)
             ]
             deadline = time.monotonic() + 600

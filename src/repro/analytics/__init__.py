@@ -1,10 +1,10 @@
 """Cross-campaign analytics: figures, dashboards, regression diffing.
 
-This package turns campaign artifacts (``campaign.json`` and friends),
-``BENCH_*.json`` perf history, and daemon operational stats into the
-paper's evaluation figures and fleet/trajectory dashboards -- each one
-a Vega-Lite spec plus a companion CSV, rendered into a self-contained
-static HTML index.  Three figure groups:
+This package turns campaign artifacts (``campaign.json`` and friends,
+including a daemon job's ``manifest.json``) and ``BENCH_*.json`` perf
+history into the paper's evaluation figures and fleet/trajectory
+dashboards -- each one a Vega-Lite spec plus a companion CSV, rendered
+into a self-contained static HTML index.  Three figure groups:
 
 * ``paper``      -- the Figure 6-19 family regenerated offline from a
   campaign directory, sharing extraction code with the live

@@ -5,12 +5,12 @@ one campaign, this group compares *fleets* of campaign directories:
 per-workload event rates, kill sites, the provenance-coil league
 table, flight-recorder retention, and daemon job statistics.
 
-Everything except the daemon views reads the deterministic campaign
-section only, so those frames diff cleanly against committed
-baselines.  The daemon views (job table, admission counters) describe
-a particular service instance -- inherently host- and order-dependent
--- and are registered ``diffable=False`` so ``figures diff`` leaves
-them out of the regression gate.
+Everything except the daemon job table reads the deterministic
+campaign section only, so those frames diff cleanly against committed
+baselines.  The job table describes a particular daemon's jobs --
+inherently host- and order-dependent -- and is registered
+``diffable=False`` so ``figures diff`` leaves it out of the regression
+gate.
 """
 
 from __future__ import annotations
@@ -148,30 +148,4 @@ def fleet_daemon_jobs(ctx) -> Figure | None:
     spec = vega.bar(
         frame, x="job", y="runs", color="campaign",
         title="Runs per daemon job")
-    return Figure(frame=frame, spec=spec)
-
-
-@register_figure(
-    "fleet_daemon_admission", group="fleet",
-    title="Daemon admission, dedup, and endpoint counters",
-    diffable=False)
-def fleet_daemon_admission(ctx) -> Figure | None:
-    """Live service counters (``GET /stats`` snapshot required)."""
-    stats = ctx.daemon_stats
-    if not stats:
-        return None
-    frame = Frame(columns=("counter", "value"))
-    for key, value in sorted((stats.get("counters") or {}).items()):
-        frame.append(counter=key, value=value)
-    for key in ("queue_depth", "uptime_seconds", "busy_seconds",
-                "runs_completed"):
-        if key in stats:
-            frame.append(counter=key, value=stats[key])
-    for endpoint, n in sorted((stats.get("http_requests") or {}).items()):
-        frame.append(counter=f"http {endpoint}", value=n)
-    if not frame.rows:
-        return None
-    spec = vega.bar(
-        frame, x="counter", y="value",
-        title="Campaign daemon service counters")
     return Figure(frame=frame, spec=spec)

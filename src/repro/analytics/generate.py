@@ -45,7 +45,6 @@ class AnalyticsContext:
 
     campaigns: list[CampaignData] = field(default_factory=list)
     bench: list[BenchRecord] = field(default_factory=list)
-    daemon_stats: dict | None = None
 
     @property
     def campaign(self) -> CampaignData | None:
@@ -53,13 +52,10 @@ class AnalyticsContext:
         return self.campaigns[0] if self.campaigns else None
 
 
-def build_context(
-    campaign_dirs=(), bench_paths=(), daemon_stats: dict | None = None,
-) -> AnalyticsContext:
+def build_context(campaign_dirs=(), bench_paths=()) -> AnalyticsContext:
     return AnalyticsContext(
         campaigns=load_campaigns(campaign_dirs),
         bench=load_bench_history(bench_paths),
-        daemon_stats=daemon_stats,
     )
 
 

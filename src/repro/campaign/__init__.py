@@ -11,9 +11,9 @@ merge -- the merged report is byte-identical for any ``--workers`` and
 state from one invocation to the next.  An amortization-aware planner
 (:mod:`repro.campaign.planner`) degrades to in-process execution when
 the host cannot win; a campaign daemon
-(:class:`~repro.campaign.daemon.CampaignDaemon`) serves sustained
-submissions behind an async job queue with spec-hash dedup, a
-content-addressed artifact store, and per-submitter admission control.
+(:class:`~repro.campaign.daemon.CampaignDaemon`) runs submitted
+campaigns one after another from a bounded FIFO queue behind a small
+HTTP API.
 
 Entry points: ``python -m repro.study campaign run/status`` and
 ``python -m repro.study serve`` /
@@ -25,7 +25,6 @@ line, :func:`run_campaign` / :class:`CampaignRunner` /
 """
 
 from repro.campaign.artifacts import (
-    ArtifactStore,
     write_bytes_atomic,
     write_json_atomic,
     write_text_atomic,
@@ -52,7 +51,6 @@ from repro.campaign.worker import RunOutcome, execute_run
 
 __all__ = [
     "AdmissionError",
-    "ArtifactStore",
     "BUILTIN_CAMPAIGNS",
     "CampaignDaemon",
     "CampaignResult",

@@ -1,4 +1,4 @@
-"""Atomic artifact writes and the content-addressed artifact store.
+"""Atomic artifact writes.
 
 Campaign status files are rewritten while workers run, benchmark JSON is
 rewritten by every CI job, and any of those writers can be interrupted
@@ -7,23 +7,13 @@ see a torn file, so every artifact in this repo goes through these
 helpers: the bytes land in a temp file in the destination directory,
 then one ``os.replace`` makes them visible -- which POSIX guarantees is
 atomic within a filesystem.
-
-:class:`ArtifactStore` layers content addressing on top: the campaign
-daemon serves many jobs whose outputs largely repeat (identical specs
-produce byte-identical reports and span blobs), so job artifacts are
-stored once under their sha256 and referenced from per-job manifests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import re
 import tempfile
-
-#: The only names objects are stored under: lowercase sha256 hex.
-_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def write_bytes_atomic(path: str | os.PathLike, data: bytes) -> None:
@@ -60,66 +50,3 @@ def write_json_atomic(
     """Atomically write ``obj`` as JSON with a trailing newline."""
     write_text_atomic(
         path, json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n")
-
-
-class ArtifactStore:
-    """Content-addressed blob store (``objects/<aa>/<sha256>``).
-
-    ``put_bytes`` is idempotent: storing bytes that are already present
-    touches nothing and counts a dedup hit.  Writes go through
-    :func:`write_bytes_atomic`, so a concurrent duplicate ``put`` is
-    harmless -- both land the same bytes under the same name.
-    """
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = os.fspath(root)
-        self.stats = {"objects": 0, "bytes": 0, "dedup_hits": 0,
-                      "dedup_bytes": 0}
-        # Recount on open so a store reused across daemon restarts
-        # reports cumulative occupancy, not just this process's writes.
-        objects = os.path.join(self.root, "objects")
-        if os.path.isdir(objects):
-            for shard in os.listdir(objects):
-                shard_dir = os.path.join(objects, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                for name in os.listdir(shard_dir):
-                    self.stats["objects"] += 1
-                    self.stats["bytes"] += os.path.getsize(
-                        os.path.join(shard_dir, name))
-
-    def _path(self, digest: str) -> str:
-        # Digests come in from untrusted callers (the daemon's HTTP
-        # /artifact endpoint); anything that is not exactly a lowercase
-        # sha256 hex string must never reach os.path.join, or an
-        # absolute path / ``../`` sequence would escape the store root.
-        if not isinstance(digest, str) or not _DIGEST_RE.fullmatch(digest):
-            raise FileNotFoundError(f"not an artifact digest: {digest!r}")
-        return os.path.join(self.root, "objects", digest[:2], digest)
-
-    def put_bytes(self, data: bytes) -> str:
-        """Store ``data``; return its sha256 hex digest."""
-        digest = hashlib.sha256(data).hexdigest()
-        path = self._path(digest)
-        if os.path.exists(path):
-            self.stats["dedup_hits"] += 1
-            self.stats["dedup_bytes"] += len(data)
-        else:
-            write_bytes_atomic(path, data)
-            self.stats["objects"] += 1
-            self.stats["bytes"] += len(data)
-        return digest
-
-    def put_file(self, path: str | os.PathLike) -> str:
-        with open(path, "rb") as fh:
-            return self.put_bytes(fh.read())
-
-    def has(self, digest: str) -> bool:
-        try:
-            return os.path.exists(self._path(digest))
-        except FileNotFoundError:
-            return False
-
-    def get(self, digest: str) -> bytes:
-        with open(self._path(digest), "rb") as fh:
-            return fh.read()

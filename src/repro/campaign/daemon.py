@@ -1,20 +1,24 @@
-"""The campaign daemon: a long-running job queue in front of the runner.
+"""The campaign daemon: a job queue in front of the runner.
 
 ``python -m repro.study serve`` keeps a :class:`CampaignDaemon` alive so
 clients can submit campaign specs over a tiny HTTP API, poll job status,
 and fetch results.  Each job is one :func:`~repro.campaign.run_campaign`
-call, planned exactly as the command line plans it (in-process, or a
-process pool that lives for that job).  Identical submissions are
-deduplicated by spec hash and their artifacts stored content-addressed
-(:class:`repro.campaign.artifacts.ArtifactStore`), so a CI fleet
-re-submitting the same figure campaign pays for it once.
+call into ``<data dir>/jobs/<id>``, planned exactly as the command line
+plans it (in-process, or a process pool that lives for that job).  A
+finished job's ``manifest.json`` lists its files by relative name, and
+``GET /artifact`` serves exactly those names.
 
 Concurrency model: submissions are accepted from any number of HTTP
-threads, but jobs execute **serially** on one scheduler thread --
-run-level parallelism inside a job already saturates the host.
-Admission control therefore bounds the *queue*, not the executor: a
-full queue returns 503, a submitter over their pending quota returns
-429.
+threads, but jobs execute **serially**, in submission order, on one
+scheduler thread -- run-level parallelism inside a job already
+saturates the host.  The queue is bounded (:data:`MAX_QUEUE`): a full
+queue or a stopping daemon answers 503.  A job whose campaign raises
+ends in state ``error`` and is counted in ``failed_jobs``; the queue
+moves on.
+
+Every submission passes :meth:`CampaignDaemon._coerce`, the one
+boundary for outside input: builtin names, overrides and inline run
+fields are checked there, and anything else is a 400.
 
 Everything here is stdlib (``http.server``, ``threading``, ``urllib``)
 -- the daemon must work in the same no-new-dependencies environment as
@@ -24,19 +28,63 @@ the rest of the repo.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 from collections import deque
 
-from repro.campaign.artifacts import ArtifactStore, write_json_atomic
+from repro.campaign.artifacts import write_json_atomic
 from repro.campaign.runner import REPORT_FILE, run_campaign
-from repro.campaign.spec import CampaignSpec, build_campaign
+from repro.campaign.spec import (
+    BUILTIN_CAMPAIGNS,
+    PASS_NAMES,
+    CampaignSpec,
+    RunSpec,
+)
+from repro.study.targets import TARGET_NAMES
 
-#: Queue-wide admission bound: beyond this, every submit gets 503.
+#: Queue bound: beyond this many queued jobs, every submit gets 503.
 MAX_QUEUE = 64
-#: Per-submitter pending bound: beyond this, that submitter gets 429.
-MAX_PENDING_PER_SUBMITTER = 4
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_scale(v) -> bool:
+    if _is_int(v):
+        return v > 0
+    return isinstance(v, float) and math.isfinite(v) and v > 0
+
+
+#: What a submitted run field must satisfy.  The campaign-wide overrides
+#: of a ``{"builtin": ...}`` submission are the last four.
+_RUN_FIELDS = {
+    "app": lambda v: isinstance(v, str) and v in TARGET_NAMES,
+    "mode": lambda v: isinstance(v, str) and v in PASS_NAMES,
+    "variant": lambda v: isinstance(v, str),
+    "scale": _is_scale,
+    "seed": _is_int,
+    "telemetry": _is_bool,
+    "tracing": _is_bool,
+}
+_OVERRIDES = ("scale", "seed", "telemetry", "tracing")
+
+
+def _check_fields(fields, allowed, where: str) -> None:
+    if not isinstance(fields, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key, value in fields.items():
+        if key not in allowed:
+            raise ValueError(
+                f"{where}: unknown field {key!r}; choose from {allowed}")
+        if not _RUN_FIELDS[key](value):
+            raise ValueError(f"{where}: invalid {key} {value!r}")
 
 
 class AdmissionError(RuntimeError):
@@ -49,35 +97,24 @@ class AdmissionError(RuntimeError):
 
 
 class CampaignDaemon:
-    """Job queue + scheduler + artifact store around the campaign runner.
+    """Job queue + scheduler around the campaign runner.
 
     Usable directly from Python (tests, the saturation benchmark) or
-    through :func:`serve_http`.  ``autostart=False`` leaves the
-    scheduler thread unstarted so tests can fill the queue and observe
-    admission control deterministically; call :meth:`start` to begin
-    executing.
+    through :func:`serve_http`.  The scheduler thread starts only on
+    :meth:`start`, so submissions made before it stay queued.
     """
 
     def __init__(
-        self,
-        data_dir: str | os.PathLike,
-        workers: int | None = None,
-        max_queue: int = MAX_QUEUE,
-        max_pending_per_submitter: int = MAX_PENDING_PER_SUBMITTER,
-        autostart: bool = True,
+        self, data_dir: str | os.PathLike, workers: int | None = None,
     ) -> None:
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.workers = workers
-        self.store = ArtifactStore(os.path.join(self.data_dir, "store"))
-        self.max_queue = max_queue
-        self.max_pending_per_submitter = max_pending_per_submitter
 
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._jobs: dict[str, dict] = {}
         self._queue: deque[str] = deque()
-        self._by_hash: dict[str, str] = {}  #: spec_hash -> newest job id
         self._seq = 0
         self._stopping = False
         self._started_monotonic = time.monotonic()
@@ -85,25 +122,11 @@ class CampaignDaemon:
         self._runs_completed = 0
         self.counters = {
             "submitted": 0, "completed": 0, "failed_jobs": 0,
-            "dedup_jobs": 0, "rejected_429": 0, "rejected_503": 0,
+            "rejected_503": 0,
         }
-        # Service telemetry rides the same bus abstraction the kernel
-        # uses (scope "campaign.daemon"), so daemon counters merge and
-        # render with every other telemetry surface in the repo.
-        from repro.telemetry.bus import TelemetryBus
-
-        self.telemetry = TelemetryBus()
-        scope = self.telemetry.scope("campaign.daemon")
-        self._http_requests = scope.labeled("http_requests")
-        scope.gauge("queue_depth", lambda: len(self._queue))
-        scope.gauge("uptime_seconds", lambda: round(
-            time.monotonic() - self._started_monotonic, 3))
-        scope.gauge("jobs_known", lambda: len(self._jobs))
         self._thread = threading.Thread(
             target=self._scheduler, name="campaign-daemon", daemon=True)
         self._started = False
-        if autostart:
-            self.start()
 
     # --------------------------------------------------------- lifecycle
 
@@ -123,40 +146,22 @@ class CampaignDaemon:
 
     # -------------------------------------------------------- submission
 
-    def submit(self, campaign, submitter: str = "anon") -> dict:
-        """Queue a campaign; returns ``{"job", "state", "dedup"}``.
+    def submit(self, campaign) -> dict:
+        """Queue a campaign; returns ``{"job", "state"}``.
 
-        ``campaign`` is a :class:`CampaignSpec`, its JSON text, or a
-        ``{"builtin": name, ...overrides}`` reference.  Raises
-        :class:`AdmissionError` (429 submitter quota, 503 queue full /
-        shutting down) instead of queueing unboundedly.
+        ``campaign`` is a :class:`CampaignSpec`, or outside input for
+        :meth:`_coerce` (``ValueError`` if it is invalid).  Raises
+        :class:`AdmissionError` 503 when the queue is full or the
+        daemon is shutting down, instead of queueing unboundedly.
         """
         spec = self._coerce(campaign)
         with self._wake:
             if self._stopping:
                 self.counters["rejected_503"] += 1
                 raise AdmissionError(503, "daemon is shutting down")
-            done_id = self._by_hash.get(spec.spec_hash)
-            if done_id is not None:
-                job = self._jobs[done_id]
-                if job["state"] in ("queued", "running", "done"):
-                    # Same spec hash, same deterministic report: the
-                    # existing job *is* this submission's result.
-                    self.counters["dedup_jobs"] += 1
-                    return {"job": done_id, "state": job["state"],
-                            "dedup": True}
-            pending = [j for j in self._jobs.values()
-                       if j["state"] in ("queued", "running")]
-            if len(pending) >= self.max_queue:
+            if len(self._queue) >= MAX_QUEUE:
                 self.counters["rejected_503"] += 1
                 raise AdmissionError(503, "job queue is full")
-            mine = [j for j in pending if j["submitter"] == submitter]
-            if len(mine) >= self.max_pending_per_submitter:
-                self.counters["rejected_429"] += 1
-                raise AdmissionError(
-                    429, f"submitter {submitter!r} has "
-                         f"{len(mine)} pending jobs (max "
-                         f"{self.max_pending_per_submitter})")
             self._seq += 1
             job_id = f"job{self._seq:04d}-{spec.spec_hash}"
             self._jobs[job_id] = {
@@ -164,45 +169,72 @@ class CampaignDaemon:
                 "campaign": spec,
                 "name": spec.name,
                 "spec_hash": spec.spec_hash,
-                "submitter": submitter,
                 "state": "queued",
                 "submitted_unix": round(time.time(), 3),
                 "error": None,
                 "manifest": None,
             }
-            self._by_hash[spec.spec_hash] = job_id
             self._queue.append(job_id)
             self.counters["submitted"] += 1
             self._wake.notify_all()
-        return {"job": job_id, "state": "queued", "dedup": False}
+        return {"job": job_id, "state": "queued"}
 
     @staticmethod
     def _coerce(campaign) -> CampaignSpec:
+        """Validate a submission into a campaign spec.
+
+        Accepts a :class:`CampaignSpec` as is.  Outside input -- a
+        ``{"builtin": name, ...overrides}`` reference or an inline
+        ``{"name", "runs"}`` spec -- is checked field by field; anything
+        else raises ``ValueError``.  A builtin must name a key of
+        ``BUILTIN_CAMPAIGNS``: nothing a client sends is ever opened as
+        a path on the daemon's host.
+        """
         if isinstance(campaign, CampaignSpec):
             return campaign
-        if isinstance(campaign, str):
-            return CampaignSpec.from_json(campaign)
-        if isinstance(campaign, dict) and "builtin" in campaign:
-            d = dict(campaign)
-            return build_campaign(
-                d.pop("builtin"),
-                scale=d.pop("scale", None), seed=d.pop("seed", None),
-                telemetry=d.pop("telemetry", None),
-                tracing=d.pop("tracing", None))
-        if isinstance(campaign, dict):
-            return CampaignSpec.from_json(json.dumps(campaign))
-        raise ValueError(f"cannot interpret campaign {type(campaign)!r}")
+        if not isinstance(campaign, dict):
+            raise ValueError(
+                "campaign must be a {\"builtin\": ...} reference or a "
+                "{\"name\", \"runs\"} spec")
+        if "builtin" in campaign:
+            overrides = dict(campaign)
+            name = overrides.pop("builtin")
+            if not isinstance(name, str) or name not in BUILTIN_CAMPAIGNS:
+                raise ValueError(
+                    f"unknown builtin campaign {name!r}; choose from "
+                    f"{sorted(BUILTIN_CAMPAIGNS)}")
+            _check_fields(overrides, _OVERRIDES, "overrides")
+            return BUILTIN_CAMPAIGNS[name]().with_overrides(**overrides)
+        name, runs = campaign.get("name"), campaign.get("runs")
+        if set(campaign) != {"name", "runs"} or not isinstance(name, str):
+            raise ValueError("an inline spec is exactly {\"name\", \"runs\"}")
+        if not isinstance(runs, list) or not runs:
+            raise ValueError("runs must be a non-empty list")
+        for i, run in enumerate(runs):
+            _check_fields(run, tuple(_RUN_FIELDS), f"runs[{i}]")
+            if "app" not in run:
+                raise ValueError(f"runs[{i}]: missing field 'app'")
+        return CampaignSpec(
+            name=name, runs=tuple(RunSpec(**run) for run in runs))
 
     # ----------------------------------------------------------- polling
 
+    def _job(self, job_id: str, done: bool = False) -> dict:
+        """The job record (caller holds the lock); 409 if not ``done``."""
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise KeyError(job_id)
+        if done and job["state"] != "done":
+            raise AdmissionError(
+                409, f"job {job_id} is {job['state']}, not done")
+        return job
+
     def status(self, job_id: str) -> dict:
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
+            job = self._job(job_id)
             out = {k: job[k] for k in (
-                "id", "name", "spec_hash", "submitter", "state",
-                "submitted_unix", "error")}
+                "id", "name", "spec_hash", "state", "submitted_unix",
+                "error")}
             out["queue_position"] = (
                 list(self._queue).index(job_id)
                 if job_id in self._queue else None)
@@ -219,22 +251,27 @@ class CampaignDaemon:
         return out
 
     def result(self, job_id: str) -> dict:
-        """Finished job's manifest plus its report text (from the store)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
-            state = job["state"]
-            manifest = job["manifest"]
-        if state != "done" or manifest is None:
-            raise AdmissionError(409, f"job {job_id} is {state}, not done")
-        out = dict(manifest)
-        out["report_text"] = self.store.get(
-            manifest["artifacts"][REPORT_FILE]).decode()
+        """Finished job's manifest plus its report text."""
+        out = dict(self._manifest(job_id))
+        out["report_text"] = self.artifact(job_id, REPORT_FILE).decode()
         return out
 
-    def artifact(self, digest: str) -> bytes:
-        return self.store.get(digest)
+    def artifact(self, job_id: str, name: str) -> bytes:
+        """One file of a finished job, by a name its manifest lists.
+
+        ``name`` comes from HTTP clients, so it is only ever compared
+        against the manifest: a path that is not listed verbatim
+        (absolute, ``..``, nested or just unknown) is a
+        ``FileNotFoundError`` before any filesystem access.
+        """
+        if name not in self._manifest(job_id)["files"]:
+            raise FileNotFoundError(name)
+        with open(os.path.join(self._job_dir(job_id), name), "rb") as fh:
+            return fh.read()
+
+    def _manifest(self, job_id: str) -> dict:
+        with self._lock:
+            return self._job(job_id, done=True)["manifest"]
 
     def stats(self) -> dict:
         with self._lock:
@@ -243,7 +280,7 @@ class CampaignDaemon:
                 states[j["state"]] = states.get(j["state"], 0) + 1
             busy = self._busy_seconds
             runs = self._runs_completed
-            out = {
+            return {
                 "jobs": dict(states),
                 "queue_depth": len(self._queue),
                 "counters": dict(self.counters),
@@ -252,21 +289,7 @@ class CampaignDaemon:
                 "busy_seconds": round(busy, 3),
                 "runs_completed": runs,
                 "runs_per_sec": round(runs / busy, 3) if busy > 0 else 0.0,
-                "store": dict(self.store.stats),
             }
-            out["http_requests"] = dict(self._http_requests.as_dict())
-            out["telemetry"] = self.telemetry.snapshot_typed()
-        return out
-
-    def record_request(self, endpoint: str) -> None:
-        """Count one HTTP request against its endpoint label.
-
-        Unknown paths collapse into ``"other"`` so a scanning client
-        cannot grow the label set without bound.
-        """
-        known = ("/status", "/result", "/artifact", "/stats", "/figures",
-                 "/submit", "/shutdown")
-        self._http_requests.inc(endpoint if endpoint in known else "other")
 
     # ----------------------------------------------------------- figures
 
@@ -287,26 +310,17 @@ class CampaignDaemon:
         function of the job's deterministic artifacts, so the cache
         never goes stale.
         """
-        import json as _json
-
         from repro.analytics import build_context, generate_figures
         from repro.analytics.generate import MANIFEST_NAME
 
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
-            state = job["state"]
-        if state != "done":
-            raise AdmissionError(409, f"job {job_id} is {state}, not done")
+            self._job(job_id, done=True)
         fig_dir = os.path.join(self._job_dir(job_id), "figures")
         manifest_path = os.path.join(fig_dir, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             with open(manifest_path, encoding="utf-8") as fh:
-                return _json.load(fh)
-        ctx = build_context(
-            campaign_dirs=[self._job_dir(job_id)],
-            daemon_stats=self.stats())
+                return json.load(fh)
+        ctx = build_context(campaign_dirs=[self._job_dir(job_id)])
         return generate_figures(
             fig_dir, ctx,
             title=f"campaign daemon: figures for {job_id}")
@@ -347,7 +361,7 @@ class CampaignDaemon:
                 job["state"] = "running"
             try:
                 self._run_job(job)
-            except Exception as exc:  # pragma: no cover - runner bug
+            except Exception as exc:
                 with self._lock:
                     job["state"] = "error"
                     job["error"] = f"{type(exc).__name__}: {exc}"
@@ -360,7 +374,20 @@ class CampaignDaemon:
             job["campaign"], workers=self.workers, out_dir=out_dir)
         elapsed = time.monotonic() - t0
 
-        manifest = self._store_artifacts(job, out_dir, result)
+        manifest = {
+            "job": job["id"],
+            "campaign": job["name"],
+            "spec_hash": job["spec_hash"],
+            "runs": len(result.outcomes),
+            "failed": [o.index for o in result.failed],
+            "host_wall_seconds": result.host["host_wall_seconds"],
+            "mode": result.host["plan"]["mode"],
+            "files": sorted(
+                os.path.relpath(os.path.join(root, name), out_dir)
+                for root, _dirs, names in os.walk(out_dir)
+                for name in names),
+        }
+        write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
         with self._lock:
             job["state"] = "done"
             job["manifest"] = manifest
@@ -370,29 +397,13 @@ class CampaignDaemon:
             self._busy_seconds += elapsed
             self._runs_completed += len(result.outcomes)
 
-    def _store_artifacts(self, job: dict, out_dir: str, result) -> dict:
-        """Content-address every job artifact; write + return the manifest."""
-        artifacts: dict[str, str] = {}
-        for root, _dirs, files in os.walk(out_dir):
-            for name in sorted(files):
-                path = os.path.join(root, name)
-                rel = os.path.relpath(path, out_dir)
-                artifacts[rel] = self.store.put_file(path)
-        manifest = {
-            "job": job["id"],
-            "campaign": job["name"],
-            "spec_hash": job["spec_hash"],
-            "runs": len(result.outcomes),
-            "failed": [o.index for o in result.failed],
-            "host_wall_seconds": result.host["host_wall_seconds"],
-            "mode": result.host["plan"]["mode"],
-            "artifacts": artifacts,
-        }
-        write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
-        return manifest
-
 
 # ---------------------------------------------------------------- HTTP
+
+#: Query parameters each endpoint cannot do without (a missing one is 400).
+_REQUIRED_PARAMS = {
+    "/status": ("job",), "/result": ("job",), "/artifact": ("job", "file"),
+}
 
 
 def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
@@ -413,11 +424,14 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
 
         def _reply(self, code: int, obj: object) -> None:
             body = json.dumps(obj, indent=2).encode() + b"\n"
+            self._send(code, body, "application/json")
+
+        def _send(self, code: int, data: bytes, ctype: str) -> None:
             self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Type", ctype)
+            self.send_header("Content-Length", str(len(data)))
             self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(data)
 
         def _query(self) -> tuple[str, dict]:
             from urllib.parse import parse_qs, urlparse
@@ -428,19 +442,19 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
 
         def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
             path, q = self._query()
-            daemon.record_request(path)
+            missing = [p for p in _REQUIRED_PARAMS.get(path, ())
+                       if p not in q]
+            if missing:
+                self._reply(400, {
+                    "error": f"missing query parameter {missing[0]!r}"})
+                return
             try:
                 if path == "/figures":
                     if "job" not in q:
                         self._reply(200, daemon.figures_index())
                     elif "file" in q:
-                        data, ctype = daemon.figures_file(
-                            q["job"], q["file"])
-                        self.send_response(200)
-                        self.send_header("Content-Type", ctype)
-                        self.send_header("Content-Length", str(len(data)))
-                        self.end_headers()
-                        self.wfile.write(data)
+                        self._send(200, *daemon.figures_file(
+                            q["job"], q["file"]))
                     else:
                         self._reply(200, daemon.figures(q["job"]))
                 elif path == "/status":
@@ -448,13 +462,8 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
                 elif path == "/result":
                     self._reply(200, daemon.result(q["job"]))
                 elif path == "/artifact":
-                    data = daemon.artifact(q["digest"])
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "application/octet-stream")
-                    self.send_header("Content-Length", str(len(data)))
-                    self.end_headers()
-                    self.wfile.write(data)
+                    self._send(200, daemon.artifact(q["job"], q["file"]),
+                               "application/octet-stream")
                 elif path == "/stats":
                     self._reply(200, daemon.stats())
                 else:
@@ -468,7 +477,6 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
 
         def do_POST(self) -> None:  # noqa: N802
             path, _q = self._query()
-            daemon.record_request(path)
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
@@ -485,14 +493,15 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
             except ValueError:
                 self._reply(400, {"error": "body is not JSON"})
                 return
+            if not isinstance(body, dict):
+                self._reply(400, {"error": "body is not a JSON object"})
+                return
             if path == "/submit":
                 try:
-                    ticket = daemon.submit(
-                        body.get("campaign"),
-                        submitter=body.get("submitter", "anon"))
+                    ticket = daemon.submit(body.get("campaign"))
                 except AdmissionError as exc:
                     self._reply(exc.code, {"error": exc.reason})
-                except (ValueError, KeyError) as exc:
+                except ValueError as exc:
                     self._reply(400, {"error": str(exc)})
                 else:
                     self._reply(200, ticket)

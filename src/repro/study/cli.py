@@ -86,18 +86,11 @@ def _cmd_figures_list(args) -> int:
 
 
 def _cmd_figures_generate(args) -> int:
-    import json
-
     from repro.analytics import build_context, generate_figures
 
-    daemon_stats = None
-    if args.daemon_stats:
-        with open(args.daemon_stats, encoding="utf-8") as fh:
-            daemon_stats = json.load(fh)
     ctx = build_context(
         campaign_dirs=args.campaign or [],
         bench_paths=args.bench or [],
-        daemon_stats=daemon_stats,
     )
     manifest = generate_figures(
         args.out, ctx, group=args.group, names=args.figure)
@@ -538,7 +531,7 @@ def _cmd_campaign_status(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.campaign import CampaignDaemon, serve_http
 
-    daemon = CampaignDaemon(args.data_dir, workers=args.workers)
+    daemon = CampaignDaemon(args.data_dir, workers=args.workers).start()
     server = serve_http(daemon, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"campaign daemon listening on http://{host}:{port} "
@@ -594,13 +587,11 @@ def _cmd_campaign_submit(args) -> int:
         if args.tracing:
             campaign["tracing"] = True
     try:
-        ticket = _daemon_request(args.url, "/submit", {
-            "campaign": campaign, "submitter": args.submitter})
+        ticket = _daemon_request(args.url, "/submit", {"campaign": campaign})
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    dedup = " (deduplicated)" if ticket.get("dedup") else ""
-    print(f"{ticket['job']} {ticket['state']}{dedup}")
+    print(f"{ticket['job']} {ticket['state']}")
     return 0
 
 
@@ -643,16 +634,18 @@ def _cmd_campaign_fetch(args) -> int:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         import urllib.request
+        from urllib.parse import urlencode
 
-        for rel, digest in result["artifacts"].items():
+        for rel in result["files"]:
+            query = urlencode({"job": args.job, "file": rel})
             with urllib.request.urlopen(
-                    args.url.rstrip("/") + f"/artifact?digest={digest}",
+                    args.url.rstrip("/") + f"/artifact?{query}",
                     timeout=60) as resp:
                 data = resp.read()
             path = out / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
-        print(f"wrote {len(result['artifacts'])} artifacts to {out}")
+        print(f"wrote {len(result['files'])} artifacts to {out}")
     return 0
 
 
@@ -712,9 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     fgen.add_argument("--bench", action="append", metavar="PATH",
                       help="BENCH_*.json file or history directory "
                            "(repeatable)")
-    fgen.add_argument("--daemon-stats", dest="daemon_stats", metavar="JSON",
-                      help="a saved GET /stats snapshot for the daemon "
-                           "admission figure")
     fgen.add_argument("--out", required=True,
                       help="output directory for the figure report")
     fgen.add_argument("--group", choices=["paper", "fleet", "trajectory"])
@@ -842,8 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub.add_argument("--seed", type=int, default=None)
     csub.add_argument("--telemetry", action="store_true")
     csub.add_argument("--tracing", action="store_true")
-    csub.add_argument("--submitter", default="cli",
-                      help="admission-control identity (default 'cli')")
     csub.set_defaults(fn=_cmd_campaign_submit)
 
     cpoll = campsub.add_parser(

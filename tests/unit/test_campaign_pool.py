@@ -1,4 +1,4 @@
-"""Process pool, execution planner, and artifact store tests.
+"""Process pool and execution planner tests.
 
 The multiprocessing tests force ``execution="pool"``: on a small CI
 host the planner would (correctly) pick in-process mode, and these
@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.campaign import (
-    ArtifactStore,
     CampaignSpec,
     RunSpec,
     plan_execution,
@@ -200,45 +199,3 @@ def test_trace_artifacts_written_by_workers_not_queued(tmp_path):
     bare = run_campaign(traced, workers=1)
     assert bare.report_text == result.report_text
     assert result.host["trace_artifacts"]["0"] == [name, size, digest]
-
-
-# ------------------------------------------------------- artifact store
-
-def test_artifact_store_put_get_dedup(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    d1 = store.put_bytes(b"alpha")
-    d2 = store.put_bytes(b"alpha")
-    d3 = store.put_bytes(b"beta")
-    assert d1 == d2 != d3
-    assert store.get(d1) == b"alpha"
-    assert store.has(d3) and not store.has("0" * 64)
-    assert store.stats["objects"] == 2
-    assert store.stats["dedup_hits"] == 1
-    assert store.stats["dedup_bytes"] == len(b"alpha")
-
-    # Reopening recounts cumulative occupancy.
-    again = ArtifactStore(tmp_path / "store")
-    assert again.stats["objects"] == 2
-    assert again.stats["bytes"] == len(b"alpha") + len(b"beta")
-
-
-def test_artifact_store_rejects_traversal_digests(tmp_path):
-    """Only lowercase sha256 hex ever reaches the filesystem: the
-    daemon's /artifact endpoint feeds ``get`` untrusted strings."""
-    store = ArtifactStore(tmp_path / "store")
-    secret = tmp_path / "secret.txt"
-    secret.write_text("keep out")
-    for bad in ("/etc/passwd", str(secret), "../secret.txt", "..",
-                "A" * 64, "0" * 63, "0" * 65,
-                "0" * 62 + "/x", ""):
-        assert not store.has(bad)
-        with pytest.raises(FileNotFoundError):
-            store.get(bad)
-
-
-def test_artifact_store_put_file(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    src = tmp_path / "blob.bin"
-    src.write_bytes(os.urandom(64))
-    digest = store.put_file(src)
-    assert store.get(digest) == src.read_bytes()
