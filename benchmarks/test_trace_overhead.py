@@ -9,7 +9,7 @@ Two tier-1 promises, both gated here (``BENCH_traceoverhead.json``):
   gated at 3% of the workload's wall time.
 
 * **Enabled overhead**: with the packed ring + tail sampler on, the
-  full observability stack (span trees, provenance, adaptive control)
+  full observability stack (span trees, provenance, tail sampling)
   must cost at most 10% on the storm-heavy miniaero individual-mode
   workload.  The measurement is noise-hardened: CPU time (not wall),
   GC quiesced around the timed region (tracing allocates; collection
@@ -223,9 +223,6 @@ def test_trace_overhead(benchmark):
             "trees_discarded": stats["trees_discarded"],
             "interesting_trees_dropped": stats["interesting_trees_dropped"],
             "interesting_drop_pct": round(idrop_pct, 3),
-            "sampler_period": stats["sampler_period"],
-            "sampler_tightened": stats["sampler_tightened"],
-            "sampler_relaxed": stats["sampler_relaxed"],
             "nanchain_attributed": f"{attributed}/{total}",
             "sample_trace": SAMPLE_TRACE.name,
             "spans_bin": SPANS_BIN.name,

@@ -3,8 +3,9 @@
 :class:`CampaignData` wraps everything one campaign output directory
 holds -- ``campaign.json`` (the merged result; its deterministic
 section is the only thing figure data may depend on),
-``campaign_report.txt``, ``status.json``, a daemon job's
-``manifest.json``, and the packed span files under ``traces/``.
+``campaign_report.txt``, ``status.json`` and a daemon job's
+``manifest.json``.  Packed span files under ``traces/`` are read by
+:func:`repro.trace.stats.collect_stats`, not here.
 
 :func:`load_bench_history` reads ``BENCH_*.json`` artifacts into
 :class:`BenchRecord` rows; it understands both the enveloped schema
@@ -25,7 +26,6 @@ REPORT_FILE = "campaign_report.txt"
 RESULT_FILE = "campaign.json"
 STATUS_FILE = "status.json"
 MANIFEST_FILE = "manifest.json"
-TRACE_DIR = "traces"
 
 
 @dataclass
@@ -98,25 +98,6 @@ class CampaignData:
             r["rankpop"] for mode in modes for r in self.runs_by_mode(mode)
             if r.get("rankpop")]
         return merge_rankpop_inputs(per_run)
-
-    # ------------------------------------------------------- trace files
-
-    def trace_stats(self):
-        """Packed-span statistics over ``traces/``, or ``None``."""
-        trace_dir = os.path.join(self.path, TRACE_DIR)
-        if not os.path.isdir(trace_dir):
-            return None
-        from repro.trace.stats import TraceStats
-
-        stats = TraceStats()
-        found = False
-        for name in sorted(os.listdir(trace_dir)):
-            if not name.endswith(".spans.bin"):
-                continue
-            with open(os.path.join(trace_dir, name), "rb") as fh:
-                stats.add_file(fh.read())
-            found = True
-        return stats if found else None
 
 
 def load_campaigns(paths) -> list[CampaignData]:

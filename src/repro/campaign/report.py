@@ -180,9 +180,7 @@ def _deterministic_run(o: RunOutcome) -> dict:
                 k: o.trace_stats[k]
                 for k in (
                     "trees_retained_interesting", "trees_retained_boring",
-                    "trees_discarded", "interesting_trees_dropped",
-                    "sampler_period", "sampler_tightened",
-                    "sampler_relaxed")
+                    "trees_discarded", "interesting_trees_dropped")
                 if k in o.trace_stats
             }
         d["provenance"] = [list(r) for r in o.provenance]

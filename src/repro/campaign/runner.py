@@ -237,6 +237,15 @@ class CampaignRunner:
     # ------------------------------------------------------- artifacts
 
     def _trace_dir(self) -> str | None:
+        """``<out>/traces`` when any run is traced, else ``None``.
+
+        Each traced run's worker writes exactly one packed
+        ``runNNNN.spans.bin`` here (never through the result queue);
+        its ``(name, size, sha256)`` rides the report's host section.
+        That file is the campaign's only trace artifact: ``repro.study
+        trace stats <out>`` reads it directly, and Perfetto views come
+        from ``to_chrome_json(spans_from_binary(...))`` on demand.
+        """
         if self.out_dir is None:
             return None
         if not any(r.tracing for r in self.campaign.runs):
@@ -252,33 +261,6 @@ class CampaignRunner:
             os.path.join(self.out_dir, REPORT_FILE), result.report_text)
         write_json_atomic(
             os.path.join(self.out_dir, RESULT_FILE), result.to_dict())
-        self._export_chrome_traces(result)
-
-    def _export_chrome_traces(self, result: CampaignResult) -> None:
-        """Chrome trace-event exports next to the workers' ``spans.bin``.
-
-        Workers write the packed spans directly into the campaign
-        directory (never through the result queue); the coordinator
-        derives the Perfetto-loadable JSON from those files at the end.
-        """
-        traced = [o for o in result.outcomes if o.trace_artifact]
-        if not traced:
-            return
-        from repro.telemetry.tracing import spans_from_binary, to_chrome_json
-
-        trace_dir = os.path.join(self.out_dir, TRACE_DIR)
-        for o in traced:
-            name = o.trace_artifact[0]
-            path = os.path.join(trace_dir, name)
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            except OSError:  # pragma: no cover - artifact vanished
-                continue
-            write_text_atomic(
-                os.path.join(
-                    trace_dir, name.replace(".spans.bin", ".trace.json")),
-                to_chrome_json(spans_from_binary(blob)))
 
     def _write_status(
         self, state: str, acc: ResultAccumulator, plan: ExecutionPlan,

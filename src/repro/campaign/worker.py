@@ -62,7 +62,7 @@ class RunOutcome:
     spans_recorded: int = 0
     span_trees: int = 0
     spans_dropped: int = 0
-    #: Full retention/ring/sampler stats (``TraceRecorder.stats``).
+    #: Full retention/ring stats (``TraceRecorder.stats``).
     trace_stats: dict = field(default_factory=dict)
     #: Provenance rollup rows (``ProvenanceTracker.rollup_rows``).
     provenance: tuple[tuple, ...] = ()

@@ -74,14 +74,9 @@ class KernelConfig:
     #: completed tree that touched no provenance origin/sink, fusion
     #: bail-out, or disposition change is retained 1-in-``trace_sample``
     #: (deterministic, seeded by ``trace_seed``).  Interesting trees are
-    #: always retained.  ``trace_tail=False`` keeps every tree (the old
-    #: debug behavior, and the CLI default for ``repro.study trace``).
-    trace_tail: bool = True
+    #: always retained.  ``trace_sample=1`` keeps every tree (the CLI
+    #: default for ``repro.study trace``).
     trace_sample: int = 64
-    #: AIMD rate control: ring drops tighten the boring-tree sample
-    #: period (doubling up to 8192); quiet windows relax it back toward
-    #: ``trace_sample``.  Decisions surface as ``trace.sampler.*``.
-    trace_adaptive: bool = True
     trace_seed: int = 0
 
 
@@ -145,8 +140,6 @@ class Kernel:
                 capacity=self.config.trace_capacity,
                 telemetry=self.telemetry,
                 sample=self.config.trace_sample,
-                tail=self.config.trace_tail,
-                adaptive=self.config.trace_adaptive,
                 seed=self.config.trace_seed,
             )
             from repro.fp.provenance import ProvenanceTracker

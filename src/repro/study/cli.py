@@ -367,17 +367,14 @@ def _trace_kernel(args):
     from repro.fpspy import fpspy_env
     from repro.kernel.kernel import Kernel, KernelConfig
 
-    sample = getattr(args, "sample", 0)
-    keep_all = getattr(args, "keep_all", False) or not sample
     config = KernelConfig(
         tracing=True,
         trace_capacity=args.capacity,
-        # Interactive recording defaults to keep-all (tail sampling
-        # off): a developer replaying one run wants every tree.
-        # ``--sample N`` opts into the production 1-in-N tail sampler.
-        trace_tail=not keep_all,
-        trace_sample=sample if sample else 64,
-        trace_seed=getattr(args, "seed", 0),
+        # Interactive recording defaults to ``--sample 1``: a developer
+        # replaying one run wants every tree.  ``--sample N`` opts into
+        # the production 1-in-N tail sampler.
+        trace_sample=args.sample,
+        trace_seed=args.seed,
         telemetry=bool(getattr(args, "telemetry", False)),
     )
     env = {} if args.mode == "none" else fpspy_env(args.mode)
@@ -417,24 +414,6 @@ def _cmd_trace_record(args) -> int:
         text = kernel.vfs.read("/proc/fpspy/trace").decode()
         for line in text.splitlines()[: args.limit + 1]:
             print(line)
-    return 0
-
-
-def _cmd_trace_export(args) -> int:
-    import pathlib
-
-    from repro.telemetry.tracing import to_chrome_json
-
-    kernel, _ = _trace_kernel(args)
-    if kernel is None:
-        return 2
-    tr = kernel.tracer
-    out = args.out or f"{args.app}.trace.json"
-    path = pathlib.Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_chrome_json(tr.spans()))
-    print(f"wrote {path}: {tr.recorded} spans, {tr.trees_completed} "
-          f"trap trees (load in chrome://tracing or ui.perfetto.dev)")
     return 0
 
 
@@ -887,12 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="span ring-buffer capacity")
         sp.add_argument("--limit", type=int, default=20,
                         help="rows/lines printed")
-        sp.add_argument("--keep-all", action="store_true",
-                        help="retain every completed tree (the default; "
-                             "overrides --sample)")
-        sp.add_argument("--sample", type=int, default=0, metavar="N",
+        sp.add_argument("--sample", type=int, default=1, metavar="N",
                         help="tail-sample boring trees 1-in-N "
-                             "(default: keep all)")
+                             "(default 1: keep every tree)")
         sp.add_argument("--seed", type=int, default=0,
                         help="tail-sampler RNG seed")
 
@@ -902,15 +878,9 @@ def build_parser() -> argparse.ArgumentParser:
     trec.add_argument("--bin", default=None,
                       help="write packed SpanRecord binary here")
     trec.add_argument("--json", default=None,
-                      help="write Chrome trace-event JSON here")
+                      help="write Chrome trace-event JSON here (loads in "
+                           "chrome://tracing or ui.perfetto.dev)")
     trec.set_defaults(fn=_cmd_trace_record)
-
-    texp = trcsub.add_parser(
-        "export", help="export Chrome trace-event JSON for Perfetto")
-    _trace_common(texp)
-    texp.add_argument("--out", default=None,
-                      help="output path (default <app>.trace.json)")
-    texp.set_defaults(fn=_cmd_trace_export)
 
     tcoil = trcsub.add_parser(
         "coils", help="per-origin NaN/Inf/denorm propagation chains")

@@ -1,4 +1,4 @@
-"""The telemetry bus: counters, gauges, histograms, span events, scopes.
+"""The telemetry bus: counters, gauges, span events, scopes.
 
 Design (DESIGN.md decision #8):
 
@@ -88,32 +88,6 @@ class Gauge:
         return self.fn()
 
 
-class Histogram:
-    """Fixed-bound histogram (upper-inclusive buckets plus overflow)."""
-
-    __slots__ = ("bounds", "counts", "total", "sum")
-
-    def __init__(self, bounds: tuple[float, ...]) -> None:
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, x: float) -> None:
-        self.total += 1
-        self.sum += x
-        for i, b in enumerate(self.bounds):
-            if x <= b:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    def as_dict(self) -> dict[str, object]:
-        buckets = {f"le_{b:g}": c for b, c in zip(self.bounds, self.counts)}
-        buckets["overflow"] = self.counts[-1]
-        return {"total": self.total, "sum": self.sum, "buckets": buckets}
-
-
 #: Span events retained per scope (oldest dropped first).  Events are a
 #: debugging aid, not an accounting mechanism, so a bounded window keeps
 #: memory flat on long runs.
@@ -133,7 +107,6 @@ class Scope:
         self._counters: dict[str, Counter] = {}
         self._labeled: dict[str, LabeledCounter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._events: deque = deque(maxlen=EVENT_WINDOW)
         #: Events pushed out of the bounded window (surfaced in
         #: snapshots as ``events.dropped`` so truncation is never
@@ -157,12 +130,6 @@ class Scope:
         g = Gauge(fn)
         self._gauges[name] = g
         return g
-
-    def histogram(self, name: str, bounds: tuple[float, ...]) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(bounds)
-        return h
 
     def event(self, name: str, cycles: int, **fields) -> None:
         """Record a structured span event stamped with a sim-cycle time."""
@@ -190,15 +157,6 @@ class Scope:
         return {
             "counters": counters,
             "labeled": {n: lc.as_dict() for n, lc in self._labeled.items()},
-            "histograms": {
-                n: {
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "total": h.total,
-                    "sum": h.sum,
-                }
-                for n, h in self._histograms.items()
-            },
             "gauges": {n: g.sample() for n, g in self._gauges.items()},
         }
 
@@ -209,8 +167,6 @@ class Scope:
         for name, lc in self._labeled.items():
             for label, v in sorted(lc.as_dict().items()):
                 out[f"{name}.{label}"] = v
-        for name, h in self._histograms.items():
-            out[name] = h.as_dict()
         for name, g in self._gauges.items():
             sampled = g.sample()
             if isinstance(sampled, dict):
@@ -278,16 +234,13 @@ class TelemetryBus:
 
 
 class _NullInstrument:
-    """Shared sink for every disabled counter/gauge/histogram."""
+    """Shared sink for every disabled counter/gauge."""
 
     __slots__ = ()
     value = 0
     values: dict = {}
 
     def inc(self, *a, **k) -> None:
-        pass
-
-    def observe(self, *a, **k) -> None:
         pass
 
     def get(self, label: object) -> int:
@@ -315,9 +268,6 @@ class _NullScope:
         return _NULL_INSTRUMENT
 
     def gauge(self, name: str, fn) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def event(self, name: str, cycles: int, **fields) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 def flatten_snapshot(snapshot: dict) -> dict[str, float]:
     """``{"scopes": {"cpu": {"site_cache.hits": 3}}} -> {"cpu.site_cache.hits": 3}``.
 
-    Only numeric leaves are kept (nested histogram dicts are flattened
+    Only numeric leaves are kept (nested dict gauges are flattened
     with dotted keys; strings are dropped -- diffs compare quantities).
     """
     flat: dict[str, float] = {}
@@ -87,8 +87,6 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     renderers already understand.  Merge semantics:
 
     * ``cycles``, counters, labeled counters: summed.
-    * histograms: bucket-wise sum; mismatched bounds for the same
-      instrument are a programming error and raise ``ValueError``.
     * gauges: **last writer wins, in input order**.  A gauge is a
       point-in-time sample of host-side state (queue depth, cache
       occupancy); sums are meaningless across runs, so the merged value
@@ -100,7 +98,7 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
         cycles += snap.get("cycles", 0)
         for sname, tscope in snap.get("scopes", {}).items():
             scope = acc.setdefault(sname, {
-                "counters": {}, "labeled": {}, "histograms": {}, "gauges": {},
+                "counters": {}, "labeled": {}, "gauges": {},
             })
             for k, v in tscope.get("counters", {}).items():
                 scope["counters"][k] = scope["counters"].get(k, 0) + v
@@ -108,23 +106,6 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
                 dst = scope["labeled"].setdefault(k, {})
                 for label, v in labels.items():
                     dst[label] = dst.get(label, 0) + v
-            for k, h in tscope.get("histograms", {}).items():
-                cur = scope["histograms"].get(k)
-                if cur is None:
-                    scope["histograms"][k] = {
-                        "bounds": list(h["bounds"]),
-                        "counts": list(h["counts"]),
-                        "total": h["total"],
-                        "sum": h["sum"],
-                    }
-                    continue
-                if list(h["bounds"]) != cur["bounds"]:
-                    raise ValueError(
-                        f"histogram {sname}.{k}: mismatched bounds "
-                        f"{cur['bounds']} vs {list(h['bounds'])}")
-                cur["counts"] = [a + b for a, b in zip(cur["counts"], h["counts"])]
-                cur["total"] += h["total"]
-                cur["sum"] += h["sum"]
             for k, v in tscope.get("gauges", {}).items():
                 scope["gauges"][k] = v  # last writer, by input order
     return {
@@ -141,10 +122,6 @@ def _plain_scope(typed: dict) -> dict[str, object]:
     for name, labels in typed["labeled"].items():
         for label, v in sorted(labels.items()):
             out[f"{name}.{label}"] = v
-    for name, h in typed["histograms"].items():
-        buckets = {f"le_{b:g}": c for b, c in zip(h["bounds"], h["counts"])}
-        buckets["overflow"] = h["counts"][-1]
-        out[name] = {"total": h["total"], "sum": h["sum"], "buckets": buckets}
     for name, sampled in typed["gauges"].items():
         if isinstance(sampled, dict):
             for k, v in sampled.items():

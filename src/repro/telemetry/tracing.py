@@ -1,4 +1,4 @@
-"""The trap-lifecycle flight recorder: packed ring, tail sampling, rate control.
+"""The trap-lifecycle flight recorder: packed ring and tail sampling.
 
 Every FP trap the simulated machine takes is a short causal story --
 fault raised (CPU, pre-writeback), signal queued, signal delivered
@@ -8,7 +8,7 @@ this module records that story as a linked chain of cycle-stamped spans
 with parent/child IDs, so one guest FP event is one causal tree
 (DESIGN.md decisions #10 and #12).
 
-Three layers make it cheap enough to leave on in production:
+Two layers make it cheap enough to leave on in production:
 
 * **Packed span ring.**  The hot path never builds a Python
   :class:`Span` object.  Spans are staged as fixed-shape tuples on the
@@ -21,14 +21,11 @@ Three layers make it cheap enough to leave on in production:
   origin or kill site, a trap-fusion bail-out, or a signal-disposition
   change are always retained; the boring population is sampled
   deterministically (seeded ``random.Random``, one draw per boring
-  tree) at 1-in-``period``.  Storm/chunk summary spans and orphan spans
-  commit directly and are always retained.
-* **Adaptive rate control.**  An AIMD controller watches the ring's
-  drop counter: drops in the last window double the boring-tree sample
-  period (tighten, up to ``MAX_PERIOD``); a quiet window halves it back
-  toward the configured base (relax).  Decisions surface as telemetry
-  counters/gauges (``trace.sampler.*``) and in the ``/proc/fpspy/trace``
-  header.
+  tree) at 1-in-``period``; ``period`` 1 keeps every tree without a
+  draw.  Storm/chunk summary spans and orphan spans commit directly and
+  are always retained.  The period is fixed for the recorder's life:
+  ring pressure is counted (``spans_dropped``,
+  ``interesting_trees_dropped``), never fed back into the rate.
 
 Design rules carried over from the original recorder (decision #10):
 sim-cycle stamps only; zero guest perturbation (retention decisions are
@@ -64,7 +61,6 @@ from repro.kernel.signals import EFLAGS_TF, TRAP_TRACE_CODE, Signal
 from repro.trace.records import (
     CLS_BAILOUT,
     CLS_DISPOSITION,
-    CLS_KEEPALL,
     CLS_ORIGIN,
     CLS_OVERFLOW,
     CLS_SAMPLED,
@@ -85,12 +81,6 @@ DEFAULT_CAPACITY = 65536
 
 #: Default boring-tree sample period (1-in-N retained).
 DEFAULT_SAMPLE = 64
-
-#: The controller never tightens past this period.
-MAX_PERIOD = 8192
-
-#: Completed trees per adaptive-controller decision window.
-ADJUST_WINDOW = 128
 
 #: Staged spans per open tree before it is force-completed (class
 #: ``overflow``).  Ordinary lifecycle trees are ~14 spans; only a guest
@@ -183,8 +173,6 @@ class TraceRecorder:
         capacity: int = DEFAULT_CAPACITY,
         telemetry=None,
         sample: int = DEFAULT_SAMPLE,
-        tail: bool = True,
-        adaptive: bool = True,
         seed: int = 0,
     ) -> None:
         self.kernel = kernel
@@ -207,15 +195,10 @@ class TraceRecorder:
         #: for the storm replicator's constant span args.
         self._storm_strids: tuple | None = None
 
-        # Tail-sampling + adaptive-control state.
-        self._tail = bool(tail)
-        self._base_period = max(1, int(sample))
-        self._period = self._base_period
-        self._adaptive = bool(adaptive)
+        # Tail-sampling state.
+        self._period = max(1, int(sample))
         self._seed = int(seed)
         self._rng = random.Random(self._seed)
-        self._since_adjust = 0
-        self._last_dropped = 0
 
         self.recorded = 0
         self.dropped = 0
@@ -224,11 +207,9 @@ class TraceRecorder:
         self.trees_retained_boring = 0
         self.trees_discarded = 0
         self.interesting_trees_dropped = 0
-        self.sampler_tightened = 0
-        self.sampler_relaxed = 0
 
-        # Ring/sampler counters ride the telemetry bus when it is on
-        # (satellite: truncated or sampled traces are never silent).
+        # Ring/retention counters ride the telemetry bus when it is on
+        # so truncated or sampled traces are never silent.
         if telemetry:
             sc = telemetry.scope("trace")
             self._t_spans = sc.counter("spans")
@@ -238,12 +219,9 @@ class TraceRecorder:
             self._t_ret_i = sc.counter("trees.retained.interesting")
             self._t_ret_b = sc.counter("trees.retained.boring")
             self._t_disc = sc.counter("trees.discarded")
-            self._t_tight = sc.counter("sampler.tightened")
-            self._t_relax = sc.counter("sampler.relaxed")
             sc.gauge("ring.size", lambda: min(self._committed, self.capacity))
             sc.gauge("ring.capacity", lambda: self.capacity)
             sc.gauge("trees.open", lambda: len(self._live))
-            sc.gauge("sampler.period", lambda: self._period)
         else:
             self._t_spans = None
             self._t_dropped = None
@@ -252,8 +230,6 @@ class TraceRecorder:
             self._t_ret_i = None
             self._t_ret_b = None
             self._t_disc = None
-            self._t_tight = None
-            self._t_relax = None
 
     def __bool__(self) -> bool:
         return True
@@ -261,11 +237,6 @@ class TraceRecorder:
     @property
     def cycles(self) -> int:
         return self.kernel.cycles if self.kernel is not None else 0
-
-    @property
-    def sample_period(self) -> int:
-        """The controller's *current* boring-tree sample period."""
-        return self._period
 
     # --------------------------------------------------- retention marks
 
@@ -584,10 +555,8 @@ class TraceRecorder:
         k = len(rec)
         d0 = self.dropped
         ret_i = ret_b = disc = 0
-        tail = self._tail
+        period = self._period
         draw = self._rng.random
-        adaptive = self._adaptive
-        since = self._since_adjust
         nid0 = self._next_id
 
         def build(j, sid, has_rec, nrb, cls):
@@ -641,25 +610,17 @@ class TraceRecorder:
                         aid_rearm, 0, 0, 0, 0))
             self._commit_tree(buf, cls, pid, tid)
 
-        # Steady-state fast path: every tree in the batch is boring, the
-        # controller is pinned at its base period with no pending drop
-        # signal, and the ring cannot wrap inside the batch.  Under
-        # those conditions the per-tree loop collapses to k ordered RNG
-        # draws (identical consumption to the slow path) plus counter
-        # arithmetic, and the controller boundary ticks are provably
-        # no-ops (zero drops at a base-period boundary adjust nothing),
-        # so `since` advances modularly.  Retained sampled trees -- one
-        # in `period` -- still materialize exactly.
+        # Steady-state fast path: every tree in the batch is boring and
+        # the ring cannot wrap inside the batch.  Under those conditions
+        # the per-tree loop collapses to k ordered RNG draws (identical
+        # consumption to the slow path) plus counter arithmetic.
+        # Retained sampled trees -- one in `period` -- still materialize
+        # exactly.
         if (
-            tail
-            and self._period > 1
+            period > 1
             and not any(marks)
-            and (not adaptive or (
-                self._period == self._base_period
-                and self.dropped == self._last_dropped))
             and self._committed + 14 * k <= self.capacity
         ):
-            period = self._period
             sampled = [j for j in range(k) if draw() * period < 1.0]
             nr = sum(rec)
             nid = nid0 + 13 * k + nr
@@ -668,9 +629,6 @@ class TraceRecorder:
                 build(j, nid0 + 13 * j + nrb, rec[j], nrb, CLS_SAMPLED)
             ret_b = len(sampled)
             disc = k - ret_b
-            since += k
-            if adaptive:
-                since %= ADJUST_WINDOW
         else:
             seq = seq0
             nid = nid0
@@ -685,10 +643,7 @@ class TraceRecorder:
                 if mark:
                     cls = mark
                     ret_i += 1
-                elif not tail:
-                    cls = CLS_KEEPALL
-                    ret_b += 1
-                elif self._period <= 1 or draw() * self._period < 1.0:
+                elif period <= 1 or draw() * period < 1.0:
                     cls = CLS_SAMPLED
                     ret_b += 1
                 else:
@@ -696,15 +651,6 @@ class TraceRecorder:
                     disc += 1
                 if cls:
                     build(j, sid, has_rec, nrb, cls)
-                # One controller tick per completed tree, exactly as the
-                # per-event path's _finish would have issued (inlined:
-                # the window check per tree, the decision only at the
-                # boundary).
-                since += 1
-                if since >= ADJUST_WINDOW and adaptive:
-                    since = 0
-                    self._adjust()
-        self._since_adjust = since
         self._next_id = nid
         total = nid - nid0
         self.recorded += total
@@ -734,11 +680,6 @@ class TraceRecorder:
             self.trees_retained_interesting += 1
             if self._t_ret_i is not None:
                 self._t_ret_i.value += 1
-        elif not self._tail:
-            cls = CLS_KEEPALL
-            self.trees_retained_boring += 1
-            if self._t_ret_b is not None:
-                self._t_ret_b.value += 1
         elif self._period <= 1 or self._rng.random() * self._period < 1.0:
             cls = CLS_SAMPLED
             self.trees_retained_boring += 1
@@ -757,32 +698,6 @@ class TraceRecorder:
         if self._t_spans is not None:
             self._t_spans.value += len(buf)
             self._t_trees.value += 1
-        self._maybe_adjust()
-
-    def _maybe_adjust(self) -> None:
-        """AIMD rate control: one decision per ADJUST_WINDOW completed
-        trees, driven by the ring's drop counter (storm load tightens
-        the boring sample rate; quiescence relaxes it to the base)."""
-        self._since_adjust += 1
-        if self._since_adjust < ADJUST_WINDOW or not self._adaptive:
-            return
-        self._since_adjust = 0
-        self._adjust()
-
-    def _adjust(self) -> None:
-        drops = self.dropped - self._last_dropped
-        self._last_dropped = self.dropped
-        if drops:
-            if self._period < MAX_PERIOD:
-                self._period = min(MAX_PERIOD, self._period * 2)
-                self.sampler_tightened += 1
-                if self._t_tight is not None:
-                    self._t_tight.value += 1
-        elif self._period > self._base_period:
-            self._period = max(self._base_period, self._period // 2)
-            self.sampler_relaxed += 1
-            if self._t_relax is not None:
-                self._t_relax.value += 1
 
     # ------------------------------------------------------- packed ring
 
@@ -909,7 +824,7 @@ class TraceRecorder:
         return len(self._live)
 
     def stats(self) -> dict:
-        """Retention/ring/sampler stats for benchmarks and campaigns."""
+        """Retention/ring stats for benchmarks and campaigns."""
         return {
             "spans": self.recorded,
             "spans_committed": self._committed,
@@ -919,11 +834,7 @@ class TraceRecorder:
             "trees_retained_boring": self.trees_retained_boring,
             "trees_discarded": self.trees_discarded,
             "interesting_trees_dropped": self.interesting_trees_dropped,
-            "sampler_period": self._period,
-            "sampler_base": self._base_period,
-            "sampler_tightened": self.sampler_tightened,
-            "sampler_relaxed": self.sampler_relaxed,
-            "tail": self._tail,
+            "sample": self._period,
             "seed": self._seed,
             "capacity": self.capacity,
         }
@@ -1069,10 +980,7 @@ def render_trace_text(recorder: "TraceRecorder") -> str:
             f"+{st['trees_retained_boring']}"
             f" discarded {st['trees_discarded']}"
             f" interesting_dropped {st['interesting_trees_dropped']}"
-            f" period {st['sampler_period']} base {st['sampler_base']}"
-            f" tightened {st['sampler_tightened']}"
-            f" relaxed {st['sampler_relaxed']}"
-            f" tail {'on' if st['tail'] else 'off'}"
+            f" sample {st['sample']}"
         )
     return header + "\n" + "\n".join(r[2] for r in rows) + ("\n" if rows else "")
 
@@ -1100,9 +1008,6 @@ class NullTracer:
     trees_retained_boring = 0
     trees_discarded = 0
     interesting_trees_dropped = 0
-    sampler_tightened = 0
-    sampler_relaxed = 0
-    sample_period = 0
     cycles = 0
 
     def __bool__(self) -> bool:

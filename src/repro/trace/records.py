@@ -33,7 +33,7 @@ from repro.fp.flags import Flag, flags_to_events
 
 #: Retention-class bits.  The low bits are the *interesting* sinks a
 #: completed flight-recorder tree is classified by; ``SAMPLED`` /
-#: ``KEEPALL`` / ``SUMMARY`` mark retained-but-boring populations.
+#: ``SUMMARY`` mark retained-but-boring populations.
 #: They live here, in the dependency-free record layer, because they
 #: are part of the archival vocabulary (span args carry ``cls_label``
 #: output) and because both the recorder and the provenance tracker
@@ -43,8 +43,7 @@ CLS_SINK = 2  #: a provenance chain was killed / sank in this tree
 CLS_BAILOUT = 4  #: trap-fusion bail-out (architecturally meaningful ones)
 CLS_DISPOSITION = 8  #: signal disposition changed (sigaction, disarm)
 CLS_OVERFLOW = 16  #: staged tree hit STAGE_CAP and was force-completed
-CLS_SAMPLED = 32  #: boring tree retained by the statistical sampler
-CLS_KEEPALL = 64  #: boring tree retained because tail sampling is off
+CLS_SAMPLED = 32  #: boring tree retained by the sampler (all at period 1)
 CLS_SUMMARY = 128  #: direct-commit span (storm/chunk summary, orphan)
 
 #: Bits that make a tree "interesting": always retained, and their loss
@@ -60,7 +59,6 @@ _CLS_NAMES = (
     (CLS_DISPOSITION, "disposition"),
     (CLS_OVERFLOW, "overflow"),
     (CLS_SAMPLED, "sampled"),
-    (CLS_KEEPALL, "all"),
     (CLS_SUMMARY, "summary"),
 )
 
@@ -187,9 +185,12 @@ class SpanRecord:
     48      64B    detail string ``k=v;k=v`` (utf-8, truncated)
     ======  =====  ====================================================
 
-    The binary form is the compact archival format; the detail string is
-    lossy past 64 bytes.  The Chrome trace-event JSON export is the
-    lossless round-trip format (:mod:`repro.telemetry.tracing`).
+    The binary form is the compact archival format and the only one a
+    campaign writes (``traces/runNNNN.spans.bin``); the detail string is
+    lossy past 64 bytes.  For Perfetto, convert on demand with
+    ``to_chrome_json(spans_from_binary(data))``; the lossless Chrome
+    trace-event JSON comes from a live recorder
+    (``repro.study trace record --json``, :mod:`repro.telemetry.tracing`).
     """
 
     span_id: int

@@ -122,14 +122,19 @@ def _arg(rec: SpanRecord, key: str) -> int | None:
 def collect_stats(path: str) -> TraceStats:
     """Stats for ``path``: one ``.spans.bin`` file, a campaign artifact
     directory (reads ``traces/*.spans.bin``), or a directory of span
-    files."""
+    files.  A file that does not decode raises ``ValueError`` naming
+    that file."""
     st = TraceStats()
     files = span_files(path)
     if not files:
         raise FileNotFoundError(f"no .spans.bin files under {path!r}")
     for f in files:
         with open(f, "rb") as fh:
-            st.add_file(fh.read())
+            data = fh.read()
+        try:
+            st.add_file(data)
+        except ValueError as exc:
+            raise ValueError(f"{f}: {exc}") from None
     return st
 
 

@@ -11,8 +11,8 @@ arbitrary workloads, not just the ones the unit tests pin down:
   in ``interesting_trees_dropped`` -- retained-in-ring plus counted-
   dropped always equals the classification total;
 * **guest invisibility survives the sampler**: an aggressively sampled,
-  adaptive, pressure-cooked recorder still leaves every guest-visible
-  byte and the cycle clock identical to a tracing-off run.
+  pressure-cooked recorder still leaves every guest-visible byte and
+  the cycle clock identical to a tracing-off run.
 """
 
 from hypothesis import given, settings
@@ -30,10 +30,10 @@ from repro.telemetry.procfs import PROC_ROOT
 _BORING = b64(3.0)
 _ZERO = b64(0.0)
 
-_BORING_KEEPS = {"sampled", "all"}
+_BORING_KEEPS = {"sampled"}
 
 
-def _run_mix(zeros, interleave, sample, seed, capacity, adaptive=False):
+def _run_mix(zeros, interleave, sample, seed, capacity):
     """One individual-mode run over a boring/interesting operand mix.
 
     ``zeros`` is a boolean per op: True -> divide by zero
@@ -49,7 +49,7 @@ def _run_mix(zeros, interleave, sample, seed, capacity, adaptive=False):
 
     k = Kernel(KernelConfig(
         tracing=True, trace_capacity=capacity, trace_sample=sample,
-        trace_seed=seed, trace_adaptive=adaptive))
+        trace_seed=seed))
     k.exec_process(main, env=fpspy_env("individual"), name="mix")
     k.run()
     return k
@@ -145,9 +145,9 @@ def _run_fpspy(n, seed, *, config):
     capacity=st.sampled_from([64, 65536]),
 )
 def test_sampled_recorder_is_guest_invisible(n, seed, sample, capacity):
-    """Aggressive tail sampling + AIMD + ring pressure: still invisible."""
+    """Aggressive tail sampling + ring pressure: still invisible."""
     off = _run_fpspy(n, seed, config=KernelConfig(tracing=False))
     on = _run_fpspy(n, seed, config=KernelConfig(
         tracing=True, trace_capacity=capacity, trace_sample=sample,
-        trace_adaptive=True, trace_seed=seed))
+        trace_seed=seed))
     assert on == off

@@ -115,7 +115,6 @@ def test_campaign_data_loads_minimal_directory(tmp_path):
                  "wall_seconds": 0.5}]}
     assert camp.runs_by_mode("aggregate") == []
     assert camp.rankpop_inputs() == ()
-    assert camp.trace_stats() is None
 
 
 # ------------------------------------------------------------------- vega

@@ -191,6 +191,8 @@ def test_trace_artifacts_written_by_workers_not_queued(tmp_path):
     name, size, digest = outcome.trace_artifact
     path = tmp_path / "traces" / name
     assert path.exists() and path.stat().st_size == size
+    # The packed spans are the run's only trace artifact.
+    assert os.listdir(tmp_path / "traces") == [name]
     import hashlib
 
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

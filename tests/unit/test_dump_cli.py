@@ -1,5 +1,7 @@
 """Tests for the trace dump tool and the study CLI."""
 
+import re
+
 import pytest
 
 from repro.fp.formats import float_to_bits64 as b64
@@ -172,3 +174,54 @@ class TestTelemetryCLI:
         assert cli_main(
             ["telemetry", "diff", str(a), str(b), "--threshold", "0.5"]
         ) == 0
+
+
+class TestTraceCLI:
+    """``repro.study trace``: record, sampling and offline stats."""
+
+    @staticmethod
+    def _trees(out: str) -> int:
+        return int(re.search(r"trees (\d+)", out).group(1))
+
+    def test_record_keeps_every_tree_by_default(self, tmp_path, capsys):
+        from repro.telemetry.tracing import from_chrome_json
+
+        b, j = tmp_path / "run.spans.bin", tmp_path / "run.trace.json"
+        assert cli_main(["trace", "record", "miniaero", "--scale", "0.2",
+                         "--bin", str(b), "--json", str(j)]) == 0
+        trees = self._trees(capsys.readouterr().out)
+        roots = [s for s in from_chrome_json(j.read_text())
+                 if s.parent_id == 0]
+        # Every completed tree is retained (nothing discarded), so each
+        # one left its fp_fault root, labeled with why it was kept.
+        faults = [s for s in roots if s.name == "fp_fault"]
+        assert trees > 0 and len(faults) == trees
+        assert all(s.args["keep"] for s in faults)
+        assert cli_main(["trace", "stats", str(b)]) == 0
+        assert self._trees(capsys.readouterr().out) == len(roots)
+
+    def test_sampled_record_discards_and_replays(self, capsys):
+        argv = ["trace", "record", "miniaero", "--scale", "0.2",
+                "--sample", "4", "--seed", "1", "--limit", "0"]
+        assert cli_main(argv) == 0
+        first = capsys.readouterr().out
+        assert int(re.search(r"discarded (\d+)", first).group(1)) > 0
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_stats_names_the_truncated_file(self, tmp_path, capsys):
+        from repro.campaign import CampaignSpec, RunSpec, run_campaign
+
+        spec = CampaignSpec(name="traced", runs=tuple(
+            RunSpec(app="Miniaero", mode=mode, scale=0.1, tracing=True)
+            for mode in ("aggregate", "sampled")))
+        result = run_campaign(spec, out_dir=tmp_path, execution="inprocess")
+        assert not result.failed
+        bad = tmp_path / "traces" / "run0001.spans.bin"
+        data = bad.read_bytes()
+        assert data
+        bad.write_bytes(data[:-1])
+        assert cli_main(["trace", "stats", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err
+        assert captured.out == ""

@@ -1,12 +1,10 @@
 """Unit tests for merge_snapshots (campaign telemetry aggregation)."""
 
-import pytest
-
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.snapshot import flatten_snapshot, merge_snapshots
 
 
-def _bus(counters=(), labeled=(), gauges=(), hist=None, cycles=0):
+def _bus(counters=(), labeled=(), gauges=(), cycles=0):
     """Build a real bus so tests exercise the actual typed-snapshot shape."""
 
     class _Clock:
@@ -22,11 +20,6 @@ def _bus(counters=(), labeled=(), gauges=(), hist=None, cycles=0):
         scope.labeled(name).inc(label, n)
     for name, value in gauges:
         scope.gauge(name, lambda v=value: v)
-    if hist is not None:
-        bounds, samples = hist
-        h = scope.histogram("lat", bounds)
-        for x in samples:
-            h.observe(x)
     return bus
 
 
@@ -47,26 +40,6 @@ def test_labeled_counters_sum_per_label():
     merged = merge_snapshots([a, b])
     assert merged["scopes"]["cpu"]["sig.SIGFPE"] == 5
     assert merged["scopes"]["cpu"]["sig.SIGTRAP"] == 1
-
-
-def test_histograms_sum_bucketwise():
-    bounds = (1.0, 10.0)
-    a = _bus(hist=(bounds, [0.5, 5.0])).snapshot_typed()
-    b = _bus(hist=(bounds, [0.7, 50.0])).snapshot_typed()
-    merged = merge_snapshots([a, b])
-    h = merged["scopes"]["cpu"]["lat"]
-    assert h["total"] == 4
-    assert h["sum"] == pytest.approx(56.2)
-    assert h["buckets"]["le_1"] == 2
-    assert h["buckets"]["le_10"] == 1
-    assert h["buckets"]["overflow"] == 1
-
-
-def test_histogram_bounds_mismatch_raises():
-    a = _bus(hist=((1.0, 10.0), [0.5])).snapshot_typed()
-    b = _bus(hist=((2.0, 20.0), [0.5])).snapshot_typed()
-    with pytest.raises(ValueError, match="mismatched bounds"):
-        merge_snapshots([a, b])
 
 
 def test_gauges_are_last_writer_in_input_order():
@@ -94,7 +67,6 @@ def test_merge_of_single_snapshot_matches_plain_snapshot():
         counters=[("steps", 5)],
         labeled=[("sig", "SIGFPE", 2)],
         gauges=[("depth", 7)],
-        hist=((1.0, 10.0), [0.5, 3.0, 99.0]),
         cycles=42,
     )
     assert merge_snapshots([bus.snapshot_typed()]) == bus.snapshot()
@@ -200,7 +172,6 @@ def test_trace_merge_is_worker_count_invariant():
         for key in ref_flat:
             if key.startswith("trace.") and "ring.size" not in key \
                     and "trees.open" not in key \
-                    and "sampler.period" not in key \
                     and "ring.capacity" not in key:
                 assert per_flat[key] == ref_flat[key], key
 

@@ -29,7 +29,7 @@ from repro.telemetry import (
     diff_snapshots,
     flatten_snapshot,
 )
-from repro.telemetry.bus import EVENT_WINDOW, Histogram
+from repro.telemetry.bus import EVENT_WINDOW
 from repro.telemetry.procfs import PROC_ROOT, render_counters, render_status
 from repro.telemetry.snapshot import derive_rates
 from repro.trace.records import IndividualRecord
@@ -57,14 +57,6 @@ class TestInstruments:
         lc.inc("plain")
         assert lc.get(Color.RED) == 3
         assert lc.as_dict() == {"RED": 3, "plain": 1}
-
-    def test_histogram_buckets(self):
-        h = Histogram((1.0, 10.0))
-        for x in (0.5, 5.0, 50.0, 0.1):
-            h.observe(x)
-        d = h.as_dict()
-        assert d["total"] == 4
-        assert d["buckets"] == {"le_1": 2, "le_10": 1, "overflow": 1}
 
     def test_scope_snapshot_flattens_labels_and_dict_gauges(self):
         s = Scope("x")
