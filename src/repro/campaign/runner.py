@@ -41,6 +41,9 @@ REPORT_FILE = "campaign_report.txt"
 RESULT_FILE = "campaign.json"
 TRACE_DIR = "traces"
 
+_COUNT_KEYS = ("inprocess_runs", "runs_dispatched", "run_retries",
+               "pool_rebuilds")
+
 
 class CampaignRunner:
     """Run a :class:`CampaignSpec` under a planned execution strategy.
@@ -62,14 +65,14 @@ class CampaignRunner:
         self.out_dir = os.fspath(out_dir) if out_dir else None
         self.execution = execution
         self._last_status: tuple | None = None
-        # Coordinator-side telemetry: dispatch/retry counters ride the
-        # same bus/snapshot machinery as the simulated layers, so
-        # `repro.study telemetry` tooling can attribute coordinator
-        # overhead next to guest costs.
+        #: Coordinator counts, read by the ``campaign.pool`` scope of
+        #: :attr:`bus` so ``repro.study telemetry`` tooling can
+        #: attribute coordinator overhead next to guest costs.
+        self.counts = dict.fromkeys(_COUNT_KEYS, 0)
         from repro.telemetry.bus import TelemetryBus
 
         self.bus = TelemetryBus()
-        self._tel = self.bus.scope("campaign.pool")
+        self.bus.scope("campaign.pool").counts(lambda: self.counts)
 
     # ------------------------------------------------------------ plan
 
@@ -87,18 +90,19 @@ class CampaignRunner:
         trace_dir = self._trace_dir()
 
         if n == 0:
-            result = acc.merge(host=self._host_stats(plan, 0, 0, t_start))
+            result = acc.merge(host=self._host_stats(plan, 0, t_start))
             self._write_artifacts(result)
             return result
 
         if plan.mode == "inprocess":
-            retries, spawned = self._run_inprocess(plan, acc, trace_dir), 0
+            self._run_inprocess(plan, acc, trace_dir)
+            spawned = 0
         else:
-            retries, spawned = self._run_pool(plan, acc, trace_dir)
-        host = self._host_stats(plan, spawned, retries, t_start)
+            spawned = self._run_pool(plan, acc, trace_dir)
+        host = self._host_stats(plan, spawned, t_start)
 
         result = acc.merge(host=host)
-        self._write_status("done", acc, plan, retries, spawned=spawned)
+        self._write_status("done", acc, plan, spawned=spawned)
         self._write_artifacts(result)
         return result
 
@@ -107,7 +111,7 @@ class CampaignRunner:
     def _run_inprocess(
         self, plan: ExecutionPlan, acc: ResultAccumulator,
         trace_dir: str | None,
-    ) -> int:
+    ) -> None:
         """Execute every run in this process (no spawn, no queues).
 
         The retry contract survives without process isolation: a run
@@ -116,8 +120,7 @@ class CampaignRunner:
         interpreter isolation -- the planner only picks this mode when
         the pool cannot pay for itself.)
         """
-        runs_c = self._tel.counter("inprocess_runs")
-        retries = 0
+        counts = self.counts
         for index, spec in enumerate(self.campaign.runs):
             error = None
             for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -130,27 +133,25 @@ class CampaignRunner:
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     if attempt < MAX_ATTEMPTS:
-                        retries += 1
-                        self._tel.counter("run_retries").inc()
+                        counts["run_retries"] += 1
             if error is not None:
                 acc.add(RunOutcome(
                     index=index, label=spec.label, status="failed",
                     attempts=MAX_ATTEMPTS, error=error))
-            runs_c.inc()
-            self._write_status("running", acc, plan, retries, spawned=0)
-        return retries
+            counts["inprocess_runs"] += 1
+            self._write_status("running", acc, plan, spawned=0)
 
     # ------------------------------------------------------------ pool
 
     def _run_pool(
         self, plan: ExecutionPlan, acc: ResultAccumulator,
         trace_dir: str | None,
-    ) -> tuple[int, int]:
+    ) -> int:
         """Submit every run to a spawn-context process pool.
 
         At most ``plan.workers + 1`` runs are in flight, so one run
         waits queued behind each busy worker and a requeued run never
-        lands behind the whole campaign.
+        lands behind the whole campaign.  Returns the workers spawned.
         """
         # Imported here so in-process campaigns never load them (they
         # add about 1 MB to the in-process peak RSS).
@@ -165,15 +166,12 @@ class CampaignRunner:
         runs = self.campaign.runs
         attempts = [0] * len(runs)
         pending = deque(range(len(runs)))
-        retries = spawned = 0
-        dispatched_c = self._tel.counter("runs_dispatched")
-        retry_c = self._tel.counter("run_retries")
-        rebuild_c = self._tel.counter("pool_rebuilds")
+        spawned = 0
+        counts = self.counts
         ctx = multiprocessing.get_context("spawn")
 
         def charge(index: int, error: str) -> None:
             """One failed attempt: requeue the run, or record it failed."""
-            nonlocal retries
             attempts[index] += 1
             if attempts[index] >= MAX_ATTEMPTS:
                 acc.add(RunOutcome(
@@ -181,8 +179,7 @@ class CampaignRunner:
                     attempts=attempts[index], error=error))
             else:
                 pending.append(index)
-                retries += 1
-                retry_c.inc()
+                counts["run_retries"] += 1
 
         while pending:
             executor = ProcessPoolExecutor(plan.workers, mp_context=ctx)
@@ -202,7 +199,7 @@ class CampaignRunner:
                             break
                         inflight[future] = pending.popleft()
                         submitted += 1
-                        dispatched_c.inc()
+                        counts["runs_dispatched"] += 1
                     # Once broken, nothing more is submitted and every
                     # in-flight future fails promptly; the loop drains
                     # them before the executor is rebuilt.
@@ -225,14 +222,14 @@ class CampaignRunner:
                         else:
                             charge(index, f"{type(error).__name__}: {error}")
                     self._write_status(
-                        "running", acc, plan, retries,
+                        "running", acc, plan,
                         spawned=spawned + min(plan.workers, submitted))
             finally:
                 executor.shutdown(cancel_futures=True)
                 spawned += min(plan.workers, submitted)
             if broken:
-                rebuild_c.inc()
-        return retries, spawned
+                counts["pool_rebuilds"] += 1
+        return spawned
 
     # ------------------------------------------------------- artifacts
 
@@ -264,11 +261,12 @@ class CampaignRunner:
 
     def _write_status(
         self, state: str, acc: ResultAccumulator, plan: ExecutionPlan,
-        retries: int, spawned: int,
+        spawned: int,
     ) -> None:
         if self.out_dir is None:
             return
         failed = acc.failed_so_far()
+        retries = self.counts["run_retries"]
         key = (state, acc.done, retries, tuple(failed))
         if key == self._last_status:
             return
@@ -293,13 +291,12 @@ class CampaignRunner:
         self,
         plan: ExecutionPlan,
         spawned: int,
-        retries: int,
         t_start: float,
     ) -> dict:
         return {
             "workers": plan.workers,
             "spawned_workers": spawned,
-            "retries": retries,
+            "retries": self.counts["run_retries"],
             "host_wall_seconds": round(time.perf_counter() - t_start, 6),
             "plan": plan.to_dict(),
             "coordinator_telemetry": self.bus.snapshot_typed(),

@@ -314,8 +314,15 @@ def _round_pack_vec(F, rmode, sign, mant, exp, sticky, ftz):
     tiny = (e_top < F.emin) & ~is_zero
 
     # --- tiny branch (computed everywhere, selected at the end) ---------
-    shift_t = np.minimum(_I(F.emin - F.mant_bits) - exp, bl + 1)
-    kept_t, inex_t = _round_sig_vec(mant, shift_t, sign, rmode, sticky)
+    # Losing a whole 63-bit significand takes a 64-bit shift, past what
+    # int64 can shift: jam such lanes down one bit first (a tiny result
+    # keeps at least 10 bits below its rounding position, so bit 0 only
+    # ever feeds the sticky bit).
+    wide = bl > 62
+    mant_t = np.where(wide, _shr_jam(mant, wide.astype(_I)), mant)
+    exp_t = exp + wide
+    shift_t = np.minimum(_I(F.emin - F.mant_bits) - exp_t, bl - wide + 1)
+    kept_t, inex_t = _round_sig_vec(mant_t, shift_t, sign, rmode, sticky)
     carry_t = kept_t >= (_I(1) << _I(F.mant_bits))
     low_t = np.where(carry_t, _I(F.min_normal), kept_t)
     bits_t = _pack(F, sign, low_t)

@@ -50,7 +50,7 @@ class ThreadMonitor:
     rng: random.Random = field(default_factory=random.Random)
     disabled: bool = False
     disabled_reason: str = ""
-    #: Sim-cycle timestamp of the last sampler phase transition (telemetry).
+    #: Sim-cycle timestamp of the last sampler phase transition.
     phase_start_cycles: int = 0
 
 
@@ -70,47 +70,56 @@ class FPSpyEngine:
         #: App handler registrations swallowed in aggressive mode.
         self.shadowed_handlers: dict[Signal, object] = {}
 
-        # Telemetry (pull-based; None when the bus is disabled so the hot
-        # handlers pay one `is not None` branch each).
+        #: Counts (DESIGN.md #8), always on.  Events are kept by raw
+        #: condition-code bitmask and named only when a snapshot reads
+        #: them; ``observed``/``recorded`` live on the monitors.
+        self.event_codes = [0] * (int(ALL_FLAGS) + 1)
+        self.sampler_toggles: dict[str, int] = {}
+        self.sampler_phase_cycles: dict[str, int] = {}
         tel = self.kernel.telemetry
-        if tel:
+        if tel is not None:
             scope = tel.scope("fpspy")
-            self._t_scope = scope
-            self._t_events = scope.labeled("events")
-            self._t_observed = scope.counter("observed")
-            self._t_recorded = scope.counter("recorded")
-            self._t_toggles = scope.labeled("sampler.toggles")
-            self._t_phase = scope.labeled("sampler.phase_cycles")
-            self._t_step_asides = scope.counter("step_asides")
-            scope.gauge(f"proc.{process.pid}", self._proc_gauge)
-        else:
-            self._t_scope = None
-            self._t_events = None
-            self._t_observed = None
-            self._t_recorded = None
-            self._t_toggles = None
-            self._t_phase = None
-            self._t_step_asides = None
+            scope.counts(self._counts)
+            scope.gauges(self._levels)
 
-        # Flight recorder (DESIGN.md #10): handler-phase spans, same
-        # one-branch prefetch idiom.
+        # Flight recorder (DESIGN.md #10): handler-phase spans; hook
+        # sites pay one prefetched-``None`` test when it is off.
         tr = getattr(self.kernel, "tracer", None)
         self._tr = tr if tr else None
 
-    def _proc_gauge(self) -> dict[str, float]:
-        """Per-process monitoring totals, sampled only at snapshot time."""
-        observed = sum(m.observed for m in self.monitors.values())
-        recorded = sum(m.recorded for m in self.monitors.values())
-        utime = sum(m.task.utime_cycles for m in self.monitors.values())
-        stime = sum(m.task.stime_cycles for m in self.monitors.values())
-        return {
-            "threads": len(self.monitors),
+    def _counts(self) -> dict[str, int]:
+        """The engine's counts, named for the ``fpspy`` scope."""
+        mons = self.monitors.values()
+        observed = sum(m.observed for m in mons)
+        recorded = sum(m.recorded for m in mons)
+        proc = f"proc.{self.process.pid}."
+        out = {
             "observed": observed,
             "recorded": recorded,
-            "utime_cycles": utime,
-            "stime_cycles": stime,
-            "individual": int(self.config.mode == Mode.INDIVIDUAL),
-            "stepped_aside": int(self.stepped_aside),
+            # A process steps aside at most once.
+            "step_asides": int(self.stepped_aside),
+            proc + "threads": len(self.monitors),
+            proc + "observed": observed,
+            proc + "recorded": recorded,
+            proc + "utime_cycles": sum(m.task.utime_cycles for m in mons),
+            proc + "stime_cycles": sum(m.task.stime_cycles for m in mons),
+        }
+        for codes, n in enumerate(self.event_codes):
+            if n:
+                for name in flags_to_events(Flag(codes)):
+                    key = "events." + name
+                    out[key] = out.get(key, 0) + n
+        for to, n in self.sampler_toggles.items():
+            out["sampler.toggles." + to] = n
+        for phase, n in self.sampler_phase_cycles.items():
+            out["sampler.phase_cycles." + phase] = n
+        return out
+
+    def _levels(self) -> dict[str, int]:
+        proc = f"proc.{self.process.pid}."
+        return {
+            proc + "individual": int(self.config.mode == Mode.INDIVIDUAL),
+            proc + "stepped_aside": int(self.stepped_aside),
         }
 
     # ------------------------------------------------------------- misc
@@ -149,8 +158,7 @@ class FPSpyEngine:
         )
         mon = ThreadMonitor(
             task=task,
-            writer=TraceWriter(self.kernel.vfs, path,
-                               telemetry=self.kernel.telemetry),
+            writer=TraceWriter(self.kernel.vfs, path, self.kernel.telemetry),
         )
         mon.rng = random.Random(f"{cfg.seed}:{self.process.pid}:{task.tid}")
         mon.phase_start_cycles = self.kernel.cycles
@@ -272,16 +280,7 @@ class FPSpyEngine:
         mx = MXCSR(mctx.mxcsr)
         codes = int(mx.status)
         mon.observed += 1
-        if self._t_observed is not None:
-            self._t_observed.value += 1
-            for name in flags_to_events(Flag(codes)):
-                self._t_events.inc(name)
-            # /proc/fpspy/events: each delivery, attributed to its task.
-            self._t_scope.event(
-                "sigfpe", self.kernel.cycles,
-                pid=self.process.pid, tid=task.tid, rip=mctx.rip,
-                sicode=info.code,
-            )
+        self.event_codes[codes] += 1
         task.utime_cycles += self.costs.handler_user
         self.kernel.cycles += self.costs.handler_user
 
@@ -300,8 +299,6 @@ class FPSpyEngine:
             )
             mon.seq += 1
             mon.recorded += 1
-            if self._t_recorded is not None:
-                self._t_recorded.value += 1
             task.utime_cycles += self.costs.trace_append
             self.kernel.cycles += self.costs.trace_append
             if tr is not None:
@@ -366,14 +363,15 @@ class FPSpyEngine:
         mon = self._current_monitor()
         if mon is None or mon.disabled or not self.active:
             return
-        if self._t_toggles is not None:
-            # Charge the phase being left with its sim-cycle dwell time.
-            leaving = "on" if mon.sampling_on else "off"
-            self._t_phase.inc(leaving, self.kernel.cycles - mon.phase_start_cycles)
-            mon.phase_start_cycles = self.kernel.cycles
+        # Charge the phase being left with its sim-cycle dwell time.
+        leaving = "on" if mon.sampling_on else "off"
+        phase = self.sampler_phase_cycles
+        phase[leaving] = (phase.get(leaving, 0)
+                          + self.kernel.cycles - mon.phase_start_cycles)
+        mon.phase_start_cycles = self.kernel.cycles
         mon.sampling_on = not mon.sampling_on
-        if self._t_toggles is not None:
-            self._t_toggles.inc("to_on" if mon.sampling_on else "to_off")
+        to = "to_on" if mon.sampling_on else "to_off"
+        self.sampler_toggles[to] = self.sampler_toggles.get(to, 0) + 1
         self._arm_sampler(mon)
         if mon.state == MonitorState.AWAIT_FPE:
             mx = MXCSR(uctx.mcontext.mxcsr)
@@ -410,8 +408,6 @@ class FPSpyEngine:
             return
         self.stepped_aside = True
         self.step_aside_reason = reason
-        if self._t_step_asides is not None:
-            self._t_step_asides.value += 1
         if self._tr is not None:
             self._tr.note_disposition(self.kernel.current_task)
         if self.config.mode == Mode.INDIVIDUAL:

@@ -51,14 +51,14 @@ class KernelConfig:
     #: benchmarks/test_ablation_trapfast.py.
     stormbatch: bool = True
     #: Enable the cross-layer telemetry bus (DESIGN.md #8) and mount the
-    #: guest-visible ``/proc/fpspy/`` tree.  Telemetry never perturbs
-    #: architectural state -- traces and cycle counts are byte-identical
-    #: either way (tests/property/test_telemetry_props.py) -- so this
-    #: switch only trades a small host-side counting cost for
-    #: introspection.  Off, every instrumented site sees the falsy
-    #: module-level NULL_BUS and skips itself with one branch.  The bus
-    #: counts events, never host time: ``repro.study telemetry run
-    #: --profile`` measures that from outside, with ``cProfile``.
+    #: guest-visible ``/proc/fpspy/`` tree.  Every layer keeps its
+    #: counts either way; this switch only decides whether a bus exists
+    #: to read them (``kernel.telemetry`` is ``None`` when off).
+    #: Telemetry never perturbs architectural state -- traces and cycle
+    #: counts are byte-identical either way
+    #: (tests/property/test_telemetry_props.py).  The bus counts events,
+    #: never host time: ``repro.study telemetry run --profile`` measures
+    #: that from outside, with ``cProfile``.
     telemetry: bool = False
     #: Enable the trap-lifecycle flight recorder and the NaN/Inf/denorm
     #: provenance tracker (DESIGN.md #10).  Spans and coils are
@@ -123,14 +123,20 @@ class Kernel:
         #: back for exactly one check so they fire at the same cycle count
         #: and the same instruction boundary as the two-trap path.
         self._timer_defer_floor: int | None = None
+        #: Scheduler and timer counts (always on; read by the bus).
+        self.sched_slices = 0
+        self.sched_switches = 0
+        self.timers_fired = 0
+        self.timers_deferred = 0
+        self.timer_defer_fences = 0
 
-        from repro.telemetry.bus import NULL_BUS, TelemetryBus
+        from repro.telemetry.bus import TelemetryBus
 
         if self.config.telemetry:
             self.telemetry = TelemetryBus(self)
             self._install_telemetry()
         else:
-            self.telemetry = NULL_BUS
+            self.telemetry = None
 
         from repro.telemetry.tracing import NULL_TRACER, TraceRecorder
 
@@ -157,23 +163,30 @@ class Kernel:
         self.cpu = CPU(self, self.config.costs)
 
     def _install_telemetry(self) -> None:
-        """Register the kernel's own instruments and mount /proc/fpspy."""
+        """Register the kernel's own sources and mount /proc/fpspy.
+
+        Every other owner (CPU, flight recorder, FPSpy engines, trace
+        writers) registers its own as it is constructed."""
         sc = self.telemetry.scope("kernel")
-        self._t_slices = sc.counter("sched.slices")
-        self._t_switches = sc.counter("sched.switches")
-        self._t_timers_fired = sc.counter("timers.fired")
-        self._t_timers_deferred = sc.counter("timers.deferred")
-        self._t_defer_fences = sc.counter("timers.defer_fences")
-        sc.gauge("timers.armed", lambda: len(self._task_timers))
-        sc.gauge("processes", lambda: len(self.processes))
-        sc.gauge("runq", lambda: len(self._runq))
+        sc.counts(lambda: {
+            "sched.slices": self.sched_slices,
+            "sched.switches": self.sched_switches,
+            "timers.fired": self.timers_fired,
+            "timers.deferred": self.timers_deferred,
+            "timers.defer_fences": self.timer_defer_fences,
+        })
+        sc.gauges(lambda: {
+            "timers.armed": len(self._task_timers),
+            "processes": len(self.processes),
+            "runq": len(self._runq),
+        })
 
         # The softfloat memo layer is module-global (shared by every
-        # kernel in the host process); its counters are pulled, never
-        # pushed, so exposing it here costs nothing at execution time.
+        # kernel in the host process); its tallies are levels of that
+        # shared cache, not this kernel's counts.
         from repro.isa.semantics import memo_stats
 
-        self.telemetry.scope("fp.memo").gauge("", memo_stats)
+        self.telemetry.scope("fp.memo").gauges(memo_stats)
 
         from repro.telemetry.procfs import mount_proc
 
@@ -325,8 +338,7 @@ class Kernel:
         clears the fence after the very next check.
         """
         self._timer_defer_floor = floor_cycles
-        if self.telemetry:
-            self._t_defer_fences.value += 1
+        self.timer_defer_fences += 1
 
     def _fire_timers(self) -> None:
         heap = self._timer_heap
@@ -338,8 +350,7 @@ class Kernel:
                 continue  # stale entry left behind by a cancel or re-arm
             if floor is not None and expiry > floor:
                 deferred.append((expiry, seq, timer))
-                if self.telemetry:
-                    self._t_timers_deferred.value += 1
+                self.timers_deferred += 1
                 continue
             if self._task_timers.get(timer.task) is timer and not timer.task.alive:
                 del self._task_timers[timer.task]
@@ -347,8 +358,7 @@ class Kernel:
             if not timer.task.alive:
                 continue
             timer.task.post_signal(SigInfo(signo=timer.signal))
-            if self.telemetry:
-                self._t_timers_fired.value += 1
+            self.timers_fired += 1
             if timer.interval_cycles > 0:
                 timer.expiry_cycles = self.cycles + timer.interval_cycles
                 self._push_timer(timer)
@@ -366,17 +376,15 @@ class Kernel:
         Returns the number of guest operations executed.
         """
         executed = 0
-        tel = self.telemetry
         last_task = None
         while self._runq:
             task = self._runq.popleft()
             if not task.alive:
                 continue
-            if tel:
-                self._t_slices.value += 1
-                if task is not last_task:
-                    self._t_switches.value += last_task is not None
-                    last_task = task
+            self.sched_slices += 1
+            if task is not last_task:
+                self.sched_switches += last_task is not None
+                last_task = task
             # The slice is a *budget*, not a step count: a batched block
             # chunk reports (via ``cpu.step_cost``) how many per-instruction
             # steps it stands for, so it drains the quantum exactly as the

@@ -71,9 +71,8 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             and storm.try_storm(cpu, task, block)
         ):
             return True
-        if cpu._t_blk_scalar is not None:
-            cpu._t_blk_scalar.value += 1
-            cpu._note_block_mode(task, False)
+        cpu.blk_substeps += 1
+        cpu._note_block_mode(task, False)
         return _scalar_substep(cpu, task, block)
 
     costs = cpu.costs
@@ -94,9 +93,8 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # than a whole group's budget left): execute it with scalar
         # sub-steps so signals and preemption land on the exact
         # instruction.
-        if cpu._t_blk_scalar is not None:
-            cpu._t_blk_scalar.value += 1
-            cpu._note_block_mode(task, False)
+        cpu.blk_substeps += 1
+        cpu._note_block_mode(task, False)
         return _scalar_substep(cpu, task, block)
 
     _commit_chunk(cpu, task, block, k)
@@ -105,10 +103,9 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # Fast-path batches stamp one coarse span (never per-instruction
         # detail -- nothing in a quiescent chunk can fault or trap).
         cpu._tr.chunk(task, block.site.address, k)
-    if cpu._t_blk_chunks is not None:
-        cpu._t_blk_chunks.value += 1
-        cpu._t_blk_groups.value += k
-        cpu._note_block_mode(task, True)
+    cpu.blk_chunks += 1
+    cpu.blk_groups += k
+    cpu._note_block_mode(task, True)
     return True
 
 

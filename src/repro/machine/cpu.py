@@ -92,8 +92,7 @@ class CPU:
         #: delivery inline instead of posting it for the next step.
         self.trapfast = kernel.config.trapfast
         self._fuse_armed = False
-        #: Storm batch driver (DESIGN.md #11): host-side batch/bail-out
-        #: accounting, exposed as a pull gauge when telemetry is on.
+        #: Storm batch driver (DESIGN.md #11) and its batch/bail-out counts.
         self.stormbatch = kernel.config.stormbatch
         self.storm_stats: dict = {
             "batches": 0, "groups": 0, "quiet": 0, "records": 0,
@@ -103,44 +102,29 @@ class CPU:
         #: ``TEXT_BASE`` is shared across processes, so entries validate
         #: the interned :class:`CodeSite` by identity before use.
         self._site_cache: dict[int, tuple] = {}
-        #: Telemetry (DESIGN.md #8).  Instruments are pre-fetched here so
-        #: hot paths pay one ``is not None`` test when disabled; none of
-        #: them may charge cycles or touch architectural state.
-        tel = kernel.telemetry
-        if tel:
-            sc = tel.scope("cpu")
-            self._t_site_hits = sc.counter("site_cache.hits")
-            self._t_site_misses = sc.counter("site_cache.misses")
-            self._t_fused = sc.counter("trapfusion.fused")
-            self._t_bailed = sc.counter("trapfusion.bailed")
-            self._t_bail_reasons = sc.labeled("trapfusion.bailouts")
-            self._t_signals = tel.scope("kernel").labeled("signals.delivered")
-            sc.gauge("site_cache.size", lambda: len(self._site_cache))
-            sc.gauge("storm", self._storm_gauge)
-            blk = tel.scope("blockexec")
-            self._t_blk_chunks = blk.counter("fast_chunks")
-            self._t_blk_groups = blk.counter("fast_groups")
-            self._t_blk_scalar = blk.counter("scalar_substeps")
-            self._t_blk_enter = blk.counter("quiesce.entries")
-            self._t_blk_exit = blk.counter("quiesce.exits")
-        else:
-            self._t_site_hits = None
-            self._t_site_misses = None
-            self._t_fused = None
-            self._t_bailed = None
-            self._t_bail_reasons = None
-            self._t_signals = None
-            self._t_blk_chunks = None
-            self._t_blk_groups = None
-            self._t_blk_scalar = None
-            self._t_blk_enter = None
-            self._t_blk_exit = None
+        #: Counts (DESIGN.md #8): always on, plain ints keyed raw -- the
+        #: bus names them at snapshot time.  None may charge cycles or
+        #: touch architectural state.
+        self.site_hits = 0
+        self.site_misses = 0
+        self.fused = 0
+        #: Trap-fusion bail-outs by reason.
+        self.fusion_bailouts: dict[str, int] = {}
+        #: User-handler deliveries, indexed by signal number.
+        self.signals_delivered = [0] * (max(Signal) + 1)
+        #: Block engine: vectorized chunks and the groups they retired,
+        #: precise sub-steps, and quiescence regime transitions.
+        self.blk_chunks = 0
+        self.blk_groups = 0
+        self.blk_substeps = 0
+        self.quiesce_entries = 0
+        self.quiesce_exits = 0
         #: Host-only per-task record of the block engine's last regime
         #: (True = vectorized chunk, False = precise sub-step), for the
-        #: quiescence entry/exit transition counters.
+        #: quiescence entry/exit transition counts.
         self._blk_mode: dict[Task, bool] = {}
-        #: Flight recorder + provenance (DESIGN.md #10), pre-fetched with
-        #: the same one-branch idiom as telemetry.  The traced executor
+        #: Flight recorder + provenance (DESIGN.md #10), pre-fetched so a
+        #: disabled hook site pays one ``is not None`` test.  The traced executor
         #: factory is chosen once here: traced memo closures expose a
         #: ``memo_hit`` cell the emulate span reads, and keeping them in
         #: a separate intern table leaves the disabled path untouched.
@@ -150,30 +134,55 @@ class CPU:
         self._executor_factory = (
             traced_form_executor if self._tr is not None else form_executor
         )
+        if kernel.telemetry is not None:
+            self._register_telemetry(kernel.telemetry)
 
-    def _storm_gauge(self) -> dict:
-        """Flattened storm accounting for ``/proc/fpspy/counters``."""
+    def _register_telemetry(self, bus) -> None:
+        """Register the CPU's count and gauge sources on ``bus``."""
+        cpu = bus.scope("cpu")
+        cpu.counts(self._cpu_counts)
+        cpu.gauges(lambda: {"site_cache.size": len(self._site_cache)})
+        bus.scope("kernel").counts(lambda: {
+            f"signals.delivered.{Signal(signo).name}": n
+            for signo, n in enumerate(self.signals_delivered) if n
+        })
+        bus.scope("blockexec").counts(lambda: {
+            "fast_chunks": self.blk_chunks,
+            "fast_groups": self.blk_groups,
+            "scalar_substeps": self.blk_substeps,
+            "quiesce.entries": self.quiesce_entries,
+            "quiesce.exits": self.quiesce_exits,
+        })
+
+    def _cpu_counts(self) -> dict[str, int]:
+        bailouts = self.fusion_bailouts
         st = self.storm_stats
         out = {
-            "batches": st["batches"],
-            "groups": st["groups"],
-            "quiet": st["quiet"],
-            "records": st["records"],
+            "site_cache.hits": self.site_hits,
+            "site_cache.misses": self.site_misses,
+            "trapfusion.fused": self.fused,
+            "trapfusion.bailed": sum(bailouts.values()),
+            "storm.batches": st["batches"],
+            "storm.groups": st["groups"],
+            "storm.quiet": st["quiet"],
+            "storm.records": st["records"],
         }
+        for reason, n in bailouts.items():
+            out[f"trapfusion.bailouts.{reason}"] = n
         for reason, n in st["bailouts"].items():
-            out[f"bail.{reason}"] = n
+            out[f"storm.bail.{reason}"] = n
         return out
 
     def _note_block_mode(self, task: Task, fast: bool) -> None:
-        """Count quiescence regime transitions for ``task`` (telemetry)."""
+        """Count quiescence regime transitions for ``task``."""
         prev = self._blk_mode.get(task)
         if prev is fast:
             return
         self._blk_mode[task] = fast
         if fast:
-            self._t_blk_enter.value += 1
+            self.quiesce_entries += 1
         elif prev is not None:
-            self._t_blk_exit.value += 1
+            self.quiesce_exits += 1
 
     # ------------------------------------------------------------- signals
 
@@ -208,8 +217,7 @@ class CPU:
                     return False
                 continue
             # User handler: kernel crossing, frame setup, handler body.
-            if self._t_signals is not None:
-                self._t_signals.inc(info.signo)
+            self.signals_delivered[info.signo] += 1
             task.stime_cycles += self.costs.signal_deliver
             self.kernel.cycles += self.costs.signal_deliver
             uctx = self._build_ucontext(task, info)
@@ -326,10 +334,9 @@ class CPU:
                 site.address + len(site.encoding),
             )
             self._site_cache[site.address] = entry
-            if self._t_site_misses is not None:
-                self._t_site_misses.value += 1
-        elif self._t_site_hits is not None:
-            self._t_site_hits.value += 1
+            self.site_misses += 1
+        else:
+            self.site_hits += 1
         return entry
 
     def execute_site(self, task: Task, site, inputs):
@@ -488,13 +495,11 @@ class CPU:
                     if heap and heap[0][0] <= floor:
                         reason = "timer"
                     else:
-                        if self._t_fused is not None:
-                            self._t_fused.value += 1
+                        self.fused += 1
                         self._deliver_trap_inline(task, disposition, floor)
                         return
-            if self._t_bailed is not None:
-                self._t_bailed.value += 1
-                self._t_bail_reasons.inc(reason)
+            bailouts = self.fusion_bailouts
+            bailouts[reason] = bailouts.get(reason, 0) + 1
             if self._tr is not None and reason != "quantum":
                 # Architecturally meaningful bail-outs mark the open trap
                 # tree as interesting for the tail sampler.  "quantum" is
@@ -530,8 +535,7 @@ class CPU:
         info = SigInfo(signo=Signal.SIGTRAP, code=TRAP_TRACE_CODE)
         if self._tr is not None:
             self._tr.trap_queued(task, True)
-        if self._t_signals is not None:
-            self._t_signals.inc(info.signo)
+        self.signals_delivered[info.signo] += 1
         task.stime_cycles += costs.signal_deliver
         kernel.cycles += costs.signal_deliver
         uctx = self._build_ucontext(task, info)

@@ -15,9 +15,10 @@ groups (an unmasked condition: a whole trap lifecycle) and *quiet*
 groups (no condition at all: the group retires like any other
 instruction).  The driver *replicates* -- rather than executes -- the
 per-event effects: trace records are packed and appended in one write,
-the cycle/time schedule is closed-form per group, and every telemetry
-counter, ``/proc/fpspy`` event, and flight-recorder span the per-event
-path would emit is emitted with identical contents and cycle stamps.
+the cycle/time schedule is closed-form per group, every count the
+per-event path would bump is bumped by the same amount, and every
+flight-recorder span it would emit is emitted with identical contents
+and cycle stamps.
 Application windows hold about seven groups, where a NumPy call costs
 more than its work, so everything around the one batch call is plain
 Python over lists.
@@ -42,14 +43,13 @@ off is the byte-identity oracle the ablation benchmark runs against.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import batch_covered
-from repro.fp.flags import MASK_SHIFT, Flag, flags_to_events
+from repro.fp.flags import MASK_SHIFT, Flag
 from repro.fp.mxcsr import MXCSR
 from repro.guest.ops import FPBlock
 from repro.kernel.signals import FLAG_SICODE_INT, Signal
@@ -356,11 +356,10 @@ def _commit(
         ]), r)
 
     end_rip = rip + len(site.encoding)
-    if kf and (cpu._tr is not None or cpu._prov is not None
-               or engine._t_scope is not None):
+    if kf and (cpu._tr is not None or cpu._prov is not None):
         fstarts = [fstart(j, g) for j, g in enumerate(fi)]
         _replicate_events(
-            cpu, task, block, engine, win, rel, k, base, fi,
+            cpu, task, block, win, rel, k, base, fi,
             [(obs + 1 + j) % sample == 0 for j in range(kf)], fstarts, c0,
             end_rip, seq0, (fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c,
                             trap_c + retire_c),
@@ -374,28 +373,23 @@ def _commit(
     mon.seq = seq0 + r
     mon.recorded += r
 
-    # Telemetry counters the per-event path would have bumped.
-    if engine._t_observed is not None and kf:
-        engine._t_observed.value += kf
-        engine._t_recorded.value += r
-        for code, n in sorted(Counter([codes[g] for g in fi]).items()):
-            for name in flags_to_events(Flag(code)):
-                engine._t_events.inc(name, n)
+    # The counts the per-event path would have bumped.
     cpu._site_entry(site)  # keep the per-RIP cache warm (and count one)
-    if cpu._t_site_hits is not None:
-        # One execute_site call per group, plus the masked re-execution
-        # of each faulting one, minus the probe just made: exact parity
-        # warm and cold.
-        cpu._t_site_hits.value += k + kf - 1
+    # One execute_site call per group, plus the masked re-execution of
+    # each faulting one, minus the probe just made: exact parity warm
+    # and cold.
+    cpu.site_hits += k + kf - 1
     if kf:
-        if cpu._t_fused is not None:
-            cpu._t_fused.value += kf
-        if cpu._t_signals is not None:
-            cpu._t_signals.inc(Signal.SIGFPE, kf)
-            cpu._t_signals.inc(Signal.SIGTRAP, kf)
+        ev = engine.event_codes
+        for g in fi:
+            ev[codes[g]] += 1
+        cpu.fused += kf
+        sigs = cpu.signals_delivered
+        sigs[Signal.SIGFPE] += kf
+        sigs[Signal.SIGTRAP] += kf
         # The fused path raises one timer-defer fence per fault and the
         # scheduler clears it after the next check; the heap is empty
-        # (admission), so replicate the counter, and the floor itself
+        # (admission), so replicate the count, and the floor itself
         # only when the batch's last step was a fused delivery (the last
         # group faults, so the batch ends with its lifecycle).
         fences = kf
@@ -404,8 +398,7 @@ def _commit(
                 c0 + total - retire_c - trap_c + rec_off + ret_c + fp_c
                 + fault_c)
             fences -= 1
-        if kernel.telemetry:
-            kernel._t_defer_fences.value += fences
+        kernel.timer_defer_fences += fences
 
     # Writeback: identical to k retire_fp calls.
     lanes = site.form.lanes
@@ -434,7 +427,6 @@ def _replicate_events(
     cpu: "CPU",
     task: Task,
     block: FPBlock,
-    engine: FPSpyEngine,
     win: _Window,
     rel: int,
     k: int,
@@ -447,32 +439,32 @@ def _replicate_events(
     seq0: int,
     cost_t: tuple,
 ) -> None:
-    """Per-event observer replication: flight-recorder span trees,
-    ``/proc/fpspy/events`` entries, provenance observations.
+    """Per-event observer replication for the flight recorder and the
+    provenance tracker.
 
-    Only runs when at least one observer is live, so the plain storm hot
-    path never enters this loop.  ``fi`` lists the batch's faulting
+    Only runs when one of the two is live, so the plain storm hot path
+    never enters this loop; the batch's counts are bumped in
+    :func:`_commit` either way.  ``fi`` lists the batch's faulting
     groups (window-relative); ``rec`` and the start cycles ``fstarts``
     run parallel to it, and ``cost_t`` is the cycle-cost tuple
-    :meth:`TraceRecorder.replicate_trees` takes.  The flight recorder and provenance tracker only ever
-    see faulting-only batches (admission), so for them faulting event
-    ``j`` is batch group ``j``.  The loop itself performs only the
-    per-event work that *must* be exact per event -- telemetry span
-    events at the SIGFPE delivery cycle and provenance observations at
+    :meth:`TraceRecorder.replicate_trees` takes.  Both observers only
+    ever see faulting-only batches (admission), so faulting event ``j``
+    is batch group ``j``.  The loop itself performs only the per-event
+    work that *must* be exact per event -- provenance observations at
     the masked-re-execution retirement cycle (``kernel.cycles`` is slid
-    to each stamp because both read it directly).  The 14-span trap
-    trees are emitted by one bulk :meth:`TraceRecorder.replicate_trees`
-    call with identical ids, parents, cycles, and args to the per-event
-    path -- and, with tail sampling on, boring trees are discarded
-    *before* any span tuple is built, which is what keeps an always-on
-    recorder affordable in a storm.
+    to each stamp because the tracker reads it directly).  The 14-span
+    trap trees are emitted by one bulk
+    :meth:`TraceRecorder.replicate_trees` call with identical ids,
+    parents, cycles, and args to the per-event path -- and, with tail
+    sampling on, boring trees are discarded *before* any span tuple is
+    built, which is what keeps an always-on recorder affordable in a
+    storm.
     """
     kernel = cpu.kernel
     site = block.site
     lanes = site.form.lanes
     tr = cpu._tr
     prov = cpu._prov
-    t_scope = engine._t_scope
     rip = site.address
     fault_c, deliv_c, huser_c, tapp_c, ret_c, _, _ = cost_t
     codes = [win.codes[g] for g in fi]
@@ -487,14 +479,6 @@ def _replicate_events(
     obs_off = fault_c + deliv_c + huser_c + ret_c  # SIGFPE delivery+handler
     marks = [0] * k
     try:
-        if t_scope is not None:
-            pid = engine.process.pid
-            tid = task.tid
-            for c, s in zip(fstarts, sic):
-                t_scope.event(
-                    "sigfpe", c + fault_c + deliv_c,
-                    pid=pid, tid=tid, rip=rip, sicode=s,
-                )
         if prov is not None:
             # Vectorized pre-scan: groups with only ordinary lanes can
             # neither create, propagate, nor sink a chain, so only the

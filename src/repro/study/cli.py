@@ -375,7 +375,6 @@ def _trace_kernel(args):
         # the production 1-in-N tail sampler.
         trace_sample=args.sample,
         trace_seed=args.seed,
-        telemetry=bool(getattr(args, "telemetry", False)),
     )
     env = {} if args.mode == "none" else fpspy_env(args.mode)
     if args.app != "nanchain":
@@ -400,17 +399,19 @@ def _cmd_trace_record(args) -> int:
     tr = kernel.tracer
     print(f"spans {tr.recorded}  dropped {tr.dropped}  "
           f"trees {tr.trees_completed}  open {tr.open_trees()}")
+    # Tree assembly walks the whole ring: do it once for every output.
+    spans = tr.spans() if args.bin or args.json else None
     if args.bin:
         path = pathlib.Path(args.bin)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(to_binary(tr.spans()))
-        print(f"wrote {path} ({len(tr.spans())} packed spans)")
+        path.write_bytes(to_binary(spans))
+        print(f"wrote {path} ({len(spans)} packed spans)")
     if args.json:
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(to_chrome_json(tr.spans()))
+        path.write_text(to_chrome_json(spans))
         print(f"wrote {path}")
-    if not args.bin and not args.json:
+    if spans is None:
         text = kernel.vfs.read("/proc/fpspy/trace").decode()
         for line in text.splitlines()[: args.limit + 1]:
             print(line)

@@ -4,8 +4,9 @@ FPSpy's evaluation is about *observing the observer* -- event counts and
 kinds, where monitoring time goes, how often each fast path engages --
 and this package gives the reproduction the same first-class view of
 itself.  It is deliberately zero-dependency (stdlib only) and strictly
-*pull-based*: layers bump plain counters in place, and nothing is
-serialized, timestamped, or aggregated until someone asks for a
+*pull-based*: each layer keeps its own counts as plain ints and dicts,
+always on, and registers read-only sources on the bus once; nothing is
+named, serialized, or aggregated until someone asks for a
 :meth:`~repro.telemetry.bus.TelemetryBus.snapshot`.
 
 Two consumers sit on top of one :class:`~repro.telemetry.bus.TelemetryBus`
@@ -23,22 +24,15 @@ unmodified program: ``telemetry run --profile`` wraps ``kernel.run()``
 in ``cProfile`` and sums self time per ``repro/<layer>/`` package, and
 ``python -m bench --trace`` gives the paired-difference timings.
 
-The cardinal rule is **zero perturbation**: no instrumentation point may
+The cardinal rule is **zero perturbation**: no count and no source may
 charge cycles, post signals, or touch architectural state, so traces and
 cycle counts are byte-identical with telemetry on or off (enforced by
-``tests/property/test_telemetry_props.py``).  Disabled, the whole bus
-collapses to the module-level no-op :data:`~repro.telemetry.bus.NULL_BUS`
-whose falsiness lets hot paths skip instrumentation with one branch.
+``tests/property/test_telemetry_props.py``).  Disabled, there is no
+bus (``kernel.telemetry`` is ``None``) and no ``/proc/fpspy/`` counters;
+the layers count exactly the same either way.
 """
 
-from repro.telemetry.bus import (
-    NULL_BUS,
-    Counter,
-    LabeledCounter,
-    NullBus,
-    Scope,
-    TelemetryBus,
-)
+from repro.telemetry.bus import Scope, TelemetryBus
 from repro.telemetry.snapshot import (
     diff_snapshots,
     flatten_snapshot,
@@ -54,11 +48,7 @@ from repro.telemetry.tracing import (
 )
 
 __all__ = [
-    "NULL_BUS",
     "NULL_TRACER",
-    "Counter",
-    "LabeledCounter",
-    "NullBus",
     "NullTracer",
     "Scope",
     "Span",

@@ -7,14 +7,14 @@ the kernel's telemetry bus.  Guest programs read them through the
 ordinary ``read`` libc call (one ``libc_call`` charge, independent of
 content, so introspection does not perturb the clock differently from
 any other libc call), and host-side tools read them straight off
-``kernel.vfs``.
+``kernel.vfs``.  The bus holds counts and gauges only; per-event detail
+is the flight recorder's (``/proc/fpspy/trace``).
 
 Files::
 
     /proc/fpspy/status         one-line-per-fact summary (text)
     /proc/fpspy/counters       flat "scope.key value" lines (text)
     /proc/fpspy/snapshot.json  the full snapshot (JSON)
-    /proc/fpspy/events         span events, one per line, cycle-stamped
     /proc/fpspy/trace          flight-recorder spans (KernelConfig.tracing)
 
 Rendering is pull-based: nothing is materialized until a read, and the
@@ -62,16 +62,6 @@ def render_status(kernel: "Kernel") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_events(bus: "TelemetryBus") -> str:
-    rows = []
-    for scope in bus.scopes():
-        for cycles, name, fields in scope.events():
-            detail = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-            rows.append((cycles, f"{cycles} {scope.name}.{name} {detail}".rstrip()))
-    rows.sort(key=lambda r: r[0])
-    return "\n".join(line for _, line in rows) + ("\n" if rows else "")
-
-
 def mount_proc(kernel: "Kernel") -> None:
     """Register the ``/proc/fpspy/`` providers on the kernel's VFS."""
     bus = kernel.telemetry
@@ -81,7 +71,6 @@ def mount_proc(kernel: "Kernel") -> None:
     vfs.register_provider(
         PROC_ROOT + "snapshot.json", lambda: render_snapshot_json(bus).encode()
     )
-    vfs.register_provider(PROC_ROOT + "events", lambda: render_events(bus).encode())
 
 
 def mount_trace(kernel: "Kernel") -> None:

@@ -86,49 +86,27 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     :func:`flatten_snapshot`, :func:`diff_snapshots`, and the procfs
     renderers already understand.  Merge semantics:
 
-    * ``cycles``, counters, labeled counters: summed.
-    * gauges: **last writer wins, in input order**.  A gauge is a
-      point-in-time sample of host-side state (queue depth, cache
-      occupancy); sums are meaningless across runs, so the merged value
-      is the sample from the latest spec-order snapshot that carried it.
+    * ``cycles`` and counts: summed.
+    * gauges: **last writer wins, in input order**.  A gauge is a level
+      (cache occupancy, queue depth, a flag); sums are meaningless
+      across runs, so the merged value is the sample from the latest
+      spec-order snapshot that carried it.
     """
     cycles = 0
     acc: dict[str, dict[str, dict]] = {}
     for snap in snapshots:
         cycles += snap.get("cycles", 0)
         for sname, tscope in snap.get("scopes", {}).items():
-            scope = acc.setdefault(sname, {
-                "counters": {}, "labeled": {}, "gauges": {},
-            })
-            for k, v in tscope.get("counters", {}).items():
-                scope["counters"][k] = scope["counters"].get(k, 0) + v
-            for k, labels in tscope.get("labeled", {}).items():
-                dst = scope["labeled"].setdefault(k, {})
-                for label, v in labels.items():
-                    dst[label] = dst.get(label, 0) + v
-            for k, v in tscope.get("gauges", {}).items():
-                scope["gauges"][k] = v  # last writer, by input order
+            scope = acc.setdefault(sname, {"counts": {}, "gauges": {}})
+            counts = scope["counts"]
+            for k, v in tscope.get("counts", {}).items():
+                counts[k] = counts.get(k, 0) + v
+            scope["gauges"].update(tscope.get("gauges", {}))
     return {
         "cycles": cycles,
-        "scopes": {name: _plain_scope(acc[name]) for name in sorted(acc)},
+        "scopes": {name: {**acc[name]["counts"], **acc[name]["gauges"]}
+                   for name in sorted(acc)},
     }
-
-
-def _plain_scope(typed: dict) -> dict[str, object]:
-    """Render one merged typed scope in ``Scope.snapshot`` form."""
-    out: dict[str, object] = {}
-    for name, v in typed["counters"].items():
-        out[name] = v
-    for name, labels in typed["labeled"].items():
-        for label, v in sorted(labels.items()):
-            out[f"{name}.{label}"] = v
-    for name, sampled in typed["gauges"].items():
-        if isinstance(sampled, dict):
-            for k, v in sampled.items():
-                out[f"{name}.{k}" if name else k] = v
-        else:
-            out[name] = sampled
-    return out
 
 
 @dataclass

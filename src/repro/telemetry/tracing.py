@@ -207,29 +207,28 @@ class TraceRecorder:
         self.trees_retained_boring = 0
         self.trees_discarded = 0
         self.interesting_trees_dropped = 0
+        if telemetry is not None:
+            self._register_telemetry(telemetry.scope("trace"))
 
-        # Ring/retention counters ride the telemetry bus when it is on
-        # so truncated or sampled traces are never silent.
-        if telemetry:
-            sc = telemetry.scope("trace")
-            self._t_spans = sc.counter("spans")
-            self._t_dropped = sc.counter("ring.dropped")
-            self._t_idropped = sc.counter("ring.dropped_interesting")
-            self._t_trees = sc.counter("trees.completed")
-            self._t_ret_i = sc.counter("trees.retained.interesting")
-            self._t_ret_b = sc.counter("trees.retained.boring")
-            self._t_disc = sc.counter("trees.discarded")
-            sc.gauge("ring.size", lambda: min(self._committed, self.capacity))
-            sc.gauge("ring.capacity", lambda: self.capacity)
-            sc.gauge("trees.open", lambda: len(self._live))
-        else:
-            self._t_spans = None
-            self._t_dropped = None
-            self._t_idropped = None
-            self._t_trees = None
-            self._t_ret_i = None
-            self._t_ret_b = None
-            self._t_disc = None
+    def _register_telemetry(self, scope) -> None:
+        """Read the ring/retention counts into a telemetry ``scope``, so
+        truncated or sampled traces are never silent."""
+        scope.counts(lambda: {
+            # Spans of still-open trees are staged, not yet counted.
+            "spans": self.recorded - sum(
+                len(st[_BUF]) for st in self._live.values()),
+            "ring.dropped": self.dropped,
+            "ring.dropped_interesting": self.interesting_trees_dropped,
+            "trees.completed": self.trees_completed,
+            "trees.retained.interesting": self.trees_retained_interesting,
+            "trees.retained.boring": self.trees_retained_boring,
+            "trees.discarded": self.trees_discarded,
+        })
+        scope.gauges(lambda: {
+            "ring.size": min(self._committed, self.capacity),
+            "ring.capacity": self.capacity,
+            "trees.open": len(self._live),
+        })
 
     def __bool__(self) -> bool:
         return True
@@ -553,7 +552,6 @@ class TraceRecorder:
         if pending:
             marks[0] |= pending
         k = len(rec)
-        d0 = self.dropped
         ret_i = ret_b = disc = 0
         period = self._period
         draw = self._rng.random
@@ -652,20 +650,11 @@ class TraceRecorder:
                 if cls:
                     build(j, sid, has_rec, nrb, cls)
         self._next_id = nid
-        total = nid - nid0
-        self.recorded += total
+        self.recorded += nid - nid0
         self.trees_completed += k
         self.trees_retained_interesting += ret_i
         self.trees_retained_boring += ret_b
         self.trees_discarded += disc
-        if self._t_spans is not None:
-            self._t_spans.value += total
-            self._t_trees.value += k
-            self._t_ret_i.value += ret_i
-            self._t_ret_b.value += ret_b
-            self._t_disc.value += disc
-            if self.dropped != d0:
-                self._t_dropped.value += self.dropped - d0
 
     # -------------------------------------------- completion + retention
 
@@ -678,26 +667,14 @@ class TraceRecorder:
         if mark:
             cls = mark
             self.trees_retained_interesting += 1
-            if self._t_ret_i is not None:
-                self._t_ret_i.value += 1
         elif self._period <= 1 or self._rng.random() * self._period < 1.0:
             cls = CLS_SAMPLED
             self.trees_retained_boring += 1
-            if self._t_ret_b is not None:
-                self._t_ret_b.value += 1
         else:
             cls = 0
             self.trees_discarded += 1
-            if self._t_disc is not None:
-                self._t_disc.value += 1
         if cls:
-            d0 = self.dropped
             self._commit_tree(buf, cls, st[_PID], st[_TID])
-            if self._t_dropped is not None and self.dropped != d0:
-                self._t_dropped.value += self.dropped - d0
-        if self._t_spans is not None:
-            self._t_spans.value += len(buf)
-            self._t_trees.value += 1
 
     # ------------------------------------------------------- packed ring
 
@@ -721,8 +698,6 @@ class TraceRecorder:
                 self.dropped += 1
                 if old[3] and old[0] & INTERESTING_MASK:
                     self.interesting_trees_dropped += 1
-                    if self._t_idropped is not None:
-                        self._t_idropped.value += 1
             elif i >= self._alloc:
                 self._grow(i)
             pk(self._ring, i * _REC, *t)
@@ -742,17 +717,11 @@ class TraceRecorder:
             self.dropped += 1
             if old[3] and old[0] & INTERESTING_MASK:
                 self.interesting_trees_dropped += 1
-                if self._t_idropped is not None:
-                    self._t_idropped.value += 1
-            if self._t_dropped is not None:
-                self._t_dropped.value += 1
         elif i >= self._alloc:
             self._grow(i)
         _RING.pack_into(self._ring, i * _REC, *t)
         slots[i] = (CLS_SUMMARY, pid, tid, False)
         self._committed = n + 1
-        if self._t_spans is not None:
-            self._t_spans.value += 1
 
     # ------------------------------------------------------------ reads
 

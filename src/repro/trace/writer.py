@@ -39,6 +39,8 @@ class TraceWriter:
 
     def __init__(self, vfs: "VFS", path: str,
                  telemetry: "TelemetryBus | None" = None) -> None:
+        """``telemetry``, when given, reads this writer's flush counts
+        into its ``trace`` scope."""
         self.path = path
         self._vfs = vfs
         self._file = vfs.open(path)
@@ -46,20 +48,16 @@ class TraceWriter:
         self._buffer = bytearray()
         self._buffered_records = 0
         self._closed = False
-        # Host-side accounting (plain ints; read by telemetry gauges and
-        # tests, never charged to the guest).
+        # Host-side counts (never charged to the guest).
         self.flushes = 0
         self.sync_flushes = 0
         self.bytes_flushed = 0
-        if telemetry:
-            scope = telemetry.scope("trace")
-            self._t_flushes = scope.counter("flushes")
-            self._t_sync_flushes = scope.counter("sync_flushes")
-            self._t_bytes = scope.counter("bytes_flushed")
-        else:
-            self._t_flushes = None
-            self._t_sync_flushes = None
-            self._t_bytes = None
+        if telemetry is not None:
+            telemetry.scope("trace").counts(lambda: {
+                "flushes": self.flushes,
+                "sync_flushes": self.sync_flushes,
+                "bytes_flushed": self.bytes_flushed,
+            })
         vfs.register_sync(path, self._sync_flush)
 
     @property
@@ -107,21 +105,15 @@ class TraceWriter:
         """VFS sync hook: a reader is looking, force the buffer out."""
         if self._buffer:
             self.sync_flushes += 1
-            if self._t_sync_flushes is not None:
-                self._t_sync_flushes.value += 1
         self.flush()
 
     def flush(self) -> None:
         """Drain the buffer to the VFS as a single append."""
         if self._buffer:
-            n = len(self._buffer)
             self._file.append(bytes(self._buffer))
-            self._buffer.clear()
             self.flushes += 1
-            self.bytes_flushed += n
-            if self._t_flushes is not None:
-                self._t_flushes.value += 1
-                self._t_bytes.value += n
+            self.bytes_flushed += len(self._buffer)
+            self._buffer.clear()
         self._buffered_records = 0
 
     def close(self) -> None:

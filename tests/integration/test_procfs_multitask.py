@@ -1,9 +1,9 @@
-"""``/proc/fpspy/events`` and ``/proc/fpspy/trace`` under concurrent tasks.
+"""``/proc/fpspy/trace`` under concurrent tasks.
 
-Three threads fault concurrently at distinct sites; the introspection
-files must attribute every delivery to the task that took it, keep
-global cycle order across the interleaving, and keep each task's span
-tree self-contained.
+Three threads fault concurrently at distinct sites; the flight
+recorder's ``fp_fault`` roots must attribute every fault to the task
+that took it, keep global cycle order across the interleaving, and keep
+each task's span tree self-contained.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.fpspy import fpspy_env
 from repro.guest.ops import IntWork, LibcCall
 from repro.isa.instruction import CodeLayout, FPInstruction
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.signals import Signal
+from repro.kernel.signals import SiCode
 
 N_THREADS = 3
 FAULTS_PER_THREAD = 4
@@ -56,16 +56,28 @@ def run():
     return _run()
 
 
+def _fault_roots(k):
+    """``(cycles, tid, fields)`` of every ``fp_fault`` root line in
+    ``/proc/fpspy/trace``, in file order."""
+    roots = []
+    for ln in k.vfs.read("/proc/fpspy/trace").decode().splitlines()[1:]:
+        cycles, task, link, name, *detail = ln.split()
+        if name == "fp_fault" and link.endswith("<-0"):
+            fields = dict(f.split("=") for f in detail)
+            roots.append((int(cycles), int(task.split(":")[1]), fields))
+    return roots
+
+
 class TestProcEvents:
+    """Fault events as the guest sees them: the trace file's roots."""
+
     def test_per_task_attribution(self, run):
         k, site_addrs = run
-        lines = k.vfs.read("/proc/fpspy/events").decode().splitlines()
-        assert len(lines) == N_THREADS * FAULTS_PER_THREAD
+        roots = _fault_roots(k)
+        assert len(roots) == N_THREADS * FAULTS_PER_THREAD
         rip_by_tid = {}
-        for ln in lines:
-            fields = dict(f.split("=") for f in ln.split()[2:])
-            rip_by_tid.setdefault(int(fields["tid"]), set()).add(
-                int(fields["rip"]))
+        for _, tid, fields in roots:
+            rip_by_tid.setdefault(tid, set()).add(int(fields["rip"]))
         # Three distinct tasks, each faulting only at its own site.
         assert len(rip_by_tid) == N_THREADS
         assert sorted(r for rips in rip_by_tid.values() for r in rips) == \
@@ -74,22 +86,20 @@ class TestProcEvents:
 
     def test_interleaved_delivery_in_cycle_order(self, run):
         k, _ = run
-        lines = k.vfs.read("/proc/fpspy/events").decode().splitlines()
-        stamps = [int(ln.split()[0]) for ln in lines]
+        roots = _fault_roots(k)
+        stamps = [c for c, _, _ in roots]
         assert stamps == sorted(stamps)
-        # The scheduler interleaves the threads: the per-line tid
+        # The scheduler interleaves the threads: the per-root tid
         # sequence must not be three contiguous runs.
-        tids = [
-            int(dict(f.split("=") for f in ln.split()[2:])["tid"])
-            for ln in lines
-        ]
+        tids = [tid for _, tid, _ in roots]
         switches = sum(1 for a, b in zip(tids, tids[1:]) if a != b)
         assert switches > N_THREADS - 1
 
     def test_event_names_are_scoped(self, run):
+        """Every root is a DivideByZero fault (si_code FPE_FLTDIV)."""
         k, _ = run
-        for ln in k.vfs.read("/proc/fpspy/events").decode().splitlines():
-            assert ln.split()[1] == "fpspy.sigfpe"
+        assert {f["sicode"] for _, _, f in _fault_roots(k)} == {
+            str(int(SiCode.FPE_FLTDIV))}
 
 
 class TestProcTrace:
@@ -126,18 +136,3 @@ class TestProcTrace:
         assert stamps == sorted(stamps)
         tasks = {ln.split()[1] for ln in lines[1:]}
         assert len(tasks) == N_THREADS
-
-    def test_sigfpe_events_match_trace_deliveries(self, run):
-        """The two surfaces agree: one events line per delivered SIGFPE
-        span, same (cycles-ordered) task attribution."""
-        k, _ = run
-        ev_tids = [
-            int(dict(f.split("=") for f in ln.split()[2:])["tid"])
-            for ln in k.vfs.read("/proc/fpspy/events").decode().splitlines()
-        ]
-        span_tids = [
-            s.tid for s in sorted(
-                k.tracer.spans(), key=lambda s: (s.cycles, s.span_id))
-            if s.name == "handler" and s.args.get("kind") == "sigfpe"
-        ]
-        assert ev_tids == span_tids

@@ -145,6 +145,19 @@ def test_vector_kernels_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
     _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
 
 
+def test_vector_mul_underflow_of_a_63_bit_product():
+    """Two subnormals whose exact product fills 63 bits: the result
+    lies far below half the smallest subnormal, so only rounding up
+    reaches it.  A shift clamped one bit short once rounded it to the
+    smallest subnormal under round-to-nearest too."""
+    f = form("mulpd")
+    ops = tuple(np.array([v], dtype=np.uint64)
+                for v in (1681, 2743418214412486))
+    for rmode in RoundingMode:
+        ctx = FPContext(rmode=rmode)
+        _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mnemonic=st.sampled_from(_MNEMONICS), data=st.data(), ctx=contexts)
 def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):

@@ -206,6 +206,26 @@ def test_campaign_telemetry_merged_into_host_section():
     assert "op_hits" in merged["scopes"]["fp.memo"]
 
 
+def test_telemetry_smoke_campaign_sums_storm_counts():
+    """Storm batches are counts: the merged snapshot sums every run's,
+    where a gauge would keep only the last run's (0: its runs never
+    batch).  Per-process keys merge by kind too."""
+    result = run_campaign(build_campaign("smoke", telemetry=True), workers=1)
+    per_run = [o.telemetry["scopes"] for o in result.outcomes]
+    merged = result.host["telemetry"]["scopes"]
+    for key in ("storm.batches", "storm.groups"):
+        assert merged["cpu"][key] == sum(
+            s["cpu"]["counts"][key] for s in per_run), key
+    assert merged["cpu"]["storm.batches"] == 12
+    assert per_run[-1]["cpu"]["counts"]["storm.batches"] == 0
+    counts = [s["fpspy"]["counts"] for s in per_run]
+    levels = [s["fpspy"]["gauges"] for s in per_run]
+    assert merged["fpspy"]["proc.1000.observed"] == sum(
+        c["proc.1000.observed"] for c in counts) > 0
+    assert merged["fpspy"]["proc.1000.individual"] == \
+        levels[-1]["proc.1000.individual"]
+
+
 # ------------------------------------------------------------ artifacts
 
 def test_atomic_writers_replace_not_append(tmp_path):

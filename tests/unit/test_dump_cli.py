@@ -200,6 +200,26 @@ class TestTraceCLI:
         assert cli_main(["trace", "stats", str(b)]) == 0
         assert self._trees(capsys.readouterr().out) == len(roots)
 
+    def test_record_assembles_spans_once(self, tmp_path, monkeypatch,
+                                         capsys):
+        """``--bin`` and ``--json`` share one tree assembly of the ring."""
+        from repro.telemetry.tracing import TraceRecorder, spans_from_binary
+
+        calls = []
+        spans = TraceRecorder.spans
+
+        def counted(self):
+            calls.append(1)
+            return spans(self)
+
+        monkeypatch.setattr(TraceRecorder, "spans", counted)
+        b, j = tmp_path / "n.spans.bin", tmp_path / "n.trace.json"
+        assert cli_main(["trace", "record", "nanchain",
+                         "--bin", str(b), "--json", str(j)]) == 0
+        assert len(calls) == 1
+        n = len(spans_from_binary(b.read_bytes()))
+        assert f"({n} packed spans)" in capsys.readouterr().out
+
     def test_sampled_record_discards_and_replays(self, capsys):
         argv = ["trace", "record", "miniaero", "--scale", "0.2",
                 "--sample", "4", "--seed", "1", "--limit", "0"]

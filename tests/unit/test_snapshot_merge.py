@@ -5,7 +5,10 @@ from repro.telemetry.snapshot import flatten_snapshot, merge_snapshots
 
 
 def _bus(counters=(), labeled=(), gauges=(), cycles=0):
-    """Build a real bus so tests exercise the actual typed-snapshot shape."""
+    """Build a real bus so tests exercise the actual typed-snapshot shape.
+
+    ``labeled`` entries are counts named ``<name>.<label>``, the way the
+    layers name their raw-keyed counts at snapshot time."""
 
     class _Clock:
         pass
@@ -14,12 +17,11 @@ def _bus(counters=(), labeled=(), gauges=(), cycles=0):
     clock.cycles = cycles
     bus = TelemetryBus(kernel=clock)
     scope = bus.scope("cpu")
-    for name, n in counters:
-        scope.counter(name).inc(n)
+    counts = dict(counters)
     for name, label, n in labeled:
-        scope.labeled(name).inc(label, n)
-    for name, value in gauges:
-        scope.gauge(name, lambda v=value: v)
+        counts[f"{name}.{label}"] = n
+    scope.counts(lambda: counts)
+    scope.gauges(lambda: dict(gauges))
     return bus
 
 
@@ -56,7 +58,7 @@ def test_gauge_missing_from_later_snapshot_keeps_earlier_sample():
 
 
 def test_dict_valued_gauges_splice_like_plain_snapshots():
-    a = _bus(gauges=[("memo", {"hits": 1, "misses": 2})]).snapshot_typed()
+    a = _bus(gauges=[("memo.hits", 1), ("memo.misses", 2)]).snapshot_typed()
     merged = merge_snapshots([a])
     assert merged["scopes"]["cpu"]["memo.hits"] == 1
     assert merged["scopes"]["cpu"]["memo.misses"] == 2

@@ -332,9 +332,13 @@ class TestFastPathMachinery:
 _BAIL_REASONS = ("pending_signal", "quantum", "disposition", "timer")
 
 
+def _cpu_snapshot(k):
+    return k.telemetry.snapshot()["scopes"]["cpu"]
+
+
 class TestBailoutCounters:
-    """Every fusion bail-out reason increments its dedicated telemetry
-    counter exactly once (white box: ``_maybe_trap`` driven with a
+    """Every fusion bail-out reason increments its dedicated count
+    exactly once (white box: ``_maybe_trap`` driven with a
     crafted task state that isolates one reason per case)."""
 
     def _armed_kernel(self, *, trap_handler=True):
@@ -363,21 +367,23 @@ class TestBailoutCounters:
             # A deadline at/under the precise path's check cycle.
             heapq.heappush(k._timer_heap, (0, 0, None))
         cpu._maybe_trap(task)
-        assert cpu._t_bailed.value == 1
-        assert cpu._t_bail_reasons.get(reason) == 1
-        assert cpu._t_fused.value == 0
+        snap = _cpu_snapshot(k)
+        assert snap["trapfusion.bailed"] == 1
+        assert snap[f"trapfusion.bailouts.{reason}"] == 1
+        assert snap["trapfusion.fused"] == 0
         for other in set(_BAIL_REASONS) - {reason}:
-            assert cpu._t_bail_reasons.get(other) == 0
+            assert f"trapfusion.bailouts.{other}" not in snap
 
     def test_no_bail_fuses_and_counts_fused(self):
         k, task = self._armed_kernel()
         k.cpu._maybe_trap(task)
-        assert k.cpu._t_fused.value == 1
-        assert k.cpu._t_bailed.value == 0
-        assert k.cpu._t_bail_reasons.values == {}
+        snap = _cpu_snapshot(k)
+        assert snap["trapfusion.fused"] == 1
+        assert snap["trapfusion.bailed"] == 0
+        assert k.cpu.fusion_bailouts == {}
 
     def test_fused_counter_matches_storm_white_box(self):
-        """The telemetry counter agrees with the monkeypatch count the
+        """The fused count agrees with the monkeypatch count the
         white-box machinery test establishes: 96 elements / 8 lanes."""
         kb = KernelBuilder()
         k = Kernel(KernelConfig(trapfast=True, telemetry=True))
@@ -385,5 +391,6 @@ class TestBailoutCounters:
             _storm_main(kb, 96), env=fpspy_env("individual"), name="storm"
         )
         k.run()
-        assert k.cpu._t_fused.value == 12
-        assert k.cpu._t_signals.get(Signal.SIGTRAP) == 12
+        snap = k.telemetry.snapshot()["scopes"]
+        assert snap["cpu"]["trapfusion.fused"] == k.cpu.fused == 12
+        assert snap["kernel"]["signals.delivered.SIGTRAP"] == 12
