@@ -11,12 +11,16 @@ Two numbers, measured honestly and reported in ``BENCH_telemetry.json``:
 * **Enabled** (the honest cost): the same workload A/B with the bus on.
   This is informational -- the bus adds the trace writers' sources and
   the ``/proc/fpspy/`` mounts, and the number here is what a user pays
-  for live introspection.
+  for live introspection.  It is measured as ``test_trace_overhead.py``
+  measures tracing: CPU time with GC quiesced, alternating off/on
+  pairs, and the minimum paired delta over the best baseline, so one
+  noisy pair cannot set the published number.
 
 The zero-perturbation invariant (cycles/traces byte-identical either
 way) is asserted here too, on the benchmark-sized workload.
 """
 
+import gc
 import time
 import timeit
 from pathlib import Path
@@ -34,6 +38,9 @@ BUMPS_PER_STEP = 8
 #: Tier-1 bar for the extrapolated always-on count overhead.
 MAX_DISABLED_PCT = 3.0
 
+#: Alternating off/on measurement pairs, after one untimed warmup pair.
+PAIRS = 7
+
 ABLATION_SCALE = 3.0
 
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
@@ -49,10 +56,17 @@ def _kernel(telemetry):
 
 
 def _run(telemetry):
+    """One workload run; returns CPU seconds for ``run`` only, with GC
+    collected then disabled around the timed region."""
     k = _kernel(telemetry)
-    t0 = time.perf_counter()
-    k.run()
-    elapsed = time.perf_counter() - t0
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        k.run()
+        elapsed = time.process_time() - t0
+    finally:
+        gc.enable()
     state = {
         p: k.vfs.read(p)
         for p in k.vfs.listdir("")
@@ -93,20 +107,40 @@ def _per_bump_cost() -> float:
         1e-10)
 
 
+def _measure():
+    """Warmup pair, then ``PAIRS`` alternating off/on pairs.
+
+    Co-tenant noise is common-mode within a pair and only ever inflates
+    a delta, so the minimum paired delta converges on the true marginal
+    cost from above; the denominator is the best baseline.  Returns the
+    last pair's kernels and states, the best baselines and that delta
+    (floored at zero).
+    """
+    _run(False)
+    _run(True)
+    min_off = min_on = best_delta = float("inf")
+    for i in range(PAIRS):
+        if i % 2 == 0:
+            k_off, state_off, t_off = _run(False)
+            k_on, state_on, t_on = _run(True)
+        else:
+            k_on, state_on, t_on = _run(True)
+            k_off, state_off, t_off = _run(False)
+        min_off = min(min_off, t_off)
+        min_on = min(min_on, t_on)
+        best_delta = min(best_delta, t_on - t_off)
+    return (k_off, state_off, k_on, state_on, min_off, min_on,
+            max(best_delta, 0.0))
+
+
 def test_telemetry_overhead(benchmark):
     # Untimed first: it also warms the process-global softfloat memo,
     # which would otherwise bill its cold start to whichever timed run
     # goes first.
     steps = _count_steps()
 
-    def compare():
-        k_off, state_off, t_off = _run(False)
-        k_on, state_on, t_on = _run(True)
-        return k_off, state_off, t_off, k_on, state_on, t_on
-
-    k_off, state_off, t_off, k_on, state_on, t_on = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
+    k_off, state_off, k_on, state_on, t_off, t_on, delta = (
+        benchmark.pedantic(_measure, rounds=1, iterations=1))
 
     # Zero perturbation at benchmark scale.
     assert k_on.cycles == k_off.cycles
@@ -114,7 +148,7 @@ def test_telemetry_overhead(benchmark):
 
     per_bump = _per_bump_cost()
     disabled_pct = 100.0 * BUMPS_PER_STEP * steps * per_bump / t_off
-    enabled_pct = 100.0 * (t_on - t_off) / t_off
+    enabled_pct = 100.0 * delta / t_off
 
     write_results(
         RESULTS_JSON,
@@ -122,6 +156,9 @@ def test_telemetry_overhead(benchmark):
             "workload": "miniaero",
             "mode": "individual",
             "scale": ABLATION_SCALE,
+            "timing": ("process_time, GC quiesced; min paired delta "
+                       "over alternating pairs / best baseline"),
+            "pairs": PAIRS,
             "disabled_s": round(t_off, 4),
             "enabled_s": round(t_on, 4),
             "enabled_overhead_pct": round(enabled_pct, 2),

@@ -96,7 +96,7 @@ class CPU:
         self.stormbatch = kernel.config.stormbatch
         self.storm_stats: dict = {
             "batches": 0, "groups": 0, "quiet": 0, "records": 0,
-            "bailouts": {},
+            "windows": 0, "bailouts": {},
         }
         #: Per-RIP cache: address -> (site, memoized executor, end rip).
         #: ``TEXT_BASE`` is shared across processes, so entries validate
@@ -166,6 +166,7 @@ class CPU:
             "storm.groups": st["groups"],
             "storm.quiet": st["quiet"],
             "storm.records": st["records"],
+            "storm.windows": st["windows"],
         }
         for reason, n in bailouts.items():
             out[f"trapfusion.bailouts.{reason}"] = n

@@ -12,10 +12,12 @@ consecutive same-RIP groups whose outcomes one batch softfloat call
 (:func:`repro.fp.batchfloat.execute_batch`) computes.  A batch mixes
 two kinds of group, exactly as application traffic does: *faulting*
 groups (an unmasked condition: a whole trap lifecycle) and *quiet*
-groups (no condition at all: the group retires like any other
-instruction).  The driver *replicates* -- rather than executes -- the
-per-event effects: trace records are packed and appended in one write,
-the cycle/time schedule is closed-form per group, every count the
+groups (no unmasked condition: the group retires like any other
+instruction, ORing any masked codes into the sticky status).  The driver
+*replicates* -- rather than executes -- the per-event effects: trace
+records are packed and appended in one write, the sticky status is
+carried through the batch as the per-event path accumulates and clears
+it, the cycle/time schedule is closed-form per group, every count the
 per-event path would bump is bumped by the same amount, and every
 flight-recorder span it would emit is emitted with identical contents
 and cycle stamps.
@@ -27,17 +29,16 @@ Admissibility is the whole game.  ``try_storm`` proves, before
 committing anything, that the replicated story is *byte-identical* to
 the per-event one: FPSpy's own handlers installed (any guest handler
 bails), monitor live in ``AWAIT_FPE``, masks exactly the capture set,
-sticky status clear, equal faulting/masked contexts, no armed real
-timer, and -- bisecting prefix lists over the batch window -- a run of
-eligible groups that fits the scheduler quantum, stays strictly below
-the virtual timer's expiry, and leaves headroom under ``maxcount``.  A
-group raising only masked conditions ends the run (it would leave
-sticky status behind).  With the flight recorder on, the run is
-faulting groups only and an armed virtual timer rejects: the recorder
-stamps one ``storm`` span per batch, so there batch boundaries are
-observable output.  Anything else takes the precise path -- the
-bail-out is counted, never silent.  Turning ``KernelConfig.stormbatch``
-off is the byte-identity oracle the ablation benchmark runs against.
+equal faulting/masked contexts, no armed real timer, and -- bisecting
+prefix lists over the batch window -- a run of groups that fits the
+scheduler quantum, stays strictly below the virtual timer's expiry, and
+leaves headroom under ``maxcount``.  With the flight recorder on, the
+run is faulting groups only, entered with clear sticky status, and an
+armed virtual timer rejects: the recorder stamps one ``storm`` span per
+batch, so there batch boundaries are observable output.  Anything else
+takes the precise path -- the bail-out is counted, never silent.
+Turning ``KernelConfig.stormbatch`` off is the byte-identity oracle the
+ablation benchmark runs against.
 """
 
 from __future__ import annotations
@@ -106,10 +107,9 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     states (current group's FP already retired, TF set, signals queued)
     return False without counting a bail-out: they are the *interior* of
     an event the scalar path is already executing, not a rejected storm.
-    A batch ends before the first group that raises only masked codes,
-    before the group that would fire the virtual timer, where the
-    scheduler quantum runs out, and before the faulting group that could
-    reach ``maxcount``; those groups take the per-event path.
+    A batch ends before the group that would fire the virtual timer,
+    where the scheduler quantum runs out, and before the faulting group
+    that could reach ``maxcount``; those groups take the per-event path.
     """
     if block.fp_done or task.trap_flag or task.pending_signals:
         return False
@@ -128,15 +128,18 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # The replication assumes fused SIGTRAP delivery; without the
         # fast path the precise engine posts the trap instead.
         return _reject(cpu, "trapfast")
-    base = task.mxcsr.value
-    if base & _ALL:
-        # Stale sticky status would leak into the first record's mxcsr
-        # and codes fields; the first event's handler clears it, after
-        # which the storm admits (self-healing).
-        return _reject(cpu, "status")
+    status = task.mxcsr.value & _ALL
+    base = task.mxcsr.value & ~_ALL
     # The flight recorder stamps one span per batch, so under it batch
     # boundaries are output: keep them where faulting-only runs put them.
     quiet_ok = cpu._tr is None
+    if status and not quiet_ok:
+        # A traced fault's record carries the entering status but its
+        # masked re-execution span carries only its own codes, and span
+        # replication takes one codes list.  The status also comes from a
+        # masked-only group, so the next group is likely another, which
+        # a traced window would not admit anyway.
+        return _reject(cpu, "status")
     vtimer = task.vtimer
     if kernel._timer_heap or (vtimer is not None and not quiet_ok):
         # A real timer's expiry depends on the cycle schedule and the
@@ -176,14 +179,11 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         return _reject(cpu, "ctx")
 
     win = getattr(block, "_storm_cache", None)
-    if (
-        win is None
-        or win.ctx != ctx
-        or win.base != base
-        or win.start > block.index
-    ):
+    if (win is None or win.ctx != ctx or win.base != base
+            or win.start > block.index):
         win = block._storm_cache = _Window(
             block, form, ctx, base, quiet_ok, cpu._prov)
+        cpu.storm_stats["windows"] += 1
     rel = block.index - win.start
 
     # The eligible run: up to the next ineligible group.
@@ -206,18 +206,21 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             win.faults, win.faults[rel] + room) - 1 - rel)
     if k < (_MIN_GROUPS if quiet_ok else _MIN_TRACED_GROUPS):
         return _reject(cpu, "short")
-    _commit(cpu, task, block, engine, mon, win, rel, k, base)
+    _commit(cpu, task, block, engine, mon, win, rel, k, base, status)
     return True
 
 
 class _Window:
     """The block's remaining groups, batch-executed once under
-    ``(ctx, base)``: per-group outcomes plus the prefix lists admission
-    reads, so each attempt is a few bisections.
+    ``(ctx, base)`` (``base`` is status-free, so sticky status changes
+    never rebuild the window): per-group outcomes plus the prefix lists
+    admission reads, so each attempt is a few bisections.
 
     ``codes[g]`` is group ``g``'s OR of lane flags, ``pend[g]`` its
     unmasked part (nonzero exactly for faulting groups), and ``bad`` the
-    ineligible groups in order.  ``steps[g]`` is the scheduler-slice
+    ineligible groups in order: none untraced (a group raising only
+    masked codes is quiet), the quiet ones under the flight recorder.
+    ``steps[g]`` is the scheduler-slice
     units groups ``[0, g)`` of the window consume on the per-event path,
     and ``need_end[g]`` is ``steps[g]`` plus what group ``g`` needs left
     to run whole: a quiet group its own steps (1, or 2 interleaved), a
@@ -253,10 +256,11 @@ class _Window:
                 pend[i // lanes] |= _UE
                 i = tiny.find(1, i + 1)
         w = 2 if block.interleave > 0 else 1
-        self.bad, self.need_end = bad, need_end = [], []
+        self.bad = [] if quiet_ok else [g for g, p in enumerate(pend) if not p]
+        self.need_end = need_end = []
         self.steps, self.faults = steps, faults = [0], [0]
         s = f = 0
-        for g, p in enumerate(pend):
+        for p in pend:
             if p:
                 need_end.append(s + 3)
                 s += w + 1
@@ -264,8 +268,6 @@ class _Window:
             else:
                 need_end.append(s + w)
                 s += w
-                if codes[g] or not quiet_ok:
-                    bad.append(g)
             steps.append(s)
             faults.append(f)
         # The provenance pre-scan of this whole window (one scan serves
@@ -279,30 +281,35 @@ class _Window:
 
 
 def _commit(
-    cpu: "CPU",
-    task: Task,
-    block: FPBlock,
-    engine: FPSpyEngine,
-    mon,
-    win: _Window,
-    rel: int,
-    k: int,
-    base: int,
+    cpu: "CPU", task: Task, block: FPBlock, engine: FPSpyEngine, mon,
+    win: _Window, rel: int, k: int, base: int, status: int,
 ) -> None:
     """Replicate ``k`` groups -- whole trap lifecycles for the faulting
     ones, plain retirements for the quiet ones -- without stepping the
     machine.
 
     Everything the per-event path writes -- records, counters, spans,
-    cycle/time splits -- is produced here with identical contents; the
-    per-group cycle schedule mirrors the fused path charge by charge.
+    cycle/time splits, the sticky status -- is produced here with
+    identical contents; the per-group cycle schedule mirrors the fused
+    path charge by charge.  ``base`` is ``%mxcsr`` without its sticky
+    status, which enters as ``status``: quiet groups OR their masked
+    codes into it, a faulting group's record sees it, and the group's
+    SIGTRAP handler clears it.
     """
     kernel = cpu.kernel
     costs = cpu.costs
     site = block.site
     interleave = block.interleave
     pend, codes = win.pend, win.codes
-    fi = [g for g in range(rel, rel + k) if pend[g]]  # faulting groups
+    fi, fcodes = [], []  # faulting groups, their status at the fault
+    acc = status
+    for g in range(rel, rel + k):
+        if pend[g]:
+            fi.append(g)
+            fcodes.append(acc | codes[g])
+            acc = 0
+        else:
+            acc |= codes[g]
     kf = len(fi)
     # Which faults record: the engine's modular subsample, so fault ``j``
     # of the batch records iff ``(observed + 1 + j) % sample == 0``.
@@ -349,17 +356,17 @@ def _commit(
         insn = insn.ljust(16, b"\x00")
         mon.writer.append_packed(b"".join([
             pack(seq0 + i, (fstart(j, g) + rec_off) / freq, rip, rsp,
-                 base | codes[g], _SICODE_LUT[pend[g]], codes[g], insn_len,
-                 insn)
-            for i, (j, g) in enumerate(
-                zip(range(first, kf, sample), fi[first::sample]))
+                 base | c, _SICODE_LUT[pend[g]], c, insn_len, insn)
+            for i, (j, g, c) in enumerate(zip(
+                range(first, kf, sample), fi[first::sample],
+                fcodes[first::sample]))
         ]), r)
 
     end_rip = rip + len(site.encoding)
     if kf and (cpu._tr is not None or cpu._prov is not None):
         fstarts = [fstart(j, g) for j, g in enumerate(fi)]
         _replicate_events(
-            cpu, task, block, win, rel, k, base, fi,
+            cpu, task, block, win, rel, k, base, fi, fcodes,
             [(obs + 1 + j) % sample == 0 for j in range(kf)], fstarts, c0,
             end_rip, seq0, (fault_c, deliv_c, huser_c, tapp_c, ret_c, fp_c,
                             trap_c + retire_c),
@@ -381,8 +388,8 @@ def _commit(
     cpu.site_hits += k + kf - 1
     if kf:
         ev = engine.event_codes
-        for g in fi:
-            ev[codes[g]] += 1
+        for c in fcodes:
+            ev[c] += 1
         cpu.fused += kf
         sigs = cpu.signals_delivered
         sigs[Signal.SIGFPE] += kf
@@ -408,6 +415,8 @@ def _commit(
     block.index = end
     block.fp_done = False
     task.last_rip = end_rip
+    if acc != status:
+        task.mxcsr.value = base | acc
     # Admission kept this strictly below any armed vtimer's expiry.
     task.advance_vtime(k * (1 + interleave))
     if block.done:
@@ -424,20 +433,9 @@ def _commit(
 
 
 def _replicate_events(
-    cpu: "CPU",
-    task: Task,
-    block: FPBlock,
-    win: _Window,
-    rel: int,
-    k: int,
-    base: int,
-    fi: list,
-    rec: list,
-    fstarts: list,
-    c0: int,
-    end_rip: int,
-    seq0: int,
-    cost_t: tuple,
+    cpu: "CPU", task: Task, block: FPBlock, win: _Window, rel: int, k: int,
+    base: int, fi: list, codes: list, rec: list, fstarts: list, c0: int,
+    end_rip: int, seq0: int, cost_t: tuple,
 ) -> None:
     """Per-event observer replication for the flight recorder and the
     provenance tracker.
@@ -445,11 +443,13 @@ def _replicate_events(
     Only runs when one of the two is live, so the plain storm hot path
     never enters this loop; the batch's counts are bumped in
     :func:`_commit` either way.  ``fi`` lists the batch's faulting
-    groups (window-relative); ``rec`` and the start cycles ``fstarts``
-    run parallel to it, and ``cost_t`` is the cycle-cost tuple
+    groups (window-relative); ``codes`` (each fault's status), ``rec``
+    and the start cycles ``fstarts`` run parallel to it, and
+    ``cost_t`` is the cycle-cost tuple
     :meth:`TraceRecorder.replicate_trees` takes.  Both observers only
-    ever see faulting-only batches (admission), so faulting event ``j``
-    is batch group ``j``.  The loop itself performs only the per-event
+    ever see faulting-only batches entered with clear status (admission),
+    so faulting event ``j`` is batch group ``j`` and its status is its
+    own codes.  The loop itself performs only the per-event
     work that *must* be exact per event -- provenance observations at
     the masked-re-execution retirement cycle (``kernel.cycles`` is slid
     to each stamp because the tracker reads it directly).  The 14-span
@@ -467,7 +467,6 @@ def _replicate_events(
     prov = cpu._prov
     rip = site.address
     fault_c, deliv_c, huser_c, tapp_c, ret_c, _, _ = cost_t
-    codes = [win.codes[g] for g in fi]
     pend = [win.pend[g] for g in fi]
     sic = [_SICODE_LUT[p] for p in pend]
 

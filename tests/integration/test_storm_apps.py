@@ -2,11 +2,12 @@
 
 The property tests drive the storm batch driver (DESIGN.md #11) with
 synthetic streams.  Here the nine study targets run directly, at a small
-scale, in individual mode and under a Poisson sampler on the virtual
-timer, once with ``KernelConfig.stormbatch`` on and once off.  Every
-target must end on the same cycle with the same guest-visible files, and
-the driver must actually batch in both modes, so the oracle cannot pass
-by never engaging.
+scale, in individual mode, in the study's filtered pass (every event but
+Inexact, so masked Inexact status rides the batches) and under a Poisson
+sampler on the virtual timer, once with ``KernelConfig.stormbatch`` on
+and once off.  Every target must end on the same cycle with the same
+guest-visible files, and the driver must actually batch in every mode,
+so the oracle cannot pass by never engaging.
 """
 
 import hashlib
@@ -15,26 +16,30 @@ import pytest
 
 from repro.fpspy import fpspy_env
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.study.passes import pass_variant
+from repro.study.passes import FILTER_NO_INEXACT, pass_variant
 from repro.study.targets import TARGET_NAMES, make_targets
 
 SCALE = 0.1
 SEED = 1234
+#: Mode -> (study pass whose problem variants it runs, FPSpy environment).
 MODES = {
-    "individual": fpspy_env("individual"),
-    "poisson": fpspy_env("individual", poisson="50000:100000",
-                         timer="virtual", seed=SEED),
+    "individual": ("aggregate", fpspy_env("individual")),
+    "filtered": ("filtered", fpspy_env(
+        "individual", except_list=FILTER_NO_INEXACT)),
+    "poisson": ("aggregate", fpspy_env(
+        "individual", poisson="50000:100000", timer="virtual", seed=SEED)),
 }
 
 
-def _run_targets(env, stormbatch):
+def _run_targets(mode, stormbatch):
+    pass_name, env = MODES[mode]
     targets = make_targets()
     out = {}
     batches = 0
     for name in TARGET_NAMES:
         kernel = Kernel(KernelConfig(stormbatch=stormbatch))
         targets[name].launch(
-            kernel, env, SCALE, pass_variant("aggregate", name), SEED)
+            kernel, env, SCALE, pass_variant(pass_name, name), SEED)
         kernel.run()
         files = []
         for path in kernel.vfs.listdir(""):
@@ -49,8 +54,8 @@ def _run_targets(env, stormbatch):
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_storm_on_matches_off_on_study_targets(mode):
-    on, batches = _run_targets(MODES[mode], True)
-    off, _ = _run_targets(MODES[mode], False)
+    on, batches = _run_targets(mode, True)
+    off, _ = _run_targets(mode, False)
     assert batches > 0, "the storm driver never engaged"
     for name in TARGET_NAMES:
         assert on[name][0] == off[name][0], f"{name}: cycles diverged"

@@ -16,6 +16,7 @@ span trees are replicated stamp for stamp.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp.flags import Flag
 from repro.fp.formats import float_to_bits32
 from repro.fpspy import fpspy_env
 from repro.guest.ops import LibcCall
@@ -23,6 +24,7 @@ from repro.guest.program import KernelBuilder
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.signals import SIG_IGN, Signal
 from repro.telemetry import flatten_snapshot
+from repro.trace.records import unpack_records
 
 _SPECIALS32 = [
     0x00000000, 0x80000000,  # +-0
@@ -139,11 +141,17 @@ def test_storm_batches_actually_engage():
 #: these are exact, so a group built from them raises no condition.
 _EXACT32 = [float_to_bits32(2.0 ** e) for e in (-4, -2, 0, 2, 4)]
 _INEXACT32 = [float_to_bits32(v) for v in (1.1, 0.7, -0.033, 3.3, 0.21)]
+#: Signaling NaNs: every covered form raises Invalid and nothing else.
+_SNAN32 = [0x7FA00000, 0xFFA00001]
+_POOLS = {"q": _EXACT32, "f": _INEXACT32, "i": _SNAN32}
 
-#: Group kinds: quiet (exact operands), faulting (Inexact), or random
-#: bit patterns (specials, NaNs, denormals: anything may fault).
+#: Group kinds: quiet (exact operands), Inexact only, Invalid only, or
+#: random bit patterns (specials, NaNs, denormals: anything may fault).
+#: Capturing everything, "f" and "i" fault; under ``except_list=
+#: "Invalid"`` an "f" group raises masked codes only and leaves them in
+#: the sticky status.
 _group = st.one_of(
-    st.tuples(st.sampled_from("qqff"), st.integers(0, 4)),
+    st.tuples(st.sampled_from("qqffi"), st.integers(0, 4)),
     st.tuples(st.just("?"), st.lists(bits32, min_size=1, max_size=3)),
 )
 
@@ -157,7 +165,7 @@ def _group_streams(groups, lanes, arity):
                 if kind == "?":
                     b = arg[i % len(arg)]
                 else:
-                    pool = _EXACT32 if kind == "q" else _INEXACT32
+                    pool = _POOLS[kind]
                     b = pool[(arg + i) % len(pool)]
                 streams[pos].append(b)
     return streams
@@ -211,13 +219,12 @@ def _check_telemetry_parity(streams, cfg):
 def test_storm_span_trees_replicated():
     """With the flight recorder on, every per-event lifecycle tree the
     precise path stamps must appear -- same names, cycle stamps, and
-    args -- plus exactly one extra ``storm`` summary span per batch."""
+    args -- plus exactly one extra ``storm`` summary span per batch.
+    Second case: capturing Invalid only, an Inexact-only group leaves
+    masked status in front of a faulting run; a traced batch must not
+    start on it, because the faulting group's masked re-execution span
+    holds only its own codes while its record holds the carried ones."""
     cfg = {"tracing": True, "trace_capacity": 1 << 20}
-    streams = _storm_streams(96)
-    kf, on = _run("vfmaddps", streams, 2, True, config=cfg)
-    ks, off = _run("vfmaddps", streams, 2, False, config=cfg)
-    assert on == off
-    assert kf.cpu.storm_stats["batches"] >= 1
 
     def shape(k, drop_storm):
         spans = []
@@ -229,13 +236,21 @@ def test_storm_span_trees_replicated():
             )))
         return spans
 
-    storm_spans = [s for s in kf.tracer.spans() if s.name == "storm"]
-    assert len(storm_spans) == kf.cpu.storm_stats["batches"]
-    assert sum(s.args["groups"] for s in storm_spans) == \
-        kf.cpu.storm_stats["groups"]
-    assert shape(kf, True) == shape(ks, False)
-    assert kf.tracer.open_trees() == 0
-    assert kf.tracer.trees_completed == ks.tracer.trees_completed
+    masked = _group_streams([_INVALID, ("f", 0)] + [_INVALID] * 6, 8, 3)
+    for streams, env in ((_storm_streams(96), {}),
+                         (masked, {"except_list": "Invalid"})):
+        kf, on = _run("vfmaddps", streams, 2, True, config=cfg, **env)
+        ks, off = _run("vfmaddps", streams, 2, False, config=cfg, **env)
+        assert on == off
+        assert kf.cpu.storm_stats["batches"] >= 1
+
+        storm_spans = [s for s in kf.tracer.spans() if s.name == "storm"]
+        assert len(storm_spans) == kf.cpu.storm_stats["batches"]
+        assert sum(s.args["groups"] for s in storm_spans) == \
+            kf.cpu.storm_stats["groups"]
+        assert shape(kf, True) == shape(ks, False)
+        assert kf.tracer.open_trees() == 0
+        assert kf.tracer.trees_completed == ks.tracer.trees_completed
 
 
 def test_storm_off_matches_under_poisson_sampler():
@@ -414,12 +429,61 @@ def test_storm_maxcount_room_of_zero_and_one():
     assert (st_["groups"], st_["batches"], st_["quiet"]) == (3, 1, 3)
 
 
-def test_storm_masked_only_group_at_rel_is_not_admitted():
+def test_storm_masked_only_groups_ride_the_batch():
     """With only Invalid captured, an Inexact-only group raises masked
-    codes alone: a batch must stop before it and must not start at it.
-    Its sticky status then rejects one attempt until the next event's
-    handler clears it."""
-    st_ = _admitted([_INVALID, "f"] + [_INVALID] * 10,
-                    except_list="Invalid")
-    assert (st_["groups"], st_["batches"]) == (10, 2)
-    assert st_["bailouts"] == {"short": 1, "status": 1}
+    codes alone: it rides the batch as a quiet group and leaves PE in
+    the sticky status.  The next fault's record carries it in both its
+    mxcsr and codes fields, that fault's SIGTRAP handler clears it, and
+    the batch ends with the status its trailing groups left."""
+    ie, pe = int(Flag.IE), int(Flag.PE)
+    groups = [_INVALID, "f", _INVALID, "q", "f", "f", _INVALID, _INVALID,
+              "f", "q"]
+    streams = _group_streams(
+        [g if isinstance(g, tuple) else (g, 0) for g in groups], 8, 3)
+    kf, on = _run("vfmaddps", streams, 2, True, except_list="Invalid")
+    _, off = _run("vfmaddps", streams, 2, False, except_list="Invalid")
+    assert on == off
+    st_ = kf.cpu.storm_stats
+    assert (st_["groups"], st_["batches"]) == (10, 1)
+    assert st_["bailouts"] == {}
+    [trace] = [d for p, d in on["state"].items() if p.endswith(".ind")]
+    records = unpack_records(trace)
+    assert [r.codes for r in records] == [ie, ie | pe, ie | pe, ie]
+    assert [r.mxcsr & 0x3F for r in records] == [ie, ie | pe, ie | pe, ie]
+    assert on["mxcsr"] & 0x3F == pe
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    form=st.sampled_from([("vfmaddps", 3), ("addss", 2), ("divss", 2)]),
+    groups=st.lists(_group, min_size=4, max_size=48),
+    # Masked codes the guest raises before the loop, so the first batch
+    # enters with dirty sticky status.
+    raised=st.integers(0, 0x3F).map(lambda b: b & ~int(Flag.IE)),
+    quantum=st.integers(min_value=4, max_value=64),
+    interleave=st.sampled_from([0, 2]),
+    sample=st.integers(min_value=1, max_value=3),
+)
+def test_storm_carries_sticky_status_byte_identical(
+    form, groups, raised, quantum, interleave, sample
+):
+    """Under ``except_list="Invalid"`` quiet groups OR masked codes into
+    the sticky status, faulting groups record it and clear it: storm on
+    must equal off in trace bytes, cycles and the final ``%mxcsr``, and
+    in the snapshot's per-event counts (``fpspy.events.*`` is keyed by
+    each fault's accumulated codes)."""
+    mnemonic, arity = form
+    lanes = 8 if mnemonic == "vfmaddps" else 1
+    streams = _group_streams(groups, lanes, arity)
+    prelude = (LibcCall("feraiseexcept", (raised,)),) if raised else ()
+    # FPSpy steps aside on fenv calls unless told otherwise.
+    env = dict(except_list="Invalid", sample=sample,
+               extra={"FPE_DISABLE": "signals"})
+    cfg = {"telemetry": True, "quantum": quantum}
+    kf, on = _run(mnemonic, streams, interleave, True, config=cfg,
+                  prelude=prelude, **env)
+    ks, off = _run(mnemonic, streams, interleave, False, config=cfg,
+                   prelude=prelude, **env)
+    assert on == off
+    assert _parity_counts(kf) == _parity_counts(ks)
+    assert "status" not in kf.cpu.storm_stats["bailouts"]

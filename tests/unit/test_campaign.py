@@ -216,7 +216,7 @@ def test_telemetry_smoke_campaign_sums_storm_counts():
     for key in ("storm.batches", "storm.groups"):
         assert merged["cpu"][key] == sum(
             s["cpu"]["counts"][key] for s in per_run), key
-    assert merged["cpu"]["storm.batches"] == 12
+    assert merged["cpu"]["storm.batches"] == 108
     assert per_run[-1]["cpu"]["counts"]["storm.batches"] == 0
     counts = [s["fpspy"]["counts"] for s in per_run]
     levels = [s["fpspy"]["gauges"] for s in per_run]
