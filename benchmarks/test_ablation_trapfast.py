@@ -18,9 +18,13 @@ all three configurations on an exception-dense packed-FMA storm (every
 ``vfmaddps`` raises Inexact, the paper's GROMACS headline case), assert
 three-way indistinguishability along with both speedup bars, and drop
 the numbers plus the storm and batch-softfloat statistics in
-``BENCH_trapfast.json``.  Every batch here is far above batchfloat's
-scalar crossover, so the storm gate times the NumPy kernels: the run
-asserts that no lane took the scalar loop.
+``BENCH_trapfast.json``.  Every time is ``process_time`` around
+``Kernel.run`` with GC collected and then disabled (the trace gate's
+method), and each arm's time is the best of three runs taken in
+rotating order: a single run of each arm let host noise alone move the
+storm speedup by tens of percent.  Every batch here is far above
+batchfloat's scalar crossover, so the storm gate times the NumPy
+kernels: the run asserts that no lane took the scalar loop.
 
 Application storms are not one long block: the study targets' storm
 windows hold about seven groups.  An application-shaped case -- many
@@ -32,6 +36,7 @@ not gated: there the per-event path answers groups from its per-form
 outcome cache, which storm windows do not consult, and storm loses.
 """
 
+import gc
 import time
 from functools import partial
 from pathlib import Path
@@ -64,6 +69,8 @@ STORM_QUANTUM = 2048
 SHORT_GROUPS = 7
 SHORT_BLOCKS = 240
 SHORT_QUANTUM = 128
+#: Runs of each arm per timed case; an arm's time is the best of them.
+REPS = 3
 #: Storm must at least match the per-event path on traffic-sized windows
 #: of non-repeating operands.  On repeating operands it loses (about
 #: 0.8x); that case is recorded, not gated.
@@ -113,9 +120,14 @@ def _run(trapfast, stormbatch, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
     k.exec_process(
         main, env=fpspy_env("individual", **env_extra), name="fmastorm"
     )
-    t0 = time.perf_counter()
-    k.run()
-    elapsed = time.perf_counter() - t0
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        k.run()
+        elapsed = time.process_time() - t0
+    finally:
+        gc.enable()
     state = {p: k.vfs.read(p) for p in k.vfs.listdir("")}
     return k, state, elapsed
 
@@ -125,18 +137,25 @@ def test_trapfast_speedup_individual_mode(benchmark):
     clears >=3x and the storm driver >=50x over precise, with nothing
     architecturally observable separating any pair."""
 
-    def compare():
-        kp, state_p, precise = _run(False, False)
-        kf, state_f, fused = _run(True, False)
-        reset_batch_stats()
-        ks, state_s, storm = _run(True, True)
-        return (kp, kf, ks, state_p, state_f, state_s, precise, fused, storm,
-                batch_stats())
+    arms = {"precise": (False, False), "fused": (True, False),
+            "storm": (True, True)}
 
-    (kp, kf, ks, state_p, state_f, state_s,
-     precise, fused, storm, batch) = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
+    def compare():
+        runs, times = {}, {name: [] for name in arms}
+        order = list(arms)
+        for rep in range(REPS):
+            # The order rotates between repetitions.
+            for name in order[rep:] + order[:rep]:
+                reset_batch_stats()
+                k, state, t = _run(*arms[name])
+                runs[name] = (k, state, batch_stats())
+                times[name].append(t)
+        return runs, {name: min(ts) for name, ts in times.items()}
+
+    runs, best = benchmark.pedantic(compare, rounds=1, iterations=1)
+    (kp, state_p, _), (kf, state_f, _), (ks, state_s, batch) = (
+        runs["precise"], runs["fused"], runs["storm"])
+    precise, fused, storm = best["precise"], best["fused"], best["storm"]
     # Unobservable: equal cycle clocks and byte-identical VFS state (the
     # .ind trace files carry rip/instruction/mxcsr per event, so any
     # divergence in delivery order or context contents shows up here).
@@ -168,6 +187,8 @@ def test_trapfast_speedup_individual_mode(benchmark):
         {
             "workload": "vfmaddps-storm",
             "mode": "individual",
+            "timing": (f"process_time, GC quiesced; best of {REPS} runs "
+                       "per arm in rotating order"),
             "elements": STORM_ELEMENTS,
             "quantum": STORM_QUANTUM,
             "precise_s": round(precise, 4),
@@ -223,10 +244,10 @@ def _short_storm_case(operands):
     """The application-shaped storm, repetition ``rep`` on operands
     ``operands(rep)``: precise, fused and storm runs must be
     indistinguishable; returns ``(storm vs fused, fused_s, storm_s,
-    storm stats)`` with each time the best of three runs."""
+    storm stats)`` with each time the best of :data:`REPS` runs."""
     n = SHORT_GROUPS * 8
     fused_s, storm_s = [], []
-    for rep in range(3):
+    for rep in range(REPS):
         # The order alternates between repetitions.
         kw = dict(n=n, quantum=SHORT_QUANTUM, blocks=SHORT_BLOCKS,
                   operands=operands(rep))

@@ -1,6 +1,6 @@
-"""Campaign scaling: pool sweep, adaptive fallback, saturation.
+"""Campaign scaling: pool sweep and adaptive fallback.
 
-Three honest measurements of ``repro.campaign`` (DESIGN.md decisions #9
+Two honest measurements of ``repro.campaign`` (DESIGN.md decisions #9
 and #17), published together to ``BENCH_campaign.json``:
 
 * **Forced-pool worker sweep** -- the full figure-suite campaign (27
@@ -16,22 +16,13 @@ and #17), published together to ``BENCH_campaign.json``:
   container thus publishes an honest "fallback won" number instead of
   a vacuous speedup pass.  Whichever gate the host skipped is named in
   the artifact's ``unchecked`` list.
-* **Saturation** -- sustained submission throughput (runs/sec) through a
-  :class:`~repro.campaign.daemon.CampaignDaemon`: distinct jobs queued
-  back-to-back, each planned and executed as ``campaign run`` would.
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
-from repro.campaign import (
-    CampaignDaemon,
-    figbench_campaign,
-    plan_execution,
-    run_campaign,
-)
+from repro.campaign import figbench_campaign, plan_execution, run_campaign
 
 from benchmarks.conftest import BENCH_SEED, write_results
 
@@ -44,52 +35,8 @@ MIN_FALLBACK_RATIO = 0.95
 #: Campaign scale: ~3s serial with a ~0.7s critical-path run, so the
 #: sweep finishes quickly while leaving real parallelism to expose.
 CAMPAIGN_SCALE = 0.3
-#: Saturation burst: jobs queued back-to-back, one seed each.
-SATURATION_JOBS = 6
 
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
-
-
-def _merge_results(
-    payload: dict,
-    keep_prefix: str | None = None,
-    gates: dict | None = None,
-    unchecked: list[str] | None = None,
-) -> None:
-    """Read-modify-write so the two benchmarks share one artifact.
-
-    ``keep_prefix`` drops every existing key outside that prefix, so a
-    schema change in one benchmark cannot leave stale keys behind while
-    still preserving the other benchmark's section.  Understands both
-    the envelope (``{"metrics": ...}``) and the legacy flat layout, so
-    the first post-migration run upgrades an old artifact in place.
-    """
-    existing: dict = {}
-    existing_gates: dict = {}
-    existing_unchecked: list = []
-    if RESULTS_JSON.exists():
-        try:
-            d = json.loads(RESULTS_JSON.read_text())
-        except ValueError:
-            d = {}
-        if isinstance(d.get("metrics"), dict):
-            existing = d["metrics"]
-            existing_gates = dict(d.get("gates") or {})
-            existing_unchecked = list(d.get("unchecked") or [])
-        elif isinstance(d, dict):
-            existing = d
-    if keep_prefix is not None:
-        existing = {
-            k: v for k, v in existing.items() if k.startswith(keep_prefix)}
-        existing_gates = {
-            k: v for k, v in existing_gates.items()
-            if k.startswith(keep_prefix)}
-        existing_unchecked = [
-            k for k in existing_unchecked if k.startswith(keep_prefix)]
-    existing.update(payload)
-    existing_gates.update(gates or {})
-    write_results(RESULTS_JSON, existing, gates=existing_gates,
-                  unchecked=existing_unchecked + list(unchecked or []))
 
 
 def test_campaign_scaling(benchmark):
@@ -136,9 +83,9 @@ def test_campaign_scaling(benchmark):
     wide_host = host_cpus >= 4
     speedup_4w = round(timings[1] / timings[4], 2)
     fallback_ratio = round(pool1_s / auto_s, 2)
-    _merge_results(
-        keep_prefix="saturation_",
-        payload={
+    write_results(
+        RESULTS_JSON,
+        {
             "campaign": campaign.name,
             "runs": len(campaign.runs),
             "scale": CAMPAIGN_SCALE,
@@ -174,48 +121,3 @@ def test_campaign_scaling(benchmark):
             f"in-process fallback ratio {fallback_ratio}x below "
             f"{MIN_FALLBACK_RATIO}x of the 1-worker pool path"
         )
-
-
-def test_campaign_daemon_saturation(benchmark, tmp_path):
-    """Sustained submission throughput through the campaign daemon."""
-    base = figbench_campaign(scale=0.1, seed=BENCH_SEED)
-
-    def saturate():
-        daemon = CampaignDaemon(tmp_path / "daemon").start()
-        try:
-            t0 = time.perf_counter()
-            tickets = [
-                daemon.submit(base.with_overrides(seed=BENCH_SEED + i))
-                for i in range(SATURATION_JOBS)
-            ]
-            deadline = time.monotonic() + 600
-            while time.monotonic() < deadline:
-                states = [daemon.status(t["job"])["state"] for t in tickets]
-                if all(s == "done" for s in states):
-                    break
-                assert not any(s in ("error", "cancelled") for s in states)
-                time.sleep(0.05)
-            wall = time.perf_counter() - t0
-            stats = daemon.stats()
-        finally:
-            daemon.shutdown()
-        assert stats["counters"]["completed"] == SATURATION_JOBS
-        return wall, stats
-
-    wall, stats = benchmark.pedantic(saturate, rounds=1, iterations=1)
-
-    runs_total = stats["runs_completed"]
-    assert runs_total == SATURATION_JOBS * len(base.runs)
-    sustained = round(runs_total / wall, 3)
-    _merge_results(
-        {
-            "saturation_jobs": SATURATION_JOBS,
-            "saturation_runs": runs_total,
-            "saturation_wall_s": round(wall, 4),
-            "saturation_runs_per_sec": sustained,
-            "saturation_busy_runs_per_sec": stats["runs_per_sec"],
-        },
-    )
-    # Correctness gate, not a wall-time gate: the burst must finish and
-    # every job must report its full complement of runs.
-    assert sustained > 0

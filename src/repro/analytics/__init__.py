@@ -1,16 +1,15 @@
 """Cross-campaign analytics: figures, dashboards, regression diffing.
 
-This package turns campaign artifacts (``campaign.json`` and friends,
-including a daemon job's ``manifest.json``) and ``BENCH_*.json`` perf
-history into the paper's evaluation figures and fleet/trajectory
-dashboards -- each one a Vega-Lite spec plus a companion CSV, rendered
+This package turns campaign artifacts (``campaign.json`` and friends)
+and ``BENCH_*.json`` perf history into the paper's evaluation figures
+and fleet/trajectory dashboards -- each one a Vega-Lite spec plus a companion CSV, rendered
 into a self-contained static HTML index.  Three figure groups:
 
 * ``paper``      -- the Figure 6-19 family regenerated offline from a
   campaign directory, sharing extraction code with the live
   ``benchmarks/test_fig*`` suite (:mod:`repro.analysis.extract`);
 * ``fleet``      -- per-workload event rates, kill sites, provenance
-  league tables, and daemon job statistics across campaign dirs;
+  league tables, and trace retention across campaign dirs;
 * ``trajectory`` -- BENCH history as a perf dashboard with per-gate
   threshold bands.
 

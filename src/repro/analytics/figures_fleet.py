@@ -3,14 +3,10 @@
 Where the ``paper`` group reproduces the publication's figures from
 one campaign, this group compares *fleets* of campaign directories:
 per-workload event rates, kill sites, the provenance-coil league
-table, flight-recorder retention, and daemon job statistics.
+table, and flight-recorder retention.
 
-Everything except the daemon job table reads the deterministic
-campaign section only, so those frames diff cleanly against committed
-baselines.  The job table describes a particular daemon's jobs --
-inherently host- and order-dependent -- and is registered
-``diffable=False`` so ``figures diff`` leaves it out of the regression
-gate.
+Every figure here reads the deterministic campaign section only, so
+its frame diffs cleanly against committed baselines.
 """
 
 from __future__ import annotations
@@ -123,29 +119,4 @@ def fleet_trace_retention(ctx) -> Figure | None:
     spec = vega.bar(
         frame, x="app", y="spans", color="mode",
         title="Spans recorded per traced run", sort="-y")
-    return Figure(frame=frame, spec=spec)
-
-
-@register_figure(
-    "fleet_daemon_jobs", group="fleet",
-    title="Daemon job manifest summary", diffable=False)
-def fleet_daemon_jobs(ctx) -> Figure | None:
-    """Jobs served by the campaign daemon (from job manifests)."""
-    frame = Frame(columns=(
-        "job", "campaign", "spec_hash", "runs", "failed",
-        "mode", "host_wall_s"))
-    for camp in ctx.campaigns:
-        m = camp.manifest
-        if not m:
-            continue
-        frame.append(
-            job=m.get("job", ""), campaign=m.get("campaign", camp.name),
-            spec_hash=m.get("spec_hash", ""), runs=m.get("runs", 0),
-            failed=len(m.get("failed", [])), mode=m.get("mode", ""),
-            host_wall_s=m.get("host_wall_seconds", 0.0))
-    if not frame.rows:
-        return None
-    spec = vega.bar(
-        frame, x="job", y="runs", color="campaign",
-        title="Runs per daemon job")
     return Figure(frame=frame, spec=spec)

@@ -12,7 +12,7 @@ four-run smoke campaign and the full figure campaign.
 directory against a committed baseline *by figure data* (the CSVs),
 cell-by-cell, applying each figure's declared relative tolerance to
 numeric cells and exact comparison to everything else.  Figures
-registered ``diffable=False`` (operational daemon/perf views) are
+registered ``diffable=False`` (the BENCH perf trajectory) are
 excluded.  Any drift -- changed values, changed shape, or a figure
 flipping between generated and skipped -- is reported and fails the
 gate.

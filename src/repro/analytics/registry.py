@@ -19,7 +19,7 @@ full figure campaign alike.
 computed purely from the deterministic campaign section), a small
 epsilon absorbs float re-rounding.  ``diffable=False`` exempts
 operational views whose data is legitimately host- or order-dependent
-(daemon job tables) from the CI regression gate.
+(the BENCH trajectory) from the CI regression gate.
 """
 
 from __future__ import annotations

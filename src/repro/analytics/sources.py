@@ -3,9 +3,9 @@
 :class:`CampaignData` wraps everything one campaign output directory
 holds -- ``campaign.json`` (the merged result; its deterministic
 section is the only thing figure data may depend on),
-``campaign_report.txt``, ``status.json`` and a daemon job's
-``manifest.json``.  Packed span files under ``traces/`` are read by
-:func:`repro.trace.stats.collect_stats`, not here.
+``campaign_report.txt`` and ``status.json``.  Packed span files under
+``traces/`` are read by :func:`repro.trace.stats.collect_stats`, not
+here.
 
 :func:`load_bench_history` reads ``BENCH_*.json`` artifacts into
 :class:`BenchRecord` rows; it understands both the enveloped schema
@@ -25,7 +25,6 @@ from repro.analysis.extract import merge_rankpop_inputs
 REPORT_FILE = "campaign_report.txt"
 RESULT_FILE = "campaign.json"
 STATUS_FILE = "status.json"
-MANIFEST_FILE = "manifest.json"
 
 
 @dataclass
@@ -40,16 +39,24 @@ class CampaignData:
     provenance: list = field(default_factory=list)
     report_text: str | None = None
     status: dict | None = None
-    manifest: dict | None = None  #: daemon job manifest, when present
 
     # ---------------------------------------------------------- loading
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CampaignData":
+        """Parse one campaign directory.
+
+        A missing or unparsable ``campaign.json`` raises ``ValueError``
+        naming the file: no figure is built from a partial campaign.
+        """
         path = os.fspath(path)
         result_path = os.path.join(path, RESULT_FILE)
-        with open(result_path, encoding="utf-8") as fh:
-            result = json.load(fh)
+        try:
+            with open(result_path, encoding="utf-8") as fh:
+                result = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"cannot load campaign result {result_path}: {exc}") from None
         det = result.get("deterministic", {})
         return cls(
             path=path,
@@ -60,7 +67,6 @@ class CampaignData:
             provenance=list(det.get("provenance", [])),
             report_text=_read_text(os.path.join(path, REPORT_FILE)),
             status=_read_json(os.path.join(path, STATUS_FILE)),
-            manifest=_read_json(os.path.join(path, MANIFEST_FILE)),
         )
 
     # ------------------------------------------------------- run access

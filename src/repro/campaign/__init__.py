@@ -10,18 +10,12 @@ merge -- the merged report is byte-identical for any ``--workers`` and
 ``--execution`` value.  Like FPSpy's own runs, campaign runs keep no
 state from one invocation to the next.  An amortization-aware planner
 (:mod:`repro.campaign.planner`) degrades to in-process execution when
-the host cannot win; a campaign daemon
-(:class:`~repro.campaign.daemon.CampaignDaemon`) runs submitted
-campaigns one after another from a bounded FIFO queue behind a small
-HTTP API.
+the host cannot win.
 
-Entry points: ``python -m repro.study campaign run/status`` and
-``python -m repro.study serve`` /
-``campaign submit/poll/fetch/daemon-stats/shutdown`` on the command
-line, :func:`run_campaign` / :class:`CampaignRunner` /
-:class:`CampaignDaemon` from code, and
-:func:`~repro.campaign.worker.execute_run` for single in-process runs
-(tests, notebooks).
+Entry points: ``python -m repro.study campaign run/status`` on the
+command line, :func:`run_campaign` / :class:`CampaignRunner` from code,
+and :func:`~repro.campaign.worker.execute_run` for single in-process
+runs (tests, notebooks).
 """
 
 from repro.campaign.artifacts import (
@@ -29,7 +23,6 @@ from repro.campaign.artifacts import (
     write_json_atomic,
     write_text_atomic,
 )
-from repro.campaign.daemon import AdmissionError, CampaignDaemon, serve_http
 from repro.campaign.planner import ExecutionPlan, plan_execution
 from repro.campaign.report import (
     CampaignResult,
@@ -50,9 +43,7 @@ from repro.campaign.spec import (
 from repro.campaign.worker import RunOutcome, execute_run
 
 __all__ = [
-    "AdmissionError",
     "BUILTIN_CAMPAIGNS",
-    "CampaignDaemon",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
@@ -68,7 +59,6 @@ __all__ = [
     "plan_execution",
     "render_report",
     "run_campaign",
-    "serve_http",
     "smoke_campaign",
     "write_bytes_atomic",
     "write_json_atomic",

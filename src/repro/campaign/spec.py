@@ -8,18 +8,29 @@ the merged campaign output is a pure function of the spec, never of
 worker count or completion order.
 
 Specs round-trip through JSON (``repro.study campaign run --spec
-path.json``) and two builtin campaigns cover the common cases:
+path.json``) and three builtin campaigns cover the common cases:
 
 * ``smoke``    -- four quick runs; the CI campaign smoke job.
 * ``figbench`` -- every study target under the three monitored passes,
   i.e. the run set behind the paper's figure suite; the scaling
   benchmark's workload.
+* ``figures``  -- ``figbench`` plus the baseline pass: the input set of
+  the analytics paper-figure group.
+
+A spec file and the command line's overrides are the campaign input
+that comes from outside the program.  :meth:`CampaignSpec.from_json`
+and :func:`build_campaign` check every field of it against
+:data:`_RUN_FIELDS` and raise ``ValueError`` on anything else;
+:class:`RunSpec` itself stays unchecked, so tests can build the
+malformed runs the worker's own checks and the runner's retry path
+must handle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -29,6 +40,45 @@ from repro.study.targets import TARGET_NAMES
 
 #: Study passes a spec may name (see :func:`repro.study.passes.pass_env`).
 PASS_NAMES = ("baseline", "aggregate", "filtered", "sampled")
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_scale(v) -> bool:
+    if _is_int(v):
+        return v > 0
+    return isinstance(v, float) and math.isfinite(v) and v > 0
+
+
+#: What a run field read from outside the program must satisfy.  The
+#: campaign-wide overrides :func:`build_campaign` takes are checked by
+#: the same rules.
+_RUN_FIELDS = {
+    "app": lambda v: isinstance(v, str) and v in TARGET_NAMES,
+    "mode": lambda v: isinstance(v, str) and v in PASS_NAMES,
+    "variant": lambda v: isinstance(v, str),
+    "scale": _is_scale,
+    "seed": _is_int,
+    "telemetry": _is_bool,
+    "tracing": _is_bool,
+}
+
+
+def _check_fields(fields: dict, where: str) -> None:
+    """``ValueError`` unless every field is known and valid."""
+    for key, value in fields.items():
+        check = _RUN_FIELDS.get(key)
+        if check is None:
+            raise ValueError(f"{where}: unknown field {key!r}; choose "
+                             f"from {', '.join(_RUN_FIELDS)}")
+        if not check(value):
+            raise ValueError(f"{where}: invalid {key} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +123,25 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
+        """Parse a spec; ``ValueError`` unless it is exactly ``{"name",
+        "runs"}`` with a non-empty list of run objects, each naming an
+        ``app`` and every field valid by :data:`_RUN_FIELDS`."""
         d = json.loads(text)
+        if not isinstance(d, dict) or set(d) != {"name", "runs"} \
+                or not isinstance(d["name"], str):
+            raise ValueError('a campaign spec is exactly {"name", "runs"}')
+        runs = d["runs"]
+        if not isinstance(runs, list) or not runs:
+            raise ValueError("runs must be a non-empty list")
+        for i, run in enumerate(runs):
+            if not isinstance(run, dict):
+                raise ValueError(f"runs[{i}] must be a JSON object")
+            if "app" not in run:
+                raise ValueError(f"runs[{i}]: missing field 'app'")
+            _check_fields(run, f"runs[{i}]")
         return cls(
             name=d["name"],
-            runs=tuple(RunSpec.from_dict(r) for r in d["runs"]),
+            runs=tuple(RunSpec.from_dict(r) for r in runs),
         )
 
     @classmethod
@@ -183,14 +248,23 @@ def build_campaign(
     telemetry: bool | None = None,
     tracing: bool | None = None,
 ) -> CampaignSpec:
-    """Resolve ``spec`` (builtin name or JSON file path) to a campaign."""
+    """Resolve ``spec`` (builtin name or JSON file path) to a campaign.
+
+    A malformed spec file or override raises ``ValueError``.
+    """
     if spec in BUILTIN_CAMPAIGNS:
         campaign = BUILTIN_CAMPAIGNS[spec]()
-    elif os.path.exists(spec):
-        campaign = CampaignSpec.from_file(spec)
+    elif os.path.isfile(spec):
+        try:
+            campaign = CampaignSpec.from_file(spec)
+        except ValueError as exc:
+            raise ValueError(f"{spec}: {exc}") from None
     else:
         raise ValueError(
             f"unknown campaign spec {spec!r}: not a builtin "
             f"({', '.join(sorted(BUILTIN_CAMPAIGNS))}) and not a file")
-    return campaign.with_overrides(
+    overrides = dict(
         scale=scale, seed=seed, telemetry=telemetry, tracing=tracing)
+    _check_fields(
+        {k: v for k, v in overrides.items() if v is not None}, "overrides")
+    return campaign.with_overrides(**overrides)

@@ -4,11 +4,11 @@ Commands
 --------
 ``figures``   print the five figures no campaign carries (6, 10, 12,
               13, 16; optionally a subset, optionally written to a
-              directory); subcommands ``list``/``generate``/``diff``/
-              ``serve`` drive the analytics registry over campaign
-              artifacts, the only producer of every other figure
-              (``repro.analytics``: Vega-Lite specs + CSVs + HTML index,
-              CI regression diffing against a committed baseline)
+              directory); subcommands ``list``/``generate``/``diff``
+              drive the analytics registry over campaign artifacts, the
+              only producer of every other figure (``repro.analytics``:
+              Vega-Lite specs + CSVs + HTML index, CI regression diffing
+              against a committed baseline)
 ``validate``  run the paper's validation matrix
 ``overhead``  just the Figure 6 overhead sweep
 ``spy``       run one named application under FPSpy and dump its traces
@@ -88,10 +88,14 @@ def _cmd_figures_list(args) -> int:
 def _cmd_figures_generate(args) -> int:
     from repro.analytics import build_context, generate_figures
 
-    ctx = build_context(
-        campaign_dirs=args.campaign or [],
-        bench_paths=args.bench or [],
-    )
+    try:
+        ctx = build_context(
+            campaign_dirs=args.campaign or [],
+            bench_paths=args.bench or [],
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     manifest = generate_figures(
         args.out, ctx, group=args.group, names=args.figure)
     generated = skipped = 0
@@ -123,40 +127,6 @@ def _cmd_figures_diff(args) -> int:
               file=sys.stderr)
         return 1
     print(f"figure data matches baseline {args.baseline}")
-    return 0
-
-
-def _cmd_figures_serve(args) -> int:
-    if args.dir:
-        from functools import partial
-        from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
-
-        handler = partial(SimpleHTTPRequestHandler, directory=args.dir)
-        server = ThreadingHTTPServer((args.host, args.port), handler)
-        host, port = server.server_address[:2]
-        print(f"serving figure report {args.dir} on http://{host}:{port}/",
-              flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return 0
-    if not args.job:
-        print("figures serve needs --dir DIR (static) or --job ID "
-              "(render on the campaign daemon at --url)", file=sys.stderr)
-        return 2
-    try:
-        manifest = _daemon_request(args.url, f"/figures?job={args.job}")
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    figures = manifest.get("figures", {})
-    generated = [n for n, e in figures.items() if e["status"] == "generated"]
-    print(f"daemon rendered {len(generated)} figures for job {args.job}")
-    print(f"report: {args.url.rstrip('/')}/figures"
-          f"?job={args.job}&file=index.html")
     return 0
 
 
@@ -508,150 +478,9 @@ def _cmd_campaign_status(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.campaign import CampaignDaemon, serve_http
-
-    daemon = CampaignDaemon(args.data_dir, workers=args.workers).start()
-    server = serve_http(daemon, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"campaign daemon listening on http://{host}:{port} "
-          f"(data dir {args.data_dir})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        daemon.shutdown()
-    print("campaign daemon stopped")
-    return 0
-
-
-def _daemon_request(url: str, path: str, body: dict | None = None) -> dict:
-    import json
-    import urllib.error
-    import urllib.request
-
-    req = urllib.request.Request(
-        url.rstrip("/") + path,
-        data=json.dumps(body).encode() if body is not None else None,
-        headers={"Content-Type": "application/json"},
-        method="POST" if body is not None else "GET",
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return json.loads(resp.read().decode())
-    except urllib.error.HTTPError as exc:
-        payload = exc.read().decode()
-        try:
-            reason = json.loads(payload).get("error", payload)
-        except ValueError:
-            reason = payload
-        raise RuntimeError(f"HTTP {exc.code}: {reason}") from None
-
-
-def _cmd_campaign_submit(args) -> int:
-    if args.spec.endswith(".json"):
-        import json
-        import pathlib
-
-        campaign = json.loads(pathlib.Path(args.spec).read_text())
-    else:
-        campaign = {"builtin": args.spec}
-        if args.scale is not None:
-            campaign["scale"] = args.scale
-        if args.seed is not None:
-            campaign["seed"] = args.seed
-        if args.telemetry:
-            campaign["telemetry"] = True
-        if args.tracing:
-            campaign["tracing"] = True
-    try:
-        ticket = _daemon_request(args.url, "/submit", {"campaign": campaign})
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(f"{ticket['job']} {ticket['state']}")
-    return 0
-
-
-def _cmd_campaign_poll(args) -> int:
-    import time as _time
-
-    while True:
-        try:
-            status = _daemon_request(args.url, f"/status?job={args.job}")
-        except RuntimeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        progress = status.get("progress") or {}
-        done = progress.get("done", 0)
-        total = progress.get("total", "?")
-        print(f"{status['id']}: {status['state']}  runs {done}/{total}",
-              flush=True)
-        if status["state"] in ("done", "error", "cancelled"):
-            if status["state"] == "error":
-                print(f"error: {status['error']}", file=sys.stderr)
-            return 0 if status["state"] == "done" else 1
-        if not args.wait:
-            return 0
-        _time.sleep(args.interval)
-
-
-def _cmd_campaign_fetch(args) -> int:
-    import pathlib
-
-    try:
-        result = _daemon_request(args.url, f"/result?job={args.job}")
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(result.pop("report_text"), end="")
-    print()
-    print(f"job {result['job']}: {result['runs']} runs, mode "
-          f"{result['mode']}, {result['host_wall_seconds']:.3f} s host wall")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        import urllib.request
-        from urllib.parse import urlencode
-
-        for rel in result["files"]:
-            query = urlencode({"job": args.job, "file": rel})
-            with urllib.request.urlopen(
-                    args.url.rstrip("/") + f"/artifact?{query}",
-                    timeout=60) as resp:
-                data = resp.read()
-            path = out / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-        print(f"wrote {len(result['files'])} artifacts to {out}")
-    return 0
-
-
-def _cmd_campaign_shutdown(args) -> int:
-    try:
-        reply = _daemon_request(args.url, "/shutdown", {})
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(f"daemon: {reply['state']}")
-    return 0
-
-
-def _cmd_campaign_stats(args) -> int:
-    import json
-
-    try:
-        stats = _daemon_request(args.url, "/stats")
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(json.dumps(stats, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.campaign.spec import BUILTIN_CAMPAIGNS
+
     p = argparse.ArgumentParser(
         prog="python -m repro.study",
         description="FPSpy reproduction study driver",
@@ -702,17 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     fdiff.add_argument("--group", choices=["paper", "fleet", "trajectory"])
     fdiff.add_argument("--figure", nargs="*", metavar="NAME")
     fdiff.set_defaults(fn=_cmd_figures_diff)
-
-    fserve = figsub.add_parser(
-        "serve", help="serve a generated report dir, or render via the "
-                      "campaign daemon")
-    fserve.add_argument("--dir", help="static figure directory to serve")
-    fserve.add_argument("--host", default="127.0.0.1")
-    fserve.add_argument("--port", type=int, default=8123)
-    fserve.add_argument("--url", default="http://127.0.0.1:8765",
-                        help="campaign daemon URL (with --job)")
-    fserve.add_argument("--job", help="daemon job id to render figures for")
-    fserve.set_defaults(fn=_cmd_figures_serve)
 
     val = sub.add_parser("validate", help="run the validation matrix")
     val.set_defaults(fn=_cmd_validate)
@@ -769,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     crun = campsub.add_parser("run", help="run a campaign spec")
     crun.add_argument("--spec", default="smoke",
-                      help="builtin name (smoke, figbench) or spec JSON path")
+                      help=f"builtin name ({', '.join(BUILTIN_CAMPAIGNS)}) "
+                           "or spec JSON path")
     crun.add_argument("--workers", type=int, default=None,
                       help="worker processes (default: os.cpu_count())")
     crun.add_argument("--scale", type=float, default=None,
@@ -798,58 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     cstat.add_argument("--out", required=True,
                        help="the campaign's artifact directory")
     cstat.set_defaults(fn=_cmd_campaign_status)
-
-    def _url_arg(sp):
-        sp.add_argument("--url", default="http://127.0.0.1:8765",
-                        help="daemon base URL")
-
-    csub = campsub.add_parser(
-        "submit", help="submit a campaign to a running daemon")
-    _url_arg(csub)
-    csub.add_argument("--spec", default="smoke",
-                      help="builtin name (smoke, figbench) or spec JSON path")
-    csub.add_argument("--scale", type=float, default=None)
-    csub.add_argument("--seed", type=int, default=None)
-    csub.add_argument("--telemetry", action="store_true")
-    csub.add_argument("--tracing", action="store_true")
-    csub.set_defaults(fn=_cmd_campaign_submit)
-
-    cpoll = campsub.add_parser(
-        "poll", help="poll a daemon job's state and progress")
-    _url_arg(cpoll)
-    cpoll.add_argument("--job", required=True)
-    cpoll.add_argument("--wait", action="store_true",
-                       help="keep polling until the job finishes")
-    cpoll.add_argument("--interval", type=float, default=0.5)
-    cpoll.set_defaults(fn=_cmd_campaign_poll)
-
-    cfetch = campsub.add_parser(
-        "fetch", help="fetch a finished daemon job's report and artifacts")
-    _url_arg(cfetch)
-    cfetch.add_argument("--job", required=True)
-    cfetch.add_argument("--out", default=None,
-                        help="also download every artifact here")
-    cfetch.set_defaults(fn=_cmd_campaign_fetch)
-
-    cdstats = campsub.add_parser(
-        "daemon-stats", help="print a running daemon's stats JSON")
-    _url_arg(cdstats)
-    cdstats.set_defaults(fn=_cmd_campaign_stats)
-
-    cshut = campsub.add_parser("shutdown", help="stop a running daemon")
-    _url_arg(cshut)
-    cshut.set_defaults(fn=_cmd_campaign_shutdown)
-
-    srv = sub.add_parser(
-        "serve", help="run the long-lived campaign daemon (job queue "
-                      "+ HTTP API)")
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=8765)
-    srv.add_argument("--data-dir", dest="data_dir", default="campaignd",
-                     help="jobs and the artifact store live here")
-    srv.add_argument("--workers", type=int, default=None,
-                     help="pool width per job (default: planner-chosen)")
-    srv.set_defaults(fn=_cmd_serve)
 
     trc = sub.add_parser(
         "trace", help="flight recorder: span trees and NaN/Inf provenance")

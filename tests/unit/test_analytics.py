@@ -159,6 +159,28 @@ def test_generate_with_empty_context_skips_everything(tmp_path):
     assert diff_figures(tmp_path / "out", tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("truncated", [True, False],
+                         ids=["truncated", "missing"])
+def test_cli_figures_generate_rejects_unloadable_campaign(
+        tmp_path, capsys, truncated):
+    """A truncated or missing ``campaign.json`` exits 2 naming the file,
+    with no figure written from a partial campaign."""
+    from repro.study.cli import main
+
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    if truncated:
+        text = json.dumps({"deterministic": {"campaign": "mini", "runs": [
+            {"label": "WRF/sampled@1#1", "events": ["Inexact"]}]}})
+        (camp / "campaign.json").write_text(text[: len(text) // 2])
+    out = tmp_path / "figs"
+    rc = main(["figures", "generate", "--campaign", str(camp),
+               "--out", str(out)])
+    assert rc == 2
+    assert str(camp / "campaign.json") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diff_requires_generated_manifests(tmp_path):
     with pytest.raises(FileNotFoundError):
         diff_figures(tmp_path, tmp_path)

@@ -85,6 +85,83 @@ def test_build_campaign_resolves_builtins_files_and_rejects_junk(tmp_path):
         build_campaign("no-such-campaign")
 
 
+#: One valid spec-file run; the cases below each break one rule.
+_RUN = {"app": "Miniaero", "mode": "aggregate", "scale": 0.1}
+
+
+@pytest.mark.parametrize("run, expected", [
+    ({"app": "WRF"}, RunSpec(app="WRF")),
+    (dict(_RUN, scale=2), RunSpec(app="Miniaero", scale=2)),
+    (dict(_RUN, seed=7, tracing=True, telemetry=False, variant="x"),
+     RunSpec(app="Miniaero", scale=0.1, seed=7, tracing=True, variant="x")),
+], ids=repr)
+def test_spec_file_accepts_valid_runs(run, expected):
+    spec = CampaignSpec.from_json(json.dumps({"name": "x", "runs": [run]}))
+    assert spec == CampaignSpec(name="x", runs=(expected,))
+
+
+def test_build_campaign_accepts_valid_overrides():
+    assert build_campaign("smoke", scale=0.2, seed=5, telemetry=True) == (
+        smoke_campaign(scale=0.2, seed=5).with_overrides(telemetry=True))
+
+
+_BAD_VALUES = [
+    {"scale": -1}, {"scale": 0}, {"scale": float("nan")},
+    {"scale": float("inf")}, {"scale": "abc"}, {"scale": True},
+    {"seed": 1.5}, {"seed": True}, {"telemetry": "yes"}, {"tracing": 1},
+]
+
+
+@pytest.mark.parametrize("overrides", _BAD_VALUES, ids=repr)
+def test_build_campaign_rejects_invalid_overrides(overrides):
+    with pytest.raises(ValueError, match="overrides: invalid"):
+        build_campaign("smoke", **overrides)
+
+
+@pytest.mark.parametrize("spec", [
+    *({"name": "x", "runs": [dict(_RUN, **bad)]} for bad in _BAD_VALUES),
+    {"name": "x", "runs": [dict(_RUN, app="NotAnApp")]},
+    {"name": "x", "runs": [dict(_RUN, mode="bogus")]},
+    {"name": "x", "runs": [dict(_RUN, extra=1)]},
+    {"name": "x", "runs": [{"mode": "aggregate"}]},
+    {"name": "x", "runs": [5]},
+    {"name": "x", "runs": ["Miniaero"]},
+    {"name": "x", "runs": []},
+    {"name": "x", "runs": _RUN},
+    {"name": "x"},
+    {"name": "x", "runs": [_RUN], "extra": 1},
+    {"name": 1, "runs": [_RUN]},
+    [_RUN],
+    '{"name": "x", "runs": [{"app": "Mini',
+], ids=repr)
+def test_cli_campaign_run_rejects_malformed_spec_file(tmp_path, capsys, spec):
+    """A spec file is outside input: each malformed one exits 2 naming
+    the file, before anything is written under ``--out``."""
+    from repro.study.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    out = tmp_path / "out"
+    rc = main(["campaign", "run", "--spec", os.fspath(path),
+               "--out", os.fspath(out)])
+    assert rc == 2
+    assert os.fspath(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+def test_cli_campaign_run_rejects_invalid_scale_override(
+        tmp_path, capsys, scale):
+    from repro.study.cli import main
+
+    out = tmp_path / "out"
+    rc = main(["campaign", "run", "--spec", "smoke", "--scale", scale,
+               "--out", os.fspath(out)])
+    assert rc == 2
+    assert "overrides: invalid scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_label():
     spec = RunSpec(app="WRF", mode="sampled", scale=0.25, seed=7)
     assert spec.label == "WRF/sampled@0.25#7"
