@@ -11,6 +11,8 @@ overhead sweep, Figure 10's per-benchmark runs) use
 ``benchmark.pedantic`` with a single round.
 """
 
+import gc
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,26 @@ def bench_artifact(name: str) -> Path:
     """Path for a benchmark side artifact under ``bench_artifacts/``."""
     BENCH_ARTIFACTS.mkdir(exist_ok=True)
     return BENCH_ARTIFACTS / name
+
+
+def timed_run(kernel):
+    """Run ``kernel`` to completion, timed the way every gate times it.
+
+    CPU seconds (``process_time``, not wall) around ``kernel.run()``,
+    with GC collected first and disabled during the run (the standard
+    ``timeit`` discipline): collection pauses land at arbitrary points
+    and are noise for a comparative measurement.  Returns ``(what
+    run() returned, seconds)``.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        executed = kernel.run()
+        elapsed = time.process_time() - t0
+    finally:
+        gc.enable()
+    return executed, elapsed
 
 
 def write_results(

@@ -18,13 +18,13 @@ all three configurations on an exception-dense packed-FMA storm (every
 ``vfmaddps`` raises Inexact, the paper's GROMACS headline case), assert
 three-way indistinguishability along with both speedup bars, and drop
 the numbers plus the storm and batch-softfloat statistics in
-``BENCH_trapfast.json``.  Every time is ``process_time`` around
-``Kernel.run`` with GC collected and then disabled (the trace gate's
-method), and each arm's time is the best of three runs taken in
-rotating order: a single run of each arm let host noise alone move the
-storm speedup by tens of percent.  Every batch here is far above
-batchfloat's scalar crossover, so the storm gate times the NumPy
-kernels: the run asserts that no lane took the scalar loop.
+``BENCH_trapfast.json``.  Every time is ``conftest.timed_run``'s
+(``process_time`` around ``Kernel.run``, GC quiesced), and each arm's
+time is the best of three runs taken in rotating order: a single run
+of each arm let host noise alone move the storm speedup by tens of
+percent.  Every batch here is far above batchfloat's scalar crossover,
+so the storm gate times the NumPy kernels: the run asserts that no lane
+took the scalar loop.
 
 Application storms are not one long block: the study targets' storm
 windows hold about seven groups.  An application-shaped case -- many
@@ -36,8 +36,6 @@ not gated: there the per-event path answers groups from its per-form
 outcome cache, which storm windows do not consult, and storm loses.
 """
 
-import gc
-import time
 from functools import partial
 from pathlib import Path
 
@@ -48,7 +46,7 @@ from repro.guest.program import KernelBuilder
 from repro.isa.semantics import memo_stats
 from repro.kernel.kernel import Kernel, KernelConfig
 
-from benchmarks.conftest import write_results
+from benchmarks.conftest import timed_run, write_results
 
 #: Per-event fast-path speedup bar over precise (measured ~6-7x).
 MIN_SPEEDUP = 3.0
@@ -120,14 +118,7 @@ def _run(trapfast, stormbatch, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
     k.exec_process(
         main, env=fpspy_env("individual", **env_extra), name="fmastorm"
     )
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.process_time()
-        k.run()
-        elapsed = time.process_time() - t0
-    finally:
-        gc.enable()
+    _, elapsed = timed_run(k)
     state = {p: k.vfs.read(p) for p in k.vfs.listdir("")}
     return k, state, elapsed
 

@@ -20,8 +20,6 @@ The zero-perturbation invariant (cycles/traces byte-identical either
 way) is asserted here too, on the benchmark-sized workload.
 """
 
-import gc
-import time
 import timeit
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from repro.fpspy import fpspy_env
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.telemetry.procfs import PROC_ROOT
 
-from benchmarks.conftest import BENCH_SEED, write_results
+from benchmarks.conftest import BENCH_SEED, timed_run, write_results
 
 #: Count bumps assumed per CPU step -- a deliberate overcount (a trap
 #: storm step bumps ~5: site cache, event codes, signals, fusion).
@@ -56,17 +54,10 @@ def _kernel(telemetry):
 
 
 def _run(telemetry):
-    """One workload run; returns CPU seconds for ``run`` only, with GC
-    collected then disabled around the timed region."""
+    """One workload run; returns CPU seconds for ``run`` only
+    (:func:`benchmarks.conftest.timed_run`)."""
     k = _kernel(telemetry)
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.process_time()
-        k.run()
-        elapsed = time.process_time() - t0
-    finally:
-        gc.enable()
+    _, elapsed = timed_run(k)
     state = {
         p: k.vfs.read(p)
         for p in k.vfs.listdir("")

@@ -27,8 +27,6 @@ trace-event export and packed ``spans.bin`` are written next to the
 results so CI can publish loadable artifacts.
 """
 
-import gc
-import time
 import timeit
 from pathlib import Path
 
@@ -40,7 +38,9 @@ from repro.telemetry.procfs import PROC_ROOT
 from repro.telemetry.tracing import NULL_TRACER, to_binary, to_chrome_json
 from repro.validation.programs import provenance_program
 
-from benchmarks.conftest import BENCH_SEED, bench_artifact, write_results
+from benchmarks.conftest import (
+    BENCH_SEED, bench_artifact, timed_run, write_results,
+)
 
 #: Guard executions assumed per guest op -- a deliberate overcount (the
 #: real hot paths run ~4: fault check, retire hook, provenance, trap).
@@ -68,24 +68,14 @@ SPANS_BIN = bench_artifact("BENCH_traceoverhead.spans.bin")
 
 
 def _run(tracing):
-    """One full workload run; returns CPU seconds for exec+run only.
-
-    GC is collected then disabled around the timed region (the standard
-    ``timeit`` discipline): the enabled mode's allocations otherwise
-    trigger collection pauses at arbitrary points, which is noise for a
-    *comparative* measurement.
-    """
+    """One full workload run; returns CPU seconds for ``run`` only
+    (:func:`benchmarks.conftest.timed_run`: the enabled mode's
+    allocations would otherwise trigger collection pauses at arbitrary
+    points, which is noise for a *comparative* measurement)."""
     app = APPLICATIONS.create("miniaero", scale=ABLATION_SCALE, seed=BENCH_SEED)
     k = Kernel(KernelConfig(tracing=tracing))
     k.exec_process(app.main, env=fpspy_env("individual"), name=app.name)
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.process_time()
-        executed = k.run()
-        elapsed = time.process_time() - t0
-    finally:
-        gc.enable()
+    executed, elapsed = timed_run(k)
     state = {
         p: k.vfs.read(p)
         for p in k.vfs.listdir("")

@@ -81,15 +81,6 @@ def _sorted_pairs(counter: Mapping) -> tuple[tuple, ...]:
     return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def merge_count_pairs(pair_lists: Iterable[Iterable]) -> Counter:
-    """Sum ``(key, count)`` pair collections from several runs."""
-    merged: Counter = Counter()
-    for pairs in pair_lists:
-        for key, count in pairs:
-            merged[key] += count
-    return merged
-
-
 def rankpop_from_pairs(pairs: Iterable) -> RankPopularity:
     """A :class:`RankPopularity` with deterministic tie order.
 

@@ -1,11 +1,10 @@
 """Artifact loaders: campaign directories and BENCH perf history.
 
-:class:`CampaignData` wraps everything one campaign output directory
-holds -- ``campaign.json`` (the merged result; its deterministic
-section is the only thing figure data may depend on),
-``campaign_report.txt`` and ``status.json``.  Packed span files under
-``traces/`` are read by :func:`repro.trace.stats.collect_stats`, not
-here.
+:class:`CampaignData` wraps what figures read from one campaign
+output directory: ``campaign.json``, the merged result, whose
+deterministic section is the only thing figure data may depend on.
+Packed span files under ``traces/`` are read by
+:func:`repro.trace.stats.collect_stats`, not here.
 
 :func:`load_bench_history` reads ``BENCH_*.json`` artifacts into
 :class:`BenchRecord` rows; it understands both the enveloped schema
@@ -21,10 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.extract import merge_rankpop_inputs
 
-#: File names inside a campaign output directory.
-REPORT_FILE = "campaign_report.txt"
+#: The merged result inside a campaign output directory.
 RESULT_FILE = "campaign.json"
-STATUS_FILE = "status.json"
 
 
 @dataclass
@@ -37,8 +34,6 @@ class CampaignData:
     runs: list[dict]  #: deterministic per-run dicts, spec order
     event_union: list[str]
     provenance: list = field(default_factory=list)
-    report_text: str | None = None
-    status: dict | None = None
 
     # ---------------------------------------------------------- loading
 
@@ -65,8 +60,6 @@ class CampaignData:
             runs=list(det.get("runs", [])),
             event_union=list(det.get("event_union", [])),
             provenance=list(det.get("provenance", [])),
-            report_text=_read_text(os.path.join(path, REPORT_FILE)),
-            status=_read_json(os.path.join(path, STATUS_FILE)),
         )
 
     # ------------------------------------------------------- run access
@@ -109,14 +102,6 @@ class CampaignData:
 def load_campaigns(paths) -> list[CampaignData]:
     """Load several campaign directories (order preserved)."""
     return [CampaignData.load(p) for p in paths]
-
-
-def _read_text(path: str) -> str | None:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError:
-        return None
 
 
 def _read_json(path: str) -> dict | None:

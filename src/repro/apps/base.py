@@ -8,6 +8,7 @@ from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
+from repro.fp.batchfloat import batch_covered
 from repro.fp.formats import BINARY32, BINARY64
 from repro.guest.ops import IntWork, LibcCall
 from repro.guest.program import GuestProgram, KernelBuilder
@@ -122,9 +123,9 @@ class SimApp(GuestProgram):
         """
         fmt = site.form.fmt or BINARY64
         interleave = self.INT_PER_FP if spread is None else spread
-        if site.form.block_vectorizable:
-            # Hand the block engine raw uint64 bit arrays: no per-element
-            # Python conversion on the hot path.
+        if batch_covered(site.form):
+            # Hand the block engine raw bit arrays: no per-element Python
+            # conversion on the hot path.
             encoded = [self.kb.encode_bits(np.asarray(a).ravel(), fmt) for a in arrays]
         else:
             encoded = [self.kb.encode_array(np.asarray(a).ravel(), fmt) for a in arrays]

@@ -1,20 +1,30 @@
-"""Batch softfloat: whole-array trap-storm emulation.
+"""Batch softfloat: the one entry point for batched FP execution.
 
 :func:`execute_batch` computes, for a batch of same-form operands, the
 result bit patterns and all six IEEE condition flags per lane --
 bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including NaN
 payload propagation, signed zeros, subnormals, all four rounding modes,
-and DAZ/FTZ.  This is the emulate half of the storm fast path
-(:mod:`repro.machine.storm`) and of blockexec's binary32/FMA chunks.
+and DAZ/FTZ.  It is the emulate half of the storm fast path
+(:mod:`repro.machine.storm`) and commits every covered chunk of
+blockexec's quiescent fast path (:mod:`repro.machine.blockexec`).
 
-It picks its method by lane count (DESIGN.md #15).  A NumPy kernel pays
-about 80 ufunc dispatches per call whatever the lane count, while real
-application batches carry a handful of lanes, so batches of at most
-:data:`_SCALAR_MAX_LANES` lanes run one scalar loop over the
-property-tested :class:`repro.fp.fastpath.FastSoftFPU`.  Larger batches
-(the synthetic FMA storm's thousands of lanes) run the NumPy integer
-kernels, which keep the same loop for the lanes and forms they cannot
-compute: out-of-window div64/sqrt64 and wide mul64 lanes, and fma64.
+It picks one of three tiers per call (DESIGN.md #15):
+
+* **EFT:** binary64 add/sub/mul/div/sqrt/min/max under round-to-nearest
+  without FTZ/DAZ, from :data:`_EFT_MIN_LANES` lanes up, run the host
+  error-free transformations of :mod:`repro.fp.vectorfast`.  Their
+  certified lanes carry PE or nothing; every other lane is recomputed
+  by the scalar loop, or by the integer kernels when there are more
+  than :data:`_SCALAR_MAX_LANES` of them.
+* **Scalar:** batches of at most :data:`_SCALAR_MAX_LANES` lanes run
+  one loop over the property-tested
+  :class:`repro.fp.fastpath.FastSoftFPU`.  A NumPy kernel pays about
+  80 ufunc dispatches per call whatever the lane count, while real
+  application batches carry a handful of lanes.
+* **Integer:** larger batches (the synthetic FMA storm's thousands of
+  lanes) run the NumPy integer kernels, which keep the scalar loop for
+  the lanes and forms they cannot compute: out-of-window div64/sqrt64
+  and wide mul64 lanes, and fma64.
 
 Kernel design notes (the equivalence arguments live in DESIGN.md #11):
 
@@ -31,8 +41,9 @@ Kernel design notes (the equivalence arguments live in DESIGN.md #11):
   quotients and roots fit int64 exactly.
 * div64/sqrt64 use the host FPU *only* to propose a round-to-nearest
   candidate inside a certified mid-range exponent window; the exactly
-  representable residual (classical division/sqrt residual theorems)
-  gives the inexact flag and the directed-mode +-1ulp correction.
+  representable residual (classical division/sqrt residual theorems,
+  computed with vectorfast's two-product) gives the inexact flag and
+  the directed-mode +-1ulp correction.
 * fma64 has no int64-exact kernel (no catalogue form needs one: every
   FMA form is binary32).
 """
@@ -48,6 +59,7 @@ from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext
+from repro.fp.vectorfast import _two_prod_err, vector_execute
 from repro.isa.forms import InstructionForm, OpKind
 
 _I = np.int64
@@ -58,15 +70,22 @@ IE, DE, ZE, OE, UE, PE = 1, 2, 4, 8, 16, 32
 
 _FPU = FastSoftFPU()
 
-#: Batches of at most this many lanes run the scalar FastSoftFPU loop;
-#: larger ones run the NumPy kernels.  Set from the per-form crossover
-#: table in DESIGN.md #15: the kernels start to win at 16 lanes for
-#: min/max, 32-40 for FMA and for any form under directed rounding, and
-#: 48-192 for the host-fast-path forms under round-to-nearest.
+#: Batches of at most this many lanes (outside the EFT tier) run the
+#: scalar FastSoftFPU loop; larger ones run the integer kernels.  Set
+#: from the per-form crossover table in DESIGN.md #15: the kernels start
+#: to win at 16 lanes for min/max, 32-40 for FMA and for any form under
+#: directed rounding, and 48-192 for the host-fast-path forms under
+#: round-to-nearest.
 _SCALAR_MAX_LANES = 32
 
-#: Kinds execute_batch covers bit-exactly.
-BATCH_KINDS: frozenset[OpKind] = frozenset(
+#: binary64 batches of at least this many lanes of an EFT kind, under
+#: round-to-nearest without FTZ/DAZ, run the host EFT kernels of
+#: :mod:`repro.fp.vectorfast`.  Set from the crossover measured in
+#: DESIGN.md #15 (amendment).
+_EFT_MIN_LANES = 12
+
+#: Kinds the EFT tier certifies (FMA has no vector EFT).
+_EFT_KINDS: frozenset[OpKind] = frozenset(
     {
         OpKind.ADD,
         OpKind.SUB,
@@ -75,12 +94,16 @@ BATCH_KINDS: frozenset[OpKind] = frozenset(
         OpKind.SQRT,
         OpKind.MIN,
         OpKind.MAX,
-        OpKind.FMADD,
-        OpKind.FMSUB,
-        OpKind.FNMADD,
-        OpKind.FNMSUB,
     }
 )
+
+#: Kinds execute_batch covers bit-exactly.
+BATCH_KINDS: frozenset[OpKind] = _EFT_KINDS | {
+    OpKind.FMADD,
+    OpKind.FMSUB,
+    OpKind.FNMADD,
+    OpKind.FNMSUB,
+}
 
 #: Host-EFT certification window for div64/sqrt64 (biased exponent field
 #: of every operand must lie strictly inside).  Inside it the candidate,
@@ -506,20 +529,6 @@ def _mul_kernel(F, A, B, ctx):
     return bits, flags, tiny, fallback
 
 
-def _two_prod(x, y):
-    """Dekker two_prod; exact in the certified windows."""
-    p = x * y
-    split = 134217729.0  # 2**27 + 1
-    xh = x * split
-    xh = xh - (xh - x)
-    xl = x - xh
-    yh = y * split
-    yh = yh - (yh - y)
-    yl = y - yh
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, e
-
-
 def _directed_adjust(q_u, pos, inexact, rmode):
     """+-1ulp correction of an RN candidate for directed modes.
 
@@ -572,8 +581,8 @@ def _div_kernel(F, A, B, ctx):
         fb_safe = np.where(win, fb, 1.0)
         fa_safe = np.where(win, fa, 1.0)
         q = fa_safe / fb_safe
-        p, e = _two_prod(q, fb_safe)
-        r = (fa_safe - p) - e
+        p = q * fb_safe
+        r = (fa_safe - p) - _two_prod_err(q, fb_safe, p)
         inexact = r != 0.0
         pos = (r > 0.0) != (fb_safe < 0.0)
         bits = _directed_adjust(q.view(_U), pos, inexact, ctx.rmode)
@@ -636,8 +645,8 @@ def _sqrt_kernel(F, A, ctx):
         win = live & (A.expf > lo) & (A.expf < hi)
         fa = np.where(win, A.u.view(np.float64), 1.0)
         r = np.sqrt(fa)
-        p, e = _two_prod(r, r)
-        d = (fa - p) - e
+        p = r * r
+        d = (fa - p) - _two_prod_err(r, r, p)
         inexact = d != 0.0
         pos = d > 0.0
         bits = _directed_adjust(r.view(_U), pos, inexact, ctx.rmode)
@@ -825,12 +834,42 @@ def execute_batch(
     for operand position ``i`` (all the same length = total lane count).
 
     Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
+    The tier is picked per call (DESIGN.md #15): the EFT kernels for
+    at least :data:`_EFT_MIN_LANES` binary64 lanes of an EFT kind under
+    round-to-nearest without FTZ/DAZ, with the lanes they cannot
+    certify recomputed by the scalar loop, or by the integer kernels
+    when there are more than :data:`_SCALAR_MAX_LANES` of them; else
+    the scalar loop for at most :data:`_SCALAR_MAX_LANES` lanes (and
+    fma64); else the integer kernels.
     """
     if not batch_covered(form):
         raise NotImplementedError(f"batchfloat does not cover {form}")
     n = operands[0].shape[0]
     _STATS["batches"] += 1
     _STATS["lanes"] += n
+    if (
+        n >= _EFT_MIN_LANES
+        and form.kind in _EFT_KINDS
+        and form.fmt is BINARY64
+        and ctx.rmode == RoundingMode.NEAREST
+        and not ctx.ftz
+        and not ctx.daz
+    ):
+        bits, pe, certified = vector_execute(form.kind, operands)
+        flags = np.where(pe, _I(PE), _I(0))
+        tiny = np.zeros(n, np.bool_)
+        if not certified.all():
+            idx = np.nonzero(~certified)[0]
+            sub_ops = tuple(o[idx] for o in operands)
+            if len(idx) <= _SCALAR_MAX_LANES:
+                _STATS["scalar_lanes"] += len(idx)
+                sub = _scalar_batch(form.kind, form.fmt, sub_ops, ctx)
+            else:
+                sub = _vector_batch(form, sub_ops, ctx)
+            bits[idx] = sub.bits
+            flags[idx] = sub.flags
+            tiny[idx] = sub.tiny
+        return BatchResult(bits, flags, tiny)
     if n <= _SCALAR_MAX_LANES or (
         form.kind in _FMA_NEGATE and form.fmt.width == 64
     ):

@@ -18,14 +18,17 @@ a documented limitation (DESIGN.md decision #10), harmless in practice
 because distinct fault sites almost always differ in payload, sign, or
 magnitude.
 
-Coverage is complete despite the vectorized fast path: certified
-vector lanes can neither consume nor produce NaN/Inf/denorm values
-(the :mod:`repro.fp.vectorfast` operand window excludes non-normals and
-``_safe_result`` bounds every result away from overflow/underflow), so
-hooks on the scalar paths -- ``_exec_fp`` retirement, block scalar
-substeps, uncertified-lane recomputation, and handler-emulated
-writebacks -- observe every operation that can touch an exceptional
-value.
+Coverage is complete despite the batched fast paths.  A blockexec
+chunk observes every group that carries a NaN/Inf/denorm bit pattern
+as an input or a result (:func:`repro.fp.batchfloat.special_lane_mask`),
+a storm window every group :meth:`ProvenanceTracker.scan_window` flags,
+and the other hooks -- ``_exec_fp`` retirement, block scalar substeps,
+and handler-emulated writebacks -- observe each operation they retire.
+Lanes of ``execute_batch``'s host-EFT tier need no rule of their own:
+a certified lane can neither consume nor produce an exceptional value
+(the :mod:`repro.fp.vectorfast` operand window excludes non-normals
+and ``_safe_result`` bounds every result away from overflow and
+underflow), and the tier recomputes every other lane exactly.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Vectorized error-free transformations for the block execution engine.
+"""Vectorized error-free transformations: ``execute_batch``'s EFT tier.
 
 These are the lane-wise NumPy analogues of :mod:`repro.fp.fastpath`: for
 the overwhelmingly common case -- normal, mid-range binary64 operands
@@ -20,32 +20,29 @@ flag set is recovered by error-free transformations:
   distinct bit patterns of certified (normal, nonzero) values are never
   numerically equal.
 
-All four rounding modes are certified.  The host computes the
-round-to-nearest candidate; for directed modes the same error-free
-residual that detects inexactness also carries the *sign* of the true
-error, which pins the correctly rounded result to either the candidate
-or its 1-ulp neighbour (:func:`repro.fp.batchfloat._directed_adjust`).
-The certification window guarantees neighbours never cross the
-zero/subnormal/infinity boundaries, so the bit-space adjustment is
-always the right float.
+Only round-to-nearest is certified: no application leaves it, and
+:func:`repro.fp.batchfloat.execute_batch` only enters this tier under
+it.  The vector residue pair (:func:`_two_sum_err`,
+:func:`_two_prod_err`) is also what batchfloat's div64/sqrt64 kernels
+use for their exactness checks.
 
 Every function returns ``(result_bits, pe, certified)`` arrays.  A lane
 is *certified* only when the fast path can guarantee bit-identical
 results and flags versus the canonical softfloat: normal mid-range
 operands and a result comfortably inside the overflow/tininess
-boundaries.  Uncertified lanes carry garbage in ``result_bits`` and must
-be recomputed by the caller through the scalar FPU; certification is
-deliberately identical to :mod:`repro.fp.fastpath` so the two layers are
+boundaries.  Uncertified lanes carry garbage in ``result_bits``;
+``execute_batch`` recomputes them.  Certification is deliberately
+identical to :mod:`repro.fp.fastpath` so the two layers are
 property-tested against the same oracle.  Lanes the window rejects are
 tallied per reason in :func:`reject_stats`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.fp.batchfloat import _directed_adjust
-from repro.fp.rounding import RoundingMode
 from repro.isa.forms import OpKind
 
 #: Magnitude bounds within which results are certainly safe (no overflow,
@@ -119,7 +116,7 @@ def _safe_result(v: np.ndarray) -> np.ndarray:
     return (mag > _MIN_SAFE) & (mag < _MAX_SAFE)
 
 
-def _addsub(a: np.ndarray, b: np.ndarray, negate_b: bool, rmode):
+def _addsub(a: np.ndarray, b: np.ndarray, negate_b: bool):
     x = a.view(np.float64)
     y = b.view(np.float64)
     if negate_b:
@@ -132,50 +129,37 @@ def _addsub(a: np.ndarray, b: np.ndarray, negate_b: bool, rmode):
     opmask = fast_operand_mask(a) & fast_operand_mask(b)
     certified = opmask & ((s == 0.0) | _safe_result(s))
     _count_rejects(opmask, certified)
-    err = _two_sum_err(x, y, s)
-    pe = certified & (err != 0.0)
-    bits = _directed_adjust(s.view(np.uint64), err > 0.0, err != 0.0, rmode)
-    if rmode is RoundingMode.DOWN:
-        # Exact cancellation of nonzero operands yields -0 under
-        # round-down (the softfloat's differing-sign zero rule).
-        bits = np.where(s == 0.0, np.uint64(1) << _U63, bits)
-    return bits, pe, certified
+    pe = certified & (_two_sum_err(x, y, s) != 0.0)
+    return s.view(np.uint64), pe, certified
 
 
-def _mul(a: np.ndarray, b: np.ndarray, rmode):
+def _mul(a: np.ndarray, b: np.ndarray):
     x = a.view(np.float64)
     y = b.view(np.float64)
     p = x * y
     opmask = fast_operand_mask(a) & fast_operand_mask(b)
     certified = opmask & _safe_result(p)
     _count_rejects(opmask, certified)
-    err = _two_prod_err(x, y, p)
-    pe = certified & (err != 0.0)
-    bits = _directed_adjust(p.view(np.uint64), err > 0.0, err != 0.0, rmode)
-    return bits, pe, certified
+    pe = certified & (_two_prod_err(x, y, p) != 0.0)
+    return p.view(np.uint64), pe, certified
 
 
-def _div(a: np.ndarray, b: np.ndarray, rmode):
+def _div(a: np.ndarray, b: np.ndarray):
     x = a.view(np.float64)
     y = b.view(np.float64)
     q = x / y
     opmask = fast_operand_mask(a) & fast_operand_mask(b)
     certified = opmask & _safe_result(q)
     _count_rejects(opmask, certified)
-    # q exact <=> q*y == x as reals.  The residual r = x - q*y is exact
-    # (Sterbenz on x - fl(q*y), then the two-product low part), detects
-    # inexactness by r != 0, and its sign against y's orients the true
-    # quotient relative to the candidate for directed rounding.
+    # q exact <=> q*y == x as reals: the residual x - q*y is exact
+    # (Sterbenz on x - fl(q*y), then the two-product low part).
     qy = q * y
     r = (x - qy) - _two_prod_err(q, y, qy)
-    inexact = r != 0.0
-    pos = (r > 0.0) != (y < 0.0)
-    pe = certified & inexact
-    bits = _directed_adjust(q.view(np.uint64), pos, inexact, rmode)
-    return bits, pe, certified
+    pe = certified & (r != 0.0)
+    return q.view(np.uint64), pe, certified
 
 
-def _sqrt(a: np.ndarray, rmode):
+def _sqrt(a: np.ndarray):
     x = a.view(np.float64)
     positive = (a >> _U63) == 0
     opmask = fast_operand_mask(a)
@@ -184,10 +168,8 @@ def _sqrt(a: np.ndarray, rmode):
     r = np.sqrt(np.where(certified, x, 1.0))
     rr = r * r
     d = (x - rr) - _two_prod_err(r, r, rr)
-    inexact = d != 0.0
-    pe = certified & inexact
-    bits = _directed_adjust(r.view(np.uint64), d > 0.0, inexact, rmode)
-    return bits, pe, certified
+    pe = certified & (d != 0.0)
+    return r.view(np.uint64), pe, certified
 
 
 def _minmax(a: np.ndarray, b: np.ndarray, want_min: bool):
@@ -203,30 +185,26 @@ def _minmax(a: np.ndarray, b: np.ndarray, want_min: bool):
     return res, np.zeros_like(certified), certified
 
 
-def vector_execute(
-    kind: OpKind,
-    operands: list[np.ndarray],
-    rmode: RoundingMode = RoundingMode.NEAREST,
-):
-    """Execute one vectorizable op kind across flattened lanes.
+def vector_execute(kind: OpKind, operands: Sequence[np.ndarray]) -> tuple:
+    """Execute one EFT kind across flattened binary64 lanes under
+    round-to-nearest with FTZ/DAZ off.
 
-    ``operands`` holds one uint64 bit-pattern array per operand position;
-    ``rmode`` is the task's rounding mode (min/max are mode-invariant).
+    ``operands`` holds one uint64 bit-pattern array per operand position.
     Returns ``(result_bits, pe, certified)``; certified lanes raise PE and
     nothing else (DE/IE/ZE/OE/UE all require operand or result classes the
     certification window excludes).
     """
     with np.errstate(all="ignore"):
         if kind is OpKind.ADD:
-            return _addsub(operands[0], operands[1], False, rmode)
+            return _addsub(operands[0], operands[1], False)
         if kind is OpKind.SUB:
-            return _addsub(operands[0], operands[1], True, rmode)
+            return _addsub(operands[0], operands[1], True)
         if kind is OpKind.MUL:
-            return _mul(operands[0], operands[1], rmode)
+            return _mul(operands[0], operands[1])
         if kind is OpKind.DIV:
-            return _div(operands[0], operands[1], rmode)
+            return _div(operands[0], operands[1])
         if kind is OpKind.SQRT:
-            return _sqrt(operands[0], rmode)
+            return _sqrt(operands[0])
         if kind is OpKind.MIN:
             return _minmax(operands[0], operands[1], want_min=True)
         if kind is OpKind.MAX:

@@ -77,13 +77,6 @@ FLAG_SICODE_INT: dict[Flag, int] = {f: int(c) for f, c in _FLAG_SICODE.items()}
 TRAP_TRACE_CODE: int = int(SiCode.TRAP_TRACE)
 
 
-def sicode_to_flag(code: SiCode) -> Flag:
-    for f, c in _FLAG_SICODE.items():
-        if c == code:
-            return f
-    raise ValueError(code)
-
-
 @dataclass(slots=True)
 class SigInfo:
     """The subset of ``siginfo_t`` the simulation carries."""

@@ -105,6 +105,3 @@ class Loader:
 
     def uninterpose(self, name: str) -> None:
         self._interposed.pop(name, None)
-
-    def uninterpose_all(self) -> None:
-        self._interposed.clear()

@@ -478,6 +478,21 @@ def _cmd_campaign_status(args) -> int:
     return 0
 
 
+def _scale(text: str) -> float:
+    """``--scale``: a finite number above zero, the rule a campaign
+    spec's ``scale`` obeys."""
+    from repro.campaign.spec import _is_scale
+
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not _is_scale(value):
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: expected a finite number > 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.campaign.spec import BUILTIN_CAMPAIGNS
 
@@ -488,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figures", help="regenerate paper tables/figures")
-    fig.add_argument("--scale", type=float, default=1.0)
+    fig.add_argument("--scale", type=_scale, default=1.0)
     fig.add_argument("--seed", type=int, default=1234)
     fig.add_argument("--only", nargs="*", metavar="figNN",
                      help="subset of figure ids (default: the five live "
@@ -536,13 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(fn=_cmd_validate)
 
     rep = sub.add_parser("report", help="full markdown study report")
-    rep.add_argument("--scale", type=float, default=1.0)
+    rep.add_argument("--scale", type=_scale, default=1.0)
     rep.add_argument("--seed", type=int, default=1234)
     rep.add_argument("--out", help="write to file instead of stdout")
     rep.set_defaults(fn=_cmd_report)
 
     ovh = sub.add_parser("overhead", help="Figure 6 overhead sweep")
-    ovh.add_argument("--scale", type=float, default=1.0)
+    ovh.add_argument("--scale", type=_scale, default=1.0)
     ovh.add_argument("--seed", type=int, default=1234)
     ovh.set_defaults(fn=_cmd_overhead)
 
@@ -550,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     spy.add_argument("app", help="application name (e.g. miniaero)")
     spy.add_argument("--mode", default="aggregate",
                      choices=["aggregate", "individual"])
-    spy.add_argument("--scale", type=float, default=0.5)
+    spy.add_argument("--scale", type=_scale, default=0.5)
     spy.add_argument("--except-list", dest="except_list", default=None)
     spy.add_argument("--poisson", default=None)
     spy.add_argument("--limit", type=int, default=20,
@@ -564,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     trun.add_argument("app", help="application name (e.g. miniaero)")
     trun.add_argument("--mode", default="aggregate",
                       choices=["aggregate", "individual"])
-    trun.add_argument("--scale", type=float, default=0.5)
+    trun.add_argument("--scale", type=_scale, default=0.5)
     trun.add_argument("--except-list", dest="except_list", default=None)
     trun.add_argument("--format", default="table", choices=["table", "json"])
     trun.add_argument("--out", help="also write the JSON snapshot here")
@@ -629,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", default="individual",
                         choices=["aggregate", "individual", "none"],
                         help="FPSpy mode ('none': run without FPSpy)")
-        sp.add_argument("--scale", type=float, default=0.5)
+        sp.add_argument("--scale", type=_scale, default=0.5)
         sp.add_argument("--capacity", type=int, default=65536,
                         help="span ring-buffer capacity")
         sp.add_argument("--limit", type=int, default=20,

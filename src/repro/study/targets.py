@@ -26,10 +26,6 @@ class RunResult:
     system_seconds: float
     processes: list[Process] = field(default_factory=list)
 
-    @property
-    def any_killed(self) -> bool:
-        return any(p.killed_by is not None for p in self.processes)
-
 
 def _collect(name: str, kernel: Kernel) -> RunResult:
     procs = list(kernel.processes.values())

@@ -72,12 +72,6 @@ class TraceSet:
             out |= rec.flags
         return out
 
-    def individual_event_union(self) -> Flag:
-        out = Flag.NONE
-        for rec in self.all_records():
-            out |= rec.flags
-        return out
-
     def records_array(self) -> np.ndarray:
         """All individual records of the set as one structured array."""
         parts = [records_to_numpy(raw) for raw in self.individual_raw.values()]

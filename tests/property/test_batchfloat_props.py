@@ -4,16 +4,21 @@ Every lane of ``execute_batch`` -- result bit pattern, all six IEEE
 condition flags, and the pre-rounding tininess bit -- must match the
 scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
-rounding modes and the DAZ/FTZ context bits.  Both of its methods are
-pinned: the NumPy kernels are called directly at every lane count, and
-the two sides of the scalar crossover must agree byte for byte.
+rounding modes and the DAZ/FTZ context bits.  All three of its tiers
+are pinned: the integer kernels are called directly at every lane
+count, the host-EFT tier is checked lane by lane under round-to-nearest,
+and the two sides of both crossovers must agree byte for byte.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from repro.fp import batchfloat
 from repro.fp.batchfloat import (
+    _EFT_MIN_LANES,
     _FMA_NEGATE,
     _SCALAR_MAX_LANES,
     _vector_batch,
@@ -22,7 +27,8 @@ from repro.fp.batchfloat import (
     execute_batch,
     reset_batch_stats,
 )
-from repro.fp.formats import BINARY64
+from repro.fp.formats import BINARY64, float_to_bits64
+from repro.fp.vectorfast import fast_operand_mask
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import InstructionForm, OpKind, form
@@ -158,20 +164,49 @@ def test_vector_mul_underflow_of_a_63_bit_product():
         _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
 
 
+#: Lane counts on both sides of the EFT and scalar crossovers.
+_CUTS = (_EFT_MIN_LANES - 1, _EFT_MIN_LANES,
+         _SCALAR_MAX_LANES, _SCALAR_MAX_LANES + 1)
+
+
+def _eft_eligible(f, ctx):
+    return (f.fmt is BINARY64 and f.kind in batchfloat._EFT_KINDS
+            and ctx.rmode == RoundingMode.NEAREST
+            and not ctx.ftz and not ctx.daz)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mnemonic=st.sampled_from(_MNEMONICS), data=st.data(), ctx=contexts)
 def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
-    """The same lanes give the same BatchResult bytes at the largest
-    scalar batch and the smallest vector batch."""
+    """The same lanes give the same BatchResult bytes on both sides of
+    the EFT crossover and of the scalar crossover.  The operands mix
+    specials, subnormals and out-of-window lanes into the EFT tier; a
+    directed rounding mode or FTZ/DAZ must keep every call off it."""
     f = form(mnemonic)
-    ops = _draw_ops(data, f, _SCALAR_MAX_LANES + 1)
-    small = execute_batch(f, tuple(o[:_SCALAR_MAX_LANES] for o in ops), ctx)
-    big = execute_batch(f, ops, ctx)
-    for name in ("bits", "flags", "tiny"):
-        a = getattr(small, name)
-        b = getattr(big, name)[:_SCALAR_MAX_LANES]
-        assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), (name, mnemonic, ctx)
+    ops = _draw_ops(data, f, _CUTS[-1])
+    with mock.patch.object(
+        batchfloat, "vector_execute", wraps=batchfloat.vector_execute
+    ) as spy:
+        full = execute_batch(f, ops, ctx)
+        for cut in _CUTS[:-1]:
+            part = execute_batch(f, tuple(o[:cut] for o in ops), ctx)
+            for name in ("bits", "flags", "tiny"):
+                a = getattr(part, name)
+                b = getattr(full, name)[:cut]
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), (name, mnemonic, cut, ctx)
+    # Every cut but the smallest reaches the EFT crossover.
+    assert spy.call_count == (3 if _eft_eligible(f, ctx) else 0), ctx
+
+
+_WINDOW64 = st.builds(
+    lambda sign, exp, mant: (sign << 63) | (exp << 52) | mant,
+    st.integers(0, 1),
+    st.integers(524, 1522),
+    st.integers(0, (1 << 52) - 1),
+)
+#: Small integers: sums, products and many quotients and roots are exact.
+_EXACT64 = st.integers(1, 1 << 20).map(lambda v: float_to_bits64(float(v)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,35 +215,66 @@ def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
         ["addpd", "subpd", "mulpd", "divpd", "sqrtpd", "minpd", "maxpd"]
     ),
     data=st.data(),
-    n=st.integers(min_value=1, max_value=48),
-    rmode=st.sampled_from(list(RoundingMode)),
+    n=st.integers(min_value=_EFT_MIN_LANES, max_value=48),
 )
-def test_vectorfast_certified_lanes_exact_all_rounding_modes(
-    mnemonic, data, n, rmode
-):
-    """The EFT kernels' certified lanes must be bit- and flag-exact in
-    every rounding mode (directed modes via residual-sign correction)."""
-    from repro.fp import vectorfast
-
+def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
+    """The EFT tier's lanes, certified or not, are bit- and flag-exact
+    under round-to-nearest.  Operands lean on the certification window
+    (exact and inexact in-window values) with specials mixed in."""
     f = form(mnemonic)
-    ctx = FPContext(rmode=rmode)
-    ops = [
-        np.array(
-            data.draw(st.lists(bits64, min_size=n, max_size=n)),
-            dtype=np.uint64,
-        )
+    ctx = FPContext()
+    lanes = st.one_of(_WINDOW64, _EXACT64, bits64)
+    ops = tuple(
+        np.array(data.draw(st.lists(lanes, min_size=n, max_size=n)),
+                 dtype=np.uint64)
         for _ in range(f.arity)
-    ]
-    bits, pe, certified = vectorfast.vector_execute(f.kind, ops, rmode)
-    for i in range(n):
-        if not certified[i]:
-            continue
-        lane = tuple(int(o[i]) for o in ops)
-        oracle = _scalar(f.kind, f.fmt, lane, ctx)
-        assert int(bits[i]) == oracle.bits, (mnemonic, lane, rmode)
-        expected_pe = bool(int(oracle.flags) & 0x20)
-        assert bool(pe[i]) == expected_pe, (mnemonic, lane, rmode)
-        assert int(oracle.flags) & ~0x20 == 0, (mnemonic, lane, rmode)
+    )
+    with mock.patch.object(
+        batchfloat, "vector_execute", wraps=batchfloat.vector_execute
+    ) as spy:
+        res = execute_batch(f, ops, ctx)
+    assert spy.call_count == 1
+    _assert_lanes_match_oracle(f, ops, res, ctx)
+
+
+def test_eft_tier_sends_a_wide_remainder_to_the_integer_kernels():
+    """More than _SCALAR_MAX_LANES uncertified lanes in an EFT call run
+    the integer kernels, not the scalar loop."""
+    f = form("addsd")
+    n = 2 * (_SCALAR_MAX_LANES + 1)
+    specials = [0x7FF8000000000000, 0xFFF0000000000000, 0x0000000000000001]
+    # Three lanes in four carry a NaN, an infinity or a subnormal.
+    a = np.array([specials[i % 4 - 1] if i % 4 else 0x3FF8000000000000
+                  for i in range(n)], dtype=np.uint64)
+    b = np.full(n, 0x3FB999999999999A, np.uint64)  # 0.1
+    assert int((~fast_operand_mask(a)).sum()) > _SCALAR_MAX_LANES
+    ctx = FPContext()
+    reset_batch_stats()
+    res = execute_batch(f, (a, b), ctx)
+    assert batch_stats()["scalar_lanes"] == 0
+    _assert_lanes_match_oracle(f, (a, b), res, ctx)
+
+
+def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
+    """Only round-to-nearest without FTZ/DAZ takes the EFT tier; every
+    other context runs the scalar loop or the integer kernels, exactly."""
+    f = form("mulpd")
+    n = _SCALAR_MAX_LANES + 1
+    a = np.array([0x3FF8000000000000 + i for i in range(n)], np.uint64)
+    b = np.array([0x3FB999999999999A - i for i in range(n)], np.uint64)
+    b[3] = 0x0000000000000001  # one subnormal lane
+    ctxs = [FPContext(rmode=r) for r in RoundingMode
+            if r != RoundingMode.NEAREST]
+    ctxs += [FPContext(ftz=True), FPContext(daz=True)]
+    for ctx in ctxs:
+        for m in (_EFT_MIN_LANES, n):
+            ops = (a[:m], b[:m])
+            with mock.patch.object(
+                batchfloat, "vector_execute", wraps=batchfloat.vector_execute
+            ) as spy:
+                res = execute_batch(f, ops, ctx)
+            assert spy.call_count == 0, ctx
+            _assert_lanes_match_oracle(f, ops, res, ctx)
 
 
 def test_vectorfast_reject_stats_count_reasons():

@@ -2,10 +2,10 @@
 per-instruction stream.
 
 Each example streams random operands -- including NaNs, infinities,
-subnormals, and boundary magnitudes, i.e. lanes the vectorized EFTs
-cannot certify -- through one code site three ways:
+subnormals, and boundary magnitudes, i.e. lanes the host-EFT tier of
+``execute_batch`` cannot certify -- through one code site three ways:
 
-* ``blockexec=True``: the vectorized fast path (when quiescent);
+* ``blockexec=True``: the batch fast path (when quiescent);
 * ``blockexec=False``: the block's precise sub-step engine;
 * ``block=False``: the legacy one-``FPInstruction``-per-group stream,
   which is the ground-truth oracle.
@@ -143,7 +143,8 @@ bits32 = st.one_of(
 def test_non_vectorizable_forms_use_group_path_equivalently(
     mnemonic, data, n, capture
 ):
-    """binary32 forms take FPBlock's tuple-group storage; same contract."""
+    """binary32 forms never take the EFT tier (the scalar loop carries
+    their chunks); same contract."""
     streams = [
         data.draw(st.lists(bits32, min_size=n, max_size=n)) for _ in range(2)
     ]

@@ -94,6 +94,24 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main([])
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["spy", "miniaero"],
+        ["telemetry", "run", "miniaero"],
+        ["trace", "record", "miniaero"],
+        ["figures"],
+        ["report"],
+        ["overhead"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_scale_must_be_finite_and_positive(self, argv, scale, capsys):
+        """Every ``--scale`` obeys the campaign spec's rule: exit 2 with
+        a message, before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--scale", scale])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid scale {scale!r}" in err
+
 
 class TestTelemetryCLI:
     def test_run_dumps_table_and_snapshot(self, tmp_path, capsys):
