@@ -8,10 +8,10 @@ from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
-from repro.fp.batchfloat import batch_covered
 from repro.fp.formats import BINARY32, BINARY64
 from repro.guest.ops import IntWork, LibcCall
 from repro.guest.program import GuestProgram, KernelBuilder
+from repro.isa.forms import INT_RESULT_KINDS
 from repro.isa.instruction import CodeSite, FPInstruction
 
 
@@ -121,19 +121,15 @@ class SimApp(GuestProgram):
         burst phenomena: tight loops whose events are clustered in time
         (LAGHOS's re-zoning, GROMACS's collapse phases).
         """
-        fmt = site.form.fmt or BINARY64
+        form = site.form
+        fmt = form.fmt or BINARY64
         interleave = self.INT_PER_FP if spread is None else spread
-        if batch_covered(site.form):
-            # Hand the block engine raw bit arrays: no per-element Python
-            # conversion on the hot path.
-            encoded = [self.kb.encode_bits(np.asarray(a).ravel(), fmt) for a in arrays]
-        else:
-            encoded = [self.kb.encode_array(np.asarray(a).ravel(), fmt) for a in arrays]
+        # Raw bit arrays: no per-element Python conversion on the hot path.
+        encoded = [self.kb.encode_bits(np.asarray(a).ravel(), fmt) for a in arrays]
         bits = yield from self.kb.emit(site, *encoded, interleave=interleave)
-        dst = site.form.dst_fmt or fmt
-        if site.form.kind.name in ("CVT_F2I", "CVT_F2I_TRUNC", "UCOMI", "COMI"):
+        if form.kind in INT_RESULT_KINDS:
             return np.asarray(bits)
-        return self.kb.decode_array(bits, dst)
+        return self.kb.decode_array(bits, form.dst_fmt or fmt)
 
     def stream_ints(
         self, site: CodeSite, values: Sequence[int], spread: int | None = None

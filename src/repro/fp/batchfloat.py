@@ -179,20 +179,6 @@ class _Fmt:
         return f
 
 
-def special_lane_mask(fmt: BinaryFormat, bits: np.ndarray) -> np.ndarray:
-    """Lanes whose bit pattern is NaN, infinite, or subnormal.
-
-    The provenance tracker only reacts to these classes (plus the flag
-    word), so a batched commit may restrict its per-group ``observe``
-    calls to groups where this mask fires on any input or result lane.
-    """
-    F = _Fmt.of(fmt)
-    top = _U(F.exp_mask)
-    mant = bits & _U(F.mant_mask)
-    exp = (bits >> _U(F.mant_bits)) & top
-    return (exp == top) | ((exp == _U(0)) & (mant != _U(0)))
-
-
 def _bit_length(v: np.ndarray) -> np.ndarray:
     """Per-element ``int.bit_length`` for non-negative int64 (no float
     detour: values >= 2**53 would lose bits)."""

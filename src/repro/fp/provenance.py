@@ -18,12 +18,14 @@ a documented limitation (DESIGN.md decision #10), harmless in practice
 because distinct fault sites almost always differ in payload, sign, or
 magnitude.
 
-Coverage is complete despite the batched fast paths.  A blockexec
-chunk observes every group that carries a NaN/Inf/denorm bit pattern
-as an input or a result (:func:`repro.fp.batchfloat.special_lane_mask`),
-a storm window every group :meth:`ProvenanceTracker.scan_window` flags,
-and the other hooks -- ``_exec_fp`` retirement, block scalar substeps,
-and handler-emulated writebacks -- observe each operation they retire.
+Coverage and counts do not depend on the path taken.  Both batched
+fast paths -- a blockexec chunk and a storm window -- run one pre-scan,
+:meth:`ProvenanceTracker.scan_window`, observe every group it flags (a
+NaN/Inf/denorm bit pattern as an input or a result) at the cycle its
+per-instruction retirement would read, and count the rest as
+observed.  The other hooks -- ``_exec_fp`` retirement, block scalar
+substeps, and handler-emulated writebacks -- observe each operation
+they retire.
 Lanes of ``execute_batch``'s host-EFT tier need no rule of their own:
 a certified lane can neither consume nor produce an exceptional value
 (the :mod:`repro.fp.vectorfast` operand window excludes non-normals
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.isa.forms import OpKind
+from repro.isa.forms import INT_RESULT_KINDS, OpKind
 from repro.trace.records import CLS_ORIGIN, CLS_SINK
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,12 +51,6 @@ TAG_CAP = 4096
 #: Per-coil cap on individually remembered sink sites (the count keeps
 #: incrementing past the cap).
 SINK_CAP = 8
-
-#: Kinds whose results are integers / relation codes: exceptional float
-#: inputs can only *sink* here, never propagate.
-_INT_RESULT_KINDS = frozenset(
-    {OpKind.UCOMI, OpKind.COMI, OpKind.CVT_F2I, OpKind.CVT_F2I_TRUNC}
-)
 
 #: fmt -> (shifted exponent mask, mantissa mask): the two-AND exceptional
 #: pre-test :meth:`ProvenanceTracker.observe` inlines on its hot loop
@@ -86,7 +82,8 @@ def _form_masks(form) -> tuple:
         return ent[1]
     kind = form.kind
     in_fmt = None if kind is OpKind.CVT_I2F else form.fmt
-    if kind in _INT_RESULT_KINDS:
+    if kind in INT_RESULT_KINDS:
+        # Integer results: exceptional float inputs can only sink here.
         res_fmt = None
     elif kind in (OpKind.CVT_F2F, OpKind.CVT_I2F):
         res_fmt = form.dst_fmt
@@ -167,8 +164,7 @@ class ProvenanceTracker:
         # touches an exceptional value: origins, propagations, and sinks
         # all mark the task's open trap tree (the kernel constructs the
         # tracer before this tracker, so the prefetch is safe).
-        tr = getattr(kernel, "tracer", None)
-        self._tr = tr if tr else None
+        self._tr = getattr(kernel, "tracer", None)
 
     # ------------------------------------------------------------ tagging
 
@@ -287,18 +283,22 @@ class ProvenanceTracker:
 
     def scan_window(self, site, ops, results, ng: int, lanes: int,
                     last_take: int):
-        """Vectorized pre-scan of a storm cache window: which groups
-        *might* touch provenance state?
+        """Vectorized pre-scan of ``ng`` groups of one block: which
+        groups *might* touch provenance state?
 
-        ``ops`` are the window's operand arrays (one per operand
-        position, ``ng * lanes`` flat elements each) and ``results`` the
-        matching result bits.  Tags only ever hold exceptional bit
-        patterns, so a group whose operand and result lanes are all
-        ordinary can neither create, propagate, nor sink a chain -- the
-        storm driver skips its per-event :meth:`observe` entirely (it
-        still counts as observed).  Returns an ``ng``-long boolean
-        array; ``True`` means "replay this group through observe
-        exactly".  The storm driver computes this once per batch cache
+        The one pre-scan of both batched paths: a blockexec chunk and a
+        storm cache window.  ``ops`` are the groups' operand arrays (one
+        per operand position, ``ng * lanes`` flat elements each) and
+        ``results`` the matching results.  Tags only ever hold
+        exceptional bit patterns, so a group whose operand and result
+        lanes are all ordinary can neither create, propagate, nor sink a
+        chain -- the caller skips its :meth:`observe` entirely and adds
+        it to :attr:`observed`, so the count is the same whichever path
+        retired the group.  Returns an ``ng``-long boolean array;
+        ``True`` means "replay this group through observe exactly".
+        Integer operand and result positions (``cvtsi2s*`` sources,
+        compare and float-to-int results) are never exceptional and are
+        skipped.  The storm driver computes this once per batch cache
         and slices per committed window, so the whole remaining block
         costs a handful of numpy passes.  The final group is
         conservatively flagged when partial (``last_take < lanes``),

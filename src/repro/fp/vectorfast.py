@@ -33,8 +33,7 @@ operands and a result comfortably inside the overflow/tininess
 boundaries.  Uncertified lanes carry garbage in ``result_bits``;
 ``execute_batch`` recomputes them.  Certification is deliberately
 identical to :mod:`repro.fp.fastpath` so the two layers are
-property-tested against the same oracle.  Lanes the window rejects are
-tallied per reason in :func:`reject_stats`.
+property-tested against the same oracle.
 """
 
 from __future__ import annotations
@@ -58,29 +57,6 @@ _U63 = np.uint64(63)
 _EXPF = np.uint64(0x7FF)
 _EXP_LO = np.uint64(523)
 _EXP_HI = np.uint64(1523)
-
-
-#: Lanes rejected from certification, by reason.  ``operand_window`` --
-#: an operand was special/subnormal/out-of-range; ``result_range`` --
-#: operands certified but the result left the safe magnitude window.
-_REJECTS = {"operand_window": 0, "result_range": 0}
-
-
-def reject_stats() -> dict[str, int]:
-    """Per-reason lane rejection counters (ablation report)."""
-    return dict(_REJECTS)
-
-
-def reset_reject_stats() -> None:
-    for k in _REJECTS:
-        _REJECTS[k] = 0
-
-
-def _count_rejects(opmask: np.ndarray, certified: np.ndarray) -> None:
-    n = opmask.shape[0]
-    nop = n - int(opmask.sum())
-    _REJECTS["operand_window"] += nop
-    _REJECTS["result_range"] += n - int(certified.sum()) - nop
 
 
 def fast_operand_mask(bits: np.ndarray) -> np.ndarray:
@@ -126,9 +102,8 @@ def _addsub(a: np.ndarray, b: np.ndarray, negate_b: bool):
     # scalar fast path's explicit +0 result; s == 0 with a nonzero residual
     # is impossible for mid-range normals (their exact sum is either zero
     # or far above the smallest representable magnitude).
-    opmask = fast_operand_mask(a) & fast_operand_mask(b)
-    certified = opmask & ((s == 0.0) | _safe_result(s))
-    _count_rejects(opmask, certified)
+    certified = (fast_operand_mask(a) & fast_operand_mask(b)
+                 & ((s == 0.0) | _safe_result(s)))
     pe = certified & (_two_sum_err(x, y, s) != 0.0)
     return s.view(np.uint64), pe, certified
 
@@ -137,9 +112,7 @@ def _mul(a: np.ndarray, b: np.ndarray):
     x = a.view(np.float64)
     y = b.view(np.float64)
     p = x * y
-    opmask = fast_operand_mask(a) & fast_operand_mask(b)
-    certified = opmask & _safe_result(p)
-    _count_rejects(opmask, certified)
+    certified = fast_operand_mask(a) & fast_operand_mask(b) & _safe_result(p)
     pe = certified & (_two_prod_err(x, y, p) != 0.0)
     return p.view(np.uint64), pe, certified
 
@@ -148,9 +121,7 @@ def _div(a: np.ndarray, b: np.ndarray):
     x = a.view(np.float64)
     y = b.view(np.float64)
     q = x / y
-    opmask = fast_operand_mask(a) & fast_operand_mask(b)
-    certified = opmask & _safe_result(q)
-    _count_rejects(opmask, certified)
+    certified = fast_operand_mask(a) & fast_operand_mask(b) & _safe_result(q)
     # q exact <=> q*y == x as reals: the residual x - q*y is exact
     # (Sterbenz on x - fl(q*y), then the two-product low part).
     qy = q * y
@@ -162,9 +133,7 @@ def _div(a: np.ndarray, b: np.ndarray):
 def _sqrt(a: np.ndarray):
     x = a.view(np.float64)
     positive = (a >> _U63) == 0
-    opmask = fast_operand_mask(a)
-    certified = opmask & positive
-    _count_rejects(opmask, certified)
+    certified = fast_operand_mask(a) & positive
     r = np.sqrt(np.where(certified, x, 1.0))
     rr = r * r
     d = (x - rr) - _two_prod_err(r, r, rr)
@@ -175,9 +144,7 @@ def _sqrt(a: np.ndarray):
 def _minmax(a: np.ndarray, b: np.ndarray, want_min: bool):
     x = a.view(np.float64)
     y = b.view(np.float64)
-    opmask = fast_operand_mask(a) & fast_operand_mask(b)
-    certified = opmask
-    _count_rejects(opmask, certified)
+    certified = fast_operand_mask(a) & fast_operand_mask(b)
     take_a = (x < y) if want_min else (x > y)
     # Equal certified values have identical bits, so the x64 rule of
     # returning the *second* operand on equality is satisfied by taking b.

@@ -84,8 +84,7 @@ class FPSpyEngine:
 
         # Flight recorder (DESIGN.md #10): handler-phase spans; hook
         # sites pay one prefetched-``None`` test when it is off.
-        tr = getattr(self.kernel, "tracer", None)
-        self._tr = tr if tr else None
+        self._tr = self.kernel.tracer
 
     def _counts(self) -> dict[str, int]:
         """The engine's counts, named for the ``fpspy`` scope."""

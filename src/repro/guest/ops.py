@@ -11,6 +11,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.isa.forms import INT_RESULT_KINDS, OpKind
 from repro.isa.instruction import CodeSite
 
 
@@ -64,10 +65,12 @@ class FPBlock(GuestOp):
     block form merely licenses the CPU to batch the work when the task is
     quiescent (see :mod:`repro.machine.blockexec`).
 
-    Operand storage is dual: forms the batch softfloat covers
-    (:func:`repro.fp.batchfloat.batch_covered`) carry one padded
-    ``uint64`` array per operand position (``arrays``), everything else a
-    per-group tuple structure (``groups``).  The cursor fields record
+    Every form stores its data the same way: one padded array per
+    operand position (``arrays``; float operands as ``uint64`` bit
+    patterns, ``cvtsi2s*`` integer sources as ``int64``) and one
+    ``n_elements`` result array (``results``; ``int64`` for compare and
+    float-to-int kinds, ``uint64`` bit patterns otherwise) that every
+    retirement path writes its slice of.  The cursor fields record
     partial progress so a fault, trap, or timer can interrupt the block
     mid-flight and restart it at the precise instruction.
     """
@@ -75,13 +78,12 @@ class FPBlock(GuestOp):
     site: CodeSite
     n_groups: int  #: dynamic instructions (lane groups) in the block
     n_elements: int  #: real (unpadded) elements across all groups
+    #: One operand array per operand position, padded to
+    #: ``n_groups * lanes`` elements.
+    arrays: tuple[np.ndarray, ...]
+    #: Flat element results, written as groups retire.
+    results: np.ndarray
     interleave: int = 0  #: integer instructions after each FP instruction
-    #: One uint64 bit-pattern array per operand position, padded to
-    #: ``n_groups * lanes`` elements (batch-covered forms only).
-    arrays: tuple[np.ndarray, ...] | None = None
-    #: Per-group lane-input tuples, shaped like ``FPInstruction.inputs``
-    #: (forms the batch softfloat does not cover).
-    groups: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     # -- execution cursor (owned by the machine) ----------------------------
     #: Cached provenance masks (class attr, not a field: lazily set by
@@ -91,7 +93,6 @@ class FPBlock(GuestOp):
     index: int = 0  #: groups fully retired so far
     fp_done: bool = False  #: current group's FP instruction has retired
     int_remaining: int = 0  #: current group's leftover interleave units
-    results: list[int] = field(default_factory=list)  #: flat element results
 
     @classmethod
     def build(
@@ -102,44 +103,26 @@ class FPBlock(GuestOp):
         pad: int,
     ) -> "FPBlock":
         """Pack parallel operand streams into a block (padding the tail)."""
-        from repro.fp.batchfloat import batch_covered
-
         form = site.form
         lanes = form.lanes
         n = len(operand_streams[0])
         n_groups = -(-n // lanes)
-        if batch_covered(form):
-            total = n_groups * lanes
-            arrays = []
-            for stream in operand_streams:
-                a = np.empty(total, dtype=np.uint64)
-                if isinstance(stream, np.ndarray):
-                    a[:n] = stream.astype(np.uint64, copy=False)
-                else:
-                    a[:n] = np.fromiter(stream, dtype=np.uint64, count=n)
-                a[n:] = pad
-                arrays.append(a)
-            return cls(
-                site=site, n_groups=n_groups, n_elements=n,
-                interleave=interleave, arrays=tuple(arrays),
-            )
-        operand_streams = [
-            s.tolist() if isinstance(s, np.ndarray) else s
-            for s in operand_streams
-        ]
-        groups = []
-        for i in range(0, n, lanes):
-            lane_inputs = []
-            for j in range(lanes):
-                idx = i + j
-                if idx < n:
-                    lane_inputs.append(tuple(s[idx] for s in operand_streams))
-                else:
-                    lane_inputs.append((pad,) * form.arity)
-            groups.append(tuple(lane_inputs))
+        total = n_groups * lanes
+        op_dtype = np.int64 if form.kind is OpKind.CVT_I2F else np.uint64
+        arrays = []
+        for stream in operand_streams:
+            a = np.empty(total, dtype=op_dtype)
+            if isinstance(stream, np.ndarray):
+                a[:n] = stream.astype(op_dtype, copy=False)
+            else:
+                a[:n] = np.fromiter(stream, dtype=op_dtype, count=n)
+            a[n:] = pad
+            arrays.append(a)
+        res_dtype = np.int64 if form.kind in INT_RESULT_KINDS else np.uint64
         return cls(
             site=site, n_groups=n_groups, n_elements=n,
-            interleave=interleave, groups=tuple(groups),
+            arrays=tuple(arrays), results=np.empty(n, dtype=res_dtype),
+            interleave=interleave,
         )
 
     # ------------------------------------------------------------ accessors
@@ -150,15 +133,9 @@ class FPBlock(GuestOp):
 
     def group(self, g: int) -> tuple[tuple[int, ...], ...]:
         """Lane-input tuples of group ``g`` (an ``FPInstruction.inputs``)."""
-        if self.groups is not None:
-            return self.groups[g]
-        assert self.arrays is not None
         lanes = self.site.form.lanes
         lo = g * lanes
-        return tuple(
-            tuple(int(a[lo + j]) for a in self.arrays)
-            for j in range(lanes)
-        )
+        return tuple(zip(*[a[lo:lo + lanes].tolist() for a in self.arrays]))
 
     def take(self, g: int) -> int:
         """Real (unpadded) element count of group ``g``."""

@@ -102,19 +102,13 @@ class KernelBuilder:
         return [conv(b) for b in bits]
 
     @staticmethod
-    def encode_array(values: np.ndarray, fmt=BINARY64) -> list[int]:
-        """Bit patterns of a numpy array, preserving NaNs/infs/denormals."""
-        if fmt is BINARY64:
-            return [int(x) for x in np.asarray(values, dtype=np.float64).view(np.uint64).ravel()]
-        return [int(x) for x in np.asarray(values, dtype=np.float32).view(np.uint32).ravel()]
-
-    @staticmethod
     def encode_bits(values: np.ndarray, fmt=BINARY64) -> np.ndarray:
-        """Like :meth:`encode_array` but returns a numpy uint array.
+        """Bit patterns of a numpy array as a numpy uint array,
+        preserving NaNs/infs/denormals.
 
-        Block emission accepts these directly, so binary64 hot loops hand
-        operand bits to the vectorized engine without a per-element
-        Python round trip."""
+        Block emission accepts these directly, so hot loops hand operand
+        bits to the block engine without a per-element Python round
+        trip."""
         if fmt is BINARY64:
             f = np.ascontiguousarray(np.asarray(values, dtype=np.float64).ravel())
             return f.view(np.uint64)
@@ -152,8 +146,9 @@ class KernelBuilder:
         quiescent (DESIGN.md decision #6).  Pass ``block=False`` to yield
         the stream the legacy way: one :class:`FPInstruction` per
         ``site.form.lanes`` elements (padding the tail with benign
-        operands) with an :class:`IntWork` after each.  Either way the
-        flat list of per-element results is returned.
+        operands) with an :class:`IntWork` after each.  The per-element
+        results come back flat: the block's ``results`` array, or a list
+        from the legacy stream.
 
         ``interleave`` models the surrounding integer work of a real
         kernel: that many non-FP instructions are executed after each FP
@@ -179,8 +174,7 @@ class KernelBuilder:
             fpb = FPBlock.build(
                 site, operand_streams, interleave, self._pad_value(site)
             )
-            results = yield fpb
-            return list(results)
+            return (yield fpb)
         operand_streams = tuple(
             s.tolist() if isinstance(s, np.ndarray) else s
             for s in operand_streams

@@ -43,6 +43,13 @@ class OpKind(enum.Enum):
     CVT_F2I_TRUNC = "cvt_f2i_trunc"  #: float -> integer, truncating
 
 
+#: Kinds whose results are integers (relation codes, converted values),
+#: not float bit patterns.
+INT_RESULT_KINDS = frozenset(
+    {OpKind.UCOMI, OpKind.COMI, OpKind.CVT_F2I, OpKind.CVT_F2I_TRUNC}
+)
+
+
 #: Operand count per kind (per lane).
 _ARITY: dict[OpKind, int] = {
     OpKind.ADD: 2,

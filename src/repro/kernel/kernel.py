@@ -64,8 +64,9 @@ class KernelConfig:
     #: provenance tracker (DESIGN.md #10).  Spans and coils are
     #: host-side observations only: guest-visible traces, cycles, and
     #: campaign reports are byte-identical either way
-    #: (tests/property/test_tracing_props.py).  Off, every hook site
-    #: sees the falsy NULL_TRACER and skips itself with one branch.
+    #: (tests/property/test_tracing_props.py).  Off, ``kernel.tracer``
+    #: and ``kernel.provenance`` are ``None`` and every hook site skips
+    #: itself with one prefetched ``is not None`` test.
     tracing: bool = False
     #: Flight-recorder ring capacity in spans; overflow drops the oldest
     #: span and counts it (never silent).
@@ -138,9 +139,9 @@ class Kernel:
         else:
             self.telemetry = None
 
-        from repro.telemetry.tracing import NULL_TRACER, TraceRecorder
-
         if self.config.tracing:
+            from repro.telemetry.tracing import TraceRecorder
+
             self.tracer = TraceRecorder(
                 self,
                 capacity=self.config.trace_capacity,
@@ -155,7 +156,7 @@ class Kernel:
 
             mount_trace(self)
         else:
-            self.tracer = NULL_TRACER
+            self.tracer = None
             self.provenance = None
 
         from repro.machine.cpu import CPU

@@ -75,7 +75,7 @@ class Process:
             # installs over SIG_DFL are routine and stay unmarked.
             tr = self.kernel.tracer
             cur = self.kernel.current_task
-            if tr and cur is not None and cur.process is self:
+            if tr is not None and cur is not None and cur.process is self:
                 tr.note_disposition(cur)
         return prev
 

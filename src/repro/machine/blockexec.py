@@ -13,8 +13,11 @@ form the batch softfloat covers makes one
 :func:`repro.fp.batchfloat.execute_batch` call for the whole chunk
 (which picks its host-EFT, scalar or integer tier per call); any other
 form runs its groups one by one through the per-site executor.  Either
-way: one sticky-flag OR into ``%mxcsr``, one cycle charge, one vtime
-advance.  The chunk is capped by the scheduler quantum and by the
+way the chunk's results land in one array, the block's ``results`` get
+that slice, and the provenance tracker (when tracing) sees the groups
+its :meth:`~repro.fp.provenance.ProvenanceTracker.scan_window` pre-scan
+flags; then one sticky-flag OR into ``%mxcsr``, one cycle charge, one
+vtime advance.  The chunk is capped by the scheduler quantum and by the
 vtimer/real-timer budgets exactly as ``CPU._exec_int`` caps integer
 runs, so ``SIGVTALRM`` and ``SIGALRM`` land on the precise instruction
 the per-instruction stream would deliver them at.
@@ -114,61 +117,66 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
 
 def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
     """Retire ``k`` whole groups as one batch (quiescent state only)."""
-    form = block.site.form
+    site = block.site
+    form = site.form
     lanes = form.lanes
     start = block.index
-    flags = Flag.NONE
-
-    if block.arrays is not None:
+    lo, hi = start * lanes, (start + k) * lanes
+    per_group = cpu.costs.block_group_cycles(block.interleave)
+    ops = tuple(a[lo:hi] for a in block.arrays)
+    gflags = None
+    if batchfloat.batch_covered(form):
         # One batch softfloat call computes every lane's result and all
         # six condition codes exactly, whatever tier it picks.
-        lo, hi = start * lanes, (start + k) * lanes
-        ops = tuple(a[lo:hi] for a in block.arrays)
         res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
-        flags |= Flag(int(np.bitwise_or.reduce(res.flags)))
-        out = res.bits.tolist()
-        if cpu._prov is not None:
-            # Provenance only reacts to NaN/Inf/denorm bit patterns, so
-            # observing just the groups carrying one (as input or
-            # result) sees every origin, propagation, and sink the
-            # per-group path would.
-            special = batchfloat.special_lane_mask(form.fmt, res.bits)
-            for o in ops:
-                special |= batchfloat.special_lane_mask(form.fmt, o)
-            gflags = res.flags.reshape(k, lanes)
-            for gi in np.nonzero(special.reshape(k, lanes).any(axis=1))[0]:
-                g = start + int(gi)
-                take = block.take(g)
-                glo = int(gi) * lanes
-                cpu._prov.observe(
-                    task, block.site, block.group(g)[:take],
-                    tuple(out[glo:glo + take]),
-                    Flag(int(np.bitwise_or.reduce(gflags[gi]))),
-                )
+        bits = res.bits
+        flags = Flag(int(np.bitwise_or.reduce(res.flags)))
     else:
-        out = []
-        for g in range(start, start + k):
-            outcome = cpu.execute_site(task, block.site, block.group(g))
+        bits = np.empty(hi - lo, dtype=block.results.dtype)
+        gflags = []
+        flags = Flag.NONE
+        for gi in range(k):
+            outcome = cpu.execute_site(task, site, block.group(start + gi))
             flags |= outcome.flags
-            out.extend(outcome.results)
-            if cpu._prov is not None:
-                take = block.take(g)
-                cpu._prov.observe(
-                    task, block.site, block.group(g)[:take],
-                    outcome.results[:take], outcome.flags,
+            gflags.append(outcome.flags)
+            bits[gi * lanes:(gi + 1) * lanes] = outcome.results
+
+    prov = cpu._prov
+    if prov is not None:
+        # The storm driver's pre-scan: a group whose operand and result
+        # lanes are all ordinary cannot create, propagate or sink a
+        # chain, so it only counts as observed.  The others replay
+        # through the exact observe, each at the cycle its
+        # per-instruction retirement would read.
+        sus = prov.scan_window(site, ops, bits, k, lanes,
+                               block.take(start + k - 1))
+        idxs = np.flatnonzero(sus).tolist()
+        prov.observed += k - len(idxs)
+        if idxs:
+            if gflags is None:
+                gflags = np.bitwise_or.reduce(
+                    res.flags.reshape(k, lanes), axis=1).tolist()
+            kernel = cpu.kernel
+            c0 = kernel.cycles
+            for gi in idxs:
+                take = block.take(start + gi)
+                glo = gi * lanes
+                kernel.cycles = c0 + gi * per_group
+                prov.observe(
+                    task, site, block.group(start + gi)[:take],
+                    bits[glo:glo + take].tolist(), Flag(gflags[gi]),
                 )
+            kernel.cycles = c0
 
     task.mxcsr.set_status(flags)
 
     # Writeback: only the block's final group can carry padding.
-    end = start + k
-    valid = min(end * lanes, block.n_elements) - start * lanes
-    block.results.extend(out[:valid])
-    block.index = end
-    task.last_rip = block.site.address + len(block.site.encoding)
+    valid = min(hi, block.n_elements) - lo
+    block.results[lo:lo + valid] = bits[:valid]
+    block.index = start + k
+    task.last_rip = site.address + len(site.encoding)
 
-    costs = cpu.costs
-    cycles = k * costs.block_group_cycles(block.interleave)
+    cycles = k * per_group
     task.utime_cycles += cycles
     cpu.kernel.cycles += cycles
     task.advance_vtime(k * (1 + block.interleave))
@@ -301,7 +309,9 @@ def retire_fp(
     without re-executing it (and without the retirement cycle charge,
     matching the scalar engine).
     """
-    block.results.extend(results[: block.take(block.index)])
+    lo = block.index * block.site.form.lanes
+    take = block.take(block.index)
+    block.results[lo:lo + take] = results[:take]
     block.fp_done = True
     block.int_remaining = block.interleave
     task.last_rip = block.site.address + len(block.site.encoding)

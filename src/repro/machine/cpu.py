@@ -128,9 +128,8 @@ class CPU:
         #: factory is chosen once here: traced memo closures expose a
         #: ``memo_hit`` cell the emulate span reads, and keeping them in
         #: a separate intern table leaves the disabled path untouched.
-        tr = getattr(kernel, "tracer", None)
-        self._tr = tr if tr else None
-        self._prov = getattr(kernel, "provenance", None)
+        self._tr = kernel.tracer
+        self._prov = kernel.provenance
         self._executor_factory = (
             traced_form_executor if self._tr is not None else form_executor
         )

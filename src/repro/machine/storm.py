@@ -120,7 +120,7 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         return _reject(cpu, "uncovered")
     site = block.site
     form = site.form
-    if block.arrays is None or not batch_covered(form):
+    if not batch_covered(form):
         # Block-immutable: never re-derive this rejection.
         block._storm_uncovered = True
         return _reject(cpu, "uncovered")
@@ -241,7 +241,7 @@ class _Window:
         res = batchfloat.execute_batch(form, ops, ctx)
         self.ctx, self.base, self.start = ctx, base, block.index
         self.ng = ng = block.n_groups - block.index
-        self.bits = res.bits.tolist()
+        self.bits = res.bits
         # The one array reduction left: on a large storm, OR-ing lanes in
         # Python would cost more than the batch softfloat call itself.
         self.codes = codes = np.bitwise_or.reduce(
@@ -410,8 +410,9 @@ def _commit(
     # Writeback: identical to k retire_fp calls.
     lanes = site.form.lanes
     end = block.index + k
-    valid = min(end * lanes, block.n_elements) - block.index * lanes
-    block.results.extend(win.bits[rel * lanes:rel * lanes + valid])
+    lo = block.index * lanes
+    valid = min(end * lanes, block.n_elements) - lo
+    block.results[lo:lo + valid] = win.bits[rel * lanes:rel * lanes + valid]
     block.index = end
     block.fp_done = False
     task.last_rip = end_rip
@@ -498,7 +499,7 @@ def _replicate_events(
                 glo = (rel + j) * lanes
                 marks[j] = prov.observe(
                     task, site, block.group(g)[:take],
-                    tuple(win.bits[glo:glo + take]), Flag(codes[j]),
+                    win.bits[glo:glo + take].tolist(), Flag(codes[j]),
                 )
         if tr is not None:
             tr.replicate_trees(

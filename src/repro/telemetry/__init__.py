@@ -39,8 +39,6 @@ from repro.telemetry.snapshot import (
     merge_snapshots,
 )
 from repro.telemetry.tracing import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TraceRecorder,
     from_chrome_json,
@@ -48,8 +46,6 @@ from repro.telemetry.tracing import (
 )
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Scope",
     "Span",
     "TelemetryBus",

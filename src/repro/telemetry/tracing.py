@@ -31,9 +31,9 @@ Design rules carried over from the original recorder (decision #10):
 sim-cycle stamps only; zero guest perturbation (retention decisions are
 host-side and never consume guest entropy -- byte-identity is property
 tested with the sampler enabled); bounded and never silent (overwrites
-are counted overall *and* for interesting trees specifically); falsy
-:data:`NULL_TRACER` so disabled hook sites pay one prefetched-``None``
-branch.
+are counted overall *and* for interesting trees specifically); no
+recorder at all when disabled (``kernel.tracer`` is ``None``), so hook
+sites pay one prefetched ``is not None`` test.
 
 Exports: Chrome trace-event JSON (loads in ``chrome://tracing`` and
 Perfetto; :func:`to_chrome_json` / :func:`from_chrome_json` round-trip),
@@ -229,9 +229,6 @@ class TraceRecorder:
             "ring.capacity": self.capacity,
             "trees.open": len(self._live),
         })
-
-    def __bool__(self) -> bool:
-        return True
 
     @property
     def cycles(self) -> int:
@@ -937,112 +934,17 @@ def render_trace_text(recorder: "TraceRecorder") -> str:
             f"{s.name} {detail}".rstrip(),
         ))
     rows.sort(key=lambda r: (r[0], r[1]))
-    st = recorder.stats() if isinstance(recorder, TraceRecorder) else {}
+    st = recorder.stats()
     header = (
         f"# spans {recorder.recorded} dropped {recorder.dropped} "
         f"trees {recorder.trees_completed} open {recorder.open_trees()} "
         f"capacity {recorder.capacity}"
     )
-    if st:
-        header += (
-            f" retained {st['trees_retained_interesting']}"
-            f"+{st['trees_retained_boring']}"
-            f" discarded {st['trees_discarded']}"
-            f" interesting_dropped {st['interesting_trees_dropped']}"
-            f" sample {st['sample']}"
-        )
+    header += (
+        f" retained {st['trees_retained_interesting']}"
+        f"+{st['trees_retained_boring']}"
+        f" discarded {st['trees_discarded']}"
+        f" interesting_dropped {st['interesting_trees_dropped']}"
+        f" sample {st['sample']}"
+    )
     return header + "\n" + "\n".join(r[2] for r in rows) + ("\n" if rows else "")
-
-
-# ---------------------------------------------------------- no-op path
-
-
-class NullTracer:
-    """The module-level no-op recorder.
-
-    Falsy, so ``tr = kernel.tracer`` followed by ``if tr:`` (or the
-    pre-fetched ``self._tr = kernel.tracer if kernel.tracer else None``
-    idiom) is the entire disabled-mode cost of a hook site; every method
-    is an inert no-op for code off the hot path.
-    """
-
-    __slots__ = ()
-    enabled = False
-    kernel = None
-    capacity = 0
-    recorded = 0
-    dropped = 0
-    trees_completed = 0
-    trees_retained_interesting = 0
-    trees_retained_boring = 0
-    trees_discarded = 0
-    interesting_trees_dropped = 0
-    cycles = 0
-
-    def __bool__(self) -> bool:
-        return False
-
-    def fp_fault(self, *a, **k) -> None:
-        pass
-
-    def signal_delivered(self, *a, **k) -> None:
-        pass
-
-    def handler_entry(self, *a, **k) -> None:
-        pass
-
-    def decode(self, *a, **k) -> None:
-        pass
-
-    def record(self, *a, **k) -> None:
-        pass
-
-    def handler_exit(self, *a, **k) -> None:
-        pass
-
-    def rearm(self, *a, **k) -> None:
-        pass
-
-    def fp_retired(self, *a, **k) -> None:
-        pass
-
-    def emulated(self, *a, **k) -> None:
-        pass
-
-    def trap_queued(self, *a, **k) -> None:
-        pass
-
-    def chunk(self, *a, **k) -> None:
-        pass
-
-    def storm(self, *a, **k) -> None:
-        pass
-
-    def note_mark(self, *a, **k) -> None:
-        pass
-
-    def replicate_trees(self, *a, **k) -> None:
-        pass
-
-    def note_bailout(self, *a, **k) -> None:
-        pass
-
-    def note_disposition(self, *a, **k) -> None:
-        pass
-
-    def spans(self) -> list:
-        return []
-
-    def open_trees(self) -> int:
-        return 0
-
-    def stats(self) -> dict:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-
-#: The one shared disabled recorder: ``kernel.tracer`` is this exact
-#: object whenever ``KernelConfig.tracing`` is off.
-NULL_TRACER = NullTracer()

@@ -277,22 +277,6 @@ def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
             _assert_lanes_match_oracle(f, ops, res, ctx)
 
 
-def test_vectorfast_reject_stats_count_reasons():
-    from repro.fp import vectorfast
-
-    vectorfast.reset_reject_stats()
-    # Lane 0: NaN operand.  Lane 1: both operands inside the exponent
-    # window (2**400), but their product (2**800) exceeds the safe
-    # result range.
-    a = np.array([0x7FF8000000000000, 0x58F0000000000000], np.uint64)
-    b = np.array([0x3FF0000000000000, 0x58F0000000000000], np.uint64)
-    _, _, certified = vectorfast.vector_execute(form("mulpd").kind, [a, b])
-    assert not certified.any()
-    s = vectorfast.reject_stats()
-    assert s["operand_window"] == 1  # the NaN lane
-    assert s["result_range"] == 1  # overflow-bound product
-
-
 def test_uncovered_form_raises():
     import pytest
 

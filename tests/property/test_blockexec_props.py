@@ -133,23 +133,55 @@ bits32 = st.one_of(
 )
 
 
-@settings(max_examples=20, deadline=None)
+#: ``cvtsi2sd`` sources: signed 64-bit integers, weighted toward the
+#: sign boundary and the magnitudes past 2**53 where the convert rounds.
+int64s = st.one_of(
+    st.sampled_from([
+        0, 1, -1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, -(1 << 53) - 1,
+        (1 << 62) + 3, (1 << 63) - 1, -(1 << 63),
+    ]),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+)
+
+#: Forms the batch softfloat does not cover, with one operand strategy
+#: per operand position: compares, converts (float<->int, both float
+#: widths), round and the 2-lane dot product.
+_UNCOVERED_FORMS = [
+    ("ucomisd", (bits64, bits64)),
+    ("comisd", (bits64, bits64)),
+    ("cvtsd2si", (bits64,)),
+    ("cvttsd2si", (bits64,)),
+    ("cvtsd2ss", (bits64,)),
+    ("cvtss2sd", (bits32,)),
+    ("roundsd", (bits64,)),
+    ("dppd", (bits64, bits64)),
+    ("cvtsi2sd", (int64s,)),
+]
+
+
+@settings(max_examples=90, deadline=None)
 @given(
-    mnemonic=st.sampled_from(["addss", "mulss", "divss"]),
+    form=st.sampled_from(_UNCOVERED_FORMS),
     data=st.data(),
     n=st.integers(min_value=1, max_value=12),
     capture=st.sampled_from([0x00, 0x3F]),
 )
 def test_non_vectorizable_forms_use_group_path_equivalently(
-    mnemonic, data, n, capture
+    form, data, n, capture
 ):
-    """binary32 forms never take the EFT tier (the scalar loop carries
-    their chunks); same contract."""
+    """Forms ``execute_batch`` does not cover commit their quiescent
+    chunks group by group through the per-site executor, and write
+    integer results (compare relation codes, converted integers) and
+    take integer sources (``cvtsi2sd``) through the same block arrays;
+    same contract."""
+    mnemonic, operands = form
     streams = [
-        data.draw(st.lists(bits32, min_size=n, max_size=n)) for _ in range(2)
+        data.draw(st.lists(ops, min_size=n, max_size=n)) for ops in operands
     ]
     oracle = _run(mnemonic, streams, 2, capture, blockexec=False, block=False)
+    substep = _run(mnemonic, streams, 2, capture, blockexec=False, block=True)
     fast = _run(mnemonic, streams, 2, capture, blockexec=True, block=True)
+    assert substep == oracle
     assert fast == oracle
 
 

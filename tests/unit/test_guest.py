@@ -58,7 +58,7 @@ class TestKernelBuilder:
 
     def test_encode_array_preserves_special_values(self):
         arr = np.array([np.nan, np.inf, -0.0, 5e-324])
-        bits = KernelBuilder.encode_array(arr)
+        bits = KernelBuilder.encode_bits(arr)
         back = KernelBuilder.decode_array(bits)
         assert np.isnan(back[0]) and np.isinf(back[1])
         assert np.signbit(back[2])
@@ -66,7 +66,7 @@ class TestKernelBuilder:
 
     def test_encode_array_float32(self):
         arr = np.array([1.5, 2.5], dtype=np.float32)
-        bits = KernelBuilder.encode_array(arr, BINARY32)
+        bits = KernelBuilder.encode_bits(arr, BINARY32)
         assert all(b < (1 << 32) for b in bits)
         back = KernelBuilder.decode_array(bits, BINARY32)
         assert list(back) == [1.5, 2.5]

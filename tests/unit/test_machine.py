@@ -199,7 +199,7 @@ class TestBlockExecution:
         a = [b64(1.5)] * n
         b = [b64(3.0)] * n
         results = yield from kb.emit(site, a, b, interleave=interleave)
-        return results
+        return results.tolist()
 
     def _run_vtimer_guest(self, blockexec, initial, n, interleave):
         from repro.guest.program import KernelBuilder

@@ -1,5 +1,7 @@
 """NaN/Inf/denorm provenance: coil attribution and rollups."""
 
+import pytest
+
 from repro.fp.formats import float_to_bits64 as b64
 from repro.fp.provenance import ProvenanceTracker, classify, merge_rollups
 from repro.fpspy import fpspy_env
@@ -50,6 +52,29 @@ class TestNanchainAttribution:
         assert [c.sink_count for c in coils] == [1, 1, 1]
         assert {c.origin.kind for c in coils} == {"nan", "inf", "denorm"}
         assert all(not c.origin.consumed for c in coils)
+
+
+class TestPathIndependence:
+    @pytest.mark.parametrize("target", ["Miniaero", "LAGHOS"])
+    def test_blockexec_on_and_off_observe_the_same(self, target):
+        """A quiescent chunk and the precise sub-steps it stands for
+        observe the same operations at the same cycles: the observed
+        count, every coil (origin, propagations, sinks and their cycle
+        stamps) and the run's cycles match with the block engine on and
+        off."""
+        from repro.study.targets import make_targets
+
+        runs = []
+        for blockexec in (True, False):
+            kernel = Kernel(KernelConfig(tracing=True, blockexec=blockexec))
+            make_targets()[target].launch(
+                kernel, fpspy_env("aggregate"), 0.2, "default", 1234)
+            kernel.run()
+            prov = kernel.provenance
+            runs.append((prov.observed, prov.coils(), kernel.cycles))
+        fast, precise = runs
+        assert fast[1], "no coils: the comparison would be vacuous"
+        assert fast == precise
 
 
 class TestClassify:

@@ -10,8 +10,6 @@ from repro.guest.program import KernelBuilder
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.signals import Signal
 from repro.telemetry.tracing import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     from_chrome_json,
     render_trace_text,
@@ -191,19 +189,10 @@ class TestRingBuffer:
         assert "trace.ring.dropped" in counters
 
 
-class TestNullTracer:
-    def test_falsy_and_inert(self):
-        assert not NULL_TRACER
-        assert isinstance(NULL_TRACER, NullTracer)
-        NULL_TRACER.fp_fault(None, 0, 0, 0)
-        NULL_TRACER.signal_delivered(None, 0, 0, None)
-        NULL_TRACER.chunk(None, 0, 0)
-        assert NULL_TRACER.spans() == []
-        assert NULL_TRACER.open_trees() == 0
-
+class TestTracingOff:
     def test_disabled_kernel_has_no_proc_trace(self):
         k = Kernel()
-        assert k.tracer is NULL_TRACER
+        assert k.tracer is None
         assert k.provenance is None
         with pytest.raises(FileNotFoundError):
             k.vfs.read("/proc/fpspy/trace")

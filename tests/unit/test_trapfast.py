@@ -314,7 +314,7 @@ class TestFastPathMachinery:
             ops = [b64(value)] * 4
 
             def main():
-                outs[name] = yield from kb.emit(site, ops, ops)
+                outs[name] = (yield from kb.emit(site, ops, ops)).tolist()
 
             return main
 
