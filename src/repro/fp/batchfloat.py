@@ -55,6 +55,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.fp.flags import DE, IE, OE, PE, UE, ZE
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.rounding import RoundingMode
@@ -64,9 +65,6 @@ from repro.isa.forms import InstructionForm, OpKind
 
 _I = np.int64
 _U = np.uint64
-
-#: Flag bits as plain ints (mirrors repro.fp.flags.Flag values).
-IE, DE, ZE, OE, UE, PE = 1, 2, 4, 8, 16, 32
 
 _FPU = FastSoftFPU()
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import struct
 
-from repro.fp.flags import Flag
+from repro.fp.flags import PE
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, OpResult, SoftFPU
@@ -137,20 +137,20 @@ class FastSoftFPU(SoftFPU):
                 y = _f64(b)
                 s, err = _two_sum(_f64(a), -y if negate_b else y)
                 if s == 0.0:
-                    return OpResult(0, Flag.NONE)
+                    return OpResult(0, 0)
                 if _MIN_SAFE < abs(s) < _MAX_SAFE:
                     return OpResult(
-                        _bits64(s), Flag.PE if err != 0.0 else Flag.NONE)
+                        _bits64(s), PE if err != 0.0 else 0)
             elif (fmt is BINARY32 and _is_fast_operand32(a)
                   and _is_fast_operand32(b)):
                 y = _f32(b)
                 s, err = _two_sum(_f32(a), -y if negate_b else y)
                 if s == 0.0:
-                    return OpResult(0, Flag.NONE)
+                    return OpResult(0, 0)
                 if _MIN_SAFE32 < abs(s) < _MAX_SAFE32:
                     bits, r = _narrow32(s)
                     exact = err == 0.0 and r == s
-                    return OpResult(bits, Flag.NONE if exact else Flag.PE)
+                    return OpResult(bits, 0 if exact else PE)
         return super()._addsub(fmt, a, b, ctx, negate_b)
 
     # ----------------------------------------------------------------- mul
@@ -166,13 +166,13 @@ class FastSoftFPU(SoftFPU):
                     # Dekker two-product: p + err == x*y exactly.
                     err = _two_prod_err(x, y, p)
                     return OpResult(
-                        _bits64(p), Flag.PE if err != 0.0 else Flag.NONE)
+                        _bits64(p), PE if err != 0.0 else 0)
             elif (fmt is BINARY32 and _is_fast_operand32(a)
                   and _is_fast_operand32(b)):
                 p = _f32(a) * _f32(b)  # exact: 24 x 24 significant bits
                 if _MIN_SAFE32 < abs(p) < _MAX_SAFE32:
                     bits, r = _narrow32(p)
-                    return OpResult(bits, Flag.NONE if r == p else Flag.PE)
+                    return OpResult(bits, 0 if r == p else PE)
         return super().mul(fmt, a, b, ctx)
 
     # ----------------------------------------------------------------- div
@@ -190,7 +190,7 @@ class FastSoftFPU(SoftFPU):
                     p = q * y
                     exact = p == x and _two_prod_err(q, y, p) == 0.0
                     return OpResult(
-                        _bits64(q), Flag.NONE if exact else Flag.PE)
+                        _bits64(q), 0 if exact else PE)
             elif (fmt is BINARY32 and _is_fast_operand32(a)
                   and _is_fast_operand32(b)):
                 x = _f32(a)
@@ -199,7 +199,7 @@ class FastSoftFPU(SoftFPU):
                 if _MIN_SAFE32 < abs(q) < _MAX_SAFE32:
                     bits, r = _narrow32(q)
                     # r * y is exact in binary64 (48 significant bits).
-                    return OpResult(bits, Flag.NONE if r * y == x else Flag.PE)
+                    return OpResult(bits, 0 if r * y == x else PE)
         return super().div(fmt, a, b, ctx)
 
     # ---------------------------------------------------------------- sqrt
@@ -214,11 +214,11 @@ class FastSoftFPU(SoftFPU):
                     p = r * r
                     exact = p == x and _two_prod_err(r, r, p) == 0.0
                     return OpResult(
-                        _bits64(r), Flag.NONE if exact else Flag.PE)
+                        _bits64(r), 0 if exact else PE)
             elif fmt is BINARY32 and _is_fast_operand32(a):
                 x = _f32(a)
                 if x > 0.0:
                     # The root of an in-window operand is in-window too.
                     bits, r = _narrow32(math.sqrt(x))
-                    return OpResult(bits, Flag.NONE if r * r == x else Flag.PE)
+                    return OpResult(bits, 0 if r * r == x else PE)
         return super().sqrt(fmt, a, ctx)

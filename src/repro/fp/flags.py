@@ -30,26 +30,37 @@ from typing import Iterable
 #: Shift from a status-flag bit (bits 0-5 of ``%mxcsr``) to its
 #: corresponding exception-mask bit (bits 7-12).  This is the canonical
 #: definition; :mod:`repro.fp.mxcsr` re-exports it, and anything building
-#: raw mask fields from :class:`Flag` values must use it rather than a
+#: raw mask fields from condition codes must use it rather than a
 #: hardcoded constant.
 MASK_SHIFT = 7
 
+#: The six condition codes as plain ints, the literal x64 bit positions.
+#: Inside the simulator -- softfloat, the ISA, the machine, the kernel --
+#: condition codes are these ints and their ORs; :class:`Flag` is built
+#: only where they leave it (register accessors, trace records, event
+#: names, configuration).
+IE, DE, ZE, OE, UE, PE = 1, 2, 4, 8, 16, 32
+
+#: All six condition codes: the status field of ``%mxcsr``, unshifted.
+ALL_CODES = IE | DE | ZE | OE | UE | PE
+
 
 class Flag(enum.IntFlag):
-    """MXCSR status flag bits.  Values are the literal x64 bit positions."""
+    """MXCSR status flag bits, for the API and reporting boundary."""
 
-    IE = 1 << 0  #: Invalid operation (operand is a NaN / meaningless op)
-    DE = 1 << 1  #: Denormal operand (x64-specific)
-    ZE = 1 << 2  #: Divide by zero
-    OE = 1 << 3  #: Overflow (result was an infinity; true result did not fit)
-    UE = 1 << 4  #: Underflow (result was a denorm or zero; did not fit)
-    PE = 1 << 5  #: Precision / Inexact (result is a rounded version of truth)
+    # The right-hand names are the module-level ints above.
+    IE = IE  #: Invalid operation (operand is a NaN / meaningless op)
+    DE = DE  #: Denormal operand (x64-specific)
+    ZE = ZE  #: Divide by zero
+    OE = OE  #: Overflow (result was an infinity; true result did not fit)
+    UE = UE  #: Underflow (result was a denorm or zero; did not fit)
+    PE = PE  #: Precision / Inexact (result is a rounded version of truth)
 
     NONE = 0
 
 
 #: All six status flags set.
-ALL_FLAGS: Flag = Flag.IE | Flag.DE | Flag.ZE | Flag.OE | Flag.UE | Flag.PE
+ALL_FLAGS: Flag = Flag(ALL_CODES)
 
 #: Map from flag to the event name used throughout the paper's figures.
 FLAG_NAMES: dict[Flag, str] = {
@@ -108,17 +119,8 @@ def events_to_flags(names: Iterable[str]) -> Flag:
     return out
 
 
-#: Integer mirror of :data:`PRIORITY` so the fault hot path avoids IntFlag
-#: operator overhead (one ``&`` per priority probe, per fault).
-_PRIORITY_INTS: tuple[tuple[int, Flag], ...] = tuple(
-    (int(f), f) for f in PRIORITY
-)
-
-
-def highest_priority(flags: Flag) -> Flag:
-    """Return the single flag that x64's priority encoding would deliver."""
-    raw = int(flags)
-    for bit, candidate in _PRIORITY_INTS:
-        if raw & bit:
-            return candidate
-    return Flag.NONE
+def highest_priority(pending: int) -> int:
+    """The single condition x64's priority encoding delivers from
+    ``pending``: its lowest set bit, since :data:`PRIORITY` runs from bit 0
+    up.  Zero when nothing is pending."""
+    return pending & -pending

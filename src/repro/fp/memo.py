@@ -23,7 +23,6 @@ benchmark's report.  On the end-to-end workloads the hit rate is about
 from __future__ import annotations
 
 from repro.fp.fastpath import FastSoftFPU
-from repro.fp.flags import Flag
 from repro.fp.formats import BinaryFormat
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, OpResult
@@ -151,7 +150,7 @@ class MemoSoftFPU(FastSoftFPU):
 
     def compare(self, fmt: BinaryFormat, a: int, b: int,
                 ctx: FPContext = DEFAULT_CONTEXT,
-                signal_qnan: bool = False) -> tuple[int, Flag]:
+                signal_qnan: bool = False) -> tuple[int, int]:
         key = ("compare", fmt, a, b, ctx, signal_qnan)
         out = self._cache.get(key)
         if out is None:
@@ -180,7 +179,7 @@ class MemoSoftFPU(FastSoftFPU):
 
     def to_int(self, fmt: BinaryFormat, a: int,
                ctx: FPContext = DEFAULT_CONTEXT,
-               width: int = 32, truncate: bool = False) -> tuple[int, Flag]:
+               width: int = 32, truncate: bool = False) -> tuple[int, int]:
         key = ("to_int", fmt, a, ctx, width, truncate)
         out = self._cache.get(key)
         if out is None:

@@ -17,7 +17,7 @@ fault.
 
 from __future__ import annotations
 
-from repro.fp.flags import ALL_FLAGS, MASK_SHIFT, Flag
+from repro.fp.flags import ALL_CODES, MASK_SHIFT, UE, Flag
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext
 
@@ -32,7 +32,7 @@ MXCSR_DEFAULT = 0x1F80
 #: Bits that determine the :class:`FPContext` an operation executes under:
 #: rounding control, FTZ, DAZ, and the Underflow mask (FTZ only bites while
 #: UM is masked).  Status and the other mask bits are irrelevant.
-_CTX_KEY_MASK = RC_MASK | FTZ_BIT | DAZ_BIT | (int(Flag.UE) << MASK_SHIFT)
+_CTX_KEY_MASK = RC_MASK | FTZ_BIT | DAZ_BIT | (UE << MASK_SHIFT)
 
 #: Interned contexts shared by every MXCSR instance, keyed by the control
 #: bits above (at most 32 distinct values, so the table is bounded).
@@ -45,11 +45,10 @@ _CTX_INTERN: dict[int, FPContext] = {}
 #: guest ``fesetround`` no longer forces the precise sub-step path.
 #: Status flags are ignored -- they are sticky outputs, not control
 #: state.
-_QUIESCENT_MASK = (int(ALL_FLAGS) << MASK_SHIFT) | FTZ_BIT | DAZ_BIT
-_QUIESCENT_VALUE = int(ALL_FLAGS) << MASK_SHIFT
+_QUIESCENT_MASK = (ALL_CODES << MASK_SHIFT) | FTZ_BIT | DAZ_BIT
+_QUIESCENT_VALUE = ALL_CODES << MASK_SHIFT
 
-_ALL = int(ALL_FLAGS)
-_UE_MASK_BIT = int(Flag.UE) << MASK_SHIFT
+_UE_MASK_BIT = UE << MASK_SHIFT
 
 
 class MXCSR:
@@ -57,6 +56,9 @@ class MXCSR:
 
     The raw 32-bit value is authoritative: ``ldmxcsr``/``stmxcsr`` style
     access (``value`` property) and the structured accessors always agree.
+    Setters and :meth:`unmasked_pending` take and return condition codes
+    as plain ints (:data:`repro.fp.flags.IE` ...); only the ``status`` and
+    ``masks`` read accessors build :class:`Flag` values.
     """
 
     __slots__ = ("_value", "_ctx_key", "_ctx")
@@ -86,47 +88,41 @@ class MXCSR:
 
     @property
     def status(self) -> Flag:
-        return Flag(self._value & int(ALL_FLAGS))
+        return Flag(self._value & ALL_CODES)
 
-    def set_status(self, flags: Flag) -> None:
-        """OR flags into the sticky status bits (what every FP op does)."""
-        self._value |= int(flags) & int(ALL_FLAGS)
+    def set_status(self, codes: int) -> None:
+        """OR codes into the sticky status bits (what every FP op does)."""
+        self._value |= codes & ALL_CODES
 
     def clear_status(self) -> None:
         """Clear all six condition codes (FPSpy does this constantly)."""
-        self._value &= ~int(ALL_FLAGS)
-
-    def test(self, flag: Flag) -> bool:
-        return bool(self._value & int(flag))
+        self._value &= ~ALL_CODES
 
     # ---- exception masks ---------------------------------------------------
 
     @property
     def masks(self) -> Flag:
         """The set of *masked* (suppressed) exceptions, as Flag bits."""
-        return Flag((self._value >> MASK_SHIFT) & int(ALL_FLAGS))
+        return Flag((self._value >> MASK_SHIFT) & ALL_CODES)
 
     def mask_all(self) -> None:
-        self._value |= int(ALL_FLAGS) << MASK_SHIFT
+        self._value |= ALL_CODES << MASK_SHIFT
 
-    def unmask(self, flags: Flag) -> None:
+    def unmask(self, codes: int) -> None:
         """Unmask the given exceptions so they fault (individual mode)."""
-        self._value &= ~((int(flags) & int(ALL_FLAGS)) << MASK_SHIFT)
+        self._value &= ~((codes & ALL_CODES) << MASK_SHIFT)
 
-    def mask(self, flags: Flag) -> None:
-        self._value |= (int(flags) & int(ALL_FLAGS)) << MASK_SHIFT
+    def mask(self, codes: int) -> None:
+        self._value |= (codes & ALL_CODES) << MASK_SHIFT
 
-    def set_masks(self, masked: Flag) -> None:
+    def set_masks(self, masked: int) -> None:
         """Set the mask field exactly: ``masked`` exceptions are suppressed."""
-        self._value &= ~(int(ALL_FLAGS) << MASK_SHIFT)
-        self._value |= (int(masked) & int(ALL_FLAGS)) << MASK_SHIFT
+        self._value &= ~(ALL_CODES << MASK_SHIFT)
+        self._value |= (masked & ALL_CODES) << MASK_SHIFT
 
-    def unmasked_pending(self, flags: Flag) -> Flag:
-        """Which of ``flags`` would fault under the current masks."""
-        # Hot path (every FP execution): pure int arithmetic, one Flag
-        # construction -- and ``Flag.NONE`` is a singleton, so the common
-        # all-masked case allocates nothing.
-        return Flag(int(flags) & ~(self._value >> MASK_SHIFT) & _ALL)
+    def unmasked_pending(self, codes: int) -> int:
+        """Which of ``codes`` would fault under the current masks."""
+        return codes & ~(self._value >> MASK_SHIFT) & ALL_CODES
 
     @property
     def ue_masked(self) -> bool:
@@ -192,7 +188,7 @@ class MXCSR:
         if ctx is None:
             ctx = FPContext(
                 rmode=self.rounding,
-                ftz=self.ftz and bool(self.masks & Flag.UE),
+                ftz=self.ftz and self.ue_masked,
                 daz=self.daz,
             )
             _CTX_INTERN[key] = ctx

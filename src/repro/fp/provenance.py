@@ -168,14 +168,14 @@ class ProvenanceTracker:
 
     # ------------------------------------------------------------ tagging
 
-    def _origin(self, task, rip: int, mnemonic: str, kind: str, flags,
-                consumed: bool) -> Origin:
+    def _origin(self, task, rip: int, mnemonic: str, kind: str,
+                flags: int, consumed: bool) -> Origin:
         oid = self._next_oid
         self._next_oid += 1
         cycles = self.kernel.cycles if self.kernel is not None else 0
         org = Origin(
             oid=oid, rip=rip, mnemonic=mnemonic, kind=kind, cycle=cycles,
-            pid=task.process.pid, tid=task.tid, flags=int(flags),
+            pid=task.process.pid, tid=task.tid, flags=flags,
             consumed=consumed,
         )
         self._coils[oid] = Coil(origin=org, last_cycle=cycles)
@@ -190,7 +190,8 @@ class ProvenanceTracker:
             self.tag_evictions += 1
         tags[bits] = origin
 
-    def observe(self, task: "Task", site, inputs, results, flags) -> int:
+    def observe(self, task: "Task", site, inputs, results,
+                flags: int) -> int:
         """Inspect one retired operation's operands and results.
 
         ``inputs`` is the per-lane operand tuple the instruction

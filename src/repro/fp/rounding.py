@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.fp.flags import Flag
+from repro.fp.flags import OE, PE, UE
 from repro.fp.formats import BinaryFormat
 
 
@@ -40,7 +40,8 @@ class RoundedValue:
     bits:
         The packed result under *masked* exception semantics.
     flags:
-        Flag set under masked semantics (OE/UE/PE as appropriate).
+        Condition codes (an int of :mod:`repro.fp.flags` bits) under
+        masked semantics (OE/UE/PE as appropriate).
     tiny:
         True when the pre-rounding value was tiny (below the normal range),
         *regardless* of inexactness.  The machine layer uses this for the
@@ -48,7 +49,7 @@ class RoundedValue:
     """
 
     bits: int
-    flags: Flag
+    flags: int
     tiny: bool
 
 
@@ -114,7 +115,7 @@ def round_pack(
     if mant == 0:
         # An exact zero (sticky can't be set for a zero intermediate in any
         # of our ops; sums that cancel exactly are truly exact).
-        return RoundedValue(fmt.zero(sign), Flag.NONE, False)
+        return RoundedValue(fmt.zero(sign), 0, False)
 
     if sticky and mant.bit_length() < fmt.p + 2:
         # Guarantee the rounding step sees a real right-shift so the sticky
@@ -132,19 +133,19 @@ def round_pack(
         target_lsb_exp = fmt.emin - fmt.mant_bits
         shift = target_lsb_exp - exp
         kept, inexact = round_significand(mant, shift, sign, rmode, sticky)
-        flags = Flag.NONE
+        flags = 0
         if ftz and inexact:
             # Flush-to-zero (masked UM only): tiny result becomes signed zero.
-            return RoundedValue(fmt.zero(sign), Flag.UE | Flag.PE, True)
+            return RoundedValue(fmt.zero(sign), UE | PE, True)
         if kept >= (1 << fmt.mant_bits):
             # Rounding carried into the normal range: result is min-normal.
             # x64 (tininess before rounding): still tiny, UE set if inexact.
             bits = (fmt.sign_bit if sign else 0) | fmt.min_normal
             if inexact:
-                flags |= Flag.UE | Flag.PE
+                flags |= UE | PE
             return RoundedValue(bits, flags, True)
         if inexact:
-            flags |= Flag.UE | Flag.PE
+            flags |= UE | PE
         bits = (fmt.sign_bit if sign else 0) | kept
         return RoundedValue(bits, flags, True)
 
@@ -157,10 +158,10 @@ def round_pack(
         e_top += 1
 
     if e_top > fmt.emax:
-        flags = Flag.OE | Flag.PE
+        flags = OE | PE
         return RoundedValue(overflow_result(fmt, sign, rmode), flags, False)
 
-    flags = Flag.PE if inexact else Flag.NONE
+    flags = PE if inexact else 0
     biased = e_top + fmt.bias
     bits = (
         (fmt.sign_bit if sign else 0)

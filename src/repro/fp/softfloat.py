@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fp.flags import Flag
+from repro.fp.flags import DE, IE, PE, ZE
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.rounding import RoundingMode, round_pack
 
@@ -55,7 +55,8 @@ class OpResult:
     bits:
         Result bit pattern under masked-exception semantics.
     flags:
-        Exact flag set the operation raises (masked semantics; see ``tiny``).
+        Exact condition codes the operation raises, as an int of
+        :mod:`repro.fp.flags` bits (masked semantics; see ``tiny``).
     tiny:
         Pre-rounding tininess indicator.  With the Underflow exception
         *unmasked*, x64 traps on tininess even when the result is exact;
@@ -63,7 +64,7 @@ class OpResult:
     """
 
     bits: int
-    flags: Flag
+    flags: int
     tiny: bool = False
 
 
@@ -71,33 +72,33 @@ class OpResult:
 _ZERO, _FINITE, _INF, _NAN = range(4)
 
 
-def _classify(fmt: BinaryFormat, bits: int, daz: bool) -> tuple[int, int, Flag]:
+def _classify(fmt: BinaryFormat, bits: int, daz: bool) -> tuple[int, int, int]:
     """Classify an operand, applying DAZ.
 
     Returns ``(cls, effective_bits, flags)`` where ``flags`` carries DE when
     a denormal operand is consumed (and DAZ is off).
     """
     if fmt.is_nan(bits):
-        return _NAN, bits, Flag.NONE
+        return _NAN, bits, 0
     if fmt.is_inf(bits):
-        return _INF, bits, Flag.NONE
+        return _INF, bits, 0
     if fmt.is_zero(bits):
-        return _ZERO, bits, Flag.NONE
+        return _ZERO, bits, 0
     if fmt.is_subnormal(bits):
         if daz:
-            return _ZERO, fmt.zero(fmt.sign_of(bits)), Flag.NONE
-        return _FINITE, bits, Flag.DE
-    return _FINITE, bits, Flag.NONE
+            return _ZERO, fmt.zero(fmt.sign_of(bits)), 0
+        return _FINITE, bits, DE
+    return _FINITE, bits, 0
 
 
-def _nan_result(fmt: BinaryFormat, *operands: int) -> tuple[int, Flag]:
+def _nan_result(fmt: BinaryFormat, *operands: int) -> tuple[int, int]:
     """x64 NaN propagation: first NaN source, quieted; IE if any SNaN."""
-    flags = Flag.NONE
+    flags = 0
     result = None
     for bits in operands:
         if fmt.is_nan(bits):
             if fmt.is_snan(bits):
-                flags |= Flag.IE
+                flags |= IE
             if result is None:
                 result = fmt.quiet(bits)
     assert result is not None
@@ -134,7 +135,7 @@ class SoftFPU:
 
         if ca == _INF and cb == _INF:
             if sa != sb:
-                return OpResult(fmt.indefinite, flags | Flag.IE)
+                return OpResult(fmt.indefinite, flags | IE)
             return OpResult(fmt.inf(sa), flags)
         if ca == _INF:
             return OpResult(fmt.inf(sa), flags)
@@ -184,7 +185,7 @@ class SoftFPU:
             return OpResult(bits, flags | nf)
         sign = fmt.sign_of(ea) ^ fmt.sign_of(eb)
         if (ca == _ZERO and cb == _INF) or (ca == _INF and cb == _ZERO):
-            return OpResult(fmt.indefinite, flags | Flag.IE)
+            return OpResult(fmt.indefinite, flags | IE)
         if ca == _INF or cb == _INF:
             return OpResult(fmt.inf(sign), flags)
         if ca == _ZERO or cb == _ZERO:
@@ -205,16 +206,16 @@ class SoftFPU:
             return OpResult(bits, flags | nf)
         sign = fmt.sign_of(ea) ^ fmt.sign_of(eb)
         if ca == _INF and cb == _INF:
-            return OpResult(fmt.indefinite, flags | Flag.IE)
+            return OpResult(fmt.indefinite, flags | IE)
         if ca == _ZERO and cb == _ZERO:
-            return OpResult(fmt.indefinite, flags | Flag.IE)
+            return OpResult(fmt.indefinite, flags | IE)
         if ca == _INF:
             return OpResult(fmt.inf(sign), flags)
         if cb == _INF:
             return OpResult(fmt.zero(sign), flags)
         if cb == _ZERO:
             # finite nonzero / zero: DivideByZero, result is infinity.
-            return OpResult(fmt.inf(sign), flags | Flag.ZE)
+            return OpResult(fmt.inf(sign), flags | ZE)
         if ca == _ZERO:
             return OpResult(fmt.zero(sign), flags)
         ma, xa = _mant_exp(fmt, ea)
@@ -239,7 +240,7 @@ class SoftFPU:
         if ca == _ZERO:
             return OpResult(fmt.zero(sign), flags)  # sqrt(+-0) = +-0, exact
         if sign:
-            return OpResult(fmt.indefinite, flags | Flag.IE)
+            return OpResult(fmt.indefinite, flags | IE)
         if ca == _INF:
             return OpResult(fmt.pos_inf, flags)
         m, x = _mant_exp(fmt, ea)
@@ -277,18 +278,18 @@ class SoftFPU:
         flags = fa | fb | fc
         if ca == _NAN or cb == _NAN or cc == _NAN:
             # Invalid also fires if the product itself is 0*inf.
-            extra = Flag.NONE
+            extra = 0
             if (ca == _ZERO and cb == _INF) or (ca == _INF and cb == _ZERO):
-                extra = Flag.IE
+                extra = IE
             bits, nf = _nan_result(fmt, a, b, c)
             return OpResult(bits, flags | nf | extra)
         psign = fmt.sign_of(ea) ^ fmt.sign_of(eb) ^ (1 if negate_product else 0)
         csign = fmt.sign_of(ec) ^ (1 if negate_c else 0)
         if (ca == _ZERO and cb == _INF) or (ca == _INF and cb == _ZERO):
-            return OpResult(fmt.indefinite, flags | Flag.IE)
+            return OpResult(fmt.indefinite, flags | IE)
         if ca == _INF or cb == _INF:
             if cc == _INF and csign != psign:
-                return OpResult(fmt.indefinite, flags | Flag.IE)
+                return OpResult(fmt.indefinite, flags | IE)
             return OpResult(fmt.inf(psign), flags)
         if cc == _INF:
             return OpResult(fmt.inf(csign), flags)
@@ -345,7 +346,7 @@ class SoftFPU:
         if ca == _NAN or cb == _NAN:
             # x64 minsd/maxsd: result is the *second* operand, unmodified.
             if fmt.is_snan(a) or fmt.is_snan(b):
-                flags |= Flag.IE
+                flags |= IE
             return OpResult(b, flags)
         cmp = _compare_ordered(fmt, ea, eb)
         if cmp == 0:
@@ -363,7 +364,7 @@ class SoftFPU:
         b: int,
         ctx: FPContext = DEFAULT_CONTEXT,
         signal_qnan: bool = False,
-    ) -> tuple[int, Flag]:
+    ) -> tuple[int, int]:
         """ucomis/comis-style compare.
 
         Returns ``(relation, flags)`` where relation is -1 (a<b), 0 (equal),
@@ -375,7 +376,7 @@ class SoftFPU:
         flags = fa | fb
         if ca == _NAN or cb == _NAN:
             if signal_qnan or fmt.is_snan(a) or fmt.is_snan(b):
-                flags |= Flag.IE
+                flags |= IE
             return 2, flags
         return _compare_ordered(fmt, ea, eb), flags
 
@@ -395,7 +396,7 @@ class SoftFPU:
         if ca == _NAN:
             # Re-home the NaN payload into the destination format.
             if src_fmt.is_snan(a):
-                flags |= Flag.IE
+                flags |= IE
             payload_bits = src_fmt.mant_field(a)
             if dst_fmt.mant_bits >= src_fmt.mant_bits:
                 payload = payload_bits << (dst_fmt.mant_bits - src_fmt.mant_bits)
@@ -424,7 +425,7 @@ class SoftFPU:
     ) -> OpResult:
         """Signed integer to float (cvtsi2sd / cvtsi2ss).  PE if inexact."""
         if value == 0:
-            return OpResult(fmt.pos_zero, Flag.NONE)
+            return OpResult(fmt.pos_zero, 0)
         sign = 1 if value < 0 else 0
         r = round_pack(fmt, ctx.rmode, sign, abs(value), 0)
         return OpResult(r.bits, r.flags, r.tiny)
@@ -436,7 +437,7 @@ class SoftFPU:
         ctx: FPContext = DEFAULT_CONTEXT,
         width: int = 32,
         truncate: bool = False,
-    ) -> tuple[int, Flag]:
+    ) -> tuple[int, int]:
         """Float to signed integer (cvtps2dq / cvttss2si / cvtsd2si...).
 
         Returns ``(int_value, flags)``.  NaN, infinity, and out-of-range
@@ -446,7 +447,7 @@ class SoftFPU:
         ca, ea, fa = _classify(fmt, a, ctx.daz)
         flags = fa
         if ca == _NAN or ca == _INF:
-            return indefinite, flags | Flag.IE
+            return indefinite, flags | IE
         if ca == _ZERO:
             return 0, flags
         sign = fmt.sign_of(ea)
@@ -458,9 +459,9 @@ class SoftFPU:
         value = -kept if sign else kept
         lo, hi = indefinite, (1 << (width - 1)) - 1
         if value < lo or value > hi:
-            return indefinite, flags | Flag.IE
+            return indefinite, flags | IE
         if inexact:
-            flags |= Flag.PE
+            flags |= PE
         return value, flags
 
     def round_to_integral(
@@ -494,7 +495,7 @@ class SoftFPU:
             # which cannot happen here (|a| < 2**emax already integral-safe
             # for any format where p <= emax; true for binary32/64).
         if inexact and not suppress_inexact:
-            flags |= Flag.PE
+            flags |= PE
         return OpResult(bits, flags)
 
 

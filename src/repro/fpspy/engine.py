@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.fp.flags import ALL_FLAGS, MASK_SHIFT, Flag, flags_to_events
+from repro.fp.flags import ALL_CODES, MASK_SHIFT, Flag, flags_to_events
 from repro.fp.mxcsr import MXCSR
 from repro.fpspy.config import FPSpyConfig, Mode
 from repro.kernel.signals import SigInfo, Signal, UContext
@@ -73,7 +73,7 @@ class FPSpyEngine:
         #: Counts (DESIGN.md #8), always on.  Events are kept by raw
         #: condition-code bitmask and named only when a snapshot reads
         #: them; ``observed``/``recorded`` live on the monitors.
-        self.event_codes = [0] * (int(ALL_FLAGS) + 1)
+        self.event_codes = [0] * (ALL_CODES + 1)
         self.sampler_toggles: dict[str, int] = {}
         self.sampler_phase_cycles: dict[str, int] = {}
         tel = self.kernel.telemetry
@@ -192,7 +192,7 @@ class FPSpyEngine:
         cfg = self.config
         if cfg.mode == Mode.AGGREGATE:
             # ...and one %mxcsr read at the end.
-            status = 0 if mon.disabled else int(task.mxcsr.status)
+            status = 0 if mon.disabled else task.mxcsr.value & ALL_CODES
             mon.writer.append_aggregate(
                 AggregateRecord(
                     app=self.process.name,
@@ -227,7 +227,9 @@ class FPSpyEngine:
         while monitoring is live, everything masked otherwise."""
         mx.mask_all()
         if not mon.disabled and mon.sampling_on and self.active:
-            mx.unmask(self.config.capture)
+            # As an int: ``Flag`` arithmetic would cost an enum call on
+            # every re-arm.
+            mx.unmask(int(self.config.capture))
 
     def _quiesce_task(self, task: "Task") -> None:
         """Return a task's FP environment to the default (non-trapping)."""
@@ -264,7 +266,7 @@ class FPSpyEngine:
         mctx = uctx.mcontext
         if mon is None or mon.disabled or not self.active:
             # Not ours (or we are winding down): neutralize and move on.
-            mctx.mxcsr = MXCSR(mctx.mxcsr).value | (int(ALL_FLAGS) << MASK_SHIFT)
+            mctx.mxcsr = MXCSR(mctx.mxcsr).value | (ALL_CODES << MASK_SHIFT)
             return
         if mon.state != MonitorState.AWAIT_FPE:
             # Protocol violation (should be impossible): get out of the way.
@@ -277,7 +279,7 @@ class FPSpyEngine:
             tr.handler_entry(task, "sigfpe", mctx.rip)
             tr.decode(task, mctx.rip, mctx.instruction)
         mx = MXCSR(mctx.mxcsr)
-        codes = int(mx.status)
+        codes = mx.value & ALL_CODES
         mon.observed += 1
         self.event_codes[codes] += 1
         task.utime_cycles += self.costs.handler_user

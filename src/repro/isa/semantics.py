@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.fp.fastpath import FastSoftFPU
-from repro.fp.flags import Flag
 from repro.fp.memo import MemoSoftFPU
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import InstructionForm, OpKind
@@ -57,14 +56,15 @@ class ExecutionOutcome:
         Per-lane results: result bits for arithmetic, integers for
         float->int converts, relation codes for compares.
     flags:
-        OR of all lane condition codes (masked semantics).
+        OR of all lane condition codes (masked semantics), as an int of
+        :mod:`repro.fp.flags` bits.
     tiny:
         True if any lane's pre-rounding result was tiny (for the
         unmasked-Underflow trap corner).
     """
 
     results: tuple[int, ...]
-    flags: Flag
+    flags: int
     tiny: bool
 
 
@@ -86,7 +86,7 @@ def _execute(
     kind = form.kind
     fmt = form.fmt
     results: list[int] = []
-    flags = Flag.NONE
+    flags = 0
     tiny = False
 
     if kind == OpKind.DP:

@@ -18,7 +18,7 @@ from repro.kernel.signals import (
     UContext,
     SIG_DFL,
     SIG_IGN,
-    flag_to_sicode,
+    FPE_SICODE,
 )
 from repro.kernel.task import Task, TaskState
 from repro.kernel.process import Process
@@ -32,7 +32,7 @@ __all__ = [
     "UContext",
     "SIG_DFL",
     "SIG_IGN",
-    "flag_to_sicode",
+    "FPE_SICODE",
     "Task",
     "TaskState",
     "Process",

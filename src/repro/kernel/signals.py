@@ -14,7 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.fp.flags import Flag
+from repro.fp.flags import (
+    ALL_CODES, DE, IE, OE, PE, UE, ZE, highest_priority,
+)
 
 
 class Signal(enum.IntEnum):
@@ -57,23 +59,26 @@ class SiCode(enum.IntEnum):
     TRAP_TRACE = 2
 
 
-#: The si_code the kernel reports for each delivered FP condition.
-_FLAG_SICODE: dict[Flag, SiCode] = {
-    Flag.IE: SiCode.FPE_FLTINV,
-    Flag.DE: SiCode.FPE_FLTDEN,
-    Flag.ZE: SiCode.FPE_FLTDIV,
-    Flag.OE: SiCode.FPE_FLTOVF,
-    Flag.UE: SiCode.FPE_FLTUND,
-    Flag.PE: SiCode.FPE_FLTRES,
-}
+def _fpe_sicode_table() -> tuple[int, ...]:
+    by_code = {
+        IE: SiCode.FPE_FLTINV,
+        DE: SiCode.FPE_FLTDEN,
+        ZE: SiCode.FPE_FLTDIV,
+        OE: SiCode.FPE_FLTOVF,
+        UE: SiCode.FPE_FLTUND,
+        PE: SiCode.FPE_FLTRES,
+    }
+    return (0,) + tuple(
+        int(by_code[highest_priority(p)]) for p in range(1, ALL_CODES + 1))
 
 
-def flag_to_sicode(flag: Flag) -> SiCode:
-    return _FLAG_SICODE[flag]
+#: The si_code of a SIGFPE, indexed by the 6-bit mask of pending
+#: (raised and unmasked) condition codes: that of the condition the
+#: priority encoding delivers.  Entry 0 (nothing pending) is 0.  Every
+#: SIGFPE the simulator posts takes its code from here.
+FPE_SICODE: tuple[int, ...] = _fpe_sicode_table()
 
-
-#: Plain-int mirrors for the fault/trap hot paths (SigInfo carries ints).
-FLAG_SICODE_INT: dict[Flag, int] = {f: int(c) for f, c in _FLAG_SICODE.items()}
+#: SIGTRAP's single-step si_code, as a plain int (SigInfo carries ints).
 TRAP_TRACE_CODE: int = int(SiCode.TRAP_TRACE)
 
 

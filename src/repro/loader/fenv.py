@@ -6,23 +6,23 @@ these; any *dynamic* use of them forces FPSpy to get out of the way.
 
 We use the glibc/x86 convention where the FE_* exception macros equal the
 x87/SSE status bit positions, which conveniently match our
-:class:`repro.fp.flags.Flag` values.
+:mod:`repro.fp.flags` condition-code bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fp.flags import ALL_FLAGS, Flag
+from repro.fp.flags import ALL_CODES, DE, IE, OE, PE, UE, ZE, Flag
 from repro.fp.mxcsr import MXCSR_DEFAULT
 
-FE_INVALID = int(Flag.IE)
-FE_DENORM = int(Flag.DE)  # x86 extension
-FE_DIVBYZERO = int(Flag.ZE)
-FE_OVERFLOW = int(Flag.OE)
-FE_UNDERFLOW = int(Flag.UE)
-FE_INEXACT = int(Flag.PE)
-FE_ALL_EXCEPT = int(ALL_FLAGS)
+FE_INVALID = IE
+FE_DENORM = DE  # x86 extension
+FE_DIVBYZERO = ZE
+FE_OVERFLOW = OE
+FE_UNDERFLOW = UE
+FE_INEXACT = PE
+FE_ALL_EXCEPT = ALL_CODES
 
 #: C99 rounding-direction macros (glibc x86 values, mapped to MXCSR.RC).
 FE_TONEAREST = 0

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.fp.flags import ALL_FLAGS, Flag
+from repro.fp.flags import MASK_SHIFT
 from repro.fp.rounding import RoundingMode
-from repro.kernel.signals import SIG_DFL, SigInfo, Signal
-from repro.loader.fenv import FE_ALL_EXCEPT, FEnv, fe_to_flags, flags_to_fe
+from repro.kernel.signals import FPE_SICODE, SIG_DFL, SigInfo, Signal
+from repro.loader.fenv import FE_ALL_EXCEPT, FEnv, flags_to_fe
 from repro.machine.cpu import (
     GuestCallContext,
     ProcessExitRequested,
@@ -146,20 +146,14 @@ def _fetestexcept(ctx: GuestCallContext, excepts: int = FE_ALL_EXCEPT) -> int:
 
 
 def _feraiseexcept(ctx: GuestCallContext, excepts: int) -> int:
-    ctx.task.mxcsr.set_status(fe_to_flags(excepts))
+    # FE_* macros are the condition-code bits, so they go in unconverted.
+    task = ctx.task
+    task.mxcsr.set_status(excepts)
     # Unmasked raised exceptions trap, as on real hardware.
-    pending = ctx.task.mxcsr.unmasked_pending(fe_to_flags(excepts))
+    pending = task.mxcsr.unmasked_pending(excepts)
     if pending:
-        from repro.fp.flags import highest_priority
-        from repro.kernel.signals import flag_to_sicode
-
-        ctx.task.post_signal(
-            SigInfo(
-                signo=Signal.SIGFPE,
-                code=int(flag_to_sicode(highest_priority(pending))),
-                addr=ctx.task.last_rip,
-            )
-        )
+        task.post_signal(SigInfo(
+            signo=Signal.SIGFPE, code=FPE_SICODE[pending], addr=task.last_rip))
     return 0
 
 
@@ -174,24 +168,22 @@ def _fesetexceptflag(ctx: GuestCallContext, flagp: int, excepts: int) -> int:
     return 0
 
 
+def _fegetexcept(ctx: GuestCallContext) -> int:
+    """glibc extension: the enabled (unmasked, trapping) exceptions."""
+    return ~(ctx.task.mxcsr.value >> MASK_SHIFT) & FE_ALL_EXCEPT
+
+
 def _feenableexcept(ctx: GuestCallContext, excepts: int) -> int:
     """glibc extension: unmask exceptions; returns previously enabled set."""
-    m = ctx.task.mxcsr
-    prev = flags_to_fe(Flag(int(ALL_FLAGS) & ~int(m.masks)))
-    m.unmask(fe_to_flags(excepts))
+    prev = _fegetexcept(ctx)
+    ctx.task.mxcsr.unmask(excepts)
     return prev
 
 
 def _fedisableexcept(ctx: GuestCallContext, excepts: int) -> int:
-    m = ctx.task.mxcsr
-    prev = flags_to_fe(Flag(int(ALL_FLAGS) & ~int(m.masks)))
-    m.mask(fe_to_flags(excepts))
+    prev = _fegetexcept(ctx)
+    ctx.task.mxcsr.mask(excepts)
     return prev
-
-
-def _fegetexcept(ctx: GuestCallContext) -> int:
-    m = ctx.task.mxcsr
-    return flags_to_fe(Flag(int(ALL_FLAGS) & ~int(m.masks)))
 
 
 def _fegetround(ctx: GuestCallContext) -> int:

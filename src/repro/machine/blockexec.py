@@ -42,9 +42,7 @@ import numpy as np
 
 from repro.fp import batchfloat, provenance as _prov_mod
 from repro.machine import storm
-from repro.fp.flags import Flag, highest_priority
 from repro.guest.ops import FPBlock
-from repro.kernel.signals import FLAG_SICODE_INT, SigInfo, Signal
 from repro.kernel.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,11 +128,11 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
         # six condition codes exactly, whatever tier it picks.
         res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
         bits = res.bits
-        flags = Flag(int(np.bitwise_or.reduce(res.flags)))
+        flags = int(np.bitwise_or.reduce(res.flags))
     else:
         bits = np.empty(hi - lo, dtype=block.results.dtype)
         gflags = []
-        flags = Flag.NONE
+        flags = 0
         for gi in range(k):
             outcome = cpu.execute_site(task, site, block.group(start + gi))
             flags |= outcome.flags
@@ -164,7 +162,7 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
                 kernel.cycles = c0 + gi * per_group
                 prov.observe(
                     task, site, block.group(start + gi)[:take],
-                    bits[glo:glo + take].tolist(), Flag(gflags[gi]),
+                    bits[glo:glo + take].tolist(), gflags[gi],
                 )
             kernel.cycles = c0
 
@@ -200,32 +198,11 @@ def _scalar_substep(cpu: "CPU", task: Task, block: FPBlock) -> bool:
 
 
 def _substep_fp(cpu: "CPU", task: Task, block: FPBlock) -> bool:
-    kernel, costs = cpu.kernel, cpu.costs
     inputs = block.group(block.index)
     outcome = cpu.execute_site(task, block.site, inputs)
-    task.mxcsr.set_status(outcome.flags)
-
-    pending = task.mxcsr.unmasked_pending(outcome.flags)
-    if outcome.tiny and not task.mxcsr.ue_masked:
-        pending |= Flag.UE
-    if pending:
+    if cpu.fault_check(task, outcome, block.site.address):
         # Precise fault before writeback: the cursor stays on this group,
         # so the handler's return restarts the same instruction.
-        delivered = highest_priority(pending)
-        task.stime_cycles += costs.fault_entry
-        kernel.cycles += costs.fault_entry
-        task.post_signal(
-            SigInfo(
-                signo=Signal.SIGFPE,
-                code=FLAG_SICODE_INT[delivered],
-                addr=block.site.address,
-            )
-        )
-        if cpu._tr is not None:
-            cpu._tr.fp_fault(
-                task, block.site.address, FLAG_SICODE_INT[delivered],
-                int(pending),
-            )
         return True
 
     if cpu._prov is not None:

@@ -23,15 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fp.flags import Flag, highest_priority
+from repro.fp.flags import UE
 from repro.guest.ops import FPBlock, IntWork, LibcCall
 from repro.isa.instruction import FPInstruction
 from repro.machine import blockexec
-from repro.isa.semantics import execute_form, form_executor, traced_form_executor
+from repro.isa.semantics import (
+    ExecutionOutcome,
+    execute_form,
+    form_executor,
+    traced_form_executor,
+)
 from repro.kernel.signals import (
     EFLAGS_TF,
     FATAL_BY_DEFAULT,
-    FLAG_SICODE_INT,
+    FPE_SICODE,
     SIG_DFL,
     SIG_IGN,
     TRAP_TRACE_CODE,
@@ -353,6 +358,35 @@ class CPU:
 
     # ------------------------------------------------------------ execute
 
+    def fault_check(
+        self, task: Task, outcome: ExecutionOutcome, address: int
+    ) -> bool:
+        """Set an executed instruction's condition codes, and fault if
+        any is unmasked.
+
+        The codes stick in ``%mxcsr`` whatever the masks.  A pending
+        (raised and unmasked) code -- or a tiny result with Underflow
+        unmasked, where even an *exact* result traps -- charges the fault
+        entry and posts a SIGFPE at ``address`` with the delivered
+        condition's si_code, and the caller must not write back.  Returns
+        True when it faulted.  The scalar engine and the block engine's
+        precise sub-step both decide here.
+        """
+        mx = task.mxcsr
+        mx.set_status(outcome.flags)
+        pending = mx.unmasked_pending(outcome.flags)
+        if outcome.tiny and not mx.ue_masked:
+            pending |= UE
+        if not pending:
+            return False
+        code = FPE_SICODE[pending]
+        task.stime_cycles += self.costs.fault_entry
+        self.kernel.cycles += self.costs.fault_entry
+        task.post_signal(SigInfo(signo=Signal.SIGFPE, code=code, addr=address))
+        if self._tr is not None:
+            self._tr.fp_fault(task, address, code, pending)
+        return True
+
     def _exec_fp(self, task: Task, op: FPInstruction) -> bool:
         site = op.site
         if self.trapfast:
@@ -362,31 +396,10 @@ class CPU:
             executor = None
             outcome = execute_form(op.form, op.inputs, task.mxcsr.context())
             end_rip = site.address + len(site.encoding)
-        # Condition codes are set as a side effect regardless of masking.
-        task.mxcsr.set_status(outcome.flags)
-
-        pending = task.mxcsr.unmasked_pending(outcome.flags)
-        if outcome.tiny and not task.mxcsr.ue_masked:
-            # Unmasked-UM corner: even an *exact* tiny result traps.
-            pending |= Flag.UE
-        if pending:
+        if self.fault_check(task, outcome, site.address):
             # Precise fault before writeback: the op stays current and will
             # be restarted when the handler returns.
             task.pending_op = op
-            delivered = highest_priority(pending)
-            task.stime_cycles += self.costs.fault_entry
-            self.kernel.cycles += self.costs.fault_entry
-            task.post_signal(
-                SigInfo(
-                    signo=Signal.SIGFPE,
-                    code=FLAG_SICODE_INT[delivered],
-                    addr=site.address,
-                )
-            )
-            if self._tr is not None:
-                self._tr.fp_fault(
-                    task, site.address, FLAG_SICODE_INT[delivered], int(pending)
-                )
             return True
 
         # Writeback and retire.

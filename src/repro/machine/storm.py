@@ -50,25 +50,16 @@ import numpy as np
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import batch_covered
-from repro.fp.flags import MASK_SHIFT, Flag
+from repro.fp.flags import ALL_CODES, MASK_SHIFT, UE
 from repro.fp.mxcsr import MXCSR
 from repro.guest.ops import FPBlock
-from repro.kernel.signals import FLAG_SICODE_INT, Signal
+from repro.kernel.signals import FPE_SICODE, Signal
 from repro.kernel.task import Task
 from repro.trace.records import RECORD_STRUCT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fpspy.engine import FPSpyEngine
     from repro.machine.cpu import CPU
-
-_ALL = 0x3F
-_UE = int(Flag.UE)
-
-#: ``pending mask -> si_code`` of its lowest set bit, derived from the
-#: kernel's own table (``highest_priority`` is the lowest set bit, IE
-#: first).
-_SICODE_LUT = [0] + [
-    FLAG_SICODE_INT[Flag(p & -p)] for p in range(1, _ALL + 1)]
 
 #: Minimum admissible batch.  Admission is a few bisections over
 #: a window whose outcomes are already computed, so committing even one
@@ -128,8 +119,8 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # The replication assumes fused SIGTRAP delivery; without the
         # fast path the precise engine posts the trap instead.
         return _reject(cpu, "trapfast")
-    status = task.mxcsr.value & _ALL
-    base = task.mxcsr.value & ~_ALL
+    status = task.mxcsr.value & ALL_CODES
+    base = task.mxcsr.value & ~ALL_CODES
     # The flight recorder stamps one span per batch, so under it batch
     # boundaries are output: keep them where faulting-only runs put them.
     quiet_ok = cpu._tr is None
@@ -167,12 +158,13 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         or not mon.sampling_on
     ):
         return _reject(cpu, "engine")
-    if ((base >> MASK_SHIFT) & _ALL) != (_ALL & ~int(engine.config.capture)):
+    capture = int(engine.config.capture)
+    if ((base >> MASK_SHIFT) & ALL_CODES) != (ALL_CODES & ~capture):
         # Masks must be exactly "capture set unmasked": that is what the
         # sigtrap handler re-arms, so it is the storm's loop invariant.
         return _reject(cpu, "masks")
     ctx = task.mxcsr.context()
-    if ctx != MXCSR(base | (_ALL << MASK_SHIFT)).context():
+    if ctx != MXCSR(base | (ALL_CODES << MASK_SHIFT)).context():
         # The faulting execution and the handler's masked re-execution
         # must run under field-equal contexts so one batch serves both
         # (only differs when FTZ rides an unmasked Underflow).
@@ -246,14 +238,14 @@ class _Window:
         # Python would cost more than the batch softfloat call itself.
         self.codes = codes = np.bitwise_or.reduce(
             res.flags.reshape(ng, lanes), axis=1).tolist()
-        unmasked = ~(base >> MASK_SHIFT) & _ALL
+        unmasked = ~(base >> MASK_SHIFT) & ALL_CODES
         self.pend = pend = [c & unmasked for c in codes]
-        if unmasked & _UE:
+        if unmasked & UE:
             # Unmasked-UM corner: an exact-but-tiny result traps too.
             tiny = res.tiny.tobytes()
             i = tiny.find(1)
             while i >= 0:
-                pend[i // lanes] |= _UE
+                pend[i // lanes] |= UE
                 i = tiny.find(1, i + 1)
         w = 2 if block.interleave > 0 else 1
         self.bad = [] if quiet_ok else [g for g, p in enumerate(pend) if not p]
@@ -356,7 +348,7 @@ def _commit(
         insn = insn.ljust(16, b"\x00")
         mon.writer.append_packed(b"".join([
             pack(seq0 + i, (fstart(j, g) + rec_off) / freq, rip, rsp,
-                 base | c, _SICODE_LUT[pend[g]], c, insn_len, insn)
+                 base | c, FPE_SICODE[pend[g]], c, insn_len, insn)
             for i, (j, g, c) in enumerate(zip(
                 range(first, kf, sample), fi[first::sample],
                 fcodes[first::sample]))
@@ -469,7 +461,7 @@ def _replicate_events(
     rip = site.address
     fault_c, deliv_c, huser_c, tapp_c, ret_c, _, _ = cost_t
     pend = [win.pend[g] for g in fi]
-    sic = [_SICODE_LUT[p] for p in pend]
+    sic = [FPE_SICODE[p] for p in pend]
 
     if tr is not None:
         # One summary span *plus* full per-event trees: batching must
@@ -499,12 +491,12 @@ def _replicate_events(
                 glo = (rel + j) * lanes
                 marks[j] = prov.observe(
                     task, site, block.group(g)[:take],
-                    win.bits[glo:glo + take].tolist(), Flag(codes[j]),
+                    win.bits[glo:glo + take].tolist(), codes[j],
                 )
         if tr is not None:
             tr.replicate_trees(
                 task, rip, end_rip, site.encoding, task.rsp, base,
-                base | (_ALL << MASK_SHIFT), sic, pend, codes, rec, seq0,
+                base | (ALL_CODES << MASK_SHIFT), sic, pend, codes, rec, seq0,
                 c0, cost_t, marks,
             )
     finally:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.fp.flags import ALL_FLAGS, Flag
+from repro.fp.flags import ALL_CODES, MASK_SHIFT, PE
 from repro.fp.mxcsr import MXCSR
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import InstructionForm, OpKind
@@ -96,7 +96,7 @@ class PrecisionEmulator:
     def _arm(self, task: "Task") -> None:
         task.mxcsr.clear_status()
         task.mxcsr.mask_all()
-        task.mxcsr.unmask(Flag.PE)
+        task.mxcsr.unmask(PE)
 
     # ----------------------------------------------------------- shadow
 
@@ -194,7 +194,7 @@ class PrecisionEmulator:
         mctx.mxcsr = mx.value
         if mctx.operands is None:
             # Not a fault we can emulate: mask and let it re-execute.
-            mctx.mxcsr |= int(ALL_FLAGS) << 7
+            mctx.mxcsr |= ALL_CODES << MASK_SHIFT
             return
         form = decode_form(mctx.instruction)
         charge = self.kernel.cpu.costs

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fp.flags import Flag, flags_to_events
+from repro.fp.flags import ALL_CODES, Flag, flags_to_events
 
 #: Retention-class bits.  The low bits are the *interesting* sinks a
 #: completed flight-recorder tree is classified by; ``SAMPLED`` /
@@ -108,7 +108,7 @@ class IndividualRecord:
 
     @property
     def flags(self) -> Flag:
-        return Flag(self.codes & 0x3F)
+        return Flag(self.codes & ALL_CODES)
 
     @property
     def events(self) -> list[str]:
@@ -248,7 +248,7 @@ class AggregateRecord:
 
     @property
     def flags(self) -> Flag:
-        return Flag(self.status & 0x3F)
+        return Flag(self.status & ALL_CODES)
 
     @property
     def events(self) -> list[str]:

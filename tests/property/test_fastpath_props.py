@@ -168,22 +168,22 @@ def test_exactness_detection_spot_checks():
         assert FAST.sqrt(fmt, b(9.0)).flags == Flag.NONE
         assert FAST.sub(fmt, b(1.5), b(1.5)) == OpResult(0, Flag.NONE)
         # Inexact cases: PE.
-        assert Flag.PE in FAST.add(fmt, b(0.1), b(0.2)).flags
-        assert Flag.PE in FAST.mul(fmt, b(0.1), b(0.1)).flags
-        assert Flag.PE in FAST.div(fmt, b(1.0), b(3.0)).flags
-        assert Flag.PE in FAST.sqrt(fmt, b(2.0)).flags
+        assert FAST.add(fmt, b(0.1), b(0.2)).flags & Flag.PE
+        assert FAST.mul(fmt, b(0.1), b(0.1)).flags & Flag.PE
+        assert FAST.div(fmt, b(1.0), b(3.0)).flags & Flag.PE
+        assert FAST.sqrt(fmt, b(2.0)).flags & Flag.PE
 
     # binary32 sums and products exact in binary64 but inexact once
     # narrowed (the last one a tie) must still raise PE.
     b = float_to_bits32
     one_ulp = 1.0 + 2.0**-23
     half_ulp = 1.0 + 2.0**-12
-    assert Flag.PE in FAST.add(BINARY32, b(1.0), b(2.0**-30)).flags
-    assert Flag.PE in FAST.mul(BINARY32, b(one_ulp), b(3.0)).flags
-    assert Flag.PE in FAST.mul(BINARY32, b(half_ulp), b(half_ulp)).flags
+    assert FAST.add(BINARY32, b(1.0), b(2.0**-30)).flags & Flag.PE
+    assert FAST.mul(BINARY32, b(one_ulp), b(3.0)).flags & Flag.PE
+    assert FAST.mul(BINARY32, b(half_ulp), b(half_ulp)).flags & Flag.PE
     # Exact and inexact binary32 quotients and roots.
     assert FAST.div(BINARY32, b(3.0), b(2.0**-20)).flags == Flag.NONE
-    assert Flag.PE in FAST.div(BINARY32, b(1.0), b(10.0)).flags
+    assert FAST.div(BINARY32, b(1.0), b(10.0)).flags & Flag.PE
     assert FAST.sqrt(BINARY32, b(0.25)).flags == Flag.NONE
     # Results at the window edge still match the canonical softfloat.
     for x, y in ((2.0**50, 2.0**50), (2.0**-50, 2.0**-50), (1.5, 2.0**99)):

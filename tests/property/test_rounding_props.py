@@ -33,7 +33,7 @@ def test_round_pack_brackets_exact_value(mant, exp, mode):
     r = round_pack(BINARY64, mode, 0, mant, exp)
     exact = Fraction(mant) * Fraction(2) ** exp
     if BINARY64.is_inf(r.bits):
-        assert Flag.OE in r.flags
+        assert r.flags & Flag.OE
         return
     got = _exact(BINARY64, r.bits)
     # Directed rounding properties:
@@ -47,7 +47,7 @@ def test_round_pack_brackets_exact_value(mant, exp, mode):
     if got != 0:
         ulp = Fraction(2) ** (got.denominator.bit_length() * -1 + 1)
         del ulp  # magnitude check below is mode-independent and simpler
-    assert (Flag.PE in r.flags) == (got != exact)
+    assert bool(r.flags & Flag.PE) == (got != exact)
 
 
 @given(mants, exps)
@@ -139,4 +139,4 @@ def test_daz_treats_denormals_as_zero(a_bits, b):
     zb = BINARY64.zero(BINARY64.sign_of(bb)) if BINARY64.is_subnormal(bb) else bb
     expected = FPU.add(BINARY64, za, zb, FPContext())
     assert daz.bits == expected.bits
-    assert Flag.DE not in daz.flags
+    assert not daz.flags & Flag.DE

@@ -3,14 +3,23 @@
 import pytest
 
 from repro.fp.flags import (
+    ALL_CODES,
     ALL_FLAGS,
+    DE,
     EVENT_ORDER,
     FLAG_NAMES,
+    IE,
+    OE,
+    PE,
+    PRIORITY,
+    UE,
+    ZE,
     Flag,
     events_to_flags,
     flags_to_events,
     highest_priority,
 )
+from repro.kernel.signals import FPE_SICODE, SiCode
 
 
 def test_flag_bit_positions_match_mxcsr_layout():
@@ -68,3 +77,32 @@ def test_roundtrip_names():
     for flag, name in FLAG_NAMES.items():
         assert events_to_flags([name]) == flag
         assert flags_to_events(flag) == [name]
+
+
+#: The si_code a SIGFPE carries for each delivered condition, written
+#: out by hand so the table is checked against an independent source.
+_SDM_SICODE = {
+    Flag.IE: SiCode.FPE_FLTINV,
+    Flag.DE: SiCode.FPE_FLTDEN,
+    Flag.ZE: SiCode.FPE_FLTDIV,
+    Flag.OE: SiCode.FPE_FLTOVF,
+    Flag.UE: SiCode.FPE_FLTUND,
+    Flag.PE: SiCode.FPE_FLTRES,
+}
+
+
+def test_int_codes_are_the_flag_bits():
+    assert (IE, DE, ZE, OE, UE, PE) == tuple(int(f) for f in PRIORITY)
+    assert ALL_CODES == int(ALL_FLAGS)
+
+
+def test_priority_and_sicode_table_agree_on_every_pending_mask():
+    # The delivered condition is the first of PRIORITY that is pending,
+    # and the si_code table reports that condition's SDM code.
+    assert len(FPE_SICODE) == ALL_CODES + 1
+    assert highest_priority(0) == 0
+    assert FPE_SICODE[0] == 0
+    for pending in range(1, ALL_CODES + 1):
+        first = next(f for f in PRIORITY if pending & f)
+        assert highest_priority(pending) == first, pending
+        assert FPE_SICODE[pending] == _SDM_SICODE[first], pending

@@ -114,7 +114,7 @@ class TestSemantics:
             "divpd",
             ((b64(1.0), b64(0.0)), (b64(1.0), b64(3.0))),
         )
-        assert Flag.ZE in out.flags and Flag.PE in out.flags
+        assert out.flags & Flag.ZE and out.flags & Flag.PE
 
     def test_fma_semantics(self):
         out = self._exec("vfmaddss", ((b32(2.0), b32(3.0), b32(4.0)),))
@@ -135,7 +135,7 @@ class TestSemantics:
     def test_cvt_f2i_truncation(self):
         out = self._exec("cvttsd2si", ((b64(2.9),),))
         assert out.results == (2,)
-        assert Flag.PE in out.flags
+        assert out.flags & Flag.PE
 
     def test_cvt_i2f(self):
         out = self._exec("cvtsi2sd", ((42,),))
@@ -143,7 +143,7 @@ class TestSemantics:
 
     def test_cvt_i2f_quadword_form(self):
         out = self._exec("cvtsi2sdq", (((1 << 60) + 1,),))
-        assert Flag.PE in out.flags
+        assert out.flags & Flag.PE
 
     def test_dpps_dot_product(self):
         # (1,2,3,4) . (1,1,1,1) = 10, broadcast to all lanes
@@ -153,7 +153,7 @@ class TestSemantics:
 
     def test_narrowing_convert_flags(self):
         out = self._exec("vcvtsd2ss", ((b64(0.1),),))
-        assert Flag.PE in out.flags
+        assert out.flags & Flag.PE
 
     def test_sqrt_negative_invalid(self):
         out = self._exec("sqrtsd", ((b64(-4.0),),))
@@ -167,7 +167,7 @@ class TestSemantics:
 
     def test_round_to_integral_inexact(self):
         out = self._exec("vroundps", ((b32(1.5),),) * 8)
-        assert Flag.PE in out.flags
+        assert out.flags & Flag.PE
 
     def test_tiny_propagates_from_any_lane(self):
         tiny_in = b64(5e-324)

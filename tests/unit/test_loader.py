@@ -14,8 +14,10 @@ from repro.loader.fenv import (
     flags_to_fe,
 )
 from repro.fp.flags import Flag
+from repro.kernel.signals import SigInfo, SiCode, Signal
 from repro.loader.ldso import Loader, register_preload
 from repro.loader.libc import FENV_SYMBOLS, LIBC_SYMBOLS
+from repro.machine.cpu import GuestCallContext
 
 
 def make_process(env=None):
@@ -157,3 +159,41 @@ class TestLoader:
     def test_fpspy_preload_lazily_registered(self):
         proc = make_process({"LD_PRELOAD": "fpspy.so"})
         assert len(proc.loader.preloads) == 1
+
+
+class TestFenvExceptions:
+    def _ctx(self):
+        proc = make_process()
+        task = proc.main_task
+        task.last_rip = 0x401234
+        return GuestCallContext(proc.kernel, task), task
+
+    def test_feraiseexcept_unmasked_posts_one_sigfpe(self):
+        ctx, task = self._ctx()
+        LIBC_SYMBOLS["feenableexcept"](ctx, FE_INVALID | FE_INEXACT)
+        LIBC_SYMBOLS["feraiseexcept"](ctx, FE_INVALID | FE_INEXACT)
+        assert task.mxcsr.status == Flag.IE | Flag.PE
+        # Invalid outranks Inexact in the priority encoding.
+        assert list(task.pending_signals) == [
+            SigInfo(signo=Signal.SIGFPE, code=SiCode.FPE_FLTINV,
+                    addr=0x401234)
+        ]
+
+    def test_feraiseexcept_masked_only_sets_sticky_bits(self):
+        ctx, task = self._ctx()
+        LIBC_SYMBOLS["feraiseexcept"](ctx, FE_INVALID | FE_INEXACT)
+        assert task.mxcsr.status == Flag.IE | Flag.PE
+        assert not task.pending_signals
+
+    def test_enable_disable_get_return_previously_enabled_set(self):
+        ctx, _ = self._ctx()
+        assert LIBC_SYMBOLS["fegetexcept"](ctx) == 0
+        assert LIBC_SYMBOLS["feenableexcept"](ctx, FE_DIVBYZERO) == 0
+        assert (LIBC_SYMBOLS["feenableexcept"](ctx, FE_INVALID)
+                == FE_DIVBYZERO)
+        assert LIBC_SYMBOLS["fegetexcept"](ctx) == FE_DIVBYZERO | FE_INVALID
+        assert (LIBC_SYMBOLS["fedisableexcept"](ctx, FE_DIVBYZERO)
+                == FE_DIVBYZERO | FE_INVALID)
+        assert LIBC_SYMBOLS["fegetexcept"](ctx) == FE_INVALID
+        assert LIBC_SYMBOLS["fedisableexcept"](ctx, FE_ALL_EXCEPT) == FE_INVALID
+        assert LIBC_SYMBOLS["fegetexcept"](ctx) == 0
