@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.analysis.rankpop import RankPopularity
-from repro.fp.flags import EVENT_ORDER, NAME_TO_FLAG
+from repro.fp.flags import EVENT_ORDER, NAME_TO_FLAG, PE
 from repro.isa.instruction import decode_form
 from repro.trace.records import IndividualRecord
 
@@ -32,13 +32,14 @@ def per_event_counts(records: Iterable[IndividualRecord]) -> dict[str, int]:
     record carrying several flags counts once per flag, matching
     :func:`repro.analysis.events.inexact_stats` for the Inexact column.
     """
-    totals = {name: 0 for name in EVENT_ORDER}
-    flags = [(name, NAME_TO_FLAG[name]) for name in EVENT_ORDER]
-    for r in records:
-        for name, flag in flags:
-            if r.flags & flag:
-                totals[name] += 1
-    return {name: n for name, n in totals.items() if n}
+    by_codes = Counter(r.codes for r in records)
+    totals = {}
+    for name in EVENT_ORDER:
+        bit = NAME_TO_FLAG[name].value
+        n = sum(c for codes, c in by_codes.items() if codes & bit)
+        if n:
+            totals[name] = n
+    return totals
 
 
 def code_rankpop_inputs(
@@ -53,7 +54,6 @@ def code_rankpop_inputs(
     Inexact-flagged records only (Figures 17/19), sorted by descending
     count then key.
     """
-    pe = NAME_TO_FLAG["Inexact"]
     out = []
     for code in sorted(records_by_code):
         recs = records_by_code[code]
@@ -65,7 +65,7 @@ def code_rankpop_inputs(
         for r in recs:
             mnemonic = decode_form(r.insn).mnemonic
             forms_all.add(mnemonic)
-            if r.flags & pe:
+            if r.codes & PE:
                 form_counts[mnemonic] += 1
                 addr_counts[r.rip] += 1
         out.append((

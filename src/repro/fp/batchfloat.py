@@ -10,21 +10,28 @@ blockexec's quiescent fast path (:mod:`repro.machine.blockexec`).
 
 It picks one of three tiers per call (DESIGN.md #15):
 
-* **EFT:** binary64 add/sub/mul/div/sqrt/min/max under round-to-nearest
-  without FTZ/DAZ, from :data:`_EFT_MIN_LANES` lanes up, run the host
-  error-free transformations of :mod:`repro.fp.vectorfast`.  Their
-  certified lanes carry PE or nothing; every other lane is recomputed
-  by the scalar loop, or by the integer kernels when there are more
-  than :data:`_SCALAR_MAX_LANES` of them.
-* **Scalar:** batches of at most :data:`_SCALAR_MAX_LANES` lanes run
-  one loop over the property-tested
-  :class:`repro.fp.fastpath.FastSoftFPU`.  A NumPy kernel pays about
-  80 ufunc dispatches per call whatever the lane count, while real
-  application batches carry a handful of lanes.
-* **Integer:** larger batches (the synthetic FMA storm's thousands of
-  lanes) run the NumPy integer kernels, which keep the scalar loop for
-  the lanes and forms they cannot compute: out-of-window div64/sqrt64
-  and wide mul64 lanes, and fma64.
+* **Host loop:** batches of at most :data:`_SCALAR_MAX_LANES` lanes (and
+  fma64 at any size) run :func:`_scalar_batch`.  Under round-to-nearest
+  without FTZ/DAZ it is one pass over the lanes as host floats, with
+  :class:`repro.fp.fastpath.FastSoftFPU`'s certificates inlined (its
+  windows imported, not copied) plus two of its own: binary32 FMA
+  (the product is exact in binary64, so one binary64 sum and its
+  two-sum residue decide the rounding unless the sum is a binary32
+  midpoint) and min/max (a compare, no flags).  A certified lane costs
+  no method call and no ``OpResult``.  Every lane it cannot certify,
+  and every lane under any other context, is one canonical ``SoftFPU``
+  call, counted in ``batch_stats()["scalar_lanes"]``.
+* **EFT:** larger binary32 FMA batches under round-to-nearest without
+  FTZ/DAZ run :func:`_eft_fma32`, the host loop's FMA certificate
+  (a two-sum residue) over NumPy arrays: the synthetic FMA storm's
+  thousands of lanes.  Its certified lanes carry PE or nothing; every other lane
+  is recomputed by the host loop, or by the integer kernels when there
+  are more than :data:`_SCALAR_MAX_LANES` of them.
+* **Integer:** every other large batch (other kinds, directed rounding,
+  FTZ/DAZ) runs the NumPy integer kernels, which send the lanes they
+  cannot compute (out-of-window div64/sqrt64 and wide mul64 lanes) to
+  the host loop.  A NumPy kernel pays about 80 ufunc dispatches per
+  call whatever the lane count, so small batches never reach it.
 
 Kernel design notes (the equivalence arguments live in DESIGN.md #11):
 
@@ -50,6 +57,8 @@ Kernel design notes (the equivalence arguments live in DESIGN.md #11):
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -57,64 +66,48 @@ import numpy as np
 
 from repro.fp.flags import DE, IE, OE, PE, UE, ZE
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
-from repro.fp.fastpath import FastSoftFPU
+from repro.fp.fastpath import (
+    _MAX_SAFE,
+    _MAX_SAFE32,
+    _MIN_SAFE,
+    _MIN_SAFE32,
+    WINDOW32,
+    WINDOW64,
+    _two_prod_err,
+)
 from repro.fp.rounding import RoundingMode
-from repro.fp.softfloat import FPContext
-from repro.fp.vectorfast import _two_prod_err, vector_execute
+from repro.fp.softfloat import FPContext, SoftFPU
+from repro.fp.vectorfast import _two_prod_err as _vec_two_prod_err
+from repro.fp.vectorfast import _two_sum_err as _vec_two_sum_err
 from repro.isa.forms import InstructionForm, OpKind
 
 _I = np.int64
 _U = np.uint64
 
-_FPU = FastSoftFPU()
+_FPU = SoftFPU()
+_RN = RoundingMode.NEAREST
 
-#: Batches of at most this many lanes (outside the EFT tier) run the
-#: scalar FastSoftFPU loop; larger ones run the integer kernels.  Set
-#: from the per-form crossover table in DESIGN.md #15: the kernels start
-#: to win at 16 lanes for min/max, 32-40 for FMA and for any form under
-#: directed rounding, and 48-192 for the host-fast-path forms under
-#: round-to-nearest.
-_SCALAR_MAX_LANES = 32
-
-#: binary64 batches of at least this many lanes of an EFT kind, under
-#: round-to-nearest without FTZ/DAZ, run the host EFT kernels of
-#: :mod:`repro.fp.vectorfast`.  Set from the crossover measured in
-#: DESIGN.md #15 (amendment).
-_EFT_MIN_LANES = 12
-
-#: Kinds the EFT tier certifies (FMA has no vector EFT).
-_EFT_KINDS: frozenset[OpKind] = frozenset(
-    {
-        OpKind.ADD,
-        OpKind.SUB,
-        OpKind.MUL,
-        OpKind.DIV,
-        OpKind.SQRT,
-        OpKind.MIN,
-        OpKind.MAX,
-    }
-)
-
-#: Kinds execute_batch covers bit-exactly.
-BATCH_KINDS: frozenset[OpKind] = _EFT_KINDS | {
-    OpKind.FMADD,
-    OpKind.FMSUB,
-    OpKind.FNMADD,
-    OpKind.FNMSUB,
-}
+#: Batches of at most this many lanes run the host loop
+#: (:func:`_scalar_batch`); larger ones run NumPy: the EFT tier
+#: (:func:`_eft_fma32`) for binary32 FMA under round-to-nearest, else
+#: the integer kernels.  At 64 lanes the host loop ties the EFT tier,
+#: and under directed rounding its per-lane softfloat ties the kernels
+#: on add and FMA (DESIGN.md #15 has the per-form table).
+_SCALAR_MAX_LANES = 64
 
 #: Host-EFT certification window for div64/sqrt64 (biased exponent field
 #: of every operand must lie strictly inside).  Inside it the candidate,
 #: its +-1ulp neighbours, and the two_prod error terms are all normal,
-#: so the residual sign is exact.  div shares vectorfast's window.
-_DIV64_WIN = (523, 1523)
+#: so the residual sign is exact.  div shares the fast paths' window.
+_DIV64_WIN = WINDOW64
 _SQRT64_WIN = (300, 1800)
 
-_STATS = {"batches": 0, "lanes": 0, "scalar_lanes": 0}
+_STATS = {"batches": 0, "lanes": 0, "vector_lanes": 0, "scalar_lanes": 0}
 
 
 def batch_stats() -> dict:
-    """Batches, their lanes, and the lanes the scalar loop computed."""
+    """Batches, their lanes, the lanes of batches that took a NumPy tier,
+    and the lanes computed one canonical :class:`SoftFPU` call each."""
     return dict(_STATS)
 
 
@@ -125,7 +118,7 @@ def reset_batch_stats() -> None:
 
 def batch_covered(form: InstructionForm) -> bool:
     """True when :func:`execute_batch` handles this form bit-exactly."""
-    return form.kind in BATCH_KINDS and form.fmt in (BINARY32, BINARY64)
+    return form.batch
 
 
 @dataclass
@@ -566,7 +559,7 @@ def _div_kernel(F, A, B, ctx):
         fa_safe = np.where(win, fa, 1.0)
         q = fa_safe / fb_safe
         p = q * fb_safe
-        r = (fa_safe - p) - _two_prod_err(q, fb_safe, p)
+        r = (fa_safe - p) - _vec_two_prod_err(q, fb_safe, p)
         inexact = r != 0.0
         pos = (r > 0.0) != (fb_safe < 0.0)
         bits = _directed_adjust(q.view(_U), pos, inexact, ctx.rmode)
@@ -630,7 +623,7 @@ def _sqrt_kernel(F, A, ctx):
         fa = np.where(win, A.u.view(np.float64), 1.0)
         r = np.sqrt(fa)
         p = r * r
-        d = (fa - p) - _two_prod_err(r, r, p)
+        d = (fa - p) - _vec_two_prod_err(r, r, p)
         inexact = d != 0.0
         pos = d > 0.0
         bits = _directed_adjust(r.view(_U), pos, inexact, ctx.rmode)
@@ -756,21 +749,291 @@ _FMA_NEGATE = {
 }
 
 
-def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
-    """Every lane through :class:`FastSoftFPU`, one Python call each."""
+# ---------------------------------------------------------- the host loop
+#
+# One pass over a call's lanes as host floats, FastSoftFPU's certificates
+# inlined (no method call, no OpResult per lane).  Each loop returns the
+# result values (binary64 floats; binary32 results are narrowed from them
+# in one pack), the flag ints, and the lanes it could not certify.
+
+
+def _window(fmt: BinaryFormat, fields: tuple[int, int]) -> tuple:
+    """An exponent-field window as magnitudes ``lo <= |x| < hi``, plus the
+    format's result window; NaN fails every comparison."""
+    lo, hi = fields
+    safe = (_MIN_SAFE, _MAX_SAFE) if fmt is BINARY64 else (
+        _MIN_SAFE32, _MAX_SAFE32)
+    return (2.0 ** (lo + 1 - fmt.bias), 2.0 ** (hi - fmt.bias)) + safe
+
+
+_HOST_WINDOW64 = _window(BINARY64, WINDOW64)
+_HOST_WINDOW32 = _window(BINARY32, WINDOW32)
+
+#: Veltkamp splitting constants (2**29 + 1, 2**28 + 1): for a binary64
+#: ``v`` inside the binary32 result window, ``c = C*v; c - (c - v)`` is
+#: ``v`` rounded to 24 (25) significant bits, so it equals ``v`` iff ``v``
+#: fits in binary32 (in 25 bits).
+_FIT24 = 536870913.0
+_FIT25 = 268435457.0
+
+
+def _host_addsub(w, narrow, X, Y):
+    lo, hi, rlo, rhi = w
+    fit, pe = _FIT24, PE
+    res, fl, miss = [], [], []
+    for x, y in zip(X, Y):
+        f = -1
+        if lo <= abs(x) < hi and lo <= abs(y) < hi:
+            s = x + y
+            if rlo < abs(s) < rhi:
+                bv = s - x
+                if (x - (s - bv)) + (y - bv) != 0.0:  # two-sum residue
+                    f = pe
+                elif narrow:
+                    c = fit * s
+                    f = 0 if c - (c - s) == s else pe
+                else:
+                    f = 0
+            elif s == 0.0:
+                f = 0  # exact cancellation: +0 under round-to-nearest
+        if f < 0:
+            miss.append(len(res))
+            s = f = 0
+        res.append(s)
+        fl.append(f)
+    return res, fl, miss
+
+
+def _host_mul(w, narrow, X, Y):
+    lo, hi, rlo, rhi = w
+    fit, pe, two_prod_err = _FIT24, PE, _two_prod_err
+    res, fl, miss = [], [], []
+    for x, y in zip(X, Y):
+        f = -1
+        if lo <= abs(x) < hi and lo <= abs(y) < hi:
+            p = x * y
+            if rlo < abs(p) < rhi:
+                if narrow:  # p is exact: 24 x 24 significant bits
+                    c = fit * p
+                    f = 0 if c - (c - p) == p else pe
+                else:
+                    f = 0 if two_prod_err(x, y, p) == 0.0 else pe
+        if f < 0:
+            miss.append(len(res))
+            p = f = 0
+        res.append(p)
+        fl.append(f)
+    return res, fl, miss
+
+
+def _host_div(w, narrow, X, Y):
+    lo, hi, rlo, rhi = w
+    fit, pe, two_prod_err = _FIT24, PE, _two_prod_err
+    res, fl, miss = [], [], []
+    for x, y in zip(X, Y):
+        f = -1
+        if lo <= abs(x) < hi and lo <= abs(y) < hi:
+            q = x / y
+            if rlo < abs(q) < rhi:
+                if narrow:
+                    # q fits binary32 => q*y is exact (48 bits).
+                    c = fit * q
+                    f = 0 if c - (c - q) == q and q * y == x else pe
+                else:
+                    # Exact iff q*y == x as reals.
+                    p = q * y
+                    f = 0 if p == x and two_prod_err(q, y, p) == 0.0 else pe
+        if f < 0:
+            miss.append(len(res))
+            q = f = 0
+        res.append(q)
+        fl.append(f)
+    return res, fl, miss
+
+
+def _host_sqrt(w, narrow, X):
+    lo, hi = w[:2]
+    fit, pe, sqrt, two_prod_err = _FIT24, PE, math.sqrt, _two_prod_err
+    res, fl, miss = [], [], []
+    for x in X:
+        f = -1
+        if lo <= x < hi:  # positive and in-window: so is the root
+            r = sqrt(x)
+            if narrow:
+                c = fit * r
+                f = 0 if c - (c - r) == r and r * r == x else pe
+            else:
+                p = r * r
+                f = 0 if p == x and two_prod_err(r, r, p) == 0.0 else pe
+        if f < 0:
+            miss.append(len(res))
+            r = f = 0
+        res.append(r)
+        fl.append(f)
+    return res, fl, miss
+
+
+def _host_minmax(w, want_min, X, Y):
+    lo, hi = w[:2]
+    res, fl, miss = [], [], []
+    for x, y in zip(X, Y):
+        if lo <= abs(x) < hi and lo <= abs(y) < hi:
+            # No flags; on equal values (equal bits, in-window) the x64
+            # rule returns the second operand.
+            if want_min:
+                res.append(x if x < y else y)
+            else:
+                res.append(x if x > y else y)
+        else:
+            miss.append(len(res))
+            res.append(0)
+        fl.append(0)
+    return res, fl, miss
+
+
+def _host_fma32(w, X, Y, Z):
+    """``X*Y + Z`` (negations applied to the lists).  The product is exact
+    in binary64; ``s = RN64(t)`` with two-sum residue ``e``.  Rounding
+    ``s`` to binary32 gives RN32(t) unless ``s`` is a binary32 midpoint
+    and ``e != 0`` (``bits64(s) & 0x1FFFFFFF == 0x10000000``: ``s`` fits
+    25 bits but not 24); PE iff ``e != 0`` or the narrowing is inexact
+    (Boldo-Melquiond, IEEE TC 2008)."""
+    lo, hi, rlo, rhi = w
+    fit, fit25, pe = _FIT24, _FIT25, PE
+    res, fl, miss = [], [], []
+    for x, y, z in zip(X, Y, Z):
+        f = -1
+        if lo <= abs(x) < hi and lo <= abs(y) < hi and lo <= abs(z) < hi:
+            p = x * y
+            s = p + z
+            if rlo < abs(s) < rhi:
+                bv = s - p
+                c = fit * s
+                if (p - (s - bv)) + (z - bv) == 0.0:
+                    f = 0 if c - (c - s) == s else pe
+                elif c - (c - s) == s:
+                    f = pe
+                else:
+                    c = fit25 * s
+                    if c - (c - s) != s:  # not a binary32 midpoint
+                        f = pe
+            elif s == 0.0:
+                f = 0  # exact cancellation: +0 under round-to-nearest
+        if f < 0:
+            miss.append(len(res))
+            s = f = 0
+        res.append(s)
+        fl.append(f)
+    return res, fl, miss
+
+
+_WIN32_LO, _WIN32_HI = (_U(e) for e in WINDOW32)
+_U23 = _U(23)
+_EXPF32 = _U(0xFF)
+_MID_MASK = _U(0x1FFFFFFF)
+_MID = _U(0x10000000)
+
+
+def _eft_fma32(kind, operands):
+    """The NumPy twin of :func:`_host_fma32`, same window and same
+    midpoint certificate: ``(result_bits, pe, certified)`` arrays, with
+    garbage in the uncertified lanes' bits."""
+    with np.errstate(all="ignore"):
+        neg_p, neg_c = _FMA_NEGATE[kind]
+        ok = None
+        X = []
+        for o in operands:
+            e = (o >> _U23) & _EXPF32
+            w = (e > _WIN32_LO) & (e < _WIN32_HI)
+            ok = w if ok is None else ok & w
+            X.append(o.astype(np.uint32).view(np.float32).astype(np.float64))
+        x, y, z = X
+        p = x * y  # exact: 24 x 24 significant bits
+        if neg_p:
+            p = -p
+        if neg_c:
+            z = -z
+        s = p + z
+        err = _vec_two_sum_err(p, z, s) != 0.0
+        r = s.astype(np.float32)
+        mag = np.abs(s)
+        mid = (s.view(_U) & _MID_MASK) == _MID
+        certified = ok & (((mag > _MIN_SAFE32) & (mag < _MAX_SAFE32))
+                          | (s == 0.0)) & ~(mid & err)
+        pe = err | (r.astype(np.float64) != s)
+        return r.view(np.uint32).astype(_U), pe, certified
+
+
+def _host_lanes(kind, fmt, X):
+    """Run the host loop for ``kind``; ``None`` for fma64 (no loop)."""
+    narrow = fmt is BINARY32
+    w = _HOST_WINDOW32 if narrow else _HOST_WINDOW64
+    if kind is OpKind.ADD:
+        return _host_addsub(w, narrow, X[0], X[1])
+    if kind is OpKind.SUB:
+        return _host_addsub(w, narrow, X[0], [-y for y in X[1]])
+    if kind is OpKind.MUL:
+        return _host_mul(w, narrow, X[0], X[1])
+    if kind is OpKind.DIV:
+        return _host_div(w, narrow, X[0], X[1])
+    if kind is OpKind.SQRT:
+        return _host_sqrt(w, narrow, X[0])
+    if kind is OpKind.MIN or kind is OpKind.MAX:
+        return _host_minmax(w, kind is OpKind.MIN, X[0], X[1])
+    if narrow:
+        neg_p, neg_c = _FMA_NEGATE[kind]
+        a, b, c = X
+        return _host_fma32(w, [-v for v in a] if neg_p else a, b,
+                           [-v for v in c] if neg_c else c)
+    return None
+
+
+def _fpu_op(kind):
+    """The :class:`SoftFPU` method computing one lane of ``kind``."""
     if kind in _FMA_NEGATE:
         neg_p, neg_c = _FMA_NEGATE[kind]
-        op = partial(_FPU.fma, negate_product=neg_p, negate_c=neg_c)
+        return partial(_FPU.fma, negate_product=neg_p, negate_c=neg_c)
+    return getattr(_FPU, kind.name.lower())
+
+
+def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
+    """The host loop: one pass over the lanes as host floats under
+    round-to-nearest without FTZ/DAZ; every lane it cannot certify, and
+    every lane under any other context, is one canonical
+    :class:`SoftFPU` call (counted in ``scalar_lanes``).  The loop holds
+    every :class:`repro.fp.fastpath.FastSoftFPU` certificate, so that
+    class would certify none of these lanes either."""
+    n = len(operands[0])
+    out = None
+    if ctx.rmode == _RN and not ctx.ftz and not ctx.daz:
+        if fmt is BINARY64:
+            X = [struct.unpack(f"{n}d", o.tobytes()) for o in operands]
+        else:
+            X = [struct.unpack(f"{n}f", o.astype(np.uint32).tobytes())
+                 for o in operands]
+        out = _host_lanes(kind, fmt, X)
+    if out is None:
+        res, fl, miss = [0] * n, [0] * n, range(n)
     else:
-        op = getattr(_FPU, kind.name.lower())
-    bits, flags, tiny = [], [], []
-    for lane in zip(*(o.tolist() for o in operands)):
-        r = op(fmt, *lane, ctx)
-        bits.append(r.bits)
-        flags.append(r.flags)
-        tiny.append(r.tiny)
-    return BatchResult(
-        np.array(bits, _U), np.array(flags, _I), np.array(tiny, np.bool_))
+        res, fl, miss = out
+    fixes = []
+    if miss:
+        _STATS["scalar_lanes"] += len(miss)
+        op = _fpu_op(kind)
+        ints = [o.tolist() for o in operands]
+        for i in miss:
+            r = op(fmt, *[v[i] for v in ints], ctx)
+            fl[i] = r.flags
+            fixes.append((i, r))
+    if fmt is BINARY64:
+        bits = np.frombuffer(bytearray(struct.pack(f"{n}d", *res)), _U)
+    else:
+        bits = np.frombuffer(struct.pack(f"{n}f", *res), np.uint32).astype(_U)
+    tiny = np.zeros(n, np.bool_)
+    for i, r in fixes:
+        bits[i] = r.bits
+        tiny[i] = r.tiny
+    return BatchResult(bits, np.array(fl, _I), tiny)
 
 
 def _vector_batch(form, operands, ctx) -> BatchResult:
@@ -800,7 +1063,6 @@ def _vector_batch(form, operands, ctx) -> BatchResult:
     bits, flags, tiny, fallback = out
     if fallback.any():
         idx = np.nonzero(fallback)[0]
-        _STATS["scalar_lanes"] += len(idx)
         sub = _scalar_batch(
             kind, form.fmt, tuple(o[idx] for o in operands), ctx)
         bits[idx] = sub.bits
@@ -818,45 +1080,36 @@ def execute_batch(
     for operand position ``i`` (all the same length = total lane count).
 
     Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
-    The tier is picked per call (DESIGN.md #15): the EFT kernels for
-    at least :data:`_EFT_MIN_LANES` binary64 lanes of an EFT kind under
-    round-to-nearest without FTZ/DAZ, with the lanes they cannot
-    certify recomputed by the scalar loop, or by the integer kernels
-    when there are more than :data:`_SCALAR_MAX_LANES` of them; else
-    the scalar loop for at most :data:`_SCALAR_MAX_LANES` lanes (and
-    fma64); else the integer kernels.
+    The tier is picked per call (DESIGN.md #15): the host loop for at
+    most :data:`_SCALAR_MAX_LANES` lanes (and fma64); above it the EFT
+    tier for binary32 FMA under round-to-nearest without FTZ/DAZ, with
+    the lanes it cannot certify recomputed by the host loop, or by the
+    integer kernels when there are more than :data:`_SCALAR_MAX_LANES`
+    of them; else the integer kernels.
     """
-    if not batch_covered(form):
+    if not form.batch:
         raise NotImplementedError(f"batchfloat does not cover {form}")
-    n = operands[0].shape[0]
+    n = len(operands[0])
     _STATS["batches"] += 1
     _STATS["lanes"] += n
-    if (
-        n >= _EFT_MIN_LANES
-        and form.kind in _EFT_KINDS
-        and form.fmt is BINARY64
-        and ctx.rmode == RoundingMode.NEAREST
-        and not ctx.ftz
-        and not ctx.daz
-    ):
-        bits, pe, certified = vector_execute(form.kind, operands)
-        flags = np.where(pe, _I(PE), _I(0))
-        tiny = np.zeros(n, np.bool_)
-        if not certified.all():
-            idx = np.nonzero(~certified)[0]
-            sub_ops = tuple(o[idx] for o in operands)
-            if len(idx) <= _SCALAR_MAX_LANES:
-                _STATS["scalar_lanes"] += len(idx)
-                sub = _scalar_batch(form.kind, form.fmt, sub_ops, ctx)
-            else:
-                sub = _vector_batch(form, sub_ops, ctx)
-            bits[idx] = sub.bits
-            flags[idx] = sub.flags
-            tiny[idx] = sub.tiny
-        return BatchResult(bits, flags, tiny)
-    if n <= _SCALAR_MAX_LANES or (
-        form.kind in _FMA_NEGATE and form.fmt.width == 64
-    ):
-        _STATS["scalar_lanes"] += n
-        return _scalar_batch(form.kind, form.fmt, operands, ctx)
-    return _vector_batch(form, operands, ctx)
+    kind, fmt = form.kind, form.fmt
+    fma = kind in _FMA_NEGATE
+    if n <= _SCALAR_MAX_LANES or (fma and fmt is BINARY64):
+        return _scalar_batch(kind, fmt, operands, ctx)
+    _STATS["vector_lanes"] += n
+    if not fma or ctx.rmode != _RN or ctx.ftz or ctx.daz:
+        return _vector_batch(form, operands, ctx)
+    bits, pe, certified = _eft_fma32(kind, operands)
+    flags = np.where(pe, _I(PE), _I(0))
+    tiny = np.zeros(n, np.bool_)
+    if not certified.all():
+        idx = np.nonzero(~certified)[0]
+        sub_ops = tuple(o[idx] for o in operands)
+        if len(idx) <= _SCALAR_MAX_LANES:
+            sub = _scalar_batch(kind, fmt, sub_ops, ctx)
+        else:
+            sub = _vector_batch(form, sub_ops, ctx)
+        bits[idx] = sub.bits
+        flags[idx] = sub.flags
+        tiny[idx] = sub.tiny
+    return BatchResult(bits, flags, tiny)

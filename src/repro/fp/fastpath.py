@@ -44,6 +44,15 @@ from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, OpResult, SoftFPU
 
+#: Operand windows: a fast path certifies only operands whose exponent
+#: field lies strictly inside, i.e. normal values with magnitude in
+#: [2**-499, 2**500) (binary64) or [2**-99, 2**100) (binary32).  The
+#: vector and batch tiers import them from here.
+WINDOW64 = (523, 1523)
+WINDOW32 = (27, 227)
+_LO64, _HI64 = WINDOW64
+_LO32, _HI32 = WINDOW32
+
 #: Magnitude bounds within which binary64 fast paths are certainly safe
 #: (results cannot overflow, underflow, or lose residual precision).
 _MIN_SAFE = 2.0**-500
@@ -65,14 +74,12 @@ _U32 = struct.Struct("<I")
 
 def _is_fast_operand(bits: int) -> bool:
     """Normal, finite, comfortably mid-range binary64 value?"""
-    exp_field = (bits >> 52) & 0x7FF
-    # Exponent field in (523, 1523): magnitude within 2**+-500 and normal.
-    return 523 < exp_field < 1523
+    return _LO64 < ((bits >> 52) & 0x7FF) < _HI64
 
 
 def _is_fast_operand32(bits: int) -> bool:
     """Normal binary32 value with magnitude in [2**-99, 2**100)?"""
-    return 27 < ((bits >> 23) & 0xFF) < 227
+    return _LO32 < ((bits >> 23) & 0xFF) < _HI32
 
 
 def _fast_ok(ctx: FPContext) -> bool:

@@ -8,7 +8,7 @@ exactly as they would in an XMM register.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -32,40 +32,52 @@ class BinaryFormat:
     p: int
     emax: int
 
-    @property
-    def emin(self) -> int:
-        """Minimum unbiased exponent of a normal number (``1 - emax``)."""
-        return 1 - self.emax
+    # Derived constants: plain attributes set once in __post_init__
+    # (excluded from equality, hashing and repr, which see only the four
+    # defining fields above).
+    bias: int = field(init=False, repr=False, compare=False)
+    emin: int = field(init=False, repr=False, compare=False)
+    mant_bits: int = field(init=False, repr=False, compare=False)
+    exp_mask: int = field(init=False, repr=False, compare=False)
+    mant_mask: int = field(init=False, repr=False, compare=False)
+    sign_bit: int = field(init=False, repr=False, compare=False)
+    quiet_bit: int = field(init=False, repr=False, compare=False)
+    pos_inf: int = field(init=False, repr=False, compare=False)
+    indefinite: int = field(init=False, repr=False, compare=False)
+    max_finite: int = field(init=False, repr=False, compare=False)
+    min_normal: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def bias(self) -> int:
-        return self.emax
+    def __post_init__(self) -> None:
+        mant_bits = self.p - 1
+        exp_mask = (1 << self.exp_bits) - 1
+        mant_mask = (1 << mant_bits) - 1
+        sign_bit = 1 << (self.width - 1)
+        pos_inf = exp_mask << mant_bits
+        quiet_bit = 1 << (mant_bits - 1)
+        derived = {
+            "bias": self.emax,
+            # Minimum unbiased exponent of a normal number.
+            "emin": 1 - self.emax,
+            # Stored (explicit) significand bits.
+            "mant_bits": mant_bits,
+            "exp_mask": exp_mask,
+            "mant_mask": mant_mask,
+            "sign_bit": sign_bit,
+            # The bit distinguishing a QNaN from an SNaN (MSB of the payload).
+            "quiet_bit": quiet_bit,
+            "pos_inf": pos_inf,
+            # The x64 "QNaN floating-point indefinite" of invalid operations.
+            "indefinite": sign_bit | pos_inf | quiet_bit,
+            # Largest finite magnitude (positive sign).
+            "max_finite": ((exp_mask - 1) << mant_bits) | mant_mask,
+            "min_normal": 1 << mant_bits,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def exp_bits(self) -> int:
         return self.width - self.p
-
-    @property
-    def mant_bits(self) -> int:
-        """Stored (explicit) significand bits, i.e. ``p - 1``."""
-        return self.p - 1
-
-    @property
-    def exp_mask(self) -> int:
-        return (1 << self.exp_bits) - 1
-
-    @property
-    def mant_mask(self) -> int:
-        return (1 << self.mant_bits) - 1
-
-    @property
-    def sign_bit(self) -> int:
-        return 1 << (self.width - 1)
-
-    @property
-    def quiet_bit(self) -> int:
-        """The bit distinguishing a QNaN from an SNaN (MSB of the payload)."""
-        return 1 << (self.mant_bits - 1)
 
     # ---- canonical special encodings -------------------------------------
 
@@ -78,26 +90,8 @@ class BinaryFormat:
         return self.sign_bit
 
     @property
-    def pos_inf(self) -> int:
-        return self.exp_mask << self.mant_bits
-
-    @property
     def neg_inf(self) -> int:
         return self.sign_bit | self.pos_inf
-
-    @property
-    def indefinite(self) -> int:
-        """The x64 "QNaN floating-point indefinite" produced by invalid ops."""
-        return self.sign_bit | self.pos_inf | self.quiet_bit
-
-    @property
-    def max_finite(self) -> int:
-        """Largest finite magnitude (positive sign)."""
-        return ((self.exp_mask - 1) << self.mant_bits) | self.mant_mask
-
-    @property
-    def min_normal(self) -> int:
-        return 1 << self.mant_bits
 
     # ---- classification ---------------------------------------------------
 

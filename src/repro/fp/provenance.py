@@ -26,11 +26,12 @@ per-instruction retirement would read, and count the rest as
 observed.  The other hooks -- ``_exec_fp`` retirement, block scalar
 substeps, and handler-emulated writebacks -- observe each operation
 they retire.
-Lanes of ``execute_batch``'s host-EFT tier need no rule of their own:
-a certified lane can neither consume nor produce an exceptional value
-(the :mod:`repro.fp.vectorfast` operand window excludes non-normals
-and ``_safe_result`` bounds every result away from overflow and
-underflow), and the tier recomputes every other lane exactly.
+Lanes of ``execute_batch``'s host tiers (the host loop and the EFT
+tier) need no rule of their own: a certified lane can neither consume
+nor produce an exceptional value (the :mod:`repro.fp.fastpath` operand
+windows exclude non-normals and the result windows bound every result
+away from overflow and underflow), and each tier recomputes every other
+lane exactly.
 """
 
 from __future__ import annotations

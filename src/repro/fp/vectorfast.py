@@ -1,4 +1,4 @@
-"""Vectorized error-free transformations: ``execute_batch``'s EFT tier.
+"""Vectorized error-free transformations over binary64 lanes.
 
 These are the lane-wise NumPy analogues of :mod:`repro.fp.fastpath`: for
 the overwhelmingly common case -- normal, mid-range binary64 operands
@@ -20,18 +20,21 @@ flag set is recovered by error-free transformations:
   distinct bit patterns of certified (normal, nonzero) values are never
   numerically equal.
 
-Only round-to-nearest is certified: no application leaves it, and
-:func:`repro.fp.batchfloat.execute_batch` only enters this tier under
-it.  The vector residue pair (:func:`_two_sum_err`,
-:func:`_two_prod_err`) is also what batchfloat's div64/sqrt64 kernels
-use for their exactness checks.
+Only round-to-nearest is certified: no application leaves it.
+The simulator does not call :func:`vector_execute`: batchfloat's host
+loop is faster at every lane count the workloads produce (DESIGN.md
+#15).  The benchmark ledger hooks the name, and a property test pins
+its certified lanes to the canonical softfloat.  The vector residue
+pair (:func:`_two_sum_err`, :func:`_two_prod_err`) is what batchfloat's
+binary32 FMA EFT tier and its div64/sqrt64 kernels use for their
+exactness checks.
 
 Every function returns ``(result_bits, pe, certified)`` arrays.  A lane
 is *certified* only when the fast path can guarantee bit-identical
 results and flags versus the canonical softfloat: normal mid-range
 operands and a result comfortably inside the overflow/tininess
-boundaries.  Uncertified lanes carry garbage in ``result_bits``;
-``execute_batch`` recomputes them.  Certification is deliberately
+boundaries.  Uncertified lanes carry garbage in ``result_bits``; the
+caller recomputes them.  Certification is deliberately
 identical to :mod:`repro.fp.fastpath` so the two layers are
 property-tested against the same oracle.
 """
@@ -42,6 +45,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.fp.fastpath import WINDOW64
 from repro.isa.forms import OpKind
 
 #: Magnitude bounds within which results are certainly safe (no overflow,
@@ -55,15 +59,14 @@ _SPLIT = 134217729.0
 _U52 = np.uint64(52)
 _U63 = np.uint64(63)
 _EXPF = np.uint64(0x7FF)
-_EXP_LO = np.uint64(523)
-_EXP_HI = np.uint64(1523)
+_EXP_LO, _EXP_HI = (np.uint64(e) for e in WINDOW64)
 
 
 def fast_operand_mask(bits: np.ndarray) -> np.ndarray:
     """Lanes whose operand is a normal, finite, mid-range binary64 value.
 
-    The exponent-field window (523, 1523) is the vector twin of
-    ``fastpath._is_fast_operand``: magnitude within 2**+-500 and normal
+    The exponent-field window ``fastpath.WINDOW64`` is the vector twin
+    of ``fastpath._is_fast_operand``: magnitude within 2**+-500 and normal
     (which also excludes zeros, subnormals, infinities, and NaNs).
     """
     e = (bits >> _U52) & _EXPF

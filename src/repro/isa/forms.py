@@ -14,7 +14,7 @@ We reproduce that structure exactly: :data:`SSE_FORMS` holds the 39
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 
@@ -47,6 +47,17 @@ class OpKind(enum.Enum):
 #: not float bit patterns.
 INT_RESULT_KINDS = frozenset(
     {OpKind.UCOMI, OpKind.COMI, OpKind.CVT_F2I, OpKind.CVT_F2I_TRUNC}
+)
+
+
+#: Kinds :func:`repro.fp.batchfloat.execute_batch` covers bit-exactly
+#: (in binary32 and binary64).
+BATCH_KINDS = frozenset(
+    {
+        OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.SQRT,
+        OpKind.MIN, OpKind.MAX,
+        OpKind.FMADD, OpKind.FMSUB, OpKind.FNMADD, OpKind.FNMSUB,
+    }
 )
 
 
@@ -94,6 +105,11 @@ class InstructionForm:
         True for the VEX-encoded / GROMACS-only catalogue entries.
     dst_fmt:
         Destination element format for conversions.
+    batch:
+        Derived, not compared: the kind is in :data:`BATCH_KINDS` and
+        the format is binary32 or binary64, so ``execute_batch`` covers
+        the form.  Set once here because the storm, blockexec and
+        executor paths ask on every block.
     """
 
     mnemonic: str
@@ -102,6 +118,13 @@ class InstructionForm:
     lanes: int = 1
     avx: bool = False
     dst_fmt: BinaryFormat | None = None
+    batch: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "batch",
+            self.kind in BATCH_KINDS and self.fmt in (BINARY32, BINARY64),
+        )
 
     @property
     def arity(self) -> int:

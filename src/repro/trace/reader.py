@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.fp.flags import Flag
+from repro.fp.flags import ALL_CODES, Flag
 from repro.trace.records import (
     AggregateRecord,
     IndividualRecord,
@@ -64,13 +64,13 @@ class TraceSet:
 
     def event_union(self) -> Flag:
         """Union of every event observed anywhere in the trace set."""
-        out = Flag.NONE
+        out = 0
         for rec in self.aggregate:
             if not rec.disabled:
-                out |= rec.flags
+                out |= rec.status
         for rec in self.all_records():
-            out |= rec.flags
-        return out
+            out |= rec.codes
+        return Flag(out & ALL_CODES)
 
     def records_array(self) -> np.ndarray:
         """All individual records of the set as one structured array."""

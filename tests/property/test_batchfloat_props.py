@@ -6,11 +6,13 @@ scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
 rounding modes and the DAZ/FTZ context bits.  All three of its tiers
 are pinned: the integer kernels are called directly at every lane
-count, the host-EFT tier is checked lane by lane under round-to-nearest,
-and the two sides of both crossovers must agree byte for byte.
+count, the host loop and the binary32 FMA EFT tier are checked lane by
+lane under round-to-nearest, and the two sides of the crossover must
+agree byte for byte.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from unittest import mock
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import (
-    _EFT_MIN_LANES,
     _FMA_NEGATE,
     _SCALAR_MAX_LANES,
     _vector_batch,
@@ -27,10 +28,12 @@ from repro.fp.batchfloat import (
     execute_batch,
     reset_batch_stats,
 )
-from repro.fp.formats import BINARY64, float_to_bits64
-from repro.fp.vectorfast import fast_operand_mask
+from repro.fp.formats import (
+    BINARY32, BINARY64, float_to_bits32, float_to_bits64)
+from repro.fp.flags import PE
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
+from repro.fp.vectorfast import vector_execute
 from repro.isa.forms import InstructionForm, OpKind, form
 
 _FPU = SoftFPU()
@@ -126,7 +129,7 @@ def _assert_lanes_match_oracle(f, ops, res, ctx):
 @given(
     mnemonic=st.sampled_from(_MNEMONICS),
     data=st.data(),
-    n=st.integers(min_value=1, max_value=48),
+    n=st.integers(min_value=1, max_value=_SCALAR_MAX_LANES + 16),
     ctx=contexts,
 )
 def test_batch_lanes_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
@@ -145,7 +148,7 @@ def test_batch_lanes_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
 )
 def test_vector_kernels_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
     """The NumPy kernels themselves, at lane counts execute_batch would
-    hand to the scalar loop as well as above it."""
+    hand to the host loop as well as above it."""
     f = form(mnemonic)
     ops = _draw_ops(data, f, n)
     _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
@@ -164,29 +167,36 @@ def test_vector_mul_underflow_of_a_63_bit_product():
         _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
 
 
-#: Lane counts on both sides of the EFT and scalar crossovers.
-_CUTS = (_EFT_MIN_LANES - 1, _EFT_MIN_LANES,
-         _SCALAR_MAX_LANES, _SCALAR_MAX_LANES + 1)
+#: Lane counts on both sides of the crossover, and one lane.
+_CUTS = (1, _SCALAR_MAX_LANES, _SCALAR_MAX_LANES + 1)
+
+
+_FMA32 = ["vfmaddps", "vfmsubps", "vfnmaddps", "vfnmaddss", "vfmsubss",
+          "vfmaddss"]
 
 
 def _eft_eligible(f, ctx):
-    return (f.fmt is BINARY64 and f.kind in batchfloat._EFT_KINDS
+    return (f.fmt is BINARY32 and f.kind in _FMA_NEGATE
             and ctx.rmode == RoundingMode.NEAREST
             and not ctx.ftz and not ctx.daz)
+
+
+def _eft_spy():
+    return mock.patch.object(
+        batchfloat, "_eft_fma32", wraps=batchfloat._eft_fma32)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mnemonic=st.sampled_from(_MNEMONICS), data=st.data(), ctx=contexts)
 def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
-    """The same lanes give the same BatchResult bytes on both sides of
-    the EFT crossover and of the scalar crossover.  The operands mix
-    specials, subnormals and out-of-window lanes into the EFT tier; a
-    directed rounding mode or FTZ/DAZ must keep every call off it."""
+    """The same lanes give the same BatchResult bytes from the host loop
+    (one lane, and ``_SCALAR_MAX_LANES``) and from the tier above it.
+    The operands mix specials, subnormals and out-of-window lanes into
+    both; only the call above the crossover may enter the EFT tier, and
+    a directed rounding mode or FTZ/DAZ keeps every call off it."""
     f = form(mnemonic)
     ops = _draw_ops(data, f, _CUTS[-1])
-    with mock.patch.object(
-        batchfloat, "vector_execute", wraps=batchfloat.vector_execute
-    ) as spy:
+    with _eft_spy() as spy:
         full = execute_batch(f, ops, ctx)
         for cut in _CUTS[:-1]:
             part = execute_batch(f, tuple(o[:cut] for o in ops), ctx)
@@ -195,27 +205,42 @@ def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
                 b = getattr(full, name)[:cut]
                 assert a.dtype == b.dtype, name
                 assert a.tobytes() == b.tobytes(), (name, mnemonic, cut, ctx)
-    # Every cut but the smallest reaches the EFT crossover.
-    assert spy.call_count == (3 if _eft_eligible(f, ctx) else 0), ctx
+    assert spy.call_count == (1 if _eft_eligible(f, ctx) else 0), ctx
 
 
-_WINDOW64 = st.builds(
-    lambda sign, exp, mant: (sign << 63) | (exp << 52) | mant,
+@settings(max_examples=8, deadline=None)
+@given(mnemonic=st.sampled_from(_FMA32 + ["addsd", "divsd", "mulss"]),
+       data=st.data())
+def test_eft_tier_entered_only_above_the_host_loop(mnemonic, data):
+    """Under round-to-nearest, binary32 FMA batches run the host loop up
+    to ``_SCALAR_MAX_LANES`` lanes and the EFT tier from one lane more;
+    no other form enters it."""
+    f = form(mnemonic)
+    ops = _draw_ops(data, f, 2 * _SCALAR_MAX_LANES)
+    for n in range(1, 2 * _SCALAR_MAX_LANES + 1):
+        with _eft_spy() as spy:
+            execute_batch(f, tuple(o[:n] for o in ops), FPContext())
+        assert spy.call_count == (
+            n > _SCALAR_MAX_LANES and _eft_eligible(f, FPContext())), n
+
+
+_WINDOW32 = st.builds(
+    lambda sign, exp, mant: (sign << 31) | (exp << 23) | mant,
     st.integers(0, 1),
-    st.integers(524, 1522),
-    st.integers(0, (1 << 52) - 1),
+    st.integers(28, 226),
+    st.integers(0, (1 << 23) - 1),
 )
-#: Small integers: sums, products and many quotients and roots are exact.
-_EXACT64 = st.integers(1, 1 << 20).map(lambda v: float_to_bits64(float(v)))
+#: Small integers: sums and products are exact, and cancel exactly.
+_EXACT32 = st.integers(-(1 << 10), 1 << 10).filter(bool).map(
+    lambda v: float_to_bits32(float(v)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    mnemonic=st.sampled_from(
-        ["addpd", "subpd", "mulpd", "divpd", "sqrtpd", "minpd", "maxpd"]
-    ),
+    mnemonic=st.sampled_from(_FMA32),
     data=st.data(),
-    n=st.integers(min_value=_EFT_MIN_LANES, max_value=48),
+    n=st.integers(min_value=_SCALAR_MAX_LANES + 1,
+                  max_value=_SCALAR_MAX_LANES + 16),
 )
 def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
     """The EFT tier's lanes, certified or not, are bit- and flag-exact
@@ -223,15 +248,13 @@ def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
     (exact and inexact in-window values) with specials mixed in."""
     f = form(mnemonic)
     ctx = FPContext()
-    lanes = st.one_of(_WINDOW64, _EXACT64, bits64)
+    lanes = st.one_of(_WINDOW32, _EXACT32, bits32)
     ops = tuple(
         np.array(data.draw(st.lists(lanes, min_size=n, max_size=n)),
                  dtype=np.uint64)
         for _ in range(f.arity)
     )
-    with mock.patch.object(
-        batchfloat, "vector_execute", wraps=batchfloat.vector_execute
-    ) as spy:
+    with _eft_spy() as spy:
         res = execute_batch(f, ops, ctx)
     assert spy.call_count == 1
     _assert_lanes_match_oracle(f, ops, res, ctx)
@@ -239,47 +262,48 @@ def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
 
 def test_eft_tier_sends_a_wide_remainder_to_the_integer_kernels():
     """More than _SCALAR_MAX_LANES uncertified lanes in an EFT call run
-    the integer kernels, not the scalar loop."""
-    f = form("addsd")
+    the integer kernels, not the host loop."""
+    f = form("vfmaddps")
     n = 2 * (_SCALAR_MAX_LANES + 1)
-    specials = [0x7FF8000000000000, 0xFFF0000000000000, 0x0000000000000001]
+    specials = [0x7FC00000, 0xFF800000, 0x00000001]
     # Three lanes in four carry a NaN, an infinity or a subnormal.
-    a = np.array([specials[i % 4 - 1] if i % 4 else 0x3FF8000000000000
+    a = np.array([specials[i % 4 - 1] if i % 4 else 0x3FC00000
                   for i in range(n)], dtype=np.uint64)
-    b = np.full(n, 0x3FB999999999999A, np.uint64)  # 0.1
-    assert int((~fast_operand_mask(a)).sum()) > _SCALAR_MAX_LANES
+    b = np.full(n, 0x3DCCCCCD, np.uint64)  # 0.1
+    c = np.full(n, 0x3F000000, np.uint64)  # 0.5
     ctx = FPContext()
     reset_batch_stats()
-    res = execute_batch(f, (a, b), ctx)
+    with mock.patch.object(batchfloat, "_vector_batch",
+                           wraps=batchfloat._vector_batch) as kernels:
+        res = execute_batch(f, (a, b, c), ctx)
+    assert len(kernels.call_args.args[1][0]) == 3 * n // 4
     assert batch_stats()["scalar_lanes"] == 0
-    _assert_lanes_match_oracle(f, (a, b), res, ctx)
+    _assert_lanes_match_oracle(f, (a, b, c), res, ctx)
 
 
 def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
     """Only round-to-nearest without FTZ/DAZ takes the EFT tier; every
-    other context runs the scalar loop or the integer kernels, exactly."""
-    f = form("mulpd")
+    other context runs the host loop's per-lane fallback or the integer
+    kernels, exactly."""
+    f = form("vfmaddps")
     n = _SCALAR_MAX_LANES + 1
-    a = np.array([0x3FF8000000000000 + i for i in range(n)], np.uint64)
-    b = np.array([0x3FB999999999999A - i for i in range(n)], np.uint64)
-    b[3] = 0x0000000000000001  # one subnormal lane
+    a = np.array([0x3FC00000 + i for i in range(n)], np.uint64)
+    b = np.array([0x3DCCCCCD - i for i in range(n)], np.uint64)
+    c = np.full(n, 0xBF000000, np.uint64)  # -0.5
+    b[3] = 0x00000001  # one subnormal lane
     ctxs = [FPContext(rmode=r) for r in RoundingMode
             if r != RoundingMode.NEAREST]
     ctxs += [FPContext(ftz=True), FPContext(daz=True)]
     for ctx in ctxs:
-        for m in (_EFT_MIN_LANES, n):
-            ops = (a[:m], b[:m])
-            with mock.patch.object(
-                batchfloat, "vector_execute", wraps=batchfloat.vector_execute
-            ) as spy:
+        for m in (_SCALAR_MAX_LANES, n):
+            ops = (a[:m], b[:m], c[:m])
+            with _eft_spy() as spy:
                 res = execute_batch(f, ops, ctx)
             assert spy.call_count == 0, ctx
             _assert_lanes_match_oracle(f, ops, res, ctx)
 
 
 def test_uncovered_form_raises():
-    import pytest
-
     bad = form("ucomisd")
     assert not batch_covered(bad)
     with pytest.raises(NotImplementedError):
@@ -287,6 +311,10 @@ def test_uncovered_form_raises():
 
 
 def test_batch_stats_account_lanes():
+    """``vector_lanes`` counts the lanes of batches above the host loop;
+    ``scalar_lanes`` the lanes computed one SoftFPU call each: the host
+    loop's uncertified lanes, and every lane under a directed rounding
+    mode; certified lanes and the NumPy tiers' lanes are free."""
     reset_batch_stats()
     f = form("mulsd")
     for n in (8, _SCALAR_MAX_LANES + 1):
@@ -295,13 +323,19 @@ def test_batch_stats_account_lanes():
             np.full(n, 0x4000000000000000, np.uint64),
         )
         execute_batch(f, ops, FPContext())
+    ops[0][:3] = 0  # three zero lanes: outside the window
+    execute_batch(f, tuple(o[:8] for o in ops), FPContext())
+    execute_batch(f, tuple(o[:5] for o in ops),
+                  FPContext(rmode=RoundingMode.UP))
     assert batch_stats() == {
-        "batches": 2, "lanes": 8 + _SCALAR_MAX_LANES + 1, "scalar_lanes": 8,
+        "batches": 4, "lanes": 8 + _SCALAR_MAX_LANES + 1 + 8 + 5,
+        "vector_lanes": _SCALAR_MAX_LANES + 1, "scalar_lanes": 3 + 5,
     }
 
 
 def test_fma64_runs_scalar_at_any_lane_count():
-    """fma64 has no vector kernel: every lane takes the scalar loop."""
+    """fma64 has neither a vector kernel nor a host-loop certificate:
+    every lane is one SoftFPU call."""
     f = InstructionForm("fma64", OpKind.FMADD, BINARY64, 1)
     n = _SCALAR_MAX_LANES + 5
     a = np.full(n, 0x3FF8000000000000, np.uint64)  # 1.5
@@ -311,3 +345,217 @@ def test_fma64_runs_scalar_at_any_lane_count():
     res = execute_batch(f, (a, b, c), FPContext())
     assert batch_stats()["scalar_lanes"] == n
     _assert_lanes_match_oracle(f, (a, b, c), res, FPContext())
+
+
+# ------------------------------------------------------------ host loop
+
+
+def _with_field(fmt, sign, field, mant):
+    return ((sign << (fmt.width - 1)) | (field << fmt.mant_bits)
+            | (mant & fmt.mant_mask))
+
+
+_FIELDS = {
+    BINARY64: [522, 523, 524, 1522, 1523, 1524],
+    BINARY32: [26, 27, 28, 226, 227, 228],
+}
+
+
+def _leaning(fmt):
+    """Operands that lean on the host loop's windows: the operand window
+    edges, ordinary mid-range values, short significands (exact results),
+    and any bit pattern."""
+    to_bits = float_to_bits64 if fmt is BINARY64 else float_to_bits32
+    return st.one_of(
+        st.builds(lambda s, e, m: _with_field(fmt, s, e, m),
+                  st.integers(0, 1),
+                  st.sampled_from(_FIELDS[fmt]),
+                  st.integers(0, fmt.mant_mask)),
+        st.floats(-2.0**60, 2.0**60, width=fmt.width,
+                  allow_nan=False, allow_infinity=False).map(to_bits),
+        st.builds(lambda m, e: to_bits(m * 2.0**e),
+                  st.integers(-64, 64), st.integers(-30, 30)),
+        bits64 if fmt is BINARY64 else bits32,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mnemonic=st.sampled_from(_MNEMONICS), data=st.data(),
+       n=st.integers(1, _SCALAR_MAX_LANES))
+def test_host_loop_lanes_exact_under_round_to_nearest(mnemonic, data, n):
+    """Every lane of the host loop, certified or not, is bit-, flag- and
+    tiny-exact against SoftFPU under round-to-nearest."""
+    f = form(mnemonic)
+    lanes = st.lists(_leaning(f.fmt), min_size=n, max_size=n)
+    ops = tuple(np.array(data.draw(lanes), dtype=np.uint64)
+                for _ in range(f.arity))
+    _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, FPContext()),
+                               FPContext())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mnemonic=st.sampled_from(
+        ["addsd", "subsd", "mulsd", "divsd", "sqrtsd", "minsd", "maxsd"]),
+    data=st.data(),
+    n=st.integers(1, 24),
+)
+def test_vector_execute_certified_lanes_exact(mnemonic, data, n):
+    """``vectorfast.vector_execute`` (off the dispatch, still hooked by
+    the benchmark ledger): every lane it certifies carries SoftFPU's
+    bits, and PE as its only flag."""
+    f = form(mnemonic)
+    lanes = st.lists(_leaning(f.fmt), min_size=n, max_size=n)
+    ops = tuple(np.array(data.draw(lanes), dtype=np.uint64)
+                for _ in range(f.arity))
+    bits, pe, certified = vector_execute(f.kind, ops)
+    for i in np.nonzero(certified)[0]:
+        oracle = _scalar(f.kind, f.fmt, tuple(int(o[i]) for o in ops),
+                         FPContext())
+        assert int(bits[i]) == oracle.bits, (mnemonic, i)
+        assert (PE if pe[i] else 0) == oracle.flags, (mnemonic, i)
+        assert not oracle.tiny
+
+
+#: The operand windows as the contract states them: exponent fields
+#: strictly inside, magnitudes [2**-499, 2**500) and [2**-99, 2**100).
+_CONTRACT = {BINARY64: (523, 1523), BINARY32: (27, 227)}
+
+
+@pytest.mark.parametrize("mnemonic", ["minsd", "maxss"])
+def test_host_loop_certifies_exactly_the_operand_window(mnemonic):
+    """A lane is certified (not counted in ``scalar_lanes``) iff both
+    operands' exponent fields lie strictly inside the fast paths' window:
+    the fields either side of each edge, with the smallest and largest
+    significands, pin it exactly."""
+    f = form(mnemonic)
+    lo, hi = _CONTRACT[f.fmt]
+    one = _with_field(f.fmt, 0, f.fmt.bias, 0)
+    for field in _FIELDS[f.fmt]:
+        for mant in (0, f.fmt.mant_mask):
+            a = np.array([_with_field(f.fmt, s, field, mant) for s in (0, 1)]
+                         * 2, np.uint64)
+            b = np.array([one, one, a[0], a[1]], np.uint64)
+            reset_batch_stats()
+            res = execute_batch(f, (a, b), FPContext())
+            inside = lo < field < hi
+            assert batch_stats()["scalar_lanes"] == (0 if inside else 4), (
+                field, mant)
+            _assert_lanes_match_oracle(f, (a, b), res, FPContext())
+
+
+def test_eft_tier_certifies_exactly_the_operand_window():
+    """The EFT tier certifies an FMA32 lane only when every operand's
+    exponent field lies strictly inside the window, at each position:
+    the other operands are 0.5 (products) and 1.0 (addend), so every
+    in-window result stays inside the result window."""
+    f = form("vfmaddps")
+    lo, hi = _CONTRACT[BINARY32]
+    n = _SCALAR_MAX_LANES + 1
+    for pos in range(3):
+        for field in _FIELDS[BINARY32]:
+            for mant in (0, BINARY32.mant_mask):
+                ops = [np.full(n, float_to_bits32(v), np.uint64)
+                       for v in (0.5, 0.5, 1.0)]
+                ops[pos][:] = _with_field(BINARY32, 0, field, mant)
+                certified = batchfloat._eft_fma32(f.kind, tuple(ops))[2]
+                res = execute_batch(f, tuple(ops), FPContext())
+                inside = lo < field < hi
+                if pos < 2 or field < hi:
+                    assert certified.all() == inside, (pos, field, mant)
+                assert not certified.any() or inside, (pos, field, mant)
+                _assert_lanes_match_oracle(f, ops, res, FPContext())
+
+
+def _fma32_lane(mnemonic, a, b, c):
+    f = form(mnemonic)
+    ops = tuple(np.array([float_to_bits32(v)], np.uint64) for v in (a, b, c))
+    return f, ops
+
+
+#: Significand pairs (2**23 + x)(2**23 - y) = 2**46 + T with a tiny T of
+#: either sign: (x, x) gives T = -x*x, (2896, 2895) gives T = +4688.
+_NEAR_ONE = [((1 << 23) + x, (1 << 23) - y)
+             for x, y in ((1, 1), (300, 300), (2896, 2895))]
+
+
+def test_fma32_midpoint_lanes_fall_back_and_stay_exact():
+    """``+-c +- a*b`` whose binary64 sum lands on a binary32 midpoint with
+    a nonzero residue (RN64 then RN32 would round twice): ``a*b`` is
+    ``2**-24 + T*2**-70``, half an ulp of ``c`` in [1, 2) plus a residue
+    below half a binary64 ulp, added to or taken from ``c``.  The host
+    loop sends the lane to SoftFPU, which is exact; so does the EFT tier
+    when the lanes ride one batch above the host loop's."""
+    ctx = FPContext()
+    cases = 0
+    lanes = []
+    for m1, m2 in _NEAR_ONE:
+        a = m1 * 2.0**-23
+        b = m2 * 2.0**-47
+        for c in (1.0 + 2.0**-23, 1.5, 1.75 + 2.0**-22):
+            # ab + c, c - ab, ab - c and -(ab + c).
+            for mnemonic, cc in (("vfmaddss", c), ("vfnmaddss", c),
+                                 ("vfmsubss", c), ("vfnmaddss", -c)):
+                f, ops = _fma32_lane(mnemonic, a, b, cc)
+                reset_batch_stats()
+                res = execute_batch(f, ops, ctx)
+                _assert_lanes_match_oracle(f, ops, res, ctx)
+                assert batch_stats()["scalar_lanes"] == 1, (m1, m2, c)
+                cases += 1
+                if mnemonic == "vfmaddss":
+                    lanes.append([int(o[0]) for o in ops])
+    assert cases == 36
+    # Nine vfmaddss midpoint lanes among in-window lanes of 1.5*0.75+0.25.
+    ordinary = [float_to_bits32(v) for v in (1.5, 0.75, 0.25)]
+    rows = lanes + [ordinary] * (_SCALAR_MAX_LANES + 1 - len(lanes))
+    f = form("vfmaddss")
+    ops = tuple(np.array(col, np.uint64) for col in zip(*rows))
+    reset_batch_stats()
+    with _eft_spy() as spy:
+        res = execute_batch(f, ops, ctx)
+    assert spy.call_count == 1
+    assert batch_stats()["scalar_lanes"] == len(lanes) == 9
+    _assert_lanes_match_oracle(f, ops, res, ctx)
+
+
+def test_certified_fma32_and_minmax_lanes_skip_the_canonical_softfloat():
+    """In-window FMA32 and min/max lanes never reach ``SoftFPU.fma`` or
+    ``SoftFPU._minmax``; a lane outside the window does."""
+    ctx = FPContext()
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(0.5, 2.0, (3, 24)) * np.exp2(rng.integers(-20, 20,
+                                                                 (3, 24)))
+    vals *= rng.choice([-1.0, 1.0], (3, 24))
+    ops32 = tuple(np.array([float_to_bits32(float(v)) for v in row],
+                           np.uint64) for row in vals)
+    ops64 = tuple(np.array([float_to_bits64(float(v)) for v in row],
+                           np.uint64) for row in vals[:2])
+    with mock.patch.object(SoftFPU, "fma", autospec=True,
+                           side_effect=SoftFPU.fma) as fma, \
+            mock.patch.object(SoftFPU, "_minmax", autospec=True,
+                              side_effect=SoftFPU._minmax) as minmax:
+        for mnemonic in ("vfmaddps", "vfmsubps", "vfnmaddps", "vfmsubss"):
+            f = form(mnemonic)
+            _assert_lanes_match_oracle(f, ops32, execute_batch(f, ops32, ctx),
+                                       ctx)
+        for mnemonic, ops in (("minss", ops32[:2]), ("maxss", ops32[:2]),
+                              ("minsd", ops64), ("maxsd", ops64)):
+            f = form(mnemonic)
+            _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx),
+                                       ctx)
+        # The oracle itself calls SoftFPU: count only execute_batch's calls.
+        fma.reset_mock()
+        minmax.reset_mock()
+        wide = tuple(np.tile(o, 3) for o in ops32)  # the EFT tier
+        assert len(wide[0]) > _SCALAR_MAX_LANES
+        for mnemonic in ("vfmaddps", "vfnmaddps"):
+            execute_batch(form(mnemonic), ops32, ctx)
+            execute_batch(form(mnemonic), wide, ctx)
+        for mnemonic, ops in (("minss", ops32[:2]), ("maxsd", ops64)):
+            execute_batch(form(mnemonic), ops, ctx)
+        assert fma.call_count == 0 and minmax.call_count == 0
+        zero = tuple(o.copy() for o in ops32)
+        zero[2][7] = 0
+        execute_batch(form("vfmaddps"), zero, ctx)
+        execute_batch(form("minss"), zero[1:], ctx)
+        assert fma.call_count == 1 and minmax.call_count == 1

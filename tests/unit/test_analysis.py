@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.events import EventTable, inexact_stats
+from repro.analysis.extract import code_rankpop_inputs, per_event_counts
 from repro.analysis.rankpop import (
     RankPopularity,
     address_rankpop,
@@ -12,10 +15,11 @@ from repro.analysis.rankpop import (
     forms_only_in,
 )
 from repro.analysis.timeline import burstiness, cumulative_series, rate_series
-from repro.fp.flags import Flag
+from repro.fp.flags import EVENT_ORDER, NAME_TO_FLAG, Flag
 from repro.isa.forms import form
-from repro.isa.instruction import encode_form
-from repro.trace.records import IndividualRecord
+from repro.isa.instruction import decode_form, encode_form
+from repro.trace.reader import TraceSet
+from repro.trace.records import AggregateRecord, IndividualRecord
 
 
 def rec(time=0.0, rip=0x400000, mnemonic="mulsd", codes=int(Flag.PE)):
@@ -210,3 +214,56 @@ class TestRankPop:
     def test_rankpop_dataclass(self):
         rp = RankPopularity(keys=("x",), counts=np.array([5]))
         assert rp.total == 5 and len(rp) == 1
+
+
+class TestRawCodeReads:
+    """``per_event_counts``, ``code_rankpop_inputs`` and
+    ``TraceSet.event_union`` read the raw ``codes``/``status`` ints; their
+    outputs equal the same rollups computed through ``Flag`` values,
+    including bits outside the six condition codes."""
+
+    _codes = st.integers(0, 0xFF)
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes=st.lists(_codes, min_size=1, max_size=40),
+           mnemonics=st.lists(st.sampled_from(["mulsd", "addss", "divpd"]),
+                              min_size=40, max_size=40))
+    def test_per_record_rollups_match_flag_reads(self, codes, mnemonics):
+        recs = [rec(rip=0x400000 + 16 * (i % 3), mnemonic=m, codes=c)
+                for i, (c, m) in enumerate(zip(codes, mnemonics))]
+        expected = {}
+        for name in EVENT_ORDER:
+            n = sum(1 for r in recs if r.flags & NAME_TO_FLAG[name])
+            if n:
+                expected[name] = n
+        got = per_event_counts(recs)
+        assert got == expected
+        assert list(got) == [n for n in EVENT_ORDER if n in got]
+
+        ((_, forms_all, inexact_forms, inexact_addrs),) = (
+            code_rankpop_inputs({"c": recs}))
+        pe = [r for r in recs if r.flags & Flag.PE]
+        assert forms_all == tuple(sorted({
+            decode_form(r.insn).mnemonic for r in recs}))
+        assert sum(n for _, n in inexact_forms) == len(pe)
+        assert sorted(inexact_addrs) == sorted(
+            (a, sum(1 for r in pe if r.rip == a)) for a in {r.rip for r in pe})
+
+    @settings(max_examples=60, deadline=None)
+    @given(agg=st.lists(st.tuples(_codes, st.booleans()), max_size=6),
+           ind=st.lists(_codes, max_size=12))
+    def test_event_union_matches_flag_reads(self, agg, ind):
+        ts = TraceSet()
+        ts.aggregate = [
+            AggregateRecord(app="a", pid=1, tid=i, status=s, disabled=d)
+            for i, (s, d) in enumerate(agg)
+        ]
+        ts.individual = {"trace/a.1.1.ind": [rec(codes=c) for c in ind]}
+        expected = Flag.NONE
+        for r in ts.aggregate:
+            if not r.disabled:
+                expected |= r.flags
+        for r in ts.all_records():
+            expected |= r.flags
+        got = ts.event_union()
+        assert isinstance(got, Flag) and got == expected

@@ -1,12 +1,14 @@
 """Unit tests for binary format descriptions and bit-level codecs."""
 
 import math
+import pickle
 
 import pytest
 
 from repro.fp.formats import (
     BINARY32,
     BINARY64,
+    BinaryFormat,
     bits32_to_float,
     bits64_to_float,
     float_to_bits32,
@@ -42,6 +44,53 @@ class TestFormatParameters:
         assert BINARY32.pos_inf == 0x7F800000
         assert BINARY32.indefinite == 0xFFC00000
         assert BINARY32.max_finite == 0x7F7FFFFF
+
+
+@pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=lambda f: f.name)
+class TestDerivedConstants:
+    """The derived constants are plain attributes set once; each equals
+    its defining formula, and only the four defining fields take part
+    in equality, hashing and repr."""
+
+    def test_each_attribute_equals_its_formula(self, fmt):
+        mant_bits = fmt.p - 1
+        exp_mask = (1 << (fmt.width - fmt.p)) - 1
+        sign_bit = 1 << (fmt.width - 1)
+        expected = {
+            "exp_mask": exp_mask,
+            "mant_bits": mant_bits,
+            "mant_mask": (1 << mant_bits) - 1,
+            "bias": fmt.emax,
+            "emin": 1 - fmt.emax,
+            "sign_bit": sign_bit,
+            "quiet_bit": 1 << (mant_bits - 1),
+            "pos_inf": exp_mask << mant_bits,
+            "indefinite": sign_bit | (exp_mask << mant_bits)
+            | (1 << (mant_bits - 1)),
+            "max_finite": ((exp_mask - 1) << mant_bits)
+            | ((1 << mant_bits) - 1),
+            "min_normal": 1 << mant_bits,
+        }
+        for name, value in expected.items():
+            assert name in vars(fmt), name  # an attribute, not a property
+            assert getattr(fmt, name) == value, name
+
+    def test_equality_hash_and_repr_see_only_the_defining_fields(self, fmt):
+        twin = BinaryFormat(fmt.name, fmt.width, fmt.p, fmt.emax)
+        assert twin == fmt and twin is not fmt
+        assert hash(twin) == hash(fmt)
+        assert hash(fmt) == hash((fmt.name, fmt.width, fmt.p, fmt.emax))
+        assert repr(fmt) == (
+            f"BinaryFormat(name={fmt.name!r}, width={fmt.width}, "
+            f"p={fmt.p}, emax={fmt.emax})"
+        )
+        assert fmt != BinaryFormat(fmt.name, fmt.width, fmt.p, fmt.emax + 1)
+        back = pickle.loads(pickle.dumps(fmt))
+        assert back == fmt and back.indefinite == fmt.indefinite
+
+    def test_frozen(self, fmt):
+        with pytest.raises(AttributeError):
+            fmt.exp_mask = 0
 
 
 class TestClassification:
