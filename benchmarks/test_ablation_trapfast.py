@@ -23,9 +23,9 @@ the numbers plus the storm and batch-softfloat statistics in
 time is the best of three runs taken in rotating order: a single run
 of each arm let host noise alone move the storm speedup by tens of
 percent.  The headline storm's one batch is far above batchfloat's
-host-loop limit, so the storm gate times a NumPy tier (the binary32 FMA
-EFT tier): the run asserts that every lane rode it and that no lane
-took the per-lane softfloat.
+host-loop limit, so the storm gate times the binary32 FMA EFT tier:
+the run asserts that every lane rode it and that no lane took the
+per-lane softfloat.
 
 Application storms are not one long block: the study targets' storm
 windows hold about seven groups.  An application-shaped case -- many
@@ -163,7 +163,7 @@ def test_trapfast_speedup_individual_mode(benchmark):
     groups_total = STORM_ELEMENTS // 8
     assert stats["groups"] >= groups_total * 0.9
     bailouts = sum(stats["bailouts"].values())
-    # Every storm lane ran a NumPy tier, none the per-lane softfloat.
+    # Every storm lane ran the EFT tier, none the per-lane softfloat.
     assert batch["batches"] >= 1, batch
     assert batch["vector_lanes"] == batch["lanes"], batch
     assert batch["scalar_lanes"] == 0, batch

@@ -46,8 +46,9 @@ from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, OpResult, SoftFPU
 
 #: Operand windows: a fast path certifies only operands whose exponent
 #: field lies strictly inside, i.e. normal values with magnitude in
-#: [2**-499, 2**500) (binary64) or [2**-99, 2**100) (binary32).  The
-#: vector and batch tiers import them from here.
+#: [2**-499, 2**500) (binary64) or [2**-99, 2**100) (binary32).
+#: batchfloat's host loop and EFT tier, and vectorfast, import them
+#: from here.
 WINDOW64 = (523, 1523)
 WINDOW32 = (27, 227)
 _LO64, _HI64 = WINDOW64

@@ -21,13 +21,11 @@ flag set is recovered by error-free transformations:
   numerically equal.
 
 Only round-to-nearest is certified: no application leaves it.
-The simulator does not call :func:`vector_execute`: batchfloat's host
-loop is faster at every lane count the workloads produce (DESIGN.md
-#15).  The benchmark ledger hooks the name, and a property test pins
-its certified lanes to the canonical softfloat.  The vector residue
-pair (:func:`_two_sum_err`, :func:`_two_prod_err`) is what batchfloat's
-binary32 FMA EFT tier and its div64/sqrt64 kernels use for their
-exactness checks.
+Nothing in the simulator imports this module: batchfloat's host loop
+is faster at every lane count the workloads produce, and its binary32
+FMA EFT tier inlines its own two-sum residue (DESIGN.md #15).  The
+benchmark ledger hooks :func:`vector_execute`, and a property test pins
+its certified lanes to the canonical softfloat.
 
 Every function returns ``(result_bits, pe, certified)`` arrays.  A lane
 is *certified* only when the fast path can guarantee bit-identical

@@ -39,8 +39,8 @@ _MEMO_FPU = MemoSoftFPU()
 
 #: Forms demoted from the op-level memo.  The storm measurements showed
 #: scientific operand streams essentially never repeat at the op level
-#: (``op_hits: 0`` across full campaigns), so for every form the batch
-#: kernels cover the executor's miss path skips MemoSoftFPU entirely --
+#: (``op_hits: 0`` across full campaigns), so for every form batchfloat
+#: covers the executor's miss path skips MemoSoftFPU entirely --
 #: no dict probe, no insert -- and runs the plain FastSoftFPU.  Scalar
 #: one-off forms (converts, compares, dot products) keep the memo.
 _BATCH_DEMOTED: set[InstructionForm] = set()

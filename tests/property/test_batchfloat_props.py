@@ -4,11 +4,10 @@ Every lane of ``execute_batch`` -- result bit pattern, all six IEEE
 condition flags, and the pre-rounding tininess bit -- must match the
 scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
-rounding modes and the DAZ/FTZ context bits.  All three of its tiers
-are pinned: the integer kernels are called directly at every lane
-count, the host loop and the binary32 FMA EFT tier are checked lane by
-lane under round-to-nearest, and the two sides of the crossover must
-agree byte for byte.
+rounding modes and the DAZ/FTZ context bits.  Both of its tiers are
+pinned: the host loop at every lane count and context, the binary32
+FMA EFT tier lane by lane under round-to-nearest, and the two sides of
+the crossover must agree byte for byte.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.fp import batchfloat
 from repro.fp.batchfloat import (
     _FMA_NEGATE,
     _SCALAR_MAX_LANES,
-    _vector_batch,
     batch_covered,
     batch_stats,
     execute_batch,
@@ -139,32 +137,20 @@ def test_batch_lanes_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
     _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx), ctx)
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    mnemonic=st.sampled_from(_MNEMONICS),
-    data=st.data(),
-    n=st.integers(min_value=1, max_value=48),
-    ctx=contexts,
-)
-def test_vector_kernels_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
-    """The NumPy kernels themselves, at lane counts execute_batch would
-    hand to the host loop as well as above it."""
-    f = form(mnemonic)
-    ops = _draw_ops(data, f, n)
-    _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
-
-
 def test_vector_mul_underflow_of_a_63_bit_product():
     """Two subnormals whose exact product fills 63 bits: the result
     lies far below half the smallest subnormal, so only rounding up
-    reaches it.  A shift clamped one bit short once rounded it to the
-    smallest subnormal under round-to-nearest too."""
+    reaches it; rounding it to the smallest subnormal under
+    round-to-nearest is the classic off-by-one of an int64 rounding
+    shift.  One lane, and the lane tiled past the host-loop limit."""
     f = form("mulpd")
-    ops = tuple(np.array([v], dtype=np.uint64)
-                for v in (1681, 2743418214412486))
-    for rmode in RoundingMode:
-        ctx = FPContext(rmode=rmode)
-        _assert_lanes_match_oracle(f, ops, _vector_batch(f, ops, ctx), ctx)
+    lane = (1681, 2743418214412486)
+    for n in (1, _SCALAR_MAX_LANES + 1):
+        ops = tuple(np.full(n, v, dtype=np.uint64) for v in lane)
+        for rmode in RoundingMode:
+            ctx = FPContext(rmode=rmode)
+            _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx),
+                                       ctx)
 
 
 #: Lane counts on both sides of the crossover, and one lane.
@@ -208,20 +194,31 @@ def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
     assert spy.call_count == (1 if _eft_eligible(f, ctx) else 0), ctx
 
 
-@settings(max_examples=8, deadline=None)
+#: Round-to-nearest, where binary32 FMA may take the EFT tier, and
+#: every context that keeps it off.
+_TIER_CONTEXTS = [FPContext()] + [
+    FPContext(rmode=r) for r in RoundingMode if r != RoundingMode.NEAREST
+] + [FPContext(ftz=True), FPContext(daz=True)]
+
+
+@settings(max_examples=12, deadline=None)
 @given(mnemonic=st.sampled_from(_FMA32 + ["addsd", "divsd", "mulss"]),
-       data=st.data())
-def test_eft_tier_entered_only_above_the_host_loop(mnemonic, data):
-    """Under round-to-nearest, binary32 FMA batches run the host loop up
-    to ``_SCALAR_MAX_LANES`` lanes and the EFT tier from one lane more;
-    no other form enters it."""
+       data=st.data(), ctx=st.sampled_from(_TIER_CONTEXTS))
+def test_eft_tier_entered_only_above_the_host_loop(mnemonic, data, ctx):
+    """Under round-to-nearest without FTZ/DAZ, binary32 FMA batches run
+    the host loop up to ``_SCALAR_MAX_LANES`` lanes and the EFT tier from
+    one lane more; no other form, and no other context, enters it.  Both
+    sides of the limit are exact."""
     f = form(mnemonic)
     ops = _draw_ops(data, f, 2 * _SCALAR_MAX_LANES)
     for n in range(1, 2 * _SCALAR_MAX_LANES + 1):
+        part = tuple(o[:n] for o in ops)
         with _eft_spy() as spy:
-            execute_batch(f, tuple(o[:n] for o in ops), FPContext())
+            res = execute_batch(f, part, ctx)
         assert spy.call_count == (
-            n > _SCALAR_MAX_LANES and _eft_eligible(f, FPContext())), n
+            n > _SCALAR_MAX_LANES and _eft_eligible(f, ctx)), (n, ctx)
+        if n in _CUTS[1:]:
+            _assert_lanes_match_oracle(f, part, res, ctx)
 
 
 _WINDOW32 = st.builds(
@@ -260,11 +257,12 @@ def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
     _assert_lanes_match_oracle(f, ops, res, ctx)
 
 
-def test_eft_tier_sends_a_wide_remainder_to_the_integer_kernels():
-    """More than _SCALAR_MAX_LANES uncertified lanes in an EFT call run
-    the integer kernels, not the host loop."""
+def test_eft_tier_sends_a_wide_remainder_to_the_host_loop():
+    """An EFT call's uncertified lanes run one host-loop call whatever
+    their number, here more than ``_SCALAR_MAX_LANES``: each is one
+    canonical SoftFPU call."""
     f = form("vfmaddps")
-    n = 2 * (_SCALAR_MAX_LANES + 1)
+    n = 2 * _SCALAR_MAX_LANES
     specials = [0x7FC00000, 0xFF800000, 0x00000001]
     # Three lanes in four carry a NaN, an infinity or a subnormal.
     a = np.array([specials[i % 4 - 1] if i % 4 else 0x3FC00000
@@ -273,18 +271,20 @@ def test_eft_tier_sends_a_wide_remainder_to_the_integer_kernels():
     c = np.full(n, 0x3F000000, np.uint64)  # 0.5
     ctx = FPContext()
     reset_batch_stats()
-    with mock.patch.object(batchfloat, "_vector_batch",
-                           wraps=batchfloat._vector_batch) as kernels:
+    with mock.patch.object(batchfloat, "_scalar_batch",
+                           wraps=batchfloat._scalar_batch) as loop:
         res = execute_batch(f, (a, b, c), ctx)
-    assert len(kernels.call_args.args[1][0]) == 3 * n // 4
-    assert batch_stats()["scalar_lanes"] == 0
+    assert loop.call_count == 1
+    assert len(loop.call_args.args[2][0]) == 3 * n // 4 == 96
+    assert batch_stats()["scalar_lanes"] == 96
+    assert batch_stats()["vector_lanes"] == n
     _assert_lanes_match_oracle(f, (a, b, c), res, ctx)
 
 
 def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
     """Only round-to-nearest without FTZ/DAZ takes the EFT tier; every
-    other context runs the host loop's per-lane fallback or the integer
-    kernels, exactly."""
+    other context runs the host loop on both sides of the limit,
+    exactly."""
     f = form("vfmaddps")
     n = _SCALAR_MAX_LANES + 1
     a = np.array([0x3FC00000 + i for i in range(n)], np.uint64)
@@ -311,13 +311,14 @@ def test_uncovered_form_raises():
 
 
 def test_batch_stats_account_lanes():
-    """``vector_lanes`` counts the lanes of batches above the host loop;
-    ``scalar_lanes`` the lanes computed one SoftFPU call each: the host
-    loop's uncertified lanes, and every lane under a directed rounding
-    mode; certified lanes and the NumPy tiers' lanes are free."""
+    """``vector_lanes`` counts the lanes of calls that ran the EFT tier,
+    not those of other wide calls; ``scalar_lanes`` the lanes computed
+    one SoftFPU call each: the host loop's uncertified lanes, and every
+    lane under a directed rounding mode; certified lanes are free."""
     reset_batch_stats()
+    wide = _SCALAR_MAX_LANES + 1
     f = form("mulsd")
-    for n in (8, _SCALAR_MAX_LANES + 1):
+    for n in (8, wide):
         ops = (
             np.full(n, 0x3FF0000000000000, np.uint64),
             np.full(n, 0x4000000000000000, np.uint64),
@@ -327,15 +328,19 @@ def test_batch_stats_account_lanes():
     execute_batch(f, tuple(o[:8] for o in ops), FPContext())
     execute_batch(f, tuple(o[:5] for o in ops),
                   FPContext(rmode=RoundingMode.UP))
+    fma = tuple(np.full(wide, float_to_bits32(v), np.uint64)
+                for v in (1.5, 0.75, 0.25))
+    execute_batch(form("vfmaddps"), fma, FPContext())
+    execute_batch(form("vfmaddps"), fma, FPContext(rmode=RoundingMode.UP))
     assert batch_stats() == {
-        "batches": 4, "lanes": 8 + _SCALAR_MAX_LANES + 1 + 8 + 5,
-        "vector_lanes": _SCALAR_MAX_LANES + 1, "scalar_lanes": 3 + 5,
+        "batches": 6, "lanes": 8 + wide + 8 + 5 + wide + wide,
+        "vector_lanes": wide, "scalar_lanes": 3 + 5 + wide,
     }
 
 
 def test_fma64_runs_scalar_at_any_lane_count():
-    """fma64 has neither a vector kernel nor a host-loop certificate:
-    every lane is one SoftFPU call."""
+    """fma64 has no host-loop certificate and never enters the EFT tier:
+    every lane is one SoftFPU call, above the host-loop limit too."""
     f = InstructionForm("fma64", OpKind.FMADD, BINARY64, 1)
     n = _SCALAR_MAX_LANES + 5
     a = np.full(n, 0x3FF8000000000000, np.uint64)  # 1.5
