@@ -1,14 +1,15 @@
 """Batch softfloat: the one entry point for batched FP execution.
 
-:func:`execute_batch` computes, for a batch of same-form operands, the
-result bit patterns and all six IEEE condition flags per lane --
-bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including NaN
-payload propagation, signed zeros, subnormals, all four rounding modes,
-and DAZ/FTZ.  It is the emulate half of the storm fast path
-(:mod:`repro.machine.storm`) and commits every covered chunk of
-blockexec's quiescent fast path (:mod:`repro.machine.blockexec`).
+:func:`execute_batch` executes a batch of same-form groups of every
+catalogue form -- bit-equivalent to :class:`repro.fp.softfloat.SoftFPU`
+including NaN payload propagation, signed zeros, subnormals, all four
+rounding modes, and DAZ/FTZ.  It is the emulate half of the storm fast
+path (:mod:`repro.machine.storm`) and commits every chunk of blockexec's
+quiescent fast path (:mod:`repro.machine.blockexec`).
 
-It picks one of two tiers per call (DESIGN.md #15):
+The arithmetic kinds (:data:`BATCH_KINDS`) compute the result bit
+patterns and all six IEEE condition flags per lane, on one of two tiers
+picked per call (DESIGN.md #15):
 
 * **Host loop:** every call the EFT tier does not take runs
   :func:`_scalar_batch`, at any lane count.  Under round-to-nearest
@@ -28,6 +29,11 @@ It picks one of two tiers per call (DESIGN.md #15):
   midpoint test) over NumPy arrays: the synthetic FMA storm's thousands
   of lanes.  Its certified lanes carry PE or nothing; the host loop
   recomputes every other lane, however many there are.
+
+Every other kind -- round, dot product, compares, conversions -- makes
+one call per group to the memoized per-form executor
+(:func:`repro.isa.semantics.form_executor`), so those forms' semantics
+stay defined in one place.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from repro.fp.fastpath import (
 )
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
-from repro.isa.forms import InstructionForm, OpKind
+from repro.isa.forms import INT_RESULT_KINDS, InstructionForm, OpKind
+from repro.isa.semantics import form_executor
 
 _I = np.int64
 _U = np.uint64
@@ -80,18 +87,29 @@ def reset_batch_stats() -> None:
         _STATS[k] = 0
 
 
-def batch_covered(form: InstructionForm) -> bool:
-    """True when :func:`execute_batch` handles this form bit-exactly."""
-    return form.batch
+#: The kinds the host loop and the EFT tier compute lane by lane (in
+#: binary32 and binary64); every other kind runs the per-form executor.
+BATCH_KINDS = frozenset(
+    {
+        OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.SQRT,
+        OpKind.MIN, OpKind.MAX,
+        OpKind.FMADD, OpKind.FMSUB, OpKind.FNMADD, OpKind.FNMSUB,
+    }
+)
 
 
 @dataclass
 class BatchResult:
     """Per-lane outcome of one batch execution.
 
-    ``bits`` are uint64 result patterns (low ``width`` bits significant),
-    ``flags`` int64 flag bits per lane, ``tiny`` the pre-rounding
-    tininess indicator (the unmasked-UE corner).
+    ``bits`` are the results: uint64 bit patterns (low ``width`` bits
+    significant), or int64 values for :data:`INT_RESULT_KINDS` (relation
+    codes, converted integers).  ``flags`` are int64 condition codes and
+    ``tiny`` the pre-rounding tininess indicator (the unmasked-UE
+    corner).  :data:`BATCH_KINDS` carry both per lane; every other kind
+    carries its group's OR of codes and its tininess on the group's first
+    lane and 0 on the others, so only a per-group OR may read them -- as
+    blockexec, storm's ``_Window`` and the provenance pre-scan do.
     """
 
     bits: np.ndarray
@@ -396,26 +414,50 @@ def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
     return BatchResult(bits, np.array(fl, _I), tiny)
 
 
+def _executor_batch(form, operands, ctx) -> BatchResult:
+    """One memoized form-executor call per group: its results per lane,
+    its OR of codes and its tininess on its first lane."""
+    run = form_executor(form)
+    lanes = form.lanes
+    n = len(operands[0])
+    rows = list(zip(*[o.tolist() for o in operands]))
+    res = []
+    fl = [0] * n
+    tiny = [False] * n
+    for lo in range(0, n, lanes):
+        out = run(tuple(rows[lo:lo + lanes]), ctx)
+        res += out.results
+        fl[lo] = out.flags
+        tiny[lo] = out.tiny
+    return BatchResult(
+        np.array(res, _I if form.kind in INT_RESULT_KINDS else _U),
+        np.array(fl, _I), np.array(tiny, np.bool_))
+
+
 def execute_batch(
     form: InstructionForm,
     operands: tuple[np.ndarray, ...],
     ctx: FPContext,
 ) -> BatchResult:
-    """Execute one batch: ``operands[i]`` is the uint64 bit-pattern array
-    for operand position ``i`` (all the same length = total lane count).
+    """Execute one batch: ``operands[i]`` is the array for operand
+    position ``i`` (uint64 bit patterns, int64 for ``cvtsi2s*`` sources;
+    all the same length, a whole number of ``form.lanes`` groups).
 
-    Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
-    The tier is picked per call (DESIGN.md #15): binary32 FMA of more
-    than :data:`_SCALAR_MAX_LANES` lanes under round-to-nearest without
-    FTZ/DAZ runs the EFT tier, with the lanes it cannot certify
-    recomputed by the host loop; every other call runs the host loop.
+    Bit-equivalent to :func:`repro.isa.semantics.execute_form` per group
+    under ``ctx`` (see :class:`BatchResult` for the flag layout).  The
+    tier is picked per call (DESIGN.md #15): a kind outside
+    :data:`BATCH_KINDS` runs the per-form executor group by group;
+    binary32 FMA of more than :data:`_SCALAR_MAX_LANES` lanes under
+    round-to-nearest without FTZ/DAZ runs the EFT tier, with the lanes it
+    cannot certify recomputed by the host loop; every other call runs the
+    host loop.
     """
-    if not form.batch:
-        raise NotImplementedError(f"batchfloat does not cover {form}")
     n = len(operands[0])
     _STATS["batches"] += 1
     _STATS["lanes"] += n
     kind, fmt = form.kind, form.fmt
+    if kind not in BATCH_KINDS:
+        return _executor_batch(form, operands, ctx)
     if (n <= _SCALAR_MAX_LANES or fmt is not BINARY32
             or kind not in _FMA_NEGATE
             or ctx.rmode != _RN or ctx.ftz or ctx.daz):

@@ -8,15 +8,12 @@ values generated by the elementwise operations", section 3.2).
 
 ``form_executor`` is the trap-storm fast path's entry point: it returns a
 per-form closure that memoizes whole :class:`ExecutionOutcome` objects
-keyed on ``(operand bits, FPContext)``, backed by the op-level
-:class:`repro.fp.memo.MemoSoftFPU` for misses.  Individual-mode
-monitoring executes every faulting instruction twice -- once to fault,
-once single-stepped under the handler's masked context -- which is what
-the outcome level can catch.  The op level was built on the expectation
-that hot loops recycle operand values; on real numeric streams they do
-not (``op_hits: 0`` across full campaigns, see ``_BATCH_DEMOTED``), so
-batch-covered forms bypass it.  Outcomes are frozen and contexts capture
-every control input, so sharing them is unobservable.
+keyed on ``(operand bits, FPContext)``, with the plain
+:class:`repro.fp.fastpath.FastSoftFPU` behind its misses.
+Individual-mode monitoring executes every faulting instruction twice --
+once to fault, once single-stepped under the handler's masked context --
+which is what the outcome level can catch.  Outcomes are frozen and
+contexts capture every control input, so sharing them is unobservable.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Callable
 
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.memo import MemoSoftFPU
-from repro.fp.softfloat import FPContext, SoftFPU
+from repro.fp.softfloat import FPContext
 from repro.isa.forms import InstructionForm, OpKind
 
 # The fast path is property-tested bit-equivalent to the canonical
@@ -34,16 +31,10 @@ from repro.isa.forms import InstructionForm, OpKind
 # which directly scales the whole simulator.
 _FPU = FastSoftFPU()
 
-#: Op-level memo backing the per-form executors (trap replay / hot loops).
+#: The op-level memo no executor misses to any more: scientific operand
+#: streams do not repeat at the op level (``op_hits: 0`` across full
+#: campaigns).  Only :func:`memo_stats` reads it.
 _MEMO_FPU = MemoSoftFPU()
-
-#: Forms demoted from the op-level memo.  The storm measurements showed
-#: scientific operand streams essentially never repeat at the op level
-#: (``op_hits: 0`` across full campaigns), so for every form batchfloat
-#: covers the executor's miss path skips MemoSoftFPU entirely --
-#: no dict probe, no insert -- and runs the plain FastSoftFPU.  Scalar
-#: one-off forms (converts, compares, dot products) keep the memo.
-_BATCH_DEMOTED: set[InstructionForm] = set()
 
 
 @dataclass(frozen=True)
@@ -74,15 +65,7 @@ def execute_form(
     ctx: FPContext,
 ) -> ExecutionOutcome:
     """Execute all lanes of ``form`` on ``inputs`` under ``ctx``."""
-    return _execute(form, inputs, ctx, _FPU)
-
-
-def _execute(
-    form: InstructionForm,
-    inputs: tuple[tuple[int, ...], ...],
-    ctx: FPContext,
-    fpu: SoftFPU,
-) -> ExecutionOutcome:
+    fpu = _FPU
     kind = form.kind
     fmt = form.fmt
     results: list[int] = []
@@ -192,26 +175,8 @@ def form_executor(
     return executor
 
 
-def _miss_fpu(form: InstructionForm) -> SoftFPU:
-    """The FPU backing outcome-memo misses for ``form``.
-
-    Batch-covered forms are demoted from the op-level memo: their
-    operand streams are exactly the ones measured not to repeat, so the
-    memo insert is a pure dict-churn tax on the storm hot path.
-    """
-    # Imported here: batchfloat pulls in the forms catalogue, whose
-    # package __init__ imports this module (executor build is cold).
-    from repro.fp.batchfloat import batch_covered
-
-    if batch_covered(form):
-        _BATCH_DEMOTED.add(form)
-        return _FPU
-    return _MEMO_FPU
-
-
 def _build_executor(form: InstructionForm) -> Callable:
     memo: dict = {}
-    fpu = _miss_fpu(form)
 
     def run(inputs, ctx):
         key = (inputs, ctx)
@@ -219,7 +184,7 @@ def _build_executor(form: InstructionForm) -> Callable:
         if out is None:
             if len(memo) >= _OUTCOME_CAP:
                 memo.pop(next(iter(memo)))
-            out = _execute(form, inputs, ctx, fpu)
+            out = execute_form(form, inputs, ctx)
             memo[key] = out
         return out
 
@@ -252,7 +217,6 @@ def traced_form_executor(
 def _build_traced_executor(form: InstructionForm) -> Callable:
     memo: dict = {}
     hit_cell = [False]
-    fpu = _miss_fpu(form)
 
     def run(inputs, ctx):
         key = (inputs, ctx)
@@ -261,7 +225,7 @@ def _build_traced_executor(form: InstructionForm) -> Callable:
             hit_cell[0] = False
             if len(memo) >= _OUTCOME_CAP:
                 memo.pop(next(iter(memo)))
-            out = _execute(form, inputs, ctx, fpu)
+            out = execute_form(form, inputs, ctx)
             memo[key] = out
         else:
             hit_cell[0] = True
@@ -280,5 +244,4 @@ def memo_stats() -> dict[str, int]:
         "op_occupancy": _MEMO_FPU.occupancy,
         "op_capacity": _MEMO_FPU.capacity,
         "forms_interned": len(_EXECUTORS),
-        "batch_demoted_forms": len(_BATCH_DEMOTED),
     }

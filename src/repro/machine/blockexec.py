@@ -8,13 +8,12 @@ indistinguishable (DESIGN.md decision #6).  Two regimes:
 masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding mode -- no FP
 instruction in the block can fault or trap, so a chunk of groups can be
 committed as a batch, which is sound because sticky-flag OR is
-commutative and nothing can observe intermediate state mid-chunk.  A
-form the batch softfloat covers makes one
-:func:`repro.fp.batchfloat.execute_batch` call for the whole chunk
-(which picks its host-EFT, scalar or integer tier per call); any other
-form runs its groups one by one through the per-site executor.  Either
-way the chunk's results land in one array, the block's ``results`` get
-that slice, and the provenance tracker (when tracing) sees the groups
+commutative and nothing can observe intermediate state mid-chunk.  Every
+form makes one :func:`repro.fp.batchfloat.execute_batch` call for the
+whole chunk (which runs the host loop, the EFT tier or the per-form
+executor, DESIGN.md #15).  The chunk's results land in one array, the
+block's ``results`` get that slice, and the provenance tracker (when
+tracing) sees the groups
 its :meth:`~repro.fp.provenance.ProvenanceTracker.scan_window` pre-scan
 flags; then one sticky-flag OR into ``%mxcsr``, one cycle charge, one
 vtime advance.  The chunk is capped by the scheduler quantum and by the
@@ -122,22 +121,11 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
     lo, hi = start * lanes, (start + k) * lanes
     per_group = cpu.costs.block_group_cycles(block.interleave)
     ops = tuple(a[lo:hi] for a in block.arrays)
-    gflags = None
-    if batchfloat.batch_covered(form):
-        # One batch softfloat call computes every lane's result and all
-        # six condition codes exactly, whatever tier it picks.
-        res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
-        bits = res.bits
-        flags = int(np.bitwise_or.reduce(res.flags))
-    else:
-        bits = np.empty(hi - lo, dtype=block.results.dtype)
-        gflags = []
-        flags = 0
-        for gi in range(k):
-            outcome = cpu.execute_site(task, site, block.group(start + gi))
-            flags |= outcome.flags
-            gflags.append(outcome.flags)
-            bits[gi * lanes:(gi + 1) * lanes] = outcome.results
+    # One batch softfloat call computes every group's results and
+    # condition codes exactly, whatever tier it picks.
+    res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
+    bits = res.bits
+    flags = int(np.bitwise_or.reduce(res.flags))
 
     prov = cpu._prov
     if prov is not None:
@@ -151,9 +139,8 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
         idxs = np.flatnonzero(sus).tolist()
         prov.observed += k - len(idxs)
         if idxs:
-            if gflags is None:
-                gflags = np.bitwise_or.reduce(
-                    res.flags.reshape(k, lanes), axis=1).tolist()
+            gflags = np.bitwise_or.reduce(
+                res.flags.reshape(k, lanes), axis=1).tolist()
             kernel = cpu.kernel
             c0 = kernel.cycles
             for gi in idxs:

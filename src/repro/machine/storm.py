@@ -33,10 +33,11 @@ equal faulting/masked contexts, no armed real timer, and -- bisecting
 prefix lists over the batch window -- a run of groups that fits the
 scheduler quantum, stays strictly below the virtual timer's expiry, and
 leaves headroom under ``maxcount``.  With the flight recorder on, the
-run is faulting groups only, entered with clear sticky status, and an
-armed virtual timer rejects: the recorder stamps one ``storm`` span per
-batch, so there batch boundaries are observable output.  Anything else
-takes the precise path -- the bail-out is counted, never silent.
+run is faulting groups only of a :data:`~repro.fp.batchfloat.BATCH_KINDS`
+form, entered with clear sticky status, and an armed virtual timer
+rejects: the recorder stamps one ``storm`` span per batch, so there
+batch boundaries are observable output.  Anything else takes the precise
+path -- the bail-out is counted, never silent.
 Turning ``KernelConfig.stormbatch`` off is the byte-identity oracle the
 ablation benchmark runs against.
 """
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.fp import batchfloat
-from repro.fp.batchfloat import batch_covered
+from repro.fp.batchfloat import BATCH_KINDS
 from repro.fp.flags import ALL_CODES, MASK_SHIFT, UE
 from repro.fp.mxcsr import MXCSR
 from repro.guest.ops import FPBlock
@@ -107,13 +108,13 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     if _FPSpyEngine is None:
         _bind_fpspy()
     kernel = cpu.kernel
-    if getattr(block, "_storm_uncovered", False):
-        return _reject(cpu, "uncovered")
     site = block.site
     form = site.form
-    if not batch_covered(form):
-        # Block-immutable: never re-derive this rejection.
-        block._storm_uncovered = True
+    # The flight recorder stamps one span per batch, so under it batch
+    # boundaries are output: keep them where faulting-only runs of the
+    # host-loop kinds put them.
+    quiet_ok = cpu._tr is None
+    if not quiet_ok and form.kind not in BATCH_KINDS:
         return _reject(cpu, "uncovered")
     if not cpu.trapfast:
         # The replication assumes fused SIGTRAP delivery; without the
@@ -121,9 +122,6 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         return _reject(cpu, "trapfast")
     status = task.mxcsr.value & ALL_CODES
     base = task.mxcsr.value & ~ALL_CODES
-    # The flight recorder stamps one span per batch, so under it batch
-    # boundaries are output: keep them where faulting-only runs put them.
-    quiet_ok = cpu._tr is None
     if status and not quiet_ok:
         # A traced fault's record carries the entering status but its
         # masked re-execution span carries only its own codes, and span

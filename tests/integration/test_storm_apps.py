@@ -7,7 +7,8 @@ Inexact, so masked Inexact status rides the batches) and under a Poisson
 sampler on the virtual timer, once with ``KernelConfig.stormbatch`` on
 and once off.  Every target must end on the same cycle with the same
 guest-visible files, and the driver must actually batch in every mode,
-so the oracle cannot pass by never engaging.
+so the oracle cannot pass by never engaging.  Untraced, every form
+batches, so no attempt bails out as ``uncovered``.
 """
 
 import hashlib
@@ -36,6 +37,7 @@ def _run_targets(mode, stormbatch):
     targets = make_targets()
     out = {}
     batches = 0
+    bailouts = {}
     for name in TARGET_NAMES:
         kernel = Kernel(KernelConfig(stormbatch=stormbatch))
         targets[name].launch(
@@ -49,14 +51,17 @@ def _run_targets(mode, stormbatch):
                     (path, len(data), hashlib.sha256(data).hexdigest()))
         out[name] = (kernel.cycles, sorted(files))
         batches += kernel.cpu.storm_stats["batches"]
-    return out, batches
+        for reason, n in kernel.cpu.storm_stats["bailouts"].items():
+            bailouts[reason] = bailouts.get(reason, 0) + n
+    return out, batches, bailouts
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_storm_on_matches_off_on_study_targets(mode):
-    on, batches = _run_targets(mode, True)
-    off, _ = _run_targets(mode, False)
+    on, batches, bailouts = _run_targets(mode, True)
+    off, _, _ = _run_targets(mode, False)
     assert batches > 0, "the storm driver never engaged"
+    assert "uncovered" not in bailouts, bailouts
     for name in TARGET_NAMES:
         assert on[name][0] == off[name][0], f"{name}: cycles diverged"
         assert on[name][1] == off[name][1], f"{name}: files diverged"

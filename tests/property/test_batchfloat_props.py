@@ -4,10 +4,11 @@ Every lane of ``execute_batch`` -- result bit pattern, all six IEEE
 condition flags, and the pre-rounding tininess bit -- must match the
 scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
-rounding modes and the DAZ/FTZ context bits.  Both of its tiers are
-pinned: the host loop at every lane count and context, the binary32
-FMA EFT tier lane by lane under round-to-nearest, and the two sides of
-the crossover must agree byte for byte.
+rounding modes and the DAZ/FTZ context bits.  Its tiers are pinned: the
+host loop at every lane count and context, the binary32 FMA EFT tier
+lane by lane under round-to-nearest, and the two sides of the crossover
+must agree byte for byte; every catalogue form, the per-form executor
+tier included, must equal ``execute_form`` group by group.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.fp import batchfloat
 from repro.fp.batchfloat import (
     _FMA_NEGATE,
     _SCALAR_MAX_LANES,
-    batch_covered,
+    BATCH_KINDS,
     batch_stats,
     execute_batch,
     reset_batch_stats,
@@ -32,7 +33,9 @@ from repro.fp.flags import PE
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.fp.vectorfast import vector_execute
-from repro.isa.forms import InstructionForm, OpKind, form
+from repro.isa.forms import (
+    FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form)
+from repro.isa.semantics import execute_form
 
 _FPU = SoftFPU()
 
@@ -132,7 +135,7 @@ def _assert_lanes_match_oracle(f, ops, res, ctx):
 )
 def test_batch_lanes_bit_equal_scalar_softfpu(mnemonic, data, n, ctx):
     f = form(mnemonic)
-    assert batch_covered(f)
+    assert f.kind in BATCH_KINDS
     ops = _draw_ops(data, f, n)
     _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx), ctx)
 
@@ -303,11 +306,79 @@ def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
             _assert_lanes_match_oracle(f, ops, res, ctx)
 
 
-def test_uncovered_form_raises():
-    bad = form("ucomisd")
-    assert not batch_covered(bad)
-    with pytest.raises(NotImplementedError):
-        execute_batch(bad, (np.zeros(1, np.uint64),) * 2, FPContext())
+#: Float-to-int edges: either side of the int32 range (the integer
+#: indefinite and IE), halves that each rounding mode takes its own way,
+#: and magnitudes far past the range.
+_F2I_EDGES = [2.0**31, -2.0**31, 2.0**31 - 1, 2.0**31 - 0.5, -2.0**31 - 1,
+              -2.0**31 - 0.5, 2147483520.0, 1e10, -3e9, 0.5, 1.5, -2.5]
+
+#: ``cvtsi2s*`` sources: the int64 extremes and the first integers that
+#: binary32 and binary64 cannot hold.
+_INT64S = st.one_of(
+    st.sampled_from([0, 1, -1, (1 << 24) + 1, (1 << 53) + 1, -(1 << 53) - 1,
+                     (1 << 63) - 1, -(1 << 63)]),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+)
+
+
+def _form_lanes(f):
+    """One operand lane of ``f``: NaNs, sNaNs, infinities, subnormals and
+    overflow boundaries, float-to-int edges, ordinary values and any bit
+    pattern; int64 sources for ``cvtsi2s*``."""
+    if f.kind is OpKind.CVT_I2F:
+        return _INT64S
+    if f.fmt is BINARY64:
+        specials, to_bits, any_bits = _SPECIALS64, float_to_bits64, bits64
+    else:
+        specials, to_bits, any_bits = _SPECIALS32, float_to_bits32, bits32
+    return st.one_of(
+        st.sampled_from(specials),
+        st.sampled_from([to_bits(v) for v in _F2I_EDGES]),
+        st.floats(-1e6, 1e6, width=f.fmt.width).map(to_bits),
+        any_bits,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mnemonic=st.sampled_from(sorted(FORMS)), data=st.data(),
+       groups=st.integers(1, 3), ctx=contexts)
+def test_every_form_batches_equal_to_execute_form_per_group(
+        mnemonic, data, groups, ctx):
+    """Every catalogue form, over 1-3 whole groups plus a tail group
+    padded as ``FPBlock`` pads it: each group's results, its OR of lane
+    flags and its tininess equal ``execute_form``'s, under every rounding
+    mode, FTZ and DAZ.  Kinds off the host loop carry their group's codes
+    and tininess on its first lane only; results are int64 for the
+    integer-result kinds."""
+    f = form(mnemonic)
+    lanes = f.lanes
+    tail = data.draw(st.integers(0, lanes - 1))
+    n = groups * lanes + tail
+    cols = [data.draw(st.lists(_form_lanes(f), min_size=n, max_size=n))
+            for _ in range(f.arity)]
+    if tail:
+        pad = 1 if f.kind is OpKind.CVT_I2F else (
+            float_to_bits64(1.0) if f.fmt is BINARY64 else float_to_bits32(1.0))
+        cols = [c + [pad] * (lanes - tail) for c in cols]
+    dtype = np.int64 if f.kind is OpKind.CVT_I2F else np.uint64
+    ops = tuple(np.array(c, dtype) for c in cols)
+    res = execute_batch(f, ops, ctx)
+    rtype = np.int64 if f.kind in INT_RESULT_KINDS else np.uint64
+    assert res.bits.dtype == rtype and res.flags.dtype == np.int64
+    assert res.tiny.dtype == np.bool_
+    for lo in range(0, len(cols[0]), lanes):
+        inputs = tuple(zip(*[c[lo:lo + lanes] for c in cols]))
+        want = execute_form(f, inputs, ctx)
+        hi = lo + lanes
+        assert tuple(res.bits[lo:hi].tolist()) == want.results, (
+            mnemonic, inputs, ctx)
+        assert int(np.bitwise_or.reduce(res.flags[lo:hi])) == want.flags, (
+            mnemonic, inputs, ctx)
+        assert bool(res.tiny[lo:hi].any()) == want.tiny, (
+            mnemonic, inputs, ctx)
+        if f.kind not in BATCH_KINDS:
+            assert not res.flags[lo + 1:hi].any(), mnemonic
+            assert not res.tiny[lo + 1:hi].any(), mnemonic
 
 
 def test_batch_stats_account_lanes():

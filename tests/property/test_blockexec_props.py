@@ -143,10 +143,10 @@ int64s = st.one_of(
     st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
 )
 
-#: Forms the batch softfloat does not cover, with one operand strategy
-#: per operand position: compares, converts (float<->int, both float
+#: Forms off batchfloat's host loop, with one operand strategy per
+#: operand position: compares, converts (float<->int, both float
 #: widths), round and the 2-lane dot product.
-_UNCOVERED_FORMS = [
+_EXECUTOR_FORMS = [
     ("ucomisd", (bits64, bits64)),
     ("comisd", (bits64, bits64)),
     ("cvtsd2si", (bits64,)),
@@ -161,7 +161,7 @@ _UNCOVERED_FORMS = [
 
 @settings(max_examples=90, deadline=None)
 @given(
-    form=st.sampled_from(_UNCOVERED_FORMS),
+    form=st.sampled_from(_EXECUTOR_FORMS),
     data=st.data(),
     n=st.integers(min_value=1, max_value=12),
     capture=st.sampled_from([0x00, 0x3F]),
@@ -169,11 +169,11 @@ _UNCOVERED_FORMS = [
 def test_non_vectorizable_forms_use_group_path_equivalently(
     form, data, n, capture
 ):
-    """Forms ``execute_batch`` does not cover commit their quiescent
-    chunks group by group through the per-site executor, and write
-    integer results (compare relation codes, converted integers) and
-    take integer sources (``cvtsi2sd``) through the same block arrays;
-    same contract."""
+    """Forms off batchfloat's host loop commit their quiescent chunks
+    through ``execute_batch``'s per-form executor tier, one executor call
+    per group, and write integer results (compare relation codes,
+    converted integers) and take integer sources (``cvtsi2sd``) through
+    the same block arrays; same contract."""
     mnemonic, operands = form
     streams = [
         data.draw(st.lists(ops, min_size=n, max_size=n)) for ops in operands

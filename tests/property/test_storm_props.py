@@ -16,13 +16,13 @@ span trees are replicated stamp for stamp.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fp.flags import Flag
-from repro.fp.formats import float_to_bits32
+from repro.fp.flags import UE, Flag
+from repro.fp.formats import float_to_bits32, float_to_bits64
 from repro.fpspy import fpspy_env
 from repro.guest.ops import LibcCall
 from repro.guest.program import KernelBuilder
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.signals import SIG_IGN, Signal
+from repro.kernel.signals import FPE_SICODE, SIG_IGN, Signal
 from repro.telemetry import flatten_snapshot
 from repro.trace.records import unpack_records
 
@@ -40,9 +40,42 @@ bits32 = st.one_of(
     st.integers(min_value=0, max_value=(1 << 32) - 1),
 )
 
-#: Batch-covered binary32 forms: the packed FMA storm (8 lanes, the
-#: paper's GROMACS case) plus scalar shapes (1 lane, padded tails).
-_FORMS = [("vfmaddps", 3), ("addss", 2), ("divss", 2), ("sqrtss", 1)]
+_SPECIALS64 = [
+    0x0000000000000000, 0x8000000000000000,  # +-0
+    0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+    0x7FF8000000000000, 0x7FF4000000000000,  # qNaN, sNaN
+    0x0000000000000001, 0x0010000000000000,  # subnormal, min normal
+    0x47EFFFFFE0000000, 0x3810000000000000,  # binary32 max and min normal
+    0x41E0000000000000, 0xC1E0000000000001,  # just past the int32 range
+    0x3FF8000000000000, 0xBFE0000000000000,  # 1.5, -0.5
+]
+
+bits64 = st.one_of(
+    st.sampled_from(_SPECIALS64),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+
+#: ``cvtsi2sd`` sources: int64 extremes and the integers past 2**53.
+int64s = st.one_of(
+    st.sampled_from([0, -1, (1 << 53) + 1, (1 << 63) - 1, -(1 << 63)]),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+)
+
+#: (mnemonic, one operand strategy per position): the packed FMA storm
+#: (8 lanes, the paper's GROMACS case), scalar arithmetic shapes (1
+#: lane, padded tails), and the kinds the per-form executor batches --
+#: compares, rounds, conversions and dot products, in binary32, binary64
+#: and from int64.
+_FORMS = [
+    ("vfmaddps", (bits32,) * 3), ("addss", (bits32,) * 2),
+    ("divss", (bits32,) * 2), ("sqrtss", (bits32,)),
+    ("ucomiss", (bits32,) * 2), ("roundss", (bits32,)),
+    ("cvttss2si", (bits32,)), ("vdpps", (bits32,) * 2),
+    ("vcvtps2dq", (bits32,)),
+    ("cvtsd2ss", (bits64,)), ("cvttsd2si", (bits64,)),
+    ("roundsd", (bits64,)), ("dppd", (bits64,) * 2),
+    ("cvtsi2sd", (int64s,)),
+]
 
 
 def _run(mnemonic, streams, interleave, stormbatch, *, config=None,
@@ -83,7 +116,7 @@ def _run(mnemonic, streams, interleave, stormbatch, *, config=None,
     }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
     form=st.sampled_from(_FORMS),
     data=st.data(),
@@ -94,14 +127,48 @@ def _run(mnemonic, streams, interleave, stormbatch, *, config=None,
 def test_storm_byte_identical_to_per_event_path(
     form, data, n, interleave, sample
 ):
-    mnemonic, arity = form
+    mnemonic, operands = form
     streams = [
-        data.draw(st.lists(bits32, min_size=n, max_size=n))
-        for _ in range(arity)
+        data.draw(st.lists(ops, min_size=n, max_size=n)) for ops in operands
     ]
     _, on = _run(mnemonic, streams, interleave, True, sample=sample)
     _, off = _run(mnemonic, streams, interleave, False, sample=sample)
     assert on == off
+
+
+def test_storm_narrowing_to_an_exact_tiny_value_traps_under_unmasked_ue():
+    """With Underflow unmasked, a narrowing whose result is tiny traps
+    even when it is exact (2**-130 fits binary32 as a subnormal).  The
+    executor kinds carry a group's tininess on its first lane, so a tiny
+    second lane of ``cvtpd2ps`` must fault its group too; storm must
+    batch these lifecycles and equal the per-event path."""
+    tiny, one, inexact = (float_to_bits64(v) for v in (2.0**-130, 1.0, 0.1))
+    pattern = [tiny, one, one, tiny, inexact, one, one, one]
+    for mnemonic in ("cvtsd2ss", "cvtpd2ps"):
+        streams = [pattern * 6]
+        kf, on = _run(mnemonic, streams, 2, True)
+        _, off = _run(mnemonic, streams, 2, False)
+        assert on == off, mnemonic
+        assert kf.cpu.storm_stats["groups"] >= 1, mnemonic
+        [trace] = [d for p, d in on["state"].items() if p.endswith(".ind")]
+        sicodes = [r.sicode for r in unpack_records(trace)]
+        assert len(sicodes) == 18, mnemonic
+        assert sicodes.count(FPE_SICODE[UE]) == 12, mnemonic
+
+
+def test_storm_rejects_executor_kinds_under_the_recorder():
+    """Under the flight recorder, where each batch stamps a ``storm``
+    span, the kinds off batchfloat's host loop still take the per-event
+    path and count an ``uncovered`` bail-out; untraced they batch."""
+    streams = [[float_to_bits32(1.1 + 0.3 * i) for i in range(64)]] * 2
+    kf, on = _run("ucomiss", streams, 2, True, config={"tracing": True})
+    _, off = _run("ucomiss", streams, 2, False, config={"tracing": True})
+    assert on == off
+    assert kf.cpu.storm_stats["batches"] == 0
+    assert kf.cpu.storm_stats["bailouts"]["uncovered"] >= 1
+    kf, _ = _run("ucomiss", streams, 2, True)
+    assert kf.cpu.storm_stats["batches"] >= 1
+    assert "uncovered" not in kf.cpu.storm_stats["bailouts"]
 
 
 @settings(max_examples=15, deadline=None)
