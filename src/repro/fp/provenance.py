@@ -23,9 +23,12 @@ fast paths -- a blockexec chunk and a storm window -- run one pre-scan,
 :meth:`ProvenanceTracker.scan_window`, observe every group it flags (a
 NaN/Inf/denorm bit pattern as an input or a result) at the cycle its
 per-instruction retirement would read, and count the rest as
-observed.  The other hooks -- ``_exec_fp`` retirement, block scalar
-substeps, and handler-emulated writebacks -- observe each operation
-they retire.
+observed.  The other hook is the CPU's one precise retirement
+(``CPU._retire``), which every ``FPInstruction``, block sub-step and
+handler-emulated writeback goes through: it observes each operation at
+the cycle the retirement starts, before its ``fp_instr`` charge -- the
+same cycle the batched paths stamp, so a chain's origin, propagation
+and sink cycles are equal whichever path retired it.
 Lanes of ``execute_batch``'s host tiers (the host loop and the EFT
 tier) need no rule of their own: a certified lane can neither consume
 nor produce an exceptional value (the :mod:`repro.fp.fastpath` operand
@@ -68,19 +71,17 @@ def _fmt_masks(fmt) -> tuple[int, int]:
     return m
 
 
-#: id(form) -> (form, (in_emask, in_mmask, res_emask, res_mmask)), with
-#: ``None`` masks for positions that have no float format (integer
-#: results, int->float sources).  Keyed by identity because
-#: ``InstructionForm`` is a frozen dataclass whose field-tuple hash
-#: costs more than the whole ordinary-lane scan; the stored form
-#: reference both validates the id and keeps it from being recycled.
+#: form -> (in_emask, in_mmask, res_emask, res_mmask), with ``None``
+#: masks for positions that have no float format (integer results,
+#: int->float sources).  Catalogue forms are singletons that hash by
+#: identity, so the probe costs one pointer hash.
 _FORM_MASKS: dict = {}
 
 
 def _form_masks(form) -> tuple:
-    ent = _FORM_MASKS.get(id(form))
-    if ent is not None and ent[0] is form:
-        return ent[1]
+    m = _FORM_MASKS.get(form)
+    if m is not None:
+        return m
     kind = form.kind
     in_fmt = None if kind is OpKind.CVT_I2F else form.fmt
     if kind in INT_RESULT_KINDS:
@@ -92,8 +93,7 @@ def _form_masks(form) -> tuple:
         res_fmt = form.fmt
     ie, im = _fmt_masks(in_fmt) if in_fmt is not None else (None, None)
     re_, rm = _fmt_masks(res_fmt) if res_fmt is not None else (None, None)
-    m = (ie, im, re_, rm)
-    _FORM_MASKS[id(form)] = (form, m)
+    m = _FORM_MASKS[form] = (ie, im, re_, rm)
     return m
 
 
@@ -147,9 +147,9 @@ class ProvenanceTracker:
     """Tags exceptional register values and accumulates coils.
 
     One tracker per kernel, enabled alongside the flight recorder
-    (``KernelConfig.tracing``).  The CPU and block engine pre-fetch it as
-    ``self._prov`` (``None`` when disabled) and call :meth:`observe` on
-    every scalar FP retirement.
+    (``KernelConfig.tracing``).  The CPU pre-fetches it as ``self._prov``
+    (``None`` when disabled) and calls :meth:`observe` on every precise
+    FP retirement.
     """
 
     def __init__(self, kernel: "Kernel | None" = None, tag_cap: int = TAG_CAP):

@@ -86,10 +86,6 @@ class FPBlock(GuestOp):
     interleave: int = 0  #: integer instructions after each FP instruction
 
     # -- execution cursor (owned by the machine) ----------------------------
-    #: Cached provenance masks (class attr, not a field: lazily set by
-    #: the scalar sub-step's inert-skip guard).
-    _prov_masks = None
-
     index: int = 0  #: groups fully retired so far
     fp_done: bool = False  #: current group's FP instruction has retired
     int_remaining: int = 0  #: current group's leftover interleave units

@@ -74,7 +74,7 @@ _ARITY: dict[OpKind, int] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstructionForm:
     """One instruction form (mnemonic) with its static properties.
 
@@ -94,6 +94,9 @@ class InstructionForm:
         True for the VEX-encoded / GROMACS-only catalogue entries.
     dst_fmt:
         Destination element format for conversions.
+
+    Forms compare and hash by identity: the catalogue holds one instance
+    per mnemonic, so a dict keyed by form costs one pointer hash.
     """
 
     mnemonic: str

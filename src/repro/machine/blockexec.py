@@ -17,20 +17,23 @@ tracing) sees the groups
 its :meth:`~repro.fp.provenance.ProvenanceTracker.scan_window` pre-scan
 flags; then one sticky-flag OR into ``%mxcsr``, one cycle charge, one
 vtime advance.  The chunk is capped by the scheduler quantum and by the
-vtimer/real-timer budgets exactly as ``CPU._exec_int`` caps integer
+vtimer/real-timer budgets exactly as ``CPU.int_chunk`` caps integer
 runs, so ``SIGVTALRM`` and ``SIGALRM`` land on the precise instruction
 the per-instruction stream would deliver them at.
 
 **Precise replay.**  Outside quiescence -- FPSpy individual mode
 unmasking its capture set, a sampler duty cycle turning on, ``fesetenv``,
-single-stepping -- the block executes one sub-step per ``CPU.step`` call,
-mirroring ``_exec_fp``/``_exec_int`` verbatim: condition codes stick,
-unmasked conditions fault *before writeback* with the block's cursor
-parked on the faulting instruction (so the handler return restarts it),
-``TF`` traps after every retirement, integer phases chunk at timer
-boundaries.  Because blocks only ever commit group-at-a-time through
-this path, fault-before-writeback is preserved and individual-mode trace
-files are byte-identical with the block engine enabled.
+single-stepping -- the block executes one sub-step per ``CPU.step`` call
+through the CPU's one precise engine, the code an ``FPInstruction``
+runs: the current group's FP instruction retires through
+``CPU._exec_fp`` (condition codes stick, unmasked conditions fault
+*before writeback* with the block's cursor parked on the faulting
+instruction, so the handler return restarts it; ``TF`` traps after every
+retirement), and its integer phase through ``CPU.int_chunk`` (chunked at
+timer boundaries).  Because blocks only ever commit group-at-a-time
+through this path, fault-before-writeback is preserved and
+individual-mode trace files are byte-identical with the block engine
+enabled.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fp import batchfloat, provenance as _prov_mod
+from repro.fp import batchfloat
 from repro.machine import storm
 from repro.guest.ops import FPBlock
 from repro.kernel.task import Task
@@ -71,8 +74,6 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             and storm.try_storm(cpu, task, block)
         ):
             return True
-        cpu.blk_substeps += 1
-        cpu._note_block_mode(task, False)
         return _scalar_substep(cpu, task, block)
 
     costs = cpu.costs
@@ -93,8 +94,6 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # than a whole group's budget left): execute it with scalar
         # sub-steps so signals and preemption land on the exact
         # instruction.
-        cpu.blk_substeps += 1
-        cpu._note_block_mode(task, False)
         return _scalar_substep(cpu, task, block)
 
     _commit_chunk(cpu, task, block, k)
@@ -154,141 +153,24 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
             kernel.cycles = c0
 
     task.mxcsr.set_status(flags)
-
-    # Writeback: only the block's final group can carry padding.
-    valid = min(hi, block.n_elements) - lo
-    block.results[lo:lo + valid] = bits[:valid]
-    block.index = start + k
-    task.last_rip = site.address + len(site.encoding)
-
+    cpu.commit_groups(task, block, bits, k)
     cycles = k * per_group
     task.utime_cycles += cycles
     cpu.kernel.cycles += cycles
-    task.advance_vtime(k * (1 + block.interleave))
-    if block.done:
-        _finish(task, block)
-
-
-def _finish(task: Task, block: FPBlock) -> None:
-    task.pending_op = None
-    task.send_value = block.results
 
 
 # ----------------------------------------------------------- precise replay
 
 
 def _scalar_substep(cpu: "CPU", task: Task, block: FPBlock) -> bool:
-    """One per-instruction sub-step, mirroring ``_exec_fp``/``_exec_int``."""
+    """One per-instruction sub-step through the CPU's precise engine: the
+    current group's FP instruction, or a chunk of its integer phase."""
+    cpu.blk_substeps += 1
+    cpu._note_block_mode(task, False)
     if not block.fp_done:
-        return _substep_fp(cpu, task, block)
-    return _substep_int(cpu, task, block)
-
-
-def _substep_fp(cpu: "CPU", task: Task, block: FPBlock) -> bool:
-    inputs = block.group(block.index)
-    outcome = cpu.execute_site(task, block.site, inputs)
-    if cpu.fault_check(task, outcome, block.site.address):
-        # Precise fault before writeback: the cursor stays on this group,
-        # so the handler's return restarts the same instruction.
-        return True
-
-    if cpu._prov is not None:
-        # Inert-skip, the storm pre-scan's insight applied one group at
-        # a time: tags only hold exceptional bit patterns, so an
-        # all-ordinary group cannot create, propagate, or sink a chain.
-        # The inline test (two compares on the masked value, see
-        # ProvenanceTracker.scan_window) runs on every non-faulting
-        # scalar retirement; padding lanes conservatively fall through
-        # to the exact observe, which take-truncates them away.
-        masks = block._prov_masks
-        if masks is None:
-            masks = block._prov_masks = _prov_mod._form_masks(
-                block.site.form)
-        ie, im, re_, rm = masks
-        exc = False
-        if ie is not None:
-            both = ie | im
-            for lane_ops in inputs:
-                for b in lane_ops:
-                    x = b & both
-                    if x >= ie or 0 < x <= im:
-                        exc = True
-                        break
-                if exc:
-                    break
-        if not exc and re_ is not None:
-            both = re_ | rm
-            for b in outcome.results:
-                x = b & both
-                if x >= re_ or 0 < x <= rm:
-                    exc = True
-                    break
-        if exc:
-            take = block.take(block.index)
-            cpu._prov.observe(
-                task, block.site,
-                inputs if take == len(inputs) else inputs[:take],
-                outcome.results[:take], outcome.flags,
-            )
-        else:
-            cpu._prov.observed += 1
-    retire_fp(cpu, task, block, outcome.results, charge=True)
-    tr = cpu._tr
-    if tr is not None and task in tr._live:
-        # fp_retired is a no-op without an open trap tree; checking here
-        # keeps the every-retirement hook off the quiescent-run path.
-        tr.fp_retired(task, block.site.address, None)
+        return cpu._exec_fp(task, block)
+    block.int_remaining -= cpu.int_chunk(task, block.int_remaining)
+    if block.int_remaining == 0:
+        cpu.next_group(task, block)
     cpu._maybe_trap(task)
     return True
-
-
-def _substep_int(cpu: "CPU", task: Task, block: FPBlock) -> bool:
-    kernel, costs = cpu.kernel, cpu.costs
-    if task.trap_flag:
-        chunk = 1
-    else:
-        chunk = block.int_remaining
-        vt_budget, real_budget = kernel.timer_budgets(task)
-        if vt_budget is not None:
-            chunk = min(chunk, max(1, vt_budget))
-        if real_budget is not None:
-            chunk = min(chunk, max(1, real_budget // costs.int_instr))
-    block.int_remaining -= chunk
-    task.utime_cycles += chunk * costs.int_instr
-    kernel.cycles += chunk * costs.int_instr
-    task.advance_vtime(chunk)
-    if block.int_remaining == 0:
-        _advance_group(task, block)
-    cpu._maybe_trap(task)
-    return True
-
-
-def retire_fp(
-    cpu: "CPU", task: Task, block: FPBlock, results: tuple, charge: bool
-) -> None:
-    """Retire the current group's FP instruction.
-
-    ``charge=False`` is the trap-and-emulate path: a SIGFPE handler
-    supplied ``emulated_results`` and the kernel retires the instruction
-    without re-executing it (and without the retirement cycle charge,
-    matching the scalar engine).
-    """
-    lo = block.index * block.site.form.lanes
-    take = block.take(block.index)
-    block.results[lo:lo + take] = results[:take]
-    block.fp_done = True
-    block.int_remaining = block.interleave
-    task.last_rip = block.site.address + len(block.site.encoding)
-    if charge:
-        task.utime_cycles += cpu.costs.fp_instr
-        cpu.kernel.cycles += cpu.costs.fp_instr
-    task.advance_vtime(1)
-    if block.int_remaining == 0:
-        _advance_group(task, block)
-
-
-def _advance_group(task: Task, block: FPBlock) -> None:
-    block.index += 1
-    block.fp_done = False
-    if block.done:
-        _finish(task, block)

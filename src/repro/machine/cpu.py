@@ -103,7 +103,7 @@ class CPU:
             "batches": 0, "groups": 0, "quiet": 0, "records": 0,
             "windows": 0, "bailouts": {},
         }
-        #: Per-RIP cache: address -> (site, memoized executor, end rip).
+        #: Per-RIP cache: address -> (site, memoized executor).
         #: ``TEXT_BASE`` is shared across processes, so entries validate
         #: the interned :class:`CodeSite` by identity before use.
         self._site_cache: dict[int, tuple] = {}
@@ -191,6 +191,16 @@ class CPU:
 
     # ------------------------------------------------------------- signals
 
+    @staticmethod
+    def _fp_inputs(op):
+        """Lane inputs of the FP instruction ``op`` stands at: an
+        ``FPInstruction``'s own, a block's group at its cursor, else None."""
+        if isinstance(op, FPBlock):
+            return op.group(op.index)
+        if isinstance(op, FPInstruction):
+            return op.inputs
+        return None
+
     def _build_ucontext(self, task: Task, info: SigInfo) -> UContext:
         mctx = MContext(
             rip=info.addr if info.signo == Signal.SIGFPE else task.last_rip,
@@ -198,15 +208,14 @@ class CPU:
             eflags=EFLAGS_TF if task.trap_flag else 0,
             mxcsr=task.mxcsr.value,
         )
-        op = task.pending_op
-        if info.signo == Signal.SIGFPE and isinstance(op, FPInstruction):
-            mctx.instruction = op.site.encoding
-            mctx.operands = op.inputs
-        elif info.signo == Signal.SIGFPE and isinstance(op, FPBlock):
+        if info.signo == Signal.SIGFPE:
             # A block faults at its cursor: the handler sees exactly the
             # instruction bytes and operands of the faulting group.
-            mctx.instruction = op.site.encoding
-            mctx.operands = op.group(op.index)
+            op = task.pending_op
+            inputs = self._fp_inputs(op)
+            if inputs is not None:
+                mctx.instruction = op.site.encoding
+                mctx.operands = inputs
         return UContext(mcontext=mctx)
 
     def deliver_signals(self, task: Task) -> bool:
@@ -221,15 +230,7 @@ class CPU:
                     self.kernel.kill_process(task.process, info.signo)
                     return False
                 continue
-            # User handler: kernel crossing, frame setup, handler body.
-            self.signals_delivered[info.signo] += 1
-            task.stime_cycles += self.costs.signal_deliver
-            self.kernel.cycles += self.costs.signal_deliver
-            uctx = self._build_ucontext(task, info)
-            if self._tr is not None:
-                self._tr.signal_delivered(task, info.signo, info.code, uctx.mcontext)
-            disposition(info.signo, info, uctx)
-            self._apply_handler_writes(task, uctx)
+            self._run_handler(task, info, disposition)
             # Arm the fused single-step path: the handler of a precise FP
             # fault just returned (typically having masked the exception
             # and set TF) and nothing else is queued ahead of the trap.
@@ -238,6 +239,18 @@ class CPU:
             )
         return task.alive
 
+    def _run_handler(self, task: Task, info: SigInfo, disposition) -> None:
+        """Run a user handler: kernel crossing, frame setup, handler
+        body, then its context writes back through sigreturn."""
+        self.signals_delivered[info.signo] += 1
+        task.stime_cycles += self.costs.signal_deliver
+        self.kernel.cycles += self.costs.signal_deliver
+        uctx = self._build_ucontext(task, info)
+        if self._tr is not None:
+            self._tr.signal_delivered(task, info.signo, info.code, uctx.mcontext)
+        disposition(info.signo, info, uctx)
+        self._apply_handler_writes(task, uctx)
+
     def _apply_handler_writes(self, task: Task, uctx: UContext) -> None:
         """Apply a returning handler's context writes to the task."""
         task.mxcsr.value = uctx.mcontext.mxcsr
@@ -245,34 +258,15 @@ class CPU:
         task.stime_cycles += self.costs.sigreturn
         self.kernel.cycles += self.costs.sigreturn
         emulated = uctx.mcontext.emulated_results
-        if emulated is not None and isinstance(task.pending_op, FPInstruction):
-            # Trap-and-emulate: the handler computed the instruction's
-            # results itself; retire without re-execution.
-            op = task.pending_op
-            op.results = tuple(emulated)
-            task.pending_op = None
-            task.send_value = op.results
-            task.last_rip = op.site.address + len(op.site.encoding)
-            task.advance_vtime(1)
-            if self._prov is not None:
-                self._prov.observe(task, op.site, op.inputs, op.results, 0)
-            if self._tr is not None:
-                self._tr.emulated(task, op.site.address)
-        elif (
-            emulated is not None
-            and isinstance(task.pending_op, FPBlock)
-            and not task.pending_op.fp_done
-        ):
-            # Same idiom with the block's cursor parked on the faulting
-            # instruction: retire that group with the handler's results.
-            op = task.pending_op
-            if self._prov is not None:
-                take = op.take(op.index)
-                self._prov.observe(
-                    task, op.site, op.group(op.index)[:take],
-                    tuple(emulated)[:take], 0,
-                )
-            blockexec.retire_fp(self, task, op, tuple(emulated), charge=False)
+        if emulated is None:
+            return
+        op = task.pending_op
+        inputs = self._fp_inputs(op)
+        if inputs is not None and not (isinstance(op, FPBlock) and op.fp_done):
+            # Trap-and-emulate: the handler computed the faulting
+            # instruction's results itself; retire it without
+            # re-execution (and without the retirement charge).
+            self._retire(task, op, inputs, tuple(emulated), 0)
             if self._tr is not None:
                 self._tr.emulated(task, op.site.address)
 
@@ -322,41 +316,24 @@ class CPU:
 
     # ----------------------------------------------- per-RIP decode cache
 
-    def _site_entry(self, site) -> tuple:
-        """Interned execution record for a static code site.
+    def _site_executor(self, site):
+        """The memoized executor of a static code site, cached per RIP.
 
-        One tuple per RIP: the (already decoded) site, its memoized
-        executor, and the retirement RIP, so a hot loop body -- or the
-        trap->replay cycle on a single instruction -- never re-derives any
-        of them.  ``TEXT_BASE`` is shared across processes, so a cached
-        entry is only used if it is for this exact interned site object.
+        A hot loop body -- or the trap->replay cycle on a single
+        instruction -- never re-derives it.  ``TEXT_BASE`` is shared
+        across processes, so a cached entry is only used if it is for
+        this exact interned site object.
         """
         entry = self._site_cache.get(site.address)
         if entry is None or entry[0] is not site:
-            entry = (
-                site,
-                self._executor_factory(site.form),
-                site.address + len(site.encoding),
-            )
+            entry = (site, self._executor_factory(site.form))
             self._site_cache[site.address] = entry
             self.site_misses += 1
         else:
             self.site_hits += 1
-        return entry
+        return entry[1]
 
-    def execute_site(self, task: Task, site, inputs):
-        """Execute one instruction of ``site``, honoring ``trapfast``.
-
-        Both execution engines (scalar and block sub-step) route through
-        here so the ablation toggles one switch: ``trapfast`` on takes the
-        per-RIP memoized executor, off takes the uncached softfloat --
-        bit-identical by construction and by property test.
-        """
-        if self.trapfast:
-            return self._site_entry(site)[1](inputs, task.mxcsr.context())
-        return execute_form(site.form, inputs, task.mxcsr.context())
-
-    # ------------------------------------------------------------ execute
+    # ------------------------------------------------------------ retire
 
     def fault_check(
         self, task: Task, outcome: ExecutionOutcome, address: int
@@ -369,8 +346,7 @@ class CPU:
         unmasked, where even an *exact* result traps -- charges the fault
         entry and posts a SIGFPE at ``address`` with the delivered
         condition's si_code, and the caller must not write back.  Returns
-        True when it faulted.  The scalar engine and the block engine's
-        precise sub-step both decide here.
+        True when it faulted.  :meth:`_exec_fp` is its one caller.
         """
         mx = task.mxcsr
         mx.set_status(outcome.flags)
@@ -387,57 +363,98 @@ class CPU:
             self._tr.fp_fault(task, address, code, pending)
         return True
 
-    def _exec_fp(self, task: Task, op: FPInstruction) -> bool:
+    def _exec_fp(self, task: Task, op) -> bool:
+        """The one precise FP retirement, for an ``FPInstruction`` or the
+        current group of an :class:`FPBlock`.
+
+        ``trapfast`` on takes the per-RIP memoized executor, off the
+        uncached softfloat (bit-identical by construction and by
+        property test).  A fault leaves ``op`` current, so the handler's
+        return restarts the same instruction; otherwise it retires,
+        pays its charge and may single-step trap.
+        """
         site = op.site
+        inputs = self._fp_inputs(op)
         if self.trapfast:
-            _, executor, end_rip = self._site_entry(site)
-            outcome = executor(op.inputs, task.mxcsr.context())
+            executor = self._site_executor(site)
+            outcome = executor(inputs, task.mxcsr.context())
         else:
             executor = None
-            outcome = execute_form(op.form, op.inputs, task.mxcsr.context())
-            end_rip = site.address + len(site.encoding)
+            outcome = execute_form(site.form, inputs, task.mxcsr.context())
         if self.fault_check(task, outcome, site.address):
-            # Precise fault before writeback: the op stays current and will
-            # be restarted when the handler returns.
+            # Precise fault before writeback.
             task.pending_op = op
             return True
-
-        # Writeback and retire.
-        op.results = outcome.results
-        task.pending_op = None
-        task.send_value = outcome.results
-        task.last_rip = end_rip
+        self._retire(task, op, inputs, outcome.results, outcome.flags)
         task.utime_cycles += self.costs.fp_instr
         self.kernel.cycles += self.costs.fp_instr
-        task.advance_vtime(1)
-        if self._prov is not None:
-            self._prov.observe(task, site, op.inputs, outcome.results, outcome.flags)
         if self._tr is not None:
-            hit = executor.memo_hit[0] if executor is not None else None
+            # Block groups carry no memo hit: the storm driver replicates
+            # their trap trees without probing the memo.
+            hit = (None if executor is None or isinstance(op, FPBlock)
+                   else executor.memo_hit[0])
             self._tr.fp_retired(task, site.address, hit)
         self._maybe_trap(task)
         return True
 
-    def _exec_int(self, task: Task, op: IntWork) -> bool:
-        if task.pending_int_remaining == 0:
-            task.pending_int_remaining = op.count
+    def _retire(self, task: Task, op, inputs, results, flags: int) -> None:
+        """Retire ``op``'s current FP instruction with ``results``,
+        uncharged.
+
+        Provenance observes it first, at the cycle the retirement starts
+        -- the cycle every batched path stamps too.  Then the writeback,
+        which is the only step that differs by op type: an
+        ``FPInstruction`` hands its results to the guest, a block writes
+        its group's real lanes and enters the group's integer phase.
+        """
+        site = op.site
+        if isinstance(op, FPBlock):
+            take = op.take(op.index)
+            if self._prov is not None:
+                self._prov.observe(
+                    task, site, inputs[:take], results[:take], flags)
+            lo = op.index * site.form.lanes
+            op.results[lo:lo + take] = results[:take]
+            op.fp_done = True
+            op.int_remaining = op.interleave
+            if op.interleave == 0:
+                self.next_group(task, op)
+        else:
+            if self._prov is not None:
+                self._prov.observe(task, site, inputs, results, flags)
+            op.results = results
+            task.pending_op = None
+            task.send_value = results
+        task.last_rip = site.address + len(site.encoding)
+        task.advance_vtime(1)
+
+    def int_chunk(self, task: Task, remaining: int) -> int:
+        """Run the next chunk of a ``remaining``-instruction integer
+        phase; returns its length.
+
+        Single-stepping runs one instruction.  Otherwise the chunk stops
+        at the next timer expiry, so a timer signal lands where the timer
+        said, not at the end of the phase.
+        """
         if task.trap_flag:
-            # Single-stepping: one instruction, then trap.
             chunk = 1
         else:
-            chunk = task.pending_int_remaining
-            # Precise timers: a long run of integer instructions stops at
-            # the next timer expiry so the signal lands where the timer
-            # said, not at the end of the block.
+            chunk = remaining
             vt_budget, real_budget = self.kernel.timer_budgets(task)
             if vt_budget is not None:
                 chunk = min(chunk, max(1, vt_budget))
             if real_budget is not None:
                 chunk = min(chunk, max(1, real_budget // self.costs.int_instr))
-        task.pending_int_remaining -= chunk
         task.utime_cycles += chunk * self.costs.int_instr
         self.kernel.cycles += chunk * self.costs.int_instr
         task.advance_vtime(chunk)
+        return chunk
+
+    def _exec_int(self, task: Task, op: IntWork) -> bool:
+        if task.pending_int_remaining == 0:
+            task.pending_int_remaining = op.count
+        task.pending_int_remaining -= self.int_chunk(
+            task, task.pending_int_remaining)
         if task.pending_int_remaining > 0:
             task.pending_op = op  # more units to run after the trap
         else:
@@ -445,6 +462,34 @@ class CPU:
             task.send_value = None
         self._maybe_trap(task)
         return True
+
+    @staticmethod
+    def next_group(task: Task, block: FPBlock) -> None:
+        """Move ``block``'s cursor past a wholly retired group."""
+        block.index += 1
+        block.fp_done = False
+        if block.done:
+            task.pending_op = None
+            task.send_value = block.results
+
+    @staticmethod
+    def commit_groups(task: Task, block: FPBlock, bits, k: int) -> None:
+        """Write back ``k`` whole groups from ``block``'s cursor, whose
+        results ``bits`` holds from its start: the batched retirement of
+        a blockexec chunk and of a storm batch.  Codes and cycle charges
+        stay with the caller; only the block's final group can carry
+        padding."""
+        site = block.site
+        lanes = site.form.lanes
+        lo = block.index * lanes
+        block.index += k
+        valid = min(block.index * lanes, block.n_elements) - lo
+        block.results[lo:lo + valid] = bits[:valid]
+        task.last_rip = site.address + len(site.encoding)
+        task.advance_vtime(k * (1 + block.interleave))
+        if block.done:
+            task.pending_op = None
+            task.send_value = block.results
 
     def _exec_call(self, task: Task, op: LibcCall) -> bool:
         loader = task.process.loader
@@ -541,19 +586,10 @@ class CPU:
         instruction also match.
         """
         self._fuse_armed = False
-        costs = self.costs
-        kernel = self.kernel
-        task.stime_cycles += costs.fault_entry
-        kernel.cycles += costs.fault_entry
+        task.stime_cycles += self.costs.fault_entry
+        self.kernel.cycles += self.costs.fault_entry
         info = SigInfo(signo=Signal.SIGTRAP, code=TRAP_TRACE_CODE)
         if self._tr is not None:
             self._tr.trap_queued(task, True)
-        self.signals_delivered[info.signo] += 1
-        task.stime_cycles += costs.signal_deliver
-        kernel.cycles += costs.signal_deliver
-        uctx = self._build_ucontext(task, info)
-        if self._tr is not None:
-            self._tr.signal_delivered(task, info.signo, info.code, uctx.mcontext)
-        disposition(info.signo, info, uctx)
-        self._apply_handler_writes(task, uctx)
-        kernel.defer_timers_once(floor)
+        self._run_handler(task, info, disposition)
+        self.kernel.defer_timers_once(floor)

@@ -371,10 +371,10 @@ def _commit(
     mon.recorded += r
 
     # The counts the per-event path would have bumped.
-    cpu._site_entry(site)  # keep the per-RIP cache warm (and count one)
-    # One execute_site call per group, plus the masked re-execution of
-    # each faulting one, minus the probe just made: exact parity warm
-    # and cold.
+    cpu._site_executor(site)  # keep the per-RIP cache warm (and count one)
+    # One precise retirement's executor probe per group, plus the masked
+    # re-execution of each faulting one, minus the probe just made:
+    # exact parity warm and cold.
     cpu.site_hits += k + kf - 1
     if kf:
         ev = engine.event_codes
@@ -397,23 +397,11 @@ def _commit(
             fences -= 1
         kernel.timer_defer_fences += fences
 
-    # Writeback: identical to k retire_fp calls.
-    lanes = site.form.lanes
-    end = block.index + k
-    lo = block.index * lanes
-    valid = min(end * lanes, block.n_elements) - lo
-    block.results[lo:lo + valid] = win.bits[rel * lanes:rel * lanes + valid]
-    block.index = end
-    block.fp_done = False
-    task.last_rip = end_rip
     if acc != status:
         task.mxcsr.value = base | acc
-    # Admission kept this strictly below any armed vtimer's expiry.
-    task.advance_vtime(k * (1 + interleave))
-    if block.done:
-        from repro.machine.blockexec import _finish
-
-        _finish(task, block)
+    # Writeback, identical to k precise retirements.  Admission kept the
+    # vtime advance strictly below any armed vtimer's expiry.
+    cpu.commit_groups(task, block, win.bits[rel * site.form.lanes:], k)
     cpu.step_cost = win.steps[rel + k] - win.steps[rel]
 
     st = cpu.storm_stats

@@ -255,3 +255,104 @@ def test_off_phase_windows_batch_equivalently(data, n, interleave):
     fast = _run_poisson(True, streams, interleave)
     oracle = _run_poisson(False, streams, interleave)
     assert fast == oracle
+
+
+# ------------------------------------------- provenance stamps, three ways
+
+
+def _chain_provenance(streams, capture, *, blockexec, block,
+                      interleaves=(3, 2, 1)):
+    """Run a ``divsd`` -> ``addsd`` -> ``ucomisd`` chain under the flight
+    recorder and return what provenance saw: the observed count and
+    every coil down to its origin, propagation, sink and last cycles.
+
+    ``streams`` are the dividends, divisors, addends and compare
+    operands; the quotients feed the add, its sums the compare.  A
+    nonempty ``capture`` unmasks those exceptions under the same
+    mask-and-single-step handler pair as :func:`_run`, so precise
+    sub-steps and fault replays retire the chain too."""
+    kb = KernelBuilder()
+    div, add, cmp = kb.site("divsd"), kb.site("addsd"), kb.site("ucomisd")
+    k = Kernel(KernelConfig(tracing=True, blockexec=blockexec))
+    num, den, addend, other = streams
+    il_div, il_add, il_cmp = interleaves
+
+    def on_fpe(signo, info, uctx):
+        uctx.mcontext.mxcsr |= 0x1F80
+        uctx.mcontext.trap_flag = True
+
+    def on_trap(signo, info, uctx):
+        uctx.mcontext.mxcsr &= ~(capture << 7)
+        uctx.mcontext.trap_flag = False
+
+    def main():
+        if capture:
+            yield LibcCall("sigaction", (int(Signal.SIGFPE), on_fpe))
+            yield LibcCall("sigaction", (int(Signal.SIGTRAP), on_trap))
+            yield LibcCall("feenableexcept", (capture,))
+        q = yield from kb.emit(div, num, den, interleave=il_div, block=block)
+        s = yield from kb.emit(add, q, addend, interleave=il_add, block=block)
+        yield from kb.emit(cmp, s, other, interleave=il_cmp, block=block)
+
+    k.exec_process(main, env={}, name="chain")
+    k.run()
+    prov = k.provenance
+    return {
+        "observed": prov.observed,
+        "coils": [
+            (c.origin.rip, c.origin.kind, c.origin.cycle, c.origin.consumed,
+             c.origin.flags, c.propagations, c.sink_count, c.sinks,
+             c.last_cycle)
+            for c in prov.coils()
+        ],
+    }
+
+
+def _three_ways(streams, capture, **kw):
+    return [
+        _chain_provenance(streams, capture, blockexec=be, block=bl, **kw)
+        for be, bl in ((True, True), (False, True), (False, False))
+    ]
+
+
+def test_provenance_stamps_equal_on_every_path_repro():
+    """Two ``0/0`` quotients, each plus 1.0, each compared with 1.0
+    (interleave 3/2/1).  Every path observes at the cycle a retirement
+    starts: the second quotient's origin at 7 (one 7-cycle ``divsd``
+    group in), its two ``ucomisd`` sinks at 26 and 31.  The
+    ``FPInstruction`` stream once stamped them a ``fp_instr`` later
+    (11, 30 and 35) than the block chunk and the block sub-step."""
+    zero, one = 0x0000000000000000, 0x3FF0000000000000
+    streams = ([zero, zero], [zero, zero], [one, one], [one, one])
+    fast, substep, oracle = _three_ways(streams, 0)
+    assert fast == substep == oracle
+    # The second 0/0 re-originates the same NaN bits, so the first
+    # quotient's coil is aliased away before the add reads it.
+    live, aliased = oracle["coils"]
+    _, kind, cycle, _, _, props, n_sinks, sinks, last = live
+    assert (kind, cycle, props, n_sinks, last) == ("nan", 7, 2, 2, 31)
+    assert [c for _, c in sinks] == [26, 31]
+    assert aliased[2] == 0 and aliased[5:] == (0, 0, [], 0)
+    assert oracle["observed"] == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=8),
+    capture=st.sampled_from(_CAPTURE_SETS),
+    interleaves=st.sampled_from([(3, 2, 1), (0, 0, 0), (1, 0, 2)]),
+)
+def test_provenance_stamps_equal_on_every_path(data, n, capture, interleaves):
+    """The blockexec chunk (``blockexec=True``), the block's precise
+    sub-step (``blockexec=False``) and the ``FPInstruction`` stream
+    (``block=False``) stamp every chain alike: equal observed counts
+    and equal coils, origin cycle, propagations, sinks with their
+    cycles and ``last_cycle`` included."""
+    streams = [
+        data.draw(st.lists(bits64, min_size=n, max_size=n)) for _ in range(4)
+    ]
+    fast, substep, oracle = _three_ways(
+        streams, capture, interleaves=interleaves)
+    assert substep == oracle
+    assert fast == oracle

@@ -6,6 +6,7 @@ import pytest
 from repro.fp.flags import Flag
 from repro.fp.formats import float_to_bits64 as b64
 from repro.guest.ops import IntWork, LibcCall
+from repro.guest.program import KernelBuilder
 from repro.isa.instruction import CodeLayout, FPInstruction
 from repro.kernel.kernel import Kernel
 from repro.kernel.signals import Signal
@@ -142,6 +143,56 @@ class TestEmulatedWriteback:
         k, proc = run(main)
         # 2 libc calls + 5 FP instructions (each emulated exactly once).
         assert proc.main_task.vtime == 7
+
+    @staticmethod
+    def _emulate_every_fault(block):
+        """Three ``mulpd`` elements (the last group padded), interleave 2,
+        each instruction faulting on Inexact and retired by a handler
+        that supplies ``emulated_results``: as one block, or as an
+        ``FPInstruction`` stream."""
+        kb = KernelBuilder()
+        site = kb.site("mulpd")
+        k = Kernel()
+        faults = []
+        out = {}
+
+        def handler(signo, info, uctx):
+            faults.append(uctx.mcontext.operands)
+            uctx.mcontext.emulated_results = (
+                b64(42.0 + len(faults)), b64(-1.0))
+
+        def main():
+            from repro.loader.fenv import FE_INEXACT
+
+            yield LibcCall("sigaction", (int(Signal.SIGFPE), handler))
+            yield LibcCall("feenableexcept", (FE_INEXACT,))
+            res = yield from kb.emit(
+                site, [b64(0.1)] * 3, [b64(0.3)] * 3, interleave=2,
+                block=block)
+            out["results"] = list(res)
+            out["last_rip"] = k.current_task.last_rip
+
+        proc = k.exec_process(main, env={}, name="t")
+        k.run()
+        assert proc.exit_code == 0
+        out.update(vtime=proc.main_task.vtime, cycles=k.cycles,
+                   faults=len(faults))
+        return out
+
+    @pytest.mark.parametrize("block", [False, True],
+                             ids=["instruction_stream", "block"])
+    def test_emulated_results_retire_every_fault(self, block):
+        got = self._emulate_every_fault(block)
+        # The padded lane of the second group is dropped.
+        assert got["results"] == [b64(43.0), b64(-1.0), b64(44.0)]
+        assert got["faults"] == 2
+        # 2 libc calls + 2 groups of one emulated FP instruction and 2
+        # integer instructions.
+        assert got["vtime"] == 8
+
+    def test_block_emulates_like_the_instruction_stream(self):
+        assert (self._emulate_every_fault(True)
+                == self._emulate_every_fault(False))
 
 
 class TestExceptionPriority:
