@@ -32,8 +32,10 @@ RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_blockexec.json"
 
 
 def _run(mode, blockexec, scale, **env_extra):
+    """``blockexec`` off runs the ``"trapfast"`` rung, the one below the
+    block engine's."""
     app = APPLICATIONS.create("miniaero", scale=scale, seed=BENCH_SEED)
-    k = Kernel(KernelConfig(blockexec=blockexec))
+    k = Kernel(KernelConfig(fastpaths="storm" if blockexec else "trapfast"))
     k.exec_process(
         app.main, env=fpspy_env(mode, **env_extra), name=app.name
     )

@@ -5,12 +5,14 @@ Individual mode turns every captured FP condition into a four-act play:
 precise SIGFPE, handler (mask + set TF), re-execution, single-step
 SIGTRAP, handler (unmask + clear TF).  Two accelerations stack on top:
 
-* ``trapfast`` fuses the SIGTRAP delivery into the re-execution step and
-  memoizes decode/semantics per RIP (the per-event fast path);
-* ``stormbatch`` recognizes runs of consecutive same-RIP faulting groups
-  and replicates their whole trap lifecycles -- records, counters, cycle
-  schedule -- from one batch softfloat call over the operand arrays plus
-  plain-Python bookkeeping over the window's groups.
+* the ``"trapfast"`` rung of ``KernelConfig.fastpaths`` fuses the SIGTRAP
+  delivery into the re-execution step and memoizes outcomes per form
+  (the per-event fast path; the ``"blockexec"`` rung above it adds
+  nothing in individual mode, where blocks are never quiescent);
+* the ``"storm"`` rung recognizes runs of consecutive same-RIP faulting
+  groups and replicates their whole trap lifecycles -- records, counters,
+  cycle schedule -- from one batch softfloat call over the operand arrays
+  plus plain-Python bookkeeping over the window's groups.
 
 Neither is admissible unless the guest cannot tell: same cycle clock,
 same signal ordering, byte-identical trace files.  These benches measure
@@ -45,7 +47,6 @@ from repro.fp.batchfloat import batch_stats, reset_batch_stats
 from repro.fp.formats import float_to_bits32
 from repro.fpspy import fpspy_env
 from repro.guest.program import KernelBuilder
-from repro.isa.semantics import memo_stats
 from repro.kernel.kernel import Kernel, KernelConfig
 
 from benchmarks.conftest import timed_run, write_results
@@ -100,10 +101,10 @@ def _distinct_operands(n, start=0):
     return a, b, c
 
 
-def _run(trapfast, stormbatch, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
+def _run(fastpaths, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
          blocks=1, operands=_operands, **env_extra):
-    """``blocks`` blocks of ``n`` elements each; more than one alternate
-    between two same-form sites."""
+    """``blocks`` blocks of ``n`` elements each at rung ``fastpaths``;
+    more than one alternate between two same-form sites."""
     a, b, c = operands(n * blocks)
     kb = KernelBuilder()
     sites = [kb.site("vfmaddps", key="hot")]
@@ -116,8 +117,7 @@ def _run(trapfast, stormbatch, n=STORM_ELEMENTS, quantum=STORM_QUANTUM,
             yield from kb.emit(sites[i % len(sites)], a[lo:hi], b[lo:hi],
                                c[lo:hi], interleave=2)
 
-    k = Kernel(KernelConfig(
-        trapfast=trapfast, stormbatch=stormbatch, quantum=quantum))
+    k = Kernel(KernelConfig(fastpaths=fastpaths, quantum=quantum))
     k.exec_process(
         main, env=fpspy_env("individual", **env_extra), name="fmastorm"
     )
@@ -131,8 +131,7 @@ def test_trapfast_speedup_individual_mode(benchmark):
     clears >=3x and the storm driver >=50x over precise, with nothing
     architecturally observable separating any pair."""
 
-    arms = {"precise": (False, False), "fused": (True, False),
-            "storm": (True, True)}
+    arms = {"precise": "precise", "fused": "blockexec", "storm": "storm"}
 
     def compare():
         runs, times = {}, {name: [] for name in arms}
@@ -141,7 +140,7 @@ def test_trapfast_speedup_individual_mode(benchmark):
             # The order rotates between repetitions.
             for name in order[rep:] + order[:rep]:
                 reset_batch_stats()
-                k, state, t = _run(*arms[name])
+                k, state, t = _run(arms[name])
                 runs[name] = (k, state, batch_stats())
                 times[name].append(t)
         return runs, {name: min(ts) for name, ts in times.items()}
@@ -201,7 +200,6 @@ def test_trapfast_speedup_individual_mode(benchmark):
             "storm_bailouts": dict(stats["bailouts"]),
             "bailout_rate": round(bailouts / (bailouts + stats["groups"]), 4),
             "batchfloat": batch,
-            "softfloat_memo": memo_stats(),
             "short_blocks": SHORT_BLOCKS,
             "short_groups_per_block": SHORT_GROUPS,
             "short_storm_batches": short_stats["batches"],
@@ -247,15 +245,15 @@ def _short_storm_case(operands):
         # The order alternates between repetitions.
         kw = dict(n=n, quantum=SHORT_QUANTUM, blocks=SHORT_BLOCKS,
                   operands=operands(rep))
-        for stormbatch in ((False, True) if rep % 2 == 0 else (True, False)):
-            k, state, t = _run(True, stormbatch, **kw)
-            if stormbatch:
+        for storm in ((False, True) if rep % 2 == 0 else (True, False)):
+            k, state, t = _run("storm" if storm else "blockexec", **kw)
+            if storm:
                 ks, state_s = k, state
                 storm_s.append(t)
             else:
                 kf, state_f = k, state
                 fused_s.append(t)
-    kp, state_p, _ = _run(False, False, **kw)
+    kp, state_p, _ = _run("precise", **kw)
     assert kp.cycles == kf.cycles == ks.cycles
     assert state_p == state_f == state_s
     stats = ks.cpu.storm_stats
@@ -279,11 +277,11 @@ def test_trapfast_poisson_sampling_traces_byte_identical(benchmark):
         out = {}
         for timer, poisson in periods.items():
             kf, state_f, _ = _run(
-                True, True, n=1600, quantum=128,
+                "storm", n=1600, quantum=128,
                 sample=1, poisson=poisson, timer=timer, seed=7,
             )
             ks, state_s, _ = _run(
-                False, False, n=1600, quantum=128,
+                "precise", n=1600, quantum=128,
                 sample=1, poisson=poisson, timer=timer, seed=7,
             )
             out[timer] = (kf, ks.cycles, state_f, state_s)

@@ -31,7 +31,7 @@ from repro.telemetry.procfs import PROC_ROOT
 from benchmarks.conftest import BENCH_SEED, timed_run, write_results
 
 #: Count bumps assumed per CPU step -- a deliberate overcount (a trap
-#: storm step bumps ~5: site cache, event codes, signals, fusion).
+#: storm step bumps ~4: event codes, signals, fusion).
 BUMPS_PER_STEP = 8
 #: Tier-1 bar for the extrapolated always-on count overhead.
 MAX_DISABLED_PCT = 3.0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.fp.fastpath import FastSoftFPU
-from repro.fp.memo import MemoSoftFPU
 from repro.fp.softfloat import FPContext
 from repro.isa.forms import InstructionForm, OpKind
 
@@ -30,11 +29,6 @@ from repro.isa.forms import InstructionForm, OpKind
 # SoftFPU (tests/property/test_fastpath_props.py) and ~2-5x faster,
 # which directly scales the whole simulator.
 _FPU = FastSoftFPU()
-
-#: The op-level memo no executor misses to any more: scientific operand
-#: streams do not repeat at the op level (``op_hits: 0`` across full
-#: campaigns).  Only :func:`memo_stats` reads it.
-_MEMO_FPU = MemoSoftFPU()
 
 
 @dataclass(frozen=True)
@@ -233,15 +227,3 @@ def _build_traced_executor(form: InstructionForm) -> Callable:
 
     run.memo_hit = hit_cell
     return run
-
-
-def memo_stats() -> dict[str, int]:
-    """Cache counters for the ablation benchmark's report."""
-    return {
-        "op_hits": _MEMO_FPU.hits,
-        "op_misses": _MEMO_FPU.misses,
-        "op_evictions": _MEMO_FPU.evictions,
-        "op_occupancy": _MEMO_FPU.occupancy,
-        "op_capacity": _MEMO_FPU.capacity,
-        "forms_interned": len(_EXECUTORS),
-    }

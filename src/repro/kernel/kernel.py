@@ -18,6 +18,7 @@ from repro.kernel.signals import SigInfo, Signal
 from repro.kernel.task import Task, TaskState
 from repro.kernel.vfs import VFS
 from repro.machine.costs import DEFAULT_COSTS, CostModel
+from repro.machine.fastpaths import FASTPATHS
 
 
 @dataclass(frozen=True)
@@ -27,29 +28,24 @@ class KernelConfig:
     freq_hz: float = 2.1e9  #: core clock (AMD Opteron 6272, paper section 4)
     quantum: int = 128  #: guest ops per scheduling slice
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
-    #: Enable the vectorized masked-mode block engine (DESIGN.md #6).
-    #: Off, FPBlocks still execute -- one precise sub-step per CPU step --
-    #: which is the bit-equivalence oracle the ablation benchmark uses.
-    blockexec: bool = True
-    #: Enable the trap-storm fast path (DESIGN.md #7): fused FPE->TRAP
-    #: delivery plus the per-RIP memoized-executor cache.  Off, every
-    #: SIGTRAP takes the precise posted-signal path and every instruction
-    #: re-executes through the uncached softfloat -- the bit-equivalence
-    #: oracle for benchmarks/test_ablation_trapfast.py.
-    trapfast: bool = True
-    #: Enable the storm batch driver (DESIGN.md #11): consecutive
-    #: same-RIP groups of an FPBlock are computed as one array-kernel
-    #: batch; faulting groups have their whole trap lifecycles --
-    #: SIGFPE, handler, masked re-execution, fused SIGTRAP, re-arm --
-    #: replicated event-by-event and quiet groups retire in place,
-    #: without stepping the machine.  Batches stop short of the
-    #: scheduler quantum's end, the virtual timer's expiry and
-    #: ``maxcount``; an armed real timer rejects them.  Only admissible
-    #: when the replay is provably byte-identical (the admission checks
-    #: in :mod:`repro.machine.storm`); off, every group takes the
-    #: per-event path, which is the byte-identity oracle for
-    #: benchmarks/test_ablation_trapfast.py.
-    stormbatch: bool = True
+    #: The highest rung of the :data:`FASTPATHS` ladder to run.  Every
+    #: rung is byte-identical to the one below it, so each lower rung is
+    #: the oracle for the path its successor adds:
+    #:
+    #: * ``"precise"``: every SIGTRAP takes the posted-signal path and
+    #:   every FP instruction executes through the uncached softfloat;
+    #:   an FPBlock runs one precise sub-step per CPU step.
+    #: * ``"trapfast"`` (DESIGN.md #7): fused FPE->TRAP delivery, and
+    #:   FP instructions run through the per-form memoized executor.
+    #: * ``"blockexec"`` (DESIGN.md #6): a quiescent FPBlock commits
+    #:   chunks of groups as one batch.
+    #: * ``"storm"`` (DESIGN.md #11): in individual mode, runs of an
+    #:   FPBlock's same-RIP groups have their whole trap lifecycles --
+    #:   SIGFPE, handler, masked re-execution, fused SIGTRAP, re-arm --
+    #:   replicated from one batch call, and quiet groups retire in
+    #:   place, when the admission checks in :mod:`repro.machine.storm`
+    #:   prove that byte-identical.
+    fastpaths: str = "storm"
     #: Enable the cross-layer telemetry bus (DESIGN.md #8) and mount the
     #: guest-visible ``/proc/fpspy/`` tree.  Every layer keeps its
     #: counts either way; this switch only decides whether a bus exists
@@ -102,6 +98,10 @@ class Kernel:
 
     def __init__(self, config: KernelConfig | None = None) -> None:
         self.config = config or KernelConfig()
+        if self.config.fastpaths not in FASTPATHS:
+            raise ValueError(
+                f"unknown fastpaths {self.config.fastpaths!r}; "
+                f"expected one of {FASTPATHS}")
         self.vfs = VFS()
         self.cycles = 0
         #: The task currently executing on the (single) simulated core.
@@ -181,13 +181,6 @@ class Kernel:
             "processes": len(self.processes),
             "runq": len(self._runq),
         })
-
-        # The softfloat memo layer is module-global (shared by every
-        # kernel in the host process); its tallies are levels of that
-        # shared cache, not this kernel's counts.
-        from repro.isa.semantics import memo_stats
-
-        self.telemetry.scope("fp.memo").gauges(memo_stats)
 
         from repro.telemetry.procfs import mount_proc
 

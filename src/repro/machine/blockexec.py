@@ -4,13 +4,14 @@ One :class:`repro.guest.ops.FPBlock` stands for a long per-instruction
 stream; this module executes it so the two are architecturally
 indistinguishable (DESIGN.md decision #6).  Two regimes:
 
-**Quiescent fast path.**  When the task is quiescent -- every exception
-masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding mode -- no FP
-instruction in the block can fault or trap, so a chunk of groups can be
-committed as a batch, which is sound because sticky-flag OR is
-commutative and nothing can observe intermediate state mid-chunk.  Every
-form makes one :func:`repro.fp.batchfloat.execute_batch` call for the
-whole chunk (which runs the host loop, the EFT tier or the per-form
+**Quiescent fast path** (the ``"blockexec"`` rung of
+``KernelConfig.fastpaths`` and above).  When the task is quiescent --
+every exception masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding
+mode -- no FP instruction in the block can fault or trap, so a chunk of
+groups can be committed as a batch, which is sound because sticky-flag
+OR is commutative and nothing can observe intermediate state mid-chunk.
+Every form makes one :func:`repro.fp.batchfloat.execute_batch` call for
+the whole chunk (which runs the host loop, the EFT tier or the per-form
 executor, DESIGN.md #15).  The chunk's results land in one array, the
 block's ``results`` get that slice, and the provenance tracker (when
 tracing) sees the groups
@@ -21,19 +22,20 @@ vtimer/real-timer budgets exactly as ``CPU.int_chunk`` caps integer
 runs, so ``SIGVTALRM`` and ``SIGALRM`` land on the precise instruction
 the per-instruction stream would deliver them at.
 
-**Precise replay.**  Outside quiescence -- FPSpy individual mode
-unmasking its capture set, a sampler duty cycle turning on, ``fesetenv``,
-single-stepping -- the block executes one sub-step per ``CPU.step`` call
-through the CPU's one precise engine, the code an ``FPInstruction``
-runs: the current group's FP instruction retires through
-``CPU._exec_fp`` (condition codes stick, unmasked conditions fault
-*before writeback* with the block's cursor parked on the faulting
+**Precise replay.**  Below that rung, or outside quiescence -- FPSpy
+individual mode unmasking its capture set, a sampler duty cycle turning
+on, ``fesetenv``, single-stepping -- the block executes one sub-step per
+``CPU.step`` call through the CPU's one precise engine, the code an
+``FPInstruction`` runs: the current group's FP instruction retires
+through ``CPU._exec_fp`` (condition codes stick, unmasked conditions
+fault *before writeback* with the block's cursor parked on the faulting
 instruction, so the handler return restarts it; ``TF`` traps after every
 retirement), and its integer phase through ``CPU.int_chunk`` (chunked at
 timer boundaries).  Because blocks only ever commit group-at-a-time
 through this path, fault-before-writeback is preserved and
 individual-mode trace files are byte-identical with the block engine
-enabled.
+enabled.  At the ``"storm"`` rung a group about to take this path is
+first offered to :func:`repro.machine.storm.try_storm`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 
 from repro.fp import batchfloat
 from repro.machine import storm
+from repro.machine.fastpaths import BLOCKEXEC, STORM
 from repro.guest.ops import FPBlock
 from repro.kernel.task import Task
 
@@ -59,7 +62,7 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     task.pending_op = block
     if (
         block.fp_done  # mid-group: finish the integer phase first
-        or not kernel.config.blockexec
+        or cpu.rung < BLOCKEXEC
         or not task.fp_quiescent
     ):
         # Non-quiescent usually means FPSpy's individual mode is live:
@@ -68,9 +71,8 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # one array op when -- and only when -- that is provably
         # byte-identical to precise stepping.
         if (
-            cpu.stormbatch
+            cpu.rung >= STORM
             and not block.fp_done
-            and kernel.config.blockexec
             and storm.try_storm(cpu, task, block)
         ):
             return True

@@ -27,6 +27,7 @@ from repro.fp.flags import UE
 from repro.guest.ops import FPBlock, IntWork, LibcCall
 from repro.isa.instruction import FPInstruction
 from repro.machine import blockexec
+from repro.machine.fastpaths import FASTPATHS, TRAPFAST
 from repro.isa.semantics import (
     ExecutionOutcome,
     execute_form,
@@ -90,28 +91,24 @@ class CPU:
         #: where the per-instruction stream would put them.
         self.step_cost = 1
         self.step_budget = kernel.config.quantum
+        #: The configured rung of the fast-path ladder, as an index into
+        #: ``FASTPATHS``: ``_exec_fp``, ``_maybe_trap`` and
+        #: ``blockexec.step_block`` take each path at or below it.
+        self.rung = FASTPATHS.index(kernel.config.fastpaths)
         #: Trap-storm fast path (DESIGN.md #7).  ``_fuse_armed`` is set by
         #: ``deliver_signals`` when the step's last delivery was a SIGFPE
         #: handler and nothing else is pending: the re-execution that
         #: follows in the same step may then fold its single-step SIGTRAP
         #: delivery inline instead of posting it for the next step.
-        self.trapfast = kernel.config.trapfast
         self._fuse_armed = False
-        #: Storm batch driver (DESIGN.md #11) and its batch/bail-out counts.
-        self.stormbatch = kernel.config.stormbatch
+        #: Storm batch driver (DESIGN.md #11) batch/bail-out counts.
         self.storm_stats: dict = {
             "batches": 0, "groups": 0, "quiet": 0, "records": 0,
             "windows": 0, "bailouts": {},
         }
-        #: Per-RIP cache: address -> (site, memoized executor).
-        #: ``TEXT_BASE`` is shared across processes, so entries validate
-        #: the interned :class:`CodeSite` by identity before use.
-        self._site_cache: dict[int, tuple] = {}
         #: Counts (DESIGN.md #8): always on, plain ints keyed raw -- the
         #: bus names them at snapshot time.  None may charge cycles or
         #: touch architectural state.
-        self.site_hits = 0
-        self.site_misses = 0
         self.fused = 0
         #: Trap-fusion bail-outs by reason.
         self.fusion_bailouts: dict[str, int] = {}
@@ -145,7 +142,6 @@ class CPU:
         """Register the CPU's count and gauge sources on ``bus``."""
         cpu = bus.scope("cpu")
         cpu.counts(self._cpu_counts)
-        cpu.gauges(lambda: {"site_cache.size": len(self._site_cache)})
         bus.scope("kernel").counts(lambda: {
             f"signals.delivered.{Signal(signo).name}": n
             for signo, n in enumerate(self.signals_delivered) if n
@@ -162,8 +158,6 @@ class CPU:
         bailouts = self.fusion_bailouts
         st = self.storm_stats
         out = {
-            "site_cache.hits": self.site_hits,
-            "site_cache.misses": self.site_misses,
             "trapfusion.fused": self.fused,
             "trapfusion.bailed": sum(bailouts.values()),
             "storm.batches": st["batches"],
@@ -314,25 +308,6 @@ class CPU:
             return self._exec_call(task, op)
         raise TypeError(f"guest yielded unsupported op {op!r}")
 
-    # ----------------------------------------------- per-RIP decode cache
-
-    def _site_executor(self, site):
-        """The memoized executor of a static code site, cached per RIP.
-
-        A hot loop body -- or the trap->replay cycle on a single
-        instruction -- never re-derives it.  ``TEXT_BASE`` is shared
-        across processes, so a cached entry is only used if it is for
-        this exact interned site object.
-        """
-        entry = self._site_cache.get(site.address)
-        if entry is None or entry[0] is not site:
-            entry = (site, self._executor_factory(site.form))
-            self._site_cache[site.address] = entry
-            self.site_misses += 1
-        else:
-            self.site_hits += 1
-        return entry[1]
-
     # ------------------------------------------------------------ retire
 
     def fault_check(
@@ -367,16 +342,16 @@ class CPU:
         """The one precise FP retirement, for an ``FPInstruction`` or the
         current group of an :class:`FPBlock`.
 
-        ``trapfast`` on takes the per-RIP memoized executor, off the
-        uncached softfloat (bit-identical by construction and by
-        property test).  A fault leaves ``op`` current, so the handler's
-        return restarts the same instruction; otherwise it retires,
-        pays its charge and may single-step trap.
+        From the ``"trapfast"`` rung up it runs the form's memoized
+        executor, below it the uncached softfloat (bit-identical by
+        construction and by property test).  A fault leaves ``op``
+        current, so the handler's return restarts the same instruction;
+        otherwise it retires, pays its charge and may single-step trap.
         """
         site = op.site
         inputs = self._fp_inputs(op)
-        if self.trapfast:
-            executor = self._site_executor(site)
+        if self.rung >= TRAPFAST:
+            executor = self._executor_factory(site.form)
             outcome = executor(inputs, task.mxcsr.context())
         else:
             executor = None
@@ -517,15 +492,16 @@ class CPU:
 
         Precise path: charge the fault entry and post the signal; it is
         delivered at the start of the task's next step.  Fused path
-        (DESIGN.md #7): when this step's signal burst ended with a SIGFPE
-        handler arming TF and fusion is provably unobservable, deliver the
-        SIGTRAP inline right now -- same charges, same handler-visible
-        state, one scheduler round-trip less.
+        (DESIGN.md #7, from the ``"trapfast"`` rung up): when this step's
+        signal burst ended with a SIGFPE handler arming TF and fusion is
+        provably unobservable, deliver the SIGTRAP inline right now --
+        same charges, same handler-visible state, one scheduler
+        round-trip less.
         """
         if not task.trap_flag:
             return
         kernel = self.kernel
-        if self._fuse_armed and self.trapfast:
+        if self._fuse_armed and self.rung >= TRAPFAST:
             reason = None
             if task.pending_signals:
                 # Bail-out: anything already queued would be delivered

@@ -4,8 +4,9 @@ Individual-mode monitoring of an exception-dense loop (the paper's
 GROMACS packed-FMA case) turns every group of an :class:`FPBlock` into a
 full Figure 5 round trip: precise SIGFPE, handler (mask + TF), masked
 re-execution, fused SIGTRAP, handler (re-arm).  The per-event fast path
-(DESIGN.md #7) already fuses the second trap and memoizes decode, but it
-still walks the whole state machine one event at a time through Python.
+(DESIGN.md #7) already fuses the second trap and memoizes outcomes per
+form, but it still walks the whole state machine one event at a time
+through Python.
 
 This driver (DESIGN.md #11) recognizes the storm as a *batch*: a run of
 consecutive same-RIP groups whose outcomes one batch softfloat call
@@ -38,8 +39,9 @@ form, entered with clear sticky status, and an armed virtual timer
 rejects: the recorder stamps one ``storm`` span per batch, so there
 batch boundaries are observable output.  Anything else takes the precise
 path -- the bail-out is counted, never silent.
-Turning ``KernelConfig.stormbatch`` off is the byte-identity oracle the
-ablation benchmark runs against.
+The ``"blockexec"`` rung of ``KernelConfig.fastpaths``, one below
+``"storm"``, is the byte-identity oracle the ablation benchmark runs
+against.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     quiet_ok = cpu._tr is None
     if not quiet_ok and form.kind not in BATCH_KINDS:
         return _reject(cpu, "uncovered")
-    if not cpu.trapfast:
-        # The replication assumes fused SIGTRAP delivery; without the
-        # fast path the precise engine posts the trap instead.
-        return _reject(cpu, "trapfast")
     status = task.mxcsr.value & ALL_CODES
     base = task.mxcsr.value & ~ALL_CODES
     if status and not quiet_ok:
@@ -371,11 +369,6 @@ def _commit(
     mon.recorded += r
 
     # The counts the per-event path would have bumped.
-    cpu._site_executor(site)  # keep the per-RIP cache warm (and count one)
-    # One precise retirement's executor probe per group, plus the masked
-    # re-execution of each faulting one, minus the probe just made:
-    # exact parity warm and cold.
-    cpu.site_hits += k + kf - 1
     if kf:
         ev = engine.event_codes
         for c in fcodes:

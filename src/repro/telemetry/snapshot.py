@@ -3,8 +3,9 @@
 A snapshot is the JSON-ready dict :meth:`TelemetryBus.snapshot` returns:
 ``{"cycles": int, "scopes": {scope: {key: value}}}``.  This module turns
 snapshots into flat ``scope.key -> number`` maps, derives the fast-path
-*rates* the perf PRs gate on (hit rates and fusion takes are what the
-ablation work actually promises -- wall-clock follows from them), and
+*rates* the perf PRs gate on (fusion takes and batched-group shares are
+what the ablation work actually promises -- wall-clock follows from
+them), and
 diffs two snapshots with a regression verdict, so ``repro telemetry
 diff`` can fail a CI job when a refactor silently degrades a fast path
 even if the wall-time smoke test stays green.
@@ -17,7 +18,7 @@ from typing import Sequence
 
 
 def flatten_snapshot(snapshot: dict) -> dict[str, float]:
-    """``{"scopes": {"cpu": {"site_cache.hits": 3}}} -> {"cpu.site_cache.hits": 3}``.
+    """``{"scopes": {"cpu": {"fused": 3}}} -> {"cpu.fused": 3}``.
 
     Only numeric leaves are kept (nested dict gauges are flattened
     with dotted keys; strings are dropped -- diffs compare quantities).
@@ -54,10 +55,6 @@ def _rate(flat: dict[str, float], hit_key: str, miss_key: str) -> float | None:
 #: rate is hits/(hits+misses); absent counters yield no rate (a snapshot
 #: from a run that never exercised a path cannot regress it).
 RATE_DEFS: dict[str, tuple[str, str]] = {
-    "cpu.site_cache.hit_rate": (
-        "cpu.site_cache.hits", "cpu.site_cache.misses"),
-    "fp.memo.op_hit_rate": (
-        "fp.memo.op_hits", "fp.memo.op_misses"),
     "cpu.trapfusion.fuse_rate": (
         "cpu.trapfusion.fused", "cpu.trapfusion.bailed"),
     "blockexec.fast_group_rate": (

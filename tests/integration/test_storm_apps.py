@@ -4,10 +4,11 @@ The property tests drive the storm batch driver (DESIGN.md #11) with
 synthetic streams.  Here the nine study targets run directly, at a small
 scale, in individual mode, in the study's filtered pass (every event but
 Inexact, so masked Inexact status rides the batches) and under a Poisson
-sampler on the virtual timer, once with ``KernelConfig.stormbatch`` on
-and once off.  Every target must end on the same cycle with the same
-guest-visible files, and the driver must actually batch in every mode,
-so the oracle cannot pass by never engaging.  Untraced, every form
+sampler on the virtual timer, once at the ``"storm"`` rung of
+``KernelConfig.fastpaths`` and once at ``"blockexec"``, the rung below.
+Every target must end on the same cycle with the same guest-visible
+files, and the driver must actually batch in every mode, so the oracle
+cannot pass by never engaging.  Untraced, every form
 batches, so no attempt bails out as ``uncovered``.
 """
 
@@ -32,14 +33,14 @@ MODES = {
 }
 
 
-def _run_targets(mode, stormbatch):
+def _run_targets(mode, fastpaths):
     pass_name, env = MODES[mode]
     targets = make_targets()
     out = {}
     batches = 0
     bailouts = {}
     for name in TARGET_NAMES:
-        kernel = Kernel(KernelConfig(stormbatch=stormbatch))
+        kernel = Kernel(KernelConfig(fastpaths=fastpaths))
         targets[name].launch(
             kernel, env, SCALE, pass_variant(pass_name, name), SEED)
         kernel.run()
@@ -58,8 +59,8 @@ def _run_targets(mode, stormbatch):
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_storm_on_matches_off_on_study_targets(mode):
-    on, batches, bailouts = _run_targets(mode, True)
-    off, _, _ = _run_targets(mode, False)
+    on, batches, bailouts = _run_targets(mode, "storm")
+    off, _, _ = _run_targets(mode, "blockexec")
     assert batches > 0, "the storm driver never engaged"
     assert "uncovered" not in bailouts, bailouts
     for name in TARGET_NAMES:

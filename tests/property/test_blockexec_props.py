@@ -5,8 +5,8 @@ Each example streams random operands -- including NaNs, infinities,
 subnormals, and boundary magnitudes, i.e. lanes the host-EFT tier of
 ``execute_batch`` cannot certify -- through one code site three ways:
 
-* ``blockexec=True``: the batch fast path (when quiescent);
-* ``blockexec=False``: the block's precise sub-step engine;
+* ``fastpaths="storm"``: the batch fast path (when quiescent);
+* ``fastpaths="trapfast"``: the block's precise sub-step engine;
 * ``block=False``: the legacy one-``FPInstruction``-per-group stream,
   which is the ground-truth oracle.
 
@@ -54,11 +54,11 @@ _FORMS64 = [
 _CAPTURE_SETS = [0x00, 0x20, 0x1D, 0x3F]
 
 
-def _run(mnemonic, streams, interleave, capture, *, blockexec, block):
+def _run(mnemonic, streams, interleave, capture, *, fastpaths, block):
     """Execute the stream; return every architecturally observable fact."""
     kb = KernelBuilder()
     site = kb.site(mnemonic)
-    k = Kernel(KernelConfig(blockexec=blockexec))
+    k = Kernel(KernelConfig(fastpaths=fastpaths))
     events = []
     out = {}
 
@@ -113,11 +113,11 @@ def test_block_engine_bit_equivalent_to_instruction_stream(
         for _ in range(arity)
     ]
     oracle = _run(mnemonic, streams, interleave, capture,
-                  blockexec=False, block=False)
+                  fastpaths="trapfast", block=False)
     substep = _run(mnemonic, streams, interleave, capture,
-                   blockexec=False, block=True)
+                   fastpaths="trapfast", block=True)
     fast = _run(mnemonic, streams, interleave, capture,
-                blockexec=True, block=True)
+                fastpaths="storm", block=True)
     assert substep == oracle
     assert fast == oracle
 
@@ -178,9 +178,11 @@ def test_non_vectorizable_forms_use_group_path_equivalently(
     streams = [
         data.draw(st.lists(ops, min_size=n, max_size=n)) for ops in operands
     ]
-    oracle = _run(mnemonic, streams, 2, capture, blockexec=False, block=False)
-    substep = _run(mnemonic, streams, 2, capture, blockexec=False, block=True)
-    fast = _run(mnemonic, streams, 2, capture, blockexec=True, block=True)
+    oracle = _run(mnemonic, streams, 2, capture,
+                  fastpaths="trapfast", block=False)
+    substep = _run(mnemonic, streams, 2, capture,
+                   fastpaths="trapfast", block=True)
+    fast = _run(mnemonic, streams, 2, capture, fastpaths="storm", block=True)
     assert substep == oracle
     assert fast == oracle
 
@@ -214,13 +216,13 @@ def test_sampler_off_phase_is_block_eligible():
     k.run()
 
 
-def _run_poisson(blockexec, streams, interleave):
+def _run_poisson(fastpaths, streams, interleave):
     """An FPSpy-monitored run whose sampler toggles mid-block."""
     from repro.fpspy import fpspy_env
 
     kb = KernelBuilder()
     site = kb.site("mulpd")
-    k = Kernel(KernelConfig(blockexec=blockexec))
+    k = Kernel(KernelConfig(fastpaths=fastpaths))
 
     def main():
         yield from kb.emit(site, *streams, interleave=interleave)
@@ -252,15 +254,15 @@ def test_off_phase_windows_batch_equivalently(data, n, interleave):
     streams = [
         data.draw(st.lists(bits64, min_size=n, max_size=n)) for _ in range(2)
     ]
-    fast = _run_poisson(True, streams, interleave)
-    oracle = _run_poisson(False, streams, interleave)
+    fast = _run_poisson("storm", streams, interleave)
+    oracle = _run_poisson("trapfast", streams, interleave)
     assert fast == oracle
 
 
 # ------------------------------------------- provenance stamps, three ways
 
 
-def _chain_provenance(streams, capture, *, blockexec, block,
+def _chain_provenance(streams, capture, *, fastpaths, block,
                       interleaves=(3, 2, 1)):
     """Run a ``divsd`` -> ``addsd`` -> ``ucomisd`` chain under the flight
     recorder and return what provenance saw: the observed count and
@@ -273,7 +275,7 @@ def _chain_provenance(streams, capture, *, blockexec, block,
     sub-steps and fault replays retire the chain too."""
     kb = KernelBuilder()
     div, add, cmp = kb.site("divsd"), kb.site("addsd"), kb.site("ucomisd")
-    k = Kernel(KernelConfig(tracing=True, blockexec=blockexec))
+    k = Kernel(KernelConfig(tracing=True, fastpaths=fastpaths))
     num, den, addend, other = streams
     il_div, il_add, il_cmp = interleaves
 
@@ -310,8 +312,9 @@ def _chain_provenance(streams, capture, *, blockexec, block,
 
 def _three_ways(streams, capture, **kw):
     return [
-        _chain_provenance(streams, capture, blockexec=be, block=bl, **kw)
-        for be, bl in ((True, True), (False, True), (False, False))
+        _chain_provenance(streams, capture, fastpaths=fp, block=bl, **kw)
+        for fp, bl in (("storm", True), ("trapfast", True),
+                       ("trapfast", False))
     ]
 
 
@@ -344,8 +347,8 @@ def test_provenance_stamps_equal_on_every_path_repro():
     interleaves=st.sampled_from([(3, 2, 1), (0, 0, 0), (1, 0, 2)]),
 )
 def test_provenance_stamps_equal_on_every_path(data, n, capture, interleaves):
-    """The blockexec chunk (``blockexec=True``), the block's precise
-    sub-step (``blockexec=False``) and the ``FPInstruction`` stream
+    """The blockexec chunk (``fastpaths="storm"``), the block's precise
+    sub-step (``fastpaths="trapfast"``) and the ``FPInstruction`` stream
     (``block=False``) stamp every chain alike: equal observed counts
     and equal coils, origin cycle, propagations, sinks with their
     cycles and ``last_cycle`` included."""

@@ -1,9 +1,9 @@
 """The memoized softfloat must be indistinguishable from the reference.
 
-:class:`repro.fp.memo.MemoSoftFPU` sits under the per-RIP executor cache
-in the trap-storm fast path, so any divergence from :class:`SoftFPU` --
-a NaN payload, a signed zero, a missing sticky flag, a tininess bit --
-would leak straight into trace files.  Each example runs the same
+:class:`repro.fp.memo.MemoSoftFPU` caches softfloat operations by their
+exact inputs, so any divergence from :class:`SoftFPU` -- a NaN payload,
+a signed zero, a missing sticky flag, a tininess bit -- would leak
+straight into any result it served.  Each example runs the same
 operation through the plain reference, a cold cache, and a warm cache
 (same call twice), and requires bit-for-bit equal ``OpResult``s across
 all four IEEE rounding modes and the FTZ/DAZ corners.

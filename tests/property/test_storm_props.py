@@ -1,6 +1,7 @@
 """The storm batch driver must be byte-identical to per-event stepping.
 
-``KernelConfig.stormbatch`` toggles DESIGN.md decision #11: batches of
+The ``"storm"`` rung of ``KernelConfig.fastpaths`` adds DESIGN.md
+decision #11 over the ``"blockexec"`` rung below it: batches of
 consecutive same-RIP groups -- faulting ones with their whole trap
 lifecycles, quiet ones as plain retirements -- are replicated from one
 array-kernel pass instead of being stepped one event at a time, bounded
@@ -78,11 +79,12 @@ _FORMS = [
 ]
 
 
-def _run(mnemonic, streams, interleave, stormbatch, *, config=None,
+def _run(mnemonic, streams, interleave, storm, *, config=None,
          prelude=(), **env):
     kb = KernelBuilder()
     site = kb.site(mnemonic, key="storm")
-    k = Kernel(KernelConfig(stormbatch=stormbatch, **(config or {})))
+    k = Kernel(KernelConfig(fastpaths="storm" if storm else "blockexec",
+                            **(config or {})))
     out = {}
 
     def main():
@@ -240,12 +242,12 @@ def _group_streams(groups, lanes, arity):
 
 #: Snapshot keys (and key prefixes, ending in ".") that the per-event
 #: path and a storm batch must agree on: what FPSpy observed and
-#: recorded, per-flag events, delivered signals, fused traps, per-RIP
-#: site-cache hits and timer-defer fences.
+#: recorded, per-flag events, delivered signals, fused traps and
+#: timer-defer fences.
 _PARITY_KEYS = (
     "fpspy.observed", "fpspy.recorded", "fpspy.events.",
     "kernel.signals.delivered.", "cpu.trapfusion.fused",
-    "cpu.site_cache.hits", "kernel.timers.defer_fences",
+    "kernel.timers.defer_fences",
 )
 
 
@@ -258,7 +260,7 @@ def _parity_counts(k):
 def test_storm_telemetry_does_not_undercount():
     """The snapshot's counts must match the per-event path's: fpspy
     observed/recorded, per-flag events, delivered-signal counts,
-    fused-trap count, per-RIP site-cache hits and timer-defer fences --
+    fused-trap count and timer-defer fences --
     on a pure storm and on a stream that mixes quiet groups in, where
     quiet groups ride the batches."""
     cfg = {"telemetry": True}
@@ -385,8 +387,9 @@ def test_storm_mixed_quiet_and_faulting_groups_byte_identical(
 ):
     """Batches spanning quiet and faulting groups, two interleaved tasks,
     any quantum, subsampling, ``maxcount`` and a Poisson virtual timer:
-    ``stormbatch`` on must equal off in every guest-visible byte and,
-    with telemetry on, in every per-event count of the snapshot."""
+    the ``"storm"`` rung must equal ``"blockexec"`` in every
+    guest-visible byte and, with telemetry on, in every per-event count
+    of the snapshot."""
     mnemonic, arity = form
     lanes = 8 if mnemonic == "vfmaddps" else 1
     # A leading quiet group: each task's first batch attempt opens its
@@ -398,9 +401,9 @@ def test_storm_mixed_quiet_and_faulting_groups_byte_identical(
     if poisson is not None:
         env.update(poisson=f"{poisson[0]}:{poisson[1]}", timer="virtual")
 
-    def run(stormbatch):
+    def run(fastpaths):
         k = Kernel(KernelConfig(
-            stormbatch=stormbatch, quantum=quantum, telemetry=telemetry))
+            fastpaths=fastpaths, quantum=quantum, telemetry=telemetry))
         outs = []
         for t, streams in enumerate(streams_per_task):
             kb = KernelBuilder()
@@ -426,8 +429,8 @@ def test_storm_mixed_quiet_and_faulting_groups_byte_identical(
                  if not p.startswith("/proc/")}
         return k, (k.cycles, per_task, counts, state)
 
-    kf, on = run(True)
-    _, off = run(False)
+    kf, on = run("storm")
+    _, off = run("blockexec")
     assert on == off
     if poisson is None:
         assert kf.cpu.storm_stats["quiet"] >= 1

@@ -181,9 +181,9 @@ class TestTelemetryCLI:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"cycles": 1, "scopes": {
-            "cpu": {"site_cache.hits": 90, "site_cache.misses": 10}}}))
+            "cpu": {"trapfusion.fused": 90, "trapfusion.bailed": 10}}}))
         b.write_text(json.dumps({"cycles": 1, "scopes": {
-            "cpu": {"site_cache.hits": 50, "site_cache.misses": 50}}}))
+            "cpu": {"trapfusion.fused": 50, "trapfusion.bailed": 50}}}))
         assert cli_main(["telemetry", "diff", str(a), str(b)]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.out

@@ -6,7 +6,7 @@ from repro.fp.flags import Flag
 from repro.fp.formats import float_to_bits64 as b64
 from repro.guest.ops import IntWork, LibcCall
 from repro.isa.instruction import CodeLayout, FPInstruction
-from repro.kernel.kernel import Kernel
+from repro.kernel.kernel import FASTPATHS, Kernel, KernelConfig
 from repro.kernel.signals import Signal
 from repro.kernel.task import TaskState
 from repro.loader.fenv import FE_DIVBYZERO, FE_DFL_ENV
@@ -21,6 +21,13 @@ def run_simple(main, env=None):
     proc = k.exec_process(main, env=env or {}, name="test")
     k.run()
     return k, proc
+
+
+class TestFastPathsSetting:
+    def test_unknown_rung_is_rejected_naming_the_ladder(self):
+        with pytest.raises(ValueError, match="stormbatch") as err:
+            Kernel(KernelConfig(fastpaths="stormbatch"))
+        assert str(FASTPATHS) in str(err.value)
 
 
 class TestBasicExecution:

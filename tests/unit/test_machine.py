@@ -252,14 +252,14 @@ class TestBlockExecution:
         results = yield from kb.emit(site, a, b, interleave=interleave)
         return results.tolist()
 
-    def _run_vtimer_guest(self, blockexec, initial, n, interleave):
+    def _run_vtimer_guest(self, fastpaths, initial, n, interleave):
         from repro.guest.program import KernelBuilder
         from repro.kernel.kernel import KernelConfig
 
         kb = KernelBuilder()
         site = kb.site("mulsd")
         fired = {}
-        k = Kernel(KernelConfig(blockexec=blockexec))
+        k = Kernel(KernelConfig(fastpaths=fastpaths))
 
         def handler(signo, info, uctx):
             task = k.current_task
@@ -279,7 +279,8 @@ class TestBlockExecution:
         return fired
 
     def test_vtimer_fires_at_exact_instruction_inside_block(self):
-        fast = self._run_vtimer_guest(True, initial=37, n=100, interleave=0)
+        fast = self._run_vtimer_guest(
+            "storm", initial=37, n=100, interleave=0)
         # The setitimer call's own retirement consumes the first timer
         # unit, so the signal lands after 36 block instructions -- not at
         # the end of the batch -- with the cursor parked right there.
@@ -287,15 +288,16 @@ class TestBlockExecution:
         assert fast["index"] == 36
         assert fast["results"] == [b64(4.5)] * 100
         # Bit-for-bit the landing point of per-instruction execution.
-        assert self._run_vtimer_guest(False, 37, 100, 0) == fast
+        assert self._run_vtimer_guest("trapfast", 37, 100, 0) == fast
 
     def test_vtimer_fires_mid_group_in_interleave_phase(self):
         # Each group is 4 virtual-time units (1 FP + 3 int), so the
         # expiry falls *inside* a group's integer phase: the batch must
         # stop short and sub-step that group.
-        fast = self._run_vtimer_guest(True, initial=10, n=20, interleave=3)
+        fast = self._run_vtimer_guest(
+            "storm", initial=10, n=20, interleave=3)
         assert fast["vtime"] == 11
-        assert self._run_vtimer_guest(False, 10, 20, 3) == fast
+        assert self._run_vtimer_guest("trapfast", 10, 20, 3) == fast
 
     def test_trap_flag_forces_single_step_with_trap_per_retirement(self):
         from repro.guest.program import KernelBuilder

@@ -60,13 +60,13 @@ class TestPathIndependence:
         """A quiescent chunk and the precise sub-steps it stands for
         observe the same operations at the same cycles: the observed
         count, every coil (origin, propagations, sinks and their cycle
-        stamps) and the run's cycles match with the block engine on and
-        off."""
+        stamps) and the run's cycles match at the ``"storm"`` rung and at
+        ``"trapfast"``, the rung below the block engine."""
         from repro.study.targets import make_targets
 
         runs = []
-        for blockexec in (True, False):
-            kernel = Kernel(KernelConfig(tracing=True, blockexec=blockexec))
+        for fastpaths in ("storm", "trapfast"):
+            kernel = Kernel(KernelConfig(tracing=True, fastpaths=fastpaths))
             make_targets()[target].launch(
                 kernel, fpspy_env("aggregate"), 0.2, "default", 1234)
             kernel.run()

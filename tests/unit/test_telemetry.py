@@ -16,7 +16,6 @@ from repro.fp.formats import float_to_bits64 as b64
 from repro.fpspy import fpspy_env
 from repro.guest.ops import IntWork, LibcCall
 from repro.guest.program import KernelBuilder
-from repro.isa import semantics
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.vfs import VFS
 from repro.kernel.signals import Signal
@@ -96,26 +95,26 @@ class TestSnapshotTools:
         assert flat == {"cycles": 100, "cpu.hits": 3, "cpu.hist.total": 2}
 
     def test_derive_rates(self):
-        flat = {"cpu.site_cache.hits": 9, "cpu.site_cache.misses": 1}
-        assert derive_rates(flat) == {"cpu.site_cache.hit_rate": 0.9}
+        flat = {"cpu.trapfusion.fused": 9, "cpu.trapfusion.bailed": 1}
+        assert derive_rates(flat) == {"cpu.trapfusion.fuse_rate": 0.9}
         # Absent counters or zero totals yield no rate at all.
         assert derive_rates({}) == {}
-        assert derive_rates({"cpu.site_cache.hits": 0,
-                             "cpu.site_cache.misses": 0}) == {}
+        assert derive_rates({"cpu.trapfusion.fused": 0,
+                             "cpu.trapfusion.bailed": 0}) == {}
 
     def test_diff_ok_when_rates_hold(self):
-        a = _snap({"cpu": {"site_cache.hits": 90, "site_cache.misses": 10}})
-        b = _snap({"cpu": {"site_cache.hits": 88, "site_cache.misses": 12}})
+        a = _snap({"cpu": {"trapfusion.fused": 90, "trapfusion.bailed": 10}})
+        b = _snap({"cpu": {"trapfusion.fused": 88, "trapfusion.bailed": 12}})
         d = diff_snapshots(a, b)
         assert d.ok
         assert "ok" in d.render()
 
     def test_diff_flags_rate_regression(self):
-        a = _snap({"cpu": {"site_cache.hits": 90, "site_cache.misses": 10}})
-        b = _snap({"cpu": {"site_cache.hits": 50, "site_cache.misses": 50}})
+        a = _snap({"cpu": {"trapfusion.fused": 90, "trapfusion.bailed": 10}})
+        b = _snap({"cpu": {"trapfusion.fused": 50, "trapfusion.bailed": 50}})
         d = diff_snapshots(a, b, threshold=0.05)
         assert not d.ok
-        assert "cpu.site_cache.hit_rate" in d.regressions
+        assert "cpu.trapfusion.fuse_rate" in d.regressions
         assert "REGRESSION" in d.render()
         # A looser threshold accepts the same drop.
         assert diff_snapshots(a, b, threshold=0.5).ok
@@ -172,7 +171,7 @@ class TestProcFs:
         status = k.vfs.read(PROC_ROOT + "status").decode()
         assert status == render_status(k)
         assert f"cycles {k.cycles}" in status
-        assert "cpu.site_cache.hit_rate" in status
+        assert "cpu.trapfusion.fuse_rate" in status
 
     def test_snapshot_json_parses(self):
         k = _storm_kernel()
@@ -307,20 +306,12 @@ class TestMemoStats:
         fpu.add(BINARY64, b64(1.0), b64(4.0))
         assert fpu.stats()["hits"] == 1
 
-    def test_semantics_memo_stats_exposes_cache_fields(self):
-        stats = semantics.memo_stats()
-        for key in ("op_hits", "op_misses", "op_evictions",
-                    "op_occupancy", "op_capacity", "forms_interned"):
-            assert key in stats
-        assert stats["op_capacity"] > 0
-        assert 0 <= stats["op_occupancy"] <= stats["op_capacity"]
-
 
 # ------------------------------------------------- always-on count bound
 
 
 #: Timing statements for the hot paths' two count idioms: an attribute
-#: bump (``self.site_hits += 1``) and a raw-key slot bump
+#: bump (``self.fused += 1``) and a raw-key slot bump
 #: (``signals_delivered[signo] += 1``).
 BUMP_SETUP = """
 class Owner:

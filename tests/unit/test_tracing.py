@@ -19,7 +19,7 @@ from repro.telemetry.tracing import (
 )
 
 
-def _run_individual(n=6, trapfast=True, capacity=65536):
+def _run_individual(n=6, fastpaths="storm", capacity=65536):
     """``n`` divide-by-zero faults under FPSpy individual mode."""
     kb = KernelBuilder()
     site = kb.site("divsd")
@@ -30,7 +30,7 @@ def _run_individual(n=6, trapfast=True, capacity=65536):
         yield from kb.emit(site, a, b, interleave=2)
 
     k = Kernel(KernelConfig(
-        tracing=True, trace_capacity=capacity, trapfast=trapfast))
+        tracing=True, trace_capacity=capacity, fastpaths=fastpaths))
     k.exec_process(main, env=fpspy_env("individual"), name="storm")
     k.run()
     return k
@@ -82,8 +82,8 @@ class TestSpanTrees:
         assert k.tracer.open_trees() == 0
 
     def test_trapfast_and_precise_paths_agree_on_shape(self):
-        fast = _run_individual(trapfast=True)
-        slow = _run_individual(trapfast=False)
+        fast = _run_individual(fastpaths="storm")
+        slow = _run_individual(fastpaths="precise")
 
         def shape(k):
             # The storm summary spans exist only on the fast path (the

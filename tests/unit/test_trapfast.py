@@ -1,9 +1,10 @@
 """Fusion bail-out coverage for the trap-storm fast path (DESIGN.md #7).
 
 The fused FPE->TRAP delivery is only admissible when the guest cannot
-tell it happened, so nearly every test here runs the same workload with
-``trapfast`` on and off and requires the observable record -- cycle
-clock, signal ordering, process fate, trace bytes -- to be identical.
+tell it happened, so nearly every test here runs the same workload at
+the ``"storm"`` and ``"precise"`` rungs of ``KernelConfig.fastpaths``
+and requires the observable record -- cycle clock, signal ordering,
+process fate, trace bytes -- to be identical.
 Each scenario targets one bail-out: a timer expiring inside the fused
 window, a pending signal queued ahead of the trap, a SIG_DFL SIGTRAP
 disposition, a quantum boundary, and FPSpy's own maxcount disarm and
@@ -39,9 +40,9 @@ def _storm_main(kb, n=96, interleave=2):
     return main
 
 
-def _run_fpspy(trapfast, env, n=96, quantum=128):
+def _run_fpspy(fastpaths, env, n=96, quantum=128):
     kb = KernelBuilder()
-    k = Kernel(KernelConfig(trapfast=trapfast, quantum=quantum))
+    k = Kernel(KernelConfig(fastpaths=fastpaths, quantum=quantum))
     proc = k.exec_process(_storm_main(kb, n), env=env, name="storm")
     k.run()
     state = {p: k.vfs.read(p) for p in k.vfs.listdir("")}
@@ -49,8 +50,8 @@ def _run_fpspy(trapfast, env, n=96, quantum=128):
 
 
 def _assert_equivalent(env, n=96, quantum=128):
-    kf, pf, sf = _run_fpspy(True, env, n, quantum)
-    ks, ps, ss = _run_fpspy(False, env, n, quantum)
+    kf, pf, sf = _run_fpspy("storm", env, n, quantum)
+    ks, ps, ss = _run_fpspy("precise", env, n, quantum)
     assert kf.cycles == ks.cycles
     assert sf == ss
     return kf, pf, sf
@@ -78,7 +79,7 @@ class TestTimerBailouts:
         """A guest-owned periodic ITIMER_REAL (re-arming off the firing
         cycle, the case fusion must bail on rather than defer)."""
 
-        def run(trapfast):
+        def run(fastpaths):
             kb = KernelBuilder()
             main = _storm_main(kb, 96)
             ticks = []
@@ -92,13 +93,13 @@ class TestTimerBailouts:
                 yield from main()
                 yield LibcCall("setitimer", ("real", 0.0))
 
-            k = Kernel(KernelConfig(trapfast=trapfast))
+            k = Kernel(KernelConfig(fastpaths=fastpaths))
             k.exec_process(wrapped, env=fpspy_env("individual"), name="t")
             k.run()
             return k.cycles, ticks
 
-        cyc_f, ticks_f = run(True)
-        cyc_s, ticks_s = run(False)
+        cyc_f, ticks_f = run("storm")
+        cyc_s, ticks_s = run("precise")
         assert ticks_f  # the timer actually fired during the storm
         assert (cyc_f, ticks_f) == (cyc_s, ticks_s)
 
@@ -108,10 +109,10 @@ class TestDeliveryBailouts:
         """A signal the SIGFPE handler itself raises must be delivered
         before the trap, exactly as the posted-signal path orders it."""
 
-        def run(trapfast):
+        def run(fastpaths):
             layout = CodeLayout()
             div = layout.site("divsd")
-            k = Kernel(KernelConfig(trapfast=trapfast))
+            k = Kernel(KernelConfig(fastpaths=fastpaths))
             events = []
 
             def on_usr1(signo, info, uctx):
@@ -141,8 +142,8 @@ class TestDeliveryBailouts:
             k.run()
             return k.cycles, events
 
-        cyc_f, ev_f = run(True)
-        cyc_s, ev_s = run(False)
+        cyc_f, ev_f = run("storm")
+        cyc_s, ev_s = run("precise")
         # USR1 must precede each trap in both configurations.
         assert [e[0] for e in ev_f].count("usr1") == 4
         assert (cyc_f, ev_f) == (cyc_s, ev_s)
@@ -152,10 +153,10 @@ class TestDeliveryBailouts:
         the process.  Fusion must bail so the kernel-side fatal path runs
         at the precise delivery point."""
 
-        def run(trapfast):
+        def run(fastpaths):
             layout = CodeLayout()
             div = layout.site("divsd")
-            k = Kernel(KernelConfig(trapfast=trapfast))
+            k = Kernel(KernelConfig(fastpaths=fastpaths))
 
             def on_fpe(signo, info, uctx):
                 uctx.mcontext.mxcsr |= 0x1F80
@@ -171,8 +172,8 @@ class TestDeliveryBailouts:
             k.run()
             return k.cycles, proc.killed_by
 
-        cyc_f, fate_f = run(True)
-        cyc_s, fate_s = run(False)
+        cyc_f, fate_f = run("storm")
+        cyc_s, fate_s = run("precise")
         assert fate_f == Signal.SIGTRAP
         assert (cyc_f, fate_f) == (cyc_s, fate_s)
 
@@ -181,8 +182,8 @@ class TestDeliveryBailouts:
         fusion must bail so the other process's interleaving (and the
         cycle clock both guests see) is unchanged."""
 
-        def run(trapfast):
-            k = Kernel(KernelConfig(trapfast=trapfast, quantum=3))
+        def run(fastpaths):
+            k = Kernel(KernelConfig(fastpaths=fastpaths, quantum=3))
             for name in ("one", "two"):
                 kb = KernelBuilder()
                 k.exec_process(
@@ -193,8 +194,8 @@ class TestDeliveryBailouts:
             k.run()
             return k.cycles, {p: k.vfs.read(p) for p in k.vfs.listdir("")}
 
-        cyc_f, state_f = run(True)
-        cyc_s, state_s = run(False)
+        cyc_f, state_f = run("storm")
+        cyc_s, state_s = run("precise")
         assert cyc_f == cyc_s
         assert state_f == state_s
 
@@ -216,10 +217,10 @@ class TestEngineExits:
         """A guest-raised SIGTRAP arrives while AWAIT_FPE: FPSpy gets out
         of the way instead of misreading it as its own single-step."""
 
-        def run(trapfast):
+        def run(fastpaths):
             kb = KernelBuilder()
             storm = _storm_main(kb, 48)
-            k = Kernel(KernelConfig(trapfast=trapfast))
+            k = Kernel(KernelConfig(fastpaths=fastpaths))
 
             def main():
                 yield from storm()
@@ -230,8 +231,8 @@ class TestEngineExits:
             k.run()
             return k, proc
 
-        kf, pf = run(True)
-        ks, ps = run(False)
+        kf, pf = run("storm")
+        ks, ps = run("precise")
         for k, proc in ((kf, pf), (ks, ps)):
             engine = proc.loader.preloads[0].engine
             assert engine.stepped_aside
@@ -272,7 +273,7 @@ class TestFastPathMachinery:
         ``_deliver_trap_inline``, so it is pinned off here to exercise
         the per-event machinery itself."""
         kb = KernelBuilder()
-        k = Kernel(KernelConfig(trapfast=True, stormbatch=False))
+        k = Kernel(KernelConfig(fastpaths="blockexec"))
         fused = []
         orig = k.cpu._deliver_trap_inline
 
@@ -289,23 +290,22 @@ class TestFastPathMachinery:
 
     def test_trapfast_off_never_delivers_inline(self):
         kb = KernelBuilder()
-        k = Kernel(KernelConfig(trapfast=False))
+        k = Kernel(KernelConfig(fastpaths="precise"))
 
         def boom(task, disposition, floor):  # pragma: no cover
-            raise AssertionError("inline delivery with trapfast off")
+            raise AssertionError("inline delivery at the precise rung")
 
         k.cpu._deliver_trap_inline = boom
         k.exec_process(
             _storm_main(kb, 96), env=fpspy_env("individual"), name="storm"
         )
         k.run()
-        assert k.cpu._site_cache == {}  # decode cache also gated off
 
-    def test_site_cache_validates_identity_across_processes(self):
+    def test_same_address_in_two_processes_runs_each_form(self):
         """Two processes lay out different code at the same TEXT_BASE
-        addresses; the per-RIP cache must never serve one process's
-        decode to the other."""
-        k = Kernel(KernelConfig(trapfast=True))
+        addresses; each must get its own form's results, never the
+        other process's."""
+        k = Kernel(KernelConfig())
         outs = {}
 
         def make(name, mnemonic, value):
@@ -342,7 +342,7 @@ class TestBailoutCounters:
     crafted task state that isolates one reason per case)."""
 
     def _armed_kernel(self, *, trap_handler=True):
-        k = Kernel(KernelConfig(trapfast=True, telemetry=True))
+        k = Kernel(KernelConfig(telemetry=True))
 
         def main():
             yield IntWork(1)
@@ -386,7 +386,7 @@ class TestBailoutCounters:
         """The fused count agrees with the monkeypatch count the
         white-box machinery test establishes: 96 elements / 8 lanes."""
         kb = KernelBuilder()
-        k = Kernel(KernelConfig(trapfast=True, telemetry=True))
+        k = Kernel(KernelConfig(telemetry=True))
         k.exec_process(
             _storm_main(kb, 96), env=fpspy_env("individual"), name="storm"
         )
