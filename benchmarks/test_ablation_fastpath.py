@@ -4,6 +4,10 @@
 The fast path must win decisively on mid-range arithmetic for the
 design to be worth its fallback complexity; these benches measure both
 implementations on identical binary64 and binary32 operand streams.
+``FastSoftFPU`` runs one lane through the host loops of
+:mod:`repro.fp.fastpath`, where every certificate is defined once and
+which ``batchfloat`` runs over whole batches, so this measures those
+certificates at one lane per call.
 """
 
 import numpy as np

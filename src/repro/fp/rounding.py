@@ -6,7 +6,9 @@ into a target-format bit pattern and reports exactly which of the
 post-computation conditions (Overflow, Underflow, Inexact) the rounding
 raised, under x64 MXCSR semantics:
 
-* tininess is detected *before* rounding (SSE behavior);
+* tininess is detected *after* rounding (SSE behavior): a result is tiny
+  when the value, rounded to ``p`` significant bits with an unbounded
+  exponent, is below ``2**emin``;
 * with the Underflow exception masked, UE is flagged only when the result
   is both tiny and inexact;
 * FTZ (flush-to-zero) replaces a tiny result with a signed zero and flags
@@ -43,9 +45,10 @@ class RoundedValue:
         Condition codes (an int of :mod:`repro.fp.flags` bits) under
         masked semantics (OE/UE/PE as appropriate).
     tiny:
-        True when the pre-rounding value was tiny (below the normal range),
-        *regardless* of inexactness.  The machine layer uses this for the
-        unmasked-Underflow corner where even an exact denormal traps.
+        True when the result is tiny (detected after rounding, see the
+        module docstring), *regardless* of inexactness.  The machine
+        layer uses this for the unmasked-Underflow corner where even an
+        exact denormal traps.
     """
 
     bits: int
@@ -128,6 +131,11 @@ def round_pack(
     e_top = exp + nb - 1  # unbiased exponent of the leading bit
 
     tiny = e_top < fmt.emin
+    if tiny and e_top == fmt.emin - 1:
+        # Tininess after rounding: a value just below 2**emin that rounds
+        # up to it at p bits is not tiny, and takes the normal path.
+        up, _ = round_significand(mant, nb - fmt.p, sign, rmode, sticky)
+        tiny = up.bit_length() <= fmt.p
     if tiny:
         # Denormalize: align mantissa so its LSB sits at 2**(emin - (p-1)).
         target_lsb_exp = fmt.emin - fmt.mant_bits
@@ -138,8 +146,9 @@ def round_pack(
             # Flush-to-zero (masked UM only): tiny result becomes signed zero.
             return RoundedValue(fmt.zero(sign), UE | PE, True)
         if kept >= (1 << fmt.mant_bits):
-            # Rounding carried into the normal range: result is min-normal.
-            # x64 (tininess before rounding): still tiny, UE set if inexact.
+            # Rounding on the denormal grid carried into the normal range,
+            # but rounding at p bits did not: min-normal, tiny, UE if
+            # inexact.
             bits = (fmt.sign_bit if sign else 0) | fmt.min_normal
             if inexact:
                 flags |= UE | PE

@@ -58,7 +58,8 @@ class OpResult:
         Exact condition codes the operation raises, as an int of
         :mod:`repro.fp.flags` bits (masked semantics; see ``tiny``).
     tiny:
-        Pre-rounding tininess indicator.  With the Underflow exception
+        Tininess indicator, detected after rounding as x64 does (see
+        :mod:`repro.fp.rounding`).  With the Underflow exception
         *unmasked*, x64 traps on tininess even when the result is exact;
         the machine layer consults this.
     """

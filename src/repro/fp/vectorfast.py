@@ -1,6 +1,7 @@
 """Vectorized error-free transformations over binary64 lanes.
 
-These are the lane-wise NumPy analogues of :mod:`repro.fp.fastpath`: for
+These are the lane-wise NumPy analogues of :mod:`repro.fp.fastpath`'s
+host loops, whose windows and two-product residue they import: for
 the overwhelmingly common case -- normal, mid-range binary64 operands
 under round-to-nearest with FTZ/DAZ off -- the host FPU already computes
 the correctly rounded result for a whole array at once, and the exact
@@ -43,16 +44,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.fp.fastpath import WINDOW64
+from repro.fp.fastpath import _MAX_SAFE, _MIN_SAFE, WINDOW64, _two_prod_err
 from repro.isa.forms import OpKind
-
-#: Magnitude bounds within which results are certainly safe (no overflow,
-#: no tininess, no residual precision loss).  Mirrors ``fastpath``.
-_MIN_SAFE = 2.0**-500
-_MAX_SAFE = 2.0**500
-
-#: Veltkamp splitting constant for binary64 (2**27 + 1).
-_SPLIT = 134217729.0
 
 _U52 = np.uint64(52)
 _U63 = np.uint64(63)
@@ -64,7 +57,7 @@ def fast_operand_mask(bits: np.ndarray) -> np.ndarray:
     """Lanes whose operand is a normal, finite, mid-range binary64 value.
 
     The exponent-field window ``fastpath.WINDOW64`` is the vector twin
-    of ``fastpath._is_fast_operand``: magnitude within 2**+-500 and normal
+    of the host loops' operand window: magnitude within 2**+-500 and normal
     (which also excludes zeros, subnormals, infinities, and NaNs).
     """
     e = (bits >> _U52) & _EXPF
@@ -75,17 +68,6 @@ def _two_sum_err(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Residual of ``s = fl(x + y)``: ``s + err == x + y`` exactly."""
     bv = s - x
     return (x - (s - bv)) + (y - bv)
-
-
-def _two_prod_err(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Residual of ``p = fl(x * y)``: ``p + err == x * y`` exactly."""
-    cx = _SPLIT * x
-    hx = cx - (cx - x)
-    lx = x - hx
-    cy = _SPLIT * y
-    hy = cy - (cy - y)
-    ly = y - hy
-    return ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
 
 
 def _safe_result(v: np.ndarray) -> np.ndarray:

@@ -49,6 +49,15 @@ INT_RESULT_KINDS = frozenset(
     {OpKind.UCOMI, OpKind.COMI, OpKind.CVT_F2I, OpKind.CVT_F2I_TRUNC}
 )
 
+#: ``(negate_product, negate_c)`` per FMA family kind: the sign of each
+#: term of ``(+-a*b) + (+-c)``.
+FMA_NEGATE = {
+    OpKind.FMADD: (False, False),
+    OpKind.FMSUB: (False, True),
+    OpKind.FNMADD: (True, False),
+    OpKind.FNMSUB: (True, True),
+}
+
 
 #: Operand count per kind (per lane).
 _ARITY: dict[OpKind, int] = {

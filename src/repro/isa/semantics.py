@@ -9,7 +9,11 @@ values generated by the elementwise operations", section 3.2).
 ``form_executor`` is the trap-storm fast path's entry point: it returns a
 per-form closure that memoizes whole :class:`ExecutionOutcome` objects
 keyed on ``(operand bits, FPContext)``, with the plain
-:class:`repro.fp.fastpath.FastSoftFPU` behind its misses.
+:class:`repro.fp.fastpath.FastSoftFPU` behind its misses: the host-loop
+certificates :mod:`repro.fp.batchfloat` runs over batches, one lane per
+call (they are defined once, in :mod:`repro.fp.fastpath`).  The FMA
+family's term signs come from :data:`repro.isa.forms.FMA_NEGATE`, the
+one table batchfloat reads too.
 Individual-mode monitoring executes every faulting instruction twice --
 once to fault, once single-stepped under the handler's masked context --
 which is what the outcome level can catch.  Outcomes are frozen and
@@ -23,7 +27,7 @@ from typing import Callable
 
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.softfloat import FPContext
-from repro.isa.forms import InstructionForm, OpKind
+from repro.isa.forms import FMA_NEGATE, InstructionForm, OpKind
 
 # The fast path is property-tested bit-equivalent to the canonical
 # SoftFPU (tests/property/test_fastpath_props.py) and ~2-5x faster,
@@ -44,8 +48,8 @@ class ExecutionOutcome:
         OR of all lane condition codes (masked semantics), as an int of
         :mod:`repro.fp.flags` bits.
     tiny:
-        True if any lane's pre-rounding result was tiny (for the
-        unmasked-Underflow trap corner).
+        True if any lane's result was tiny, detected after rounding as
+        x64 does (for the unmasked-Underflow trap corner).
     """
 
     results: tuple[int, ...]
@@ -99,17 +103,10 @@ def execute_form(
             r = fpu.max(fmt, lane[0], lane[1], ctx)
         elif kind == OpKind.SQRT:
             r = fpu.sqrt(fmt, lane[0], ctx)
-        elif kind == OpKind.FMADD:
-            r = fpu.fma(fmt, lane[0], lane[1], lane[2], ctx)
-        elif kind == OpKind.FMSUB:
-            r = fpu.fma(fmt, lane[0], lane[1], lane[2], ctx, negate_c=True)
-        elif kind == OpKind.FNMADD:
-            r = fpu.fma(fmt, lane[0], lane[1], lane[2], ctx, negate_product=True)
-        elif kind == OpKind.FNMSUB:
-            r = fpu.fma(
-                fmt, lane[0], lane[1], lane[2], ctx,
-                negate_product=True, negate_c=True,
-            )
+        elif kind in FMA_NEGATE:
+            neg_p, neg_c = FMA_NEGATE[kind]
+            r = fpu.fma(fmt, lane[0], lane[1], lane[2], ctx,
+                        negate_product=neg_p, negate_c=neg_c)
         elif kind == OpKind.ROUND:
             r = fpu.round_to_integral(fmt, lane[0], ctx)
         elif kind == OpKind.CVT_F2F:

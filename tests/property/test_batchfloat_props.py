@@ -1,7 +1,7 @@
 """Batch softfloat must be bit-equivalent to the scalar SoftFPU.
 
 Every lane of ``execute_batch`` -- result bit pattern, all six IEEE
-condition flags, and the pre-rounding tininess bit -- must match the
+condition flags, and the tininess bit -- must match the
 scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries) crossed with all four
 rounding modes and the DAZ/FTZ context bits.  Its tiers are pinned: the
@@ -20,7 +20,6 @@ from unittest import mock
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import (
-    _FMA_NEGATE,
     _SCALAR_MAX_LANES,
     BATCH_KINDS,
     batch_stats,
@@ -34,7 +33,7 @@ from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.fp.vectorfast import vector_execute
 from repro.isa.forms import (
-    FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form)
+    FMA_NEGATE, FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form)
 from repro.isa.semantics import execute_form
 
 _FPU = SoftFPU()
@@ -99,7 +98,7 @@ def _scalar(kind, fmt, ops, ctx):
     }
     if kind in two:
         return two[kind](fmt, ops[0], ops[1], ctx)
-    neg_p, neg_c = _FMA_NEGATE[kind]
+    neg_p, neg_c = FMA_NEGATE[kind]
     return _FPU.fma(
         fmt, ops[0], ops[1], ops[2], ctx,
         negate_product=neg_p, negate_c=neg_c,
@@ -165,7 +164,7 @@ _FMA32 = ["vfmaddps", "vfmsubps", "vfnmaddps", "vfnmaddss", "vfmsubss",
 
 
 def _eft_eligible(f, ctx):
-    return (f.fmt is BINARY32 and f.kind in _FMA_NEGATE
+    return (f.fmt is BINARY32 and f.kind in FMA_NEGATE
             and ctx.rmode == RoundingMode.NEAREST
             and not ctx.ftz and not ctx.daz)
 

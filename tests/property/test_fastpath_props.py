@@ -2,15 +2,22 @@
 
 Every equivalence property draws its format first, binary64 or
 binary32, so each one covers both host fast paths and their fallbacks.
+FastSoftFPU runs batchfloat's host loops over one lane, so it must also
+fall back on exactly the lanes the batch layer computes canonically.
 """
 
+from unittest import mock
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp.batchfloat import batch_stats, execute_batch, reset_batch_stats
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.formats import BINARY32, BINARY64, float_to_bits32, float_to_bits64
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
+from repro.isa.forms import InstructionForm, OpKind
 
 FAST = FastSoftFPU()
 SLOW = SoftFPU()
@@ -188,3 +195,52 @@ def test_exactness_detection_spot_checks():
     # Results at the window edge still match the canonical softfloat.
     for x, y in ((2.0**50, 2.0**50), (2.0**-50, 2.0**-50), (1.5, 2.0**99)):
         _same(FAST.mul(BINARY32, b(x), b(y)), SLOW.mul(BINARY32, b(x), b(y)))
+
+
+#: The SoftFPU method each fast op falls back to.
+_FALLBACK = {OpKind.ADD: "_addsub", OpKind.SUB: "_addsub",
+             OpKind.MUL: "mul", OpKind.DIV: "div", OpKind.SQRT: "sqrt"}
+
+
+def _fast_fallbacks(kind, fmt, lanes, ctx):
+    """The lanes on which ``FastSoftFPU`` calls its canonical parent."""
+    name = _FALLBACK[kind]
+    op = getattr(FAST, kind.value)
+    fell_back = []
+    with mock.patch.object(SoftFPU, name, autospec=True,
+                           side_effect=getattr(SoftFPU, name)) as canonical:
+        for i, lane in enumerate(lanes):
+            calls = canonical.call_count
+            op(fmt, *lane, ctx)
+            if canonical.call_count > calls:
+                fell_back.append(i)
+    return fell_back
+
+
+def _batch_scalar_lanes(kind, fmt, lanes, ctx):
+    f = InstructionForm(f"{kind.value}{fmt.width}", kind, fmt)
+    ops = tuple(np.array(col, np.uint64) for col in zip(*lanes))
+    reset_batch_stats()
+    execute_batch(f, ops, ctx)
+    return batch_stats()["scalar_lanes"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(_FALLBACK)),
+       fmt=st.sampled_from(FORMATS), data=st.data(),
+       ctx=st.one_of(st.just(FPContext()), contexts))
+def test_fast_falls_back_on_exactly_the_batch_scalar_lanes(
+        kind, fmt, data, ctx):
+    """One certificate: over the strata above, ``FastSoftFPU`` reaches
+    ``SoftFPU`` on a lane iff ``execute_batch`` counts that lane in
+    ``scalar_lanes`` for the same operands and context, lane by lane and
+    over the whole batch."""
+    arity = 1 if kind is OpKind.SQRT else 2
+    operand = st.one_of(ANY[fmt], MIDRANGE[fmt])
+    lanes = data.draw(st.lists(st.tuples(*[operand] * arity),
+                               min_size=1, max_size=8))
+    fell_back = _fast_fallbacks(kind, fmt, lanes, ctx)
+    for i, lane in enumerate(lanes):
+        assert _batch_scalar_lanes(kind, fmt, [lane], ctx) == (
+            i in fell_back), (kind, fmt.name, lane)
+    assert _batch_scalar_lanes(kind, fmt, lanes, ctx) == len(fell_back)

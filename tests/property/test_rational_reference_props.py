@@ -7,7 +7,7 @@ drawn batch also runs tiled past the host loop's lane limit, where the
 binary32 FMA family takes the EFT tier and every other case the integer
 kernels.  This one computes with :class:`fractions.Fraction`:
 the exact operation, then round-to-nearest-even into the format, with the
-masked x64 condition codes and pre-rounding tininess.
+masked x64 condition codes and tininess detected after rounding.
 
 Its domain is the host loop's: finite operands (zero, subnormal, normal)
 under round-to-nearest with FTZ/DAZ off, for add, sub, mul, div, sqrt,
@@ -86,28 +86,49 @@ def _quantum(fmt, e):
     return max(e, fmt.emin) - fmt.mant_bits
 
 
-def _round(fmt, v):
-    """Round-to-nearest-even of a nonzero rational."""
-    a = abs(v)
-    e = _floor_log2(a)
-    q = _quantum(fmt, e)
-    scaled = a / _pow2(q)
-    m, rem = divmod(scaled.numerator, scaled.denominator)
-    rem = Fraction(rem, scaled.denominator)
+def _rne(x):
+    """Round-to-nearest-even of a nonnegative rational to an integer, and
+    whether that was inexact."""
+    m, rem = divmod(x.numerator, x.denominator)
+    rem = Fraction(rem, x.denominator)
     if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and m & 1):
         m += 1
-    return _encode(fmt, int(v < 0), m, q, rem != 0, e < fmt.emin)
+    return m, rem != 0
 
 
-def _round_sqrt(fmt, v):
-    """Round-to-nearest-even of the root of a positive rational."""
-    e = _floor_log2(v) // 2
-    q = _quantum(fmt, e)
+def _rne_sqrt(v, q):
+    """Round-to-nearest-even of ``sqrt(v) / 2**q`` to an integer, and
+    whether that was inexact."""
     w = v / _pow2(2 * q)
     n = math.isqrt(w.numerator // w.denominator)
     half = Fraction(2 * n + 1, 2) ** 2
     m = n + 1 if w > half or (w == half and n & 1) else n
-    return _encode(fmt, 0, m, q, w != n * n, e < fmt.emin)
+    return m, w != n * n
+
+
+def _rounded(fmt, sign, e, at):
+    """Encode a positive value in ``[2**e, 2**(e+1))``; ``at(q)`` rounds
+    it to nearest-even at quantum ``2**q``.  x64 detects tininess after
+    rounding: the value rounded to ``p`` bits with an unbounded exponent
+    is below ``2**emin``."""
+    q = _quantum(fmt, e)
+    m, inexact = at(q)
+    p_bits = e - fmt.mant_bits
+    tiny = e < fmt.emin and at(p_bits)[0] * _pow2(p_bits) < _pow2(fmt.emin)
+    return _encode(fmt, sign, m, q, inexact, tiny)
+
+
+def _round(fmt, v):
+    """Round-to-nearest-even of a nonzero rational."""
+    a = abs(v)
+    return _rounded(fmt, int(v < 0), _floor_log2(a),
+                    lambda q: _rne(a / _pow2(q)))
+
+
+def _round_sqrt(fmt, v):
+    """Round-to-nearest-even of the root of a positive rational."""
+    return _rounded(fmt, 0, _floor_log2(v) // 2,
+                    lambda q: _rne_sqrt(v, q))
 
 
 def reference(kind, fmt, ops):

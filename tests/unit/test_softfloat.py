@@ -13,7 +13,7 @@ from repro.fp.formats import (
     float_to_bits64,
 )
 from repro.fp.rounding import RoundingMode
-from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, SoftFPU
+from repro.fp.softfloat import DEFAULT_CONTEXT, FPContext, OpResult, SoftFPU
 
 FPU = SoftFPU()
 SNAN64 = 0x7FF0000000000001
@@ -155,6 +155,26 @@ class TestMul:
         r = FPU.mul(BINARY64, b(1e-200), b(1e-200), ctx)
         assert r.bits == BINARY64.pos_zero
         assert r.flags == Flag.UE | Flag.PE
+
+    def test_tininess_is_detected_after_rounding(self):
+        # (1 - 2**-54) * 2**-1022 rounds up to 2**-1022 at 53 bits: not
+        # tiny, so no UE, and FTZ leaves it alone.
+        x, y = b(1 - 2.0**-27), b((1 + 2.0**-27) * 2.0**-1022)
+        for ctx in (FPContext(), FPContext(ftz=True)):
+            r = FPU.mul(BINARY64, x, y, ctx)
+            assert r == OpResult(BINARY64.min_normal, Flag.PE, False)
+        # Toward zero it stays below 2**-1022: the largest subnormal.
+        r = FPU.mul(BINARY64, x, y, FPContext(rmode=RoundingMode.ZERO))
+        assert r == OpResult(BINARY64.min_normal - 1, Flag.UE | Flag.PE, True)
+
+    def test_carry_on_the_denormal_grid_can_still_be_tiny(self):
+        # (1 - 2**-53) * 2**-1022 has 53 bits, so it stays below 2**-1022
+        # after rounding; the denormal grid rounds it up to 2**-1022.
+        x, y = b(1 - 2.0**-53), BINARY64.min_normal
+        r = FPU.mul(BINARY64, x, y)
+        assert r == OpResult(BINARY64.min_normal, Flag.UE | Flag.PE, True)
+        r = FPU.mul(BINARY64, x, y, FPContext(ftz=True))
+        assert r == OpResult(BINARY64.pos_zero, Flag.UE | Flag.PE, True)
 
 
 class TestDiv:
