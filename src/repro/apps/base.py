@@ -8,7 +8,8 @@ from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
-from repro.fp.formats import BINARY32, BINARY64
+from repro.fp.formats import (
+    BINARY32, BINARY64, float_to_bits32, float_to_bits64)
 from repro.guest.ops import IntWork, LibcCall
 from repro.guest.program import GuestProgram, KernelBuilder
 from repro.isa.forms import INT_RESULT_KINDS
@@ -83,27 +84,24 @@ class SimApp(GuestProgram):
 
     def touch_cold(self, sites: Iterable[CodeSite], values: np.ndarray) -> Generator:
         """Execute each cold site once on successive operand values."""
-        vals = np.asarray(values, dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64).tolist()
         i = 0
         for site in sites:
             form = site.form
-            fmt = form.fmt or BINARY64
+            if form.kind.name == "CVT_I2F":
+                conv = None
+            elif (form.fmt or BINARY64) is BINARY32:
+                conv = float_to_bits32
+            else:
+                conv = float_to_bits64
             ops = []
             for _lane in range(form.lanes):
                 lane = []
                 for _k in range(form.arity):
-                    v = float(vals[i % len(vals)])
+                    v = vals[i % len(vals)]
                     i += 1
-                    if form.kind.name == "CVT_I2F":
-                        lane.append(int(abs(v) * 100) + 1)
-                    elif fmt is BINARY32:
-                        from repro.fp.formats import float_to_bits32
-
-                        lane.append(float_to_bits32(v))
-                    else:
-                        from repro.fp.formats import float_to_bits64
-
-                        lane.append(float_to_bits64(v))
+                    lane.append(int(abs(v) * 100) + 1 if conv is None
+                                else conv(v))
                 ops.append(tuple(lane))
             yield FPInstruction(site, tuple(ops))
 
@@ -128,7 +126,7 @@ class SimApp(GuestProgram):
         encoded = [self.kb.encode_bits(np.asarray(a).ravel(), fmt) for a in arrays]
         bits = yield from self.kb.emit(site, *encoded, interleave=interleave)
         if form.kind in INT_RESULT_KINDS:
-            return np.asarray(bits)
+            return np.frombuffer(bits, dtype=np.int64)
         return self.kb.decode_array(bits, form.dst_fmt or fmt)
 
     def stream_ints(

@@ -5,7 +5,11 @@ catalogue form -- bit-equivalent to :class:`repro.fp.softfloat.SoftFPU`
 including NaN payload propagation, signed zeros, subnormals, all four
 rounding modes, and DAZ/FTZ.  It is the emulate half of the storm fast
 path (:mod:`repro.machine.storm`) and commits every chunk of blockexec's
-quiescent fast path (:mod:`repro.machine.blockexec`).
+quiescent fast path (:mod:`repro.machine.blockexec`).  Operands are
+int sequences -- an ``FPBlock``'s lane ``array`` slices (DESIGN.md #6),
+or lists -- and the results come back as a lane ``array`` the block
+copies from, with the codes and tininess as lists: plain Python sized
+to traffic whose batches average a few groups.
 
 The arithmetic kinds (:data:`BATCH_KINDS`) compute the result bit
 patterns and all six IEEE condition flags per lane, on one of two tiers
@@ -28,8 +32,10 @@ picked per call (DESIGN.md #15):
   lanes under round-to-nearest without FTZ/DAZ run :func:`_eft_fma32`,
   the host loop's FMA certificate (the same window, two-sum residue and
   midpoint test) over NumPy arrays: the synthetic FMA storm's thousands
-  of lanes.  Its certified lanes carry PE or nothing; the host loop
-  recomputes every other lane, however many there are.
+  of lanes.  The only NumPy code on the batch path, it converts the
+  operands on entry and its results on exit.  Its certified lanes carry
+  PE or nothing; the host loop recomputes every other lane, however
+  many there are.
 
 Every other kind -- round, dot product, compares, conversions -- makes
 one call per group to the memoized per-form executor
@@ -40,8 +46,11 @@ stay defined in one place.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import partial
+from operator import or_
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +72,9 @@ from repro.fp.fastpath import (
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import (
-    FMA_NEGATE, INT_RESULT_KINDS, InstructionForm, OpKind)
+    FMA_NEGATE, InstructionForm, OpKind, lane_typecodes)
 from repro.isa.semantics import form_executor
 
-_I = np.int64
 _U = np.uint64
 
 _FPU = SoftFPU()
@@ -107,20 +115,30 @@ BATCH_KINDS = frozenset(
 class BatchResult:
     """Per-lane outcome of one batch execution.
 
-    ``bits`` are the results: uint64 bit patterns (low ``width`` bits
-    significant), or int64 values for :data:`INT_RESULT_KINDS` (relation
-    codes, converted integers).  ``flags`` are int64 condition codes and
-    ``tiny`` the tininess indicator, detected after rounding as x64 does
-    (the unmasked-UE corner).  :data:`BATCH_KINDS` carry both per lane;
-    every other kind carries its group's OR of codes and its tininess on
-    the group's first lane and 0 on the others, so only a per-group OR
-    may read them -- as blockexec, storm's ``_Window`` and the
-    provenance pre-scan do.
+    ``bits`` are the results in the block lane format, so a commit is
+    one slice copy: an ``array('Q')`` of bit patterns (low ``width``
+    bits significant), or an ``array('q')`` for :data:`INT_RESULT_KINDS`
+    (relation codes, converted integers).  ``flags`` is the list of
+    condition codes and ``tiny`` that of the tininess indicators,
+    detected after rounding as x64 does (the unmasked-UE corner).
+    :data:`BATCH_KINDS` carry both per lane; every other kind carries
+    its group's OR of codes and its tininess on the group's first lane
+    and 0 on the others, so only a per-group OR may read them -- as
+    :meth:`group_flags`, blockexec and storm's ``_Window`` do.
     """
 
-    bits: np.ndarray
-    flags: np.ndarray
-    tiny: np.ndarray
+    bits: array
+    flags: list[int]
+    tiny: list[bool]
+
+    def group_flags(self, lanes: int) -> list[int]:
+        """Each ``lanes``-wide group's OR of lane codes, one strided
+        pass per lane position."""
+        fl = self.flags
+        codes = fl[::lanes]
+        for j in range(1, lanes):
+            codes = list(map(or_, codes, fl[j::lanes]))
+        return codes
 
 
 _WIN32_LO, _WIN32_HI = (_U(e) for e in WINDOW32)
@@ -132,13 +150,15 @@ _MID = _U(0x10000000)
 
 def _eft_fma32(kind, operands):
     """The NumPy twin of :func:`repro.fp.fastpath._host_fma32`, same
-    window and same midpoint certificate: ``(result_bits, pe, certified)`` arrays, with
-    garbage in the uncertified lanes' bits."""
+    window and same midpoint certificate: ``(result_bits, pe, certified)``
+    arrays, with garbage in the uncertified lanes' bits.  The only NumPy
+    tier, so the operand sequences become arrays here."""
     with np.errstate(all="ignore"):
         neg_p, neg_c = FMA_NEGATE[kind]
         ok = None
         X = []
         for o in operands:
+            o = np.asarray(o, dtype=_U)
             e = (o >> _U23) & _EXPF32
             w = (e > _WIN32_LO) & (e < _WIN32_HI)
             ok = w if ok is None else ok & w
@@ -194,6 +214,16 @@ def _fpu_op(kind):
     return getattr(_FPU, kind.name.lower())
 
 
+def _host_floats(fmt, o):
+    """Operand bit patterns as host floats: binary64 through a buffer
+    cast of the lane array, binary32 in one ``struct`` pass."""
+    if fmt is BINARY64:
+        return memoryview(o if isinstance(o, array) else array("Q", o)
+                          ).cast("B").cast("d").tolist()
+    n = len(o)
+    return struct.unpack(f"{n}f", struct.pack(f"{n}I", *o))
+
+
 def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
     """The host loop: one pass over the lanes as host floats under
     round-to-nearest without FTZ/DAZ; every lane it cannot certify, and
@@ -204,34 +234,24 @@ def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
     n = len(operands[0])
     out = None
     if ctx.rmode == _RN and not ctx.ftz and not ctx.daz:
-        if fmt is BINARY64:
-            X = [struct.unpack(f"{n}d", o.tobytes()) for o in operands]
-        else:
-            X = [struct.unpack(f"{n}f", o.astype(np.uint32).tobytes())
-                 for o in operands]
-        out = _run_host_loop(kind, fmt, X)
+        out = _run_host_loop(kind, fmt, [_host_floats(fmt, o)
+                                         for o in operands])
     if out is None:
         res, fl, miss = [0] * n, [0] * n, range(n)
     else:
         res, fl, miss = out
-    fixes = []
+    if fmt is BINARY64:
+        bits = array("Q", struct.pack(f"{n}d", *res))
+    else:
+        bits = array("Q", struct.unpack(f"{n}I", struct.pack(f"{n}f", *res)))
+    tiny = [False] * n
     if miss:
         _STATS["scalar_lanes"] += len(miss)
         op = _fpu_op(kind)
-        ints = [o.tolist() for o in operands]
         for i in miss:
-            r = op(fmt, *[v[i] for v in ints], ctx)
-            fl[i] = r.flags
-            fixes.append((i, r))
-    if fmt is BINARY64:
-        bits = np.frombuffer(bytearray(struct.pack(f"{n}d", *res)), _U)
-    else:
-        bits = np.frombuffer(struct.pack(f"{n}f", *res), np.uint32).astype(_U)
-    tiny = np.zeros(n, np.bool_)
-    for i, r in fixes:
-        bits[i] = r.bits
-        tiny[i] = r.tiny
-    return BatchResult(bits, np.array(fl, _I), tiny)
+            r = op(fmt, *[o[i] for o in operands], ctx)
+            bits[i], fl[i], tiny[i] = r.bits, r.flags, r.tiny
+    return BatchResult(bits, fl, tiny)
 
 
 def _executor_batch(form, operands, ctx) -> BatchResult:
@@ -240,7 +260,7 @@ def _executor_batch(form, operands, ctx) -> BatchResult:
     run = form_executor(form)
     lanes = form.lanes
     n = len(operands[0])
-    rows = list(zip(*[o.tolist() for o in operands]))
+    rows = list(zip(*operands))
     res = []
     fl = [0] * n
     tiny = [False] * n
@@ -249,19 +269,18 @@ def _executor_batch(form, operands, ctx) -> BatchResult:
         res += out.results
         fl[lo] = out.flags
         tiny[lo] = out.tiny
-    return BatchResult(
-        np.array(res, _I if form.kind in INT_RESULT_KINDS else _U),
-        np.array(fl, _I), np.array(tiny, np.bool_))
+    return BatchResult(array(lane_typecodes(form)[1], res), fl, tiny)
 
 
 def execute_batch(
     form: InstructionForm,
-    operands: tuple[np.ndarray, ...],
+    operands: tuple[Sequence[int], ...],
     ctx: FPContext,
 ) -> BatchResult:
-    """Execute one batch: ``operands[i]`` is the array for operand
-    position ``i`` (uint64 bit patterns, int64 for ``cvtsi2s*`` sources;
-    all the same length, a whole number of ``form.lanes`` groups).
+    """Execute one batch: ``operands[i]`` is the int sequence for operand
+    position ``i`` -- a block's lane ``array`` slice or a list: bit
+    patterns, signed for ``cvtsi2s*`` sources; all the same length, a
+    whole number of ``form.lanes`` groups.
 
     Bit-equivalent to :func:`repro.isa.semantics.execute_form` per group
     under ``ctx`` (see :class:`BatchResult` for the flag layout).  The
@@ -283,13 +302,14 @@ def execute_batch(
             or ctx.rmode != _RN or ctx.ftz or ctx.daz):
         return _scalar_batch(kind, fmt, operands, ctx)
     _STATS["vector_lanes"] += n
-    bits, pe, certified = _eft_fma32(kind, operands)
-    flags = np.where(pe, _I(PE), _I(0))
-    tiny = np.zeros(n, np.bool_)
-    if not certified.all():
-        idx = np.nonzero(~certified)[0]
-        sub = _scalar_batch(kind, fmt, tuple(o[idx] for o in operands), ctx)
-        bits[idx] = sub.bits
-        flags[idx] = sub.flags
-        tiny[idx] = sub.tiny
+    eft_bits, pe, certified = _eft_fma32(kind, operands)
+    bits = array("Q", eft_bits.tobytes())
+    flags = np.where(pe, PE, 0).tolist()
+    tiny = [False] * n
+    idx = np.flatnonzero(~certified).tolist()
+    if idx:
+        sub = _scalar_batch(
+            kind, fmt, tuple([o[i] for i in idx] for o in operands), ctx)
+        for j, i in enumerate(idx):
+            bits[i], flags[i], tiny[i] = sub.bits[j], sub.flags[j], sub.tiny[j]
     return BatchResult(bits, flags, tiny)

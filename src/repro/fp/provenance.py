@@ -19,10 +19,11 @@ because distinct fault sites almost always differ in payload, sign, or
 magnitude.
 
 Coverage and counts do not depend on the path taken.  Both batched
-fast paths -- a blockexec chunk and a storm window -- run one pre-scan,
-:meth:`ProvenanceTracker.scan_window`, observe every group it flags (a
-NaN/Inf/denorm bit pattern as an input or a result) at the cycle its
-per-instruction retirement would read, and count the rest as
+fast paths -- a blockexec chunk and a storm window -- run one
+plain-Python pre-scan over the block's operand and result lanes,
+:meth:`ProvenanceTracker.scan_window`, observe every group
+it flags (a NaN/Inf/denorm bit pattern as an input or a result) at the
+cycle its per-instruction retirement would read, and count the rest as
 observed.  The other hook is the CPU's one precise retirement
 (``CPU._retire``), which every ``FPInstruction``, block sub-step and
 handler-emulated writeback goes through: it observes each operation at
@@ -284,59 +285,45 @@ class ProvenanceTracker:
         return mark
 
     def scan_window(self, site, ops, results, ng: int, lanes: int,
-                    last_take: int):
-        """Vectorized pre-scan of ``ng`` groups of one block: which
-        groups *might* touch provenance state?
+                    last_take: int) -> list[bool]:
+        """Pre-scan of ``ng`` groups of one block: which groups *might*
+        touch provenance state?
 
         The one pre-scan of both batched paths: a blockexec chunk and a
-        storm cache window.  ``ops`` are the groups' operand arrays (one
-        per operand position, ``ng * lanes`` flat elements each) and
+        storm cache window.  ``ops`` are the groups' operand sequences
+        (one per operand position, ``ng * lanes`` flat elements each) and
         ``results`` the matching results.  Tags only ever hold
         exceptional bit patterns, so a group whose operand and result
         lanes are all ordinary can neither create, propagate, nor sink a
         chain -- the caller skips its :meth:`observe` entirely and adds
         it to :attr:`observed`, so the count is the same whichever path
-        retired the group.  Returns an ``ng``-long boolean array;
+        retired the group.  Returns an ``ng``-long list of bools;
         ``True`` means "replay this group through observe exactly".
         Integer operand and result positions (``cvtsi2s*`` sources,
         compare and float-to-int results) are never exceptional and are
         skipped.  The storm driver computes this once per batch cache
         and slices per committed window, so the whole remaining block
-        costs a handful of numpy passes.  The final group is
-        conservatively flagged when partial (``last_take < lanes``),
-        because its padding lanes are unverified.
+        costs one plain-Python pass per operand position.  The final
+        group is conservatively flagged when partial (``last_take <
+        lanes``), because its padding lanes are unverified.
 
         The per-lane test is two compares on ``x = bits & (emask |
         mmask)``: NaN/Inf iff ``x >= emask`` (the exponent field is
         saturated exactly when the masked value reaches ``emask``), and
-        denorm iff ``x - 1 < mmask`` (zero wraps to the unsigned max and
-        fails; any normal has ``x > mmask``).
+        denorm iff ``0 < x <= mmask`` (a zero exponent field, a nonzero
+        mantissa).
         """
-        import numpy as np
-
         ie, im, re_, rm = _form_masks(site.form)
-        if ie is not None and re_ == ie and rm == im:
-            # Same-format in and out (the overwhelmingly common case):
-            # one concatenated pass replaces per-array dispatch.
-            flat = np.concatenate(ops + (results,))
-            x = flat & (ie | im)
-            exc = (x >= ie) | ((x - 1) < im)
-            sus = exc.reshape(len(ops) + 1, ng, lanes).any(axis=(0, 2))
-        else:
-            excflat = None
-            for emask, mmask, arrays in (
-                    (ie, im, ops), (re_, rm, (results,))):
-                if emask is None:
-                    continue
-                both = emask | mmask
-                for a in arrays:
-                    x = a & both
-                    exc = (x >= emask) | ((x - 1) < mmask)
-                    excflat = exc if excflat is None else (excflat | exc)
-            if excflat is None:
-                sus = np.zeros(ng, dtype=bool)
-            else:
-                sus = excflat.reshape(ng, lanes).any(axis=1)
+        sus = [False] * ng
+        for emask, mmask, seqs in ((ie, im, ops), (re_, rm, (results,))):
+            if emask is None:
+                continue
+            both = emask | mmask
+            for a in seqs:
+                for i, v in enumerate(a):
+                    x = v & both
+                    if x >= emask or 0 < x <= mmask:
+                        sus[i // lanes] = True
         if last_take < lanes and ng:
             sus[-1] = True
         return sus

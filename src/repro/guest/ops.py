@@ -6,12 +6,11 @@ it lives in the ISA package.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.isa.forms import INT_RESULT_KINDS, OpKind
+from repro.isa.forms import lane_typecodes
 from repro.isa.instruction import CodeSite
 
 
@@ -65,12 +64,13 @@ class FPBlock(GuestOp):
     block form merely licenses the CPU to batch the work when the task is
     quiescent (see :mod:`repro.machine.blockexec`).
 
-    Every form stores its data the same way: one padded array per
-    operand position (``arrays``; float operands as ``uint64`` bit
-    patterns, ``cvtsi2s*`` integer sources as ``int64``) and one
-    ``n_elements`` result array (``results``; ``int64`` for compare and
-    float-to-int kinds, ``uint64`` bit patterns otherwise) that every
-    retirement path writes its slice of.  The cursor fields record
+    Every form stores its data the same way, in the one lane format
+    from emission to commit (DESIGN.md #6): one padded stdlib
+    :class:`array.array` per operand position (``arrays``; float
+    operands as ``'Q'`` bit patterns, ``cvtsi2s*`` integer sources as
+    ``'q'``) and one ``n_elements`` result array (``results``; ``'q'``
+    for compare and float-to-int kinds, ``'Q'`` bit patterns otherwise)
+    that every retirement path writes its slice of.  The cursor fields record
     partial progress so a fault, trap, or timer can interrupt the block
     mid-flight and restart it at the precise instruction.
     """
@@ -80,9 +80,9 @@ class FPBlock(GuestOp):
     n_elements: int  #: real (unpadded) elements across all groups
     #: One operand array per operand position, padded to
     #: ``n_groups * lanes`` elements.
-    arrays: tuple[np.ndarray, ...]
+    arrays: tuple[array, ...]
     #: Flat element results, written as groups retire.
-    results: np.ndarray
+    results: array
     interleave: int = 0  #: integer instructions after each FP instruction
 
     # -- execution cursor (owned by the machine) ----------------------------
@@ -98,26 +98,21 @@ class FPBlock(GuestOp):
         interleave: int,
         pad: int,
     ) -> "FPBlock":
-        """Pack parallel operand streams into a block (padding the tail)."""
-        form = site.form
-        lanes = form.lanes
+        """Pack parallel operand streams -- each the ``array`` of
+        :meth:`repro.guest.program.KernelBuilder.encode_bits` or a list of
+        ints -- into a block (padding the tail)."""
+        op_code, res_code = lane_typecodes(site.form)
+        lanes = site.form.lanes
         n = len(operand_streams[0])
         n_groups = -(-n // lanes)
-        total = n_groups * lanes
-        op_dtype = np.int64 if form.kind is OpKind.CVT_I2F else np.uint64
         arrays = []
         for stream in operand_streams:
-            a = np.empty(total, dtype=op_dtype)
-            if isinstance(stream, np.ndarray):
-                a[:n] = stream.astype(op_dtype, copy=False)
-            else:
-                a[:n] = np.fromiter(stream, dtype=op_dtype, count=n)
-            a[n:] = pad
+            a = array(op_code, stream)
+            a.extend([pad] * (n_groups * lanes - n))
             arrays.append(a)
-        res_dtype = np.int64 if form.kind in INT_RESULT_KINDS else np.uint64
         return cls(
             site=site, n_groups=n_groups, n_elements=n,
-            arrays=tuple(arrays), results=np.empty(n, dtype=res_dtype),
+            arrays=tuple(arrays), results=array(res_code, [0]) * n,
             interleave=interleave,
         )
 
@@ -131,7 +126,7 @@ class FPBlock(GuestOp):
         """Lane-input tuples of group ``g`` (an ``FPInstruction.inputs``)."""
         lanes = self.site.form.lanes
         lo = g * lanes
-        return tuple(zip(*[a[lo:lo + lanes].tolist() for a in self.arrays]))
+        return tuple(zip(*[a[lo:lo + lanes] for a in self.arrays]))
 
     def take(self, g: int) -> int:
         """Real (unpadded) element count of group ``g``."""

@@ -14,6 +14,7 @@ elements through a site lane-by-lane, returning the results.
 
 from __future__ import annotations
 
+from array import array
 from typing import Generator, Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.fp.formats import (
     float_to_bits32,
     float_to_bits64,
 )
-from repro.isa.forms import OpKind
+from repro.isa.forms import OpKind, lane_typecodes
 from repro.isa.instruction import CodeLayout, CodeSite, FPInstruction
 
 
@@ -102,24 +103,26 @@ class KernelBuilder:
         return [conv(b) for b in bits]
 
     @staticmethod
-    def encode_bits(values: np.ndarray, fmt=BINARY64) -> np.ndarray:
-        """Bit patterns of a numpy array as a numpy uint array,
-        preserving NaNs/infs/denormals.
+    def encode_bits(values: np.ndarray, fmt=BINARY64) -> array:
+        """Bit patterns of a numpy array in the block lane format: an
+        ``array('Q')``, preserving NaNs/infs/denormals.
 
-        Block emission accepts these directly, so hot loops hand operand
-        bits to the block engine without a per-element Python round
-        trip."""
+        The guest's NumPy data crosses into the lane format here, in one
+        buffer copy, so hot loops hand operand bits to the block engine
+        without a per-element Python round trip."""
         if fmt is BINARY64:
-            f = np.ascontiguousarray(np.asarray(values, dtype=np.float64).ravel())
-            return f.view(np.uint64)
-        f = np.ascontiguousarray(np.asarray(values, dtype=np.float32).ravel())
-        return f.view(np.uint32)
+            bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+        else:
+            bits = np.asarray(values, dtype=np.float32).view(np.uint32)
+        return array("Q", bits.astype(np.uint64, copy=False).tobytes())
 
     @staticmethod
-    def decode_array(bits: Sequence[int], fmt=BINARY64) -> np.ndarray:
+    def decode_array(bits: array, fmt=BINARY64) -> np.ndarray:
+        """A block's ``'Q'`` result lanes as a numpy float array."""
+        raw = np.frombuffer(bits, dtype=np.uint64)
         if fmt is BINARY64:
-            return np.asarray(bits, dtype=np.uint64).view(np.float64)
-        return np.asarray(bits, dtype=np.uint32).view(np.float32)
+            return raw.view(np.float64)
+        return raw.astype(np.uint32).view(np.float32)
 
     # ---------------------------------------------------------- emitters
 
@@ -147,8 +150,8 @@ class KernelBuilder:
         the stream the legacy way: one :class:`FPInstruction` per
         ``site.form.lanes`` elements (padding the tail with benign
         operands) with an :class:`IntWork` after each.  The per-element
-        results come back flat: the block's ``results`` array, or a list
-        from the legacy stream.
+        results come back flat in the lane format either way: the block's
+        ``results`` array, or the same ``array`` from the legacy stream.
 
         ``interleave`` models the surrounding integer work of a real
         kernel: that many non-FP instructions are executed after each FP
@@ -175,13 +178,9 @@ class KernelBuilder:
                 site, operand_streams, interleave, self._pad_value(site)
             )
             return (yield fpb)
-        operand_streams = tuple(
-            s.tolist() if isinstance(s, np.ndarray) else s
-            for s in operand_streams
-        )
         lanes = form.lanes
         pad = self._pad_value(site)
-        out: list[int] = []
+        out = array(lane_typecodes(form)[1])
         for i in range(0, n, lanes):
             lane_inputs = []
             for j in range(lanes):
@@ -195,17 +194,3 @@ class KernelBuilder:
             if interleave > 0:
                 yield IntWork(interleave)
         return out
-
-    def binary(self, site: CodeSite, a: Sequence[int], b: Sequence[int],
-               interleave: int = 0) -> Generator:
-        return self.emit(site, a, b, interleave=interleave)
-
-    def unary(self, site: CodeSite, a: Sequence[int],
-              interleave: int = 0) -> Generator:
-        return self.emit(site, a, interleave=interleave)
-
-    def ternary(
-        self, site: CodeSite, a: Sequence[int], b: Sequence[int],
-        c: Sequence[int], interleave: int = 0,
-    ) -> Generator:
-        return self.emit(site, a, b, c, interleave=interleave)

@@ -221,6 +221,15 @@ assert len(AVX_FORMS) == 25, len(AVX_FORMS)
 assert len(FORMS) == 64
 
 
+def lane_typecodes(form: InstructionForm) -> tuple[str, str]:
+    """The :class:`array.array` typecodes of ``form``'s operand and
+    result lanes in a block (DESIGN.md #6): ``'Q'`` bit patterns,
+    ``'q'`` for ``cvtsi2s*`` sources and :data:`INT_RESULT_KINDS`
+    results."""
+    return ("q" if form.kind is OpKind.CVT_I2F else "Q",
+            "q" if form.kind in INT_RESULT_KINDS else "Q")
+
+
 def form(mnemonic: str) -> InstructionForm:
     """Look up a form by mnemonic; raises ``KeyError`` with a hint."""
     try:

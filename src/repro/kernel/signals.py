@@ -137,7 +137,3 @@ class UContext:
     """``ucontext_t`` analogue: just wraps the mcontext."""
 
     mcontext: MContext = field(default_factory=MContext)
-
-    @property
-    def uc_mcontext(self) -> MContext:
-        return self.mcontext

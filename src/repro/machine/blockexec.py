@@ -1,4 +1,5 @@
-"""The vectorized masked-mode block execution engine.
+"""The block execution engine: batched masked-mode chunks and precise
+sub-steps.
 
 One :class:`repro.guest.ops.FPBlock` stands for a long per-instruction
 stream; this module executes it so the two are architecturally
@@ -10,17 +11,18 @@ every exception masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding
 mode -- no FP instruction in the block can fault or trap, so a chunk of
 groups can be committed as a batch, which is sound because sticky-flag
 OR is commutative and nothing can observe intermediate state mid-chunk.
-Every form makes one :func:`repro.fp.batchfloat.execute_batch` call for
-the whole chunk (which runs the host loop, the EFT tier or the per-form
-executor, DESIGN.md #15).  The chunk's results land in one array, the
-block's ``results`` get that slice, and the provenance tracker (when
-tracing) sees the groups
-its :meth:`~repro.fp.provenance.ProvenanceTracker.scan_window` pre-scan
-flags; then one sticky-flag OR into ``%mxcsr``, one cycle charge, one
-vtime advance.  The chunk is capped by the scheduler quantum and by the
-vtimer/real-timer budgets exactly as ``CPU.int_chunk`` caps integer
-runs, so ``SIGVTALRM`` and ``SIGALRM`` land on the precise instruction
-the per-instruction stream would deliver them at.
+Every form makes one :func:`repro.fp.batchfloat.execute_batch` call on
+the chunk's slices of the block's lane arrays (which runs the host loop,
+the EFT tier or the per-form executor, DESIGN.md #15).  The chunk's
+results come back as one lane array, the block's ``results`` get that
+slice, and the provenance tracker (when tracing) sees the groups its
+:meth:`~repro.fp.provenance.ProvenanceTracker.scan_window` pre-scan
+flags; then one sticky-flag OR, in Python, into ``%mxcsr``, one cycle
+charge, one vtime advance.  The chunk is capped by the scheduler
+quantum and by the vtimer/real-timer budgets exactly as
+``CPU.int_chunk`` caps integer runs, so ``SIGVTALRM`` and ``SIGALRM``
+land on the precise instruction the per-instruction stream would
+deliver them at.
 
 **Precise replay.**  Below that rung, or outside quiescence -- FPSpy
 individual mode unmasking its capture set, a sampler duty cycle turning
@@ -40,9 +42,9 @@ first offered to :func:`repro.machine.storm.try_storm`.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.fp import batchfloat
 from repro.machine import storm
@@ -68,7 +70,7 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # Non-quiescent usually means FPSpy's individual mode is live:
         # first offer the run of faulting groups to the storm batch
         # driver (DESIGN.md #11), which commits whole trap lifecycles as
-        # one array op when -- and only when -- that is provably
+        # one batch when -- and only when -- that is provably
         # byte-identical to precise stepping.
         if (
             cpu.rung >= STORM
@@ -126,7 +128,6 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
     # condition codes exactly, whatever tier it picks.
     res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
     bits = res.bits
-    flags = int(np.bitwise_or.reduce(res.flags))
 
     prov = cpu._prov
     if prov is not None:
@@ -137,11 +138,10 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
         # per-instruction retirement would read.
         sus = prov.scan_window(site, ops, bits, k, lanes,
                                block.take(start + k - 1))
-        idxs = np.flatnonzero(sus).tolist()
+        idxs = [g for g, s in enumerate(sus) if s]
         prov.observed += k - len(idxs)
         if idxs:
-            gflags = np.bitwise_or.reduce(
-                res.flags.reshape(k, lanes), axis=1).tolist()
+            gflags = res.group_flags(lanes)
             kernel = cpu.kernel
             c0 = kernel.cycles
             for gi in idxs:
@@ -150,11 +150,11 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
                 kernel.cycles = c0 + gi * per_group
                 prov.observe(
                     task, site, block.group(start + gi)[:take],
-                    bits[glo:glo + take].tolist(), gflags[gi],
+                    bits[glo:glo + take], gflags[gi],
                 )
             kernel.cycles = c0
 
-    task.mxcsr.set_status(flags)
+    task.mxcsr.set_status(reduce(or_, res.flags))
     cpu.commit_groups(task, block, bits, k)
     cycles = k * per_group
     task.utime_cycles += cycles

@@ -20,6 +20,7 @@ task -- this is how FPSpy masks exceptions and toggles single-stepping.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,7 +115,7 @@ class CPU:
         self.fusion_bailouts: dict[str, int] = {}
         #: User-handler deliveries, indexed by signal number.
         self.signals_delivered = [0] * (max(Signal) + 1)
-        #: Block engine: vectorized chunks and the groups they retired,
+        #: Block engine: batched chunks and the groups they retired,
         #: precise sub-steps, and quiescence regime transitions.
         self.blk_chunks = 0
         self.blk_groups = 0
@@ -122,7 +123,7 @@ class CPU:
         self.quiesce_entries = 0
         self.quiesce_exits = 0
         #: Host-only per-task record of the block engine's last regime
-        #: (True = vectorized chunk, False = precise sub-step), for the
+        #: (True = batched chunk, False = precise sub-step), for the
         #: quiescence entry/exit transition counts.
         self._blk_mode: dict[Task, bool] = {}
         #: Flight recorder + provenance (DESIGN.md #10), pre-fetched so a
@@ -389,7 +390,8 @@ class CPU:
                 self._prov.observe(
                     task, site, inputs[:take], results[:take], flags)
             lo = op.index * site.form.lanes
-            op.results[lo:lo + take] = results[:take]
+            op.results[lo:lo + take] = array(op.results.typecode,
+                                             results[:take])
             op.fp_done = True
             op.int_remaining = op.interleave
             if op.interleave == 0:

@@ -23,8 +23,9 @@ per-event path would bump is bumped by the same amount, and every
 flight-recorder span it would emit is emitted with identical contents
 and cycle stamps.
 Application windows hold about seven groups, where a NumPy call costs
-more than its work, so everything around the one batch call is plain
-Python over lists.
+more than its work, so everything around the one batch call -- the
+per-group OR of lane codes included -- is plain Python over the block's
+lane arrays and the batch's results and codes.
 
 Admissibility is the whole game.  ``try_storm`` proves, before
 committing anything, that the replicated story is *byte-identical* to
@@ -48,8 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import BATCH_KINDS
@@ -230,19 +229,14 @@ class _Window:
         self.ctx, self.base, self.start = ctx, base, block.index
         self.ng = ng = block.n_groups - block.index
         self.bits = res.bits
-        # The one array reduction left: on a large storm, OR-ing lanes in
-        # Python would cost more than the batch softfloat call itself.
-        self.codes = codes = np.bitwise_or.reduce(
-            res.flags.reshape(ng, lanes), axis=1).tolist()
+        self.codes = codes = res.group_flags(lanes)
         unmasked = ~(base >> MASK_SHIFT) & ALL_CODES
         self.pend = pend = [c & unmasked for c in codes]
-        if unmasked & UE:
+        if unmasked & UE and True in res.tiny:
             # Unmasked-UM corner: an exact-but-tiny result traps too.
-            tiny = res.tiny.tobytes()
-            i = tiny.find(1)
-            while i >= 0:
-                pend[i // lanes] |= UE
-                i = tiny.find(1, i + 1)
+            for i, t in enumerate(res.tiny):
+                if t:
+                    pend[i // lanes] |= UE
         w = 2 if block.interleave > 0 else 1
         self.bad = [] if quiet_ok else [g for g, p in enumerate(pend) if not p]
         self.need_end = need_end = []
@@ -259,8 +253,7 @@ class _Window:
             steps.append(s)
             faults.append(f)
         # The provenance pre-scan of this whole window (one scan serves
-        # every storm committed out of it), run while the operand and
-        # result arrays are cache-hot.
+        # every storm committed out of it).
         self.sus = None
         if prov is not None:
             self.sus = prov.scan_window(
@@ -394,7 +387,9 @@ def _commit(
         task.mxcsr.value = base | acc
     # Writeback, identical to k precise retirements.  Admission kept the
     # vtime advance strictly below any armed vtimer's expiry.
-    cpu.commit_groups(task, block, win.bits[rel * site.form.lanes:], k)
+    lanes = site.form.lanes
+    cpu.commit_groups(
+        task, block, win.bits[rel * lanes:(rel + k) * lanes], k)
     cpu.step_cost = win.steps[rel + k] - win.steps[rel]
 
     st = cpu.storm_stats
@@ -451,7 +446,7 @@ def _replicate_events(
     marks = [0] * k
     try:
         if prov is not None:
-            # Vectorized pre-scan: groups with only ordinary lanes can
+            # The window's pre-scan: groups with only ordinary lanes can
             # neither create, propagate, nor sink a chain, so only the
             # exceptional (and partial-tail) groups replay through the
             # exact per-event observe -- in event order, at the exact
@@ -459,8 +454,7 @@ def _replicate_events(
             # re-execution, after the recording handler returns).  The
             # scan covers the whole window once; each committed storm
             # just slices its k groups out of it.
-            idxs = [j for j, s in
-                    enumerate(win.sus[rel:rel + k].tolist()) if s]
+            idxs = [j for j, s in enumerate(win.sus[rel:rel + k]) if s]
             prov.observed += k - len(idxs)
             for j in idxs:
                 kernel.cycles = (
@@ -470,7 +464,7 @@ def _replicate_events(
                 glo = (rel + j) * lanes
                 marks[j] = prov.observe(
                     task, site, block.group(g)[:take],
-                    win.bits[glo:glo + take].tolist(), codes[j],
+                    win.bits[glo:glo + take], codes[j],
                 )
         if tr is not None:
             tr.replicate_trees(

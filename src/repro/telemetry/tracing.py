@@ -805,12 +805,6 @@ class TraceRecorder:
             "capacity": self.capacity,
         }
 
-    def clear(self) -> None:
-        self._committed = 0
-        self._slots = [_EMPTY_SLOT] * self._alloc
-        self._live.clear()
-        self._pending.clear()
-
 
 # ------------------------------------------------------------- exports
 

@@ -11,12 +11,15 @@ must agree byte for byte; every catalogue form, the per-form executor
 tier included, must equal ``execute_form`` group by group.
 """
 
+from array import array
+from functools import reduce
+from operator import or_
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from unittest import mock
 
 from repro.fp import batchfloat
 from repro.fp.batchfloat import (
@@ -33,7 +36,8 @@ from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.fp.vectorfast import vector_execute
 from repro.isa.forms import (
-    FMA_NEGATE, FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form)
+    FMA_NEGATE, FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form,
+    lane_typecodes)
 from repro.isa.semantics import execute_form
 
 _FPU = SoftFPU()
@@ -108,16 +112,13 @@ def _scalar(kind, fmt, ops, ctx):
 def _draw_ops(data, f, n):
     bits = bits32 if f.fmt.width == 32 else bits64
     return tuple(
-        np.array(
-            data.draw(st.lists(bits, min_size=n, max_size=n)),
-            dtype=np.uint64,
-        )
+        array("Q", data.draw(st.lists(bits, min_size=n, max_size=n)))
         for _ in range(f.arity)
     )
 
 
 def _assert_lanes_match_oracle(f, ops, res, ctx):
-    for i in range(ops[0].shape[0]):
+    for i in range(len(ops[0])):
         lane = tuple(int(o[i]) for o in ops)
         oracle = _scalar(f.kind, f.fmt, lane, ctx)
         assert int(res.bits[i]) == oracle.bits, (f.mnemonic, lane, ctx)
@@ -148,7 +149,7 @@ def test_vector_mul_underflow_of_a_63_bit_product():
     f = form("mulpd")
     lane = (1681, 2743418214412486)
     for n in (1, _SCALAR_MAX_LANES + 1):
-        ops = tuple(np.full(n, v, dtype=np.uint64) for v in lane)
+        ops = tuple(array("Q", [v]) * n for v in lane)
         for rmode in RoundingMode:
             ctx = FPContext(rmode=rmode)
             _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, ctx),
@@ -191,8 +192,9 @@ def test_batch_methods_byte_identical_across_crossover(mnemonic, data, ctx):
             for name in ("bits", "flags", "tiny"):
                 a = getattr(part, name)
                 b = getattr(full, name)[:cut]
-                assert a.dtype == b.dtype, name
-                assert a.tobytes() == b.tobytes(), (name, mnemonic, cut, ctx)
+                assert type(a) is type(b), name
+                assert a == b, (name, mnemonic, cut, ctx)
+            assert part.bits.typecode == full.bits.typecode == "Q"
     assert spy.call_count == (1 if _eft_eligible(f, ctx) else 0), ctx
 
 
@@ -249,8 +251,7 @@ def test_eft_tier_lanes_exact_under_round_to_nearest(mnemonic, data, n):
     ctx = FPContext()
     lanes = st.one_of(_WINDOW32, _EXACT32, bits32)
     ops = tuple(
-        np.array(data.draw(st.lists(lanes, min_size=n, max_size=n)),
-                 dtype=np.uint64)
+        array("Q", data.draw(st.lists(lanes, min_size=n, max_size=n)))
         for _ in range(f.arity)
     )
     with _eft_spy() as spy:
@@ -267,10 +268,10 @@ def test_eft_tier_sends_a_wide_remainder_to_the_host_loop():
     n = 2 * _SCALAR_MAX_LANES
     specials = [0x7FC00000, 0xFF800000, 0x00000001]
     # Three lanes in four carry a NaN, an infinity or a subnormal.
-    a = np.array([specials[i % 4 - 1] if i % 4 else 0x3FC00000
-                  for i in range(n)], dtype=np.uint64)
-    b = np.full(n, 0x3DCCCCCD, np.uint64)  # 0.1
-    c = np.full(n, 0x3F000000, np.uint64)  # 0.5
+    a = array("Q", [specials[i % 4 - 1] if i % 4 else 0x3FC00000
+                    for i in range(n)])
+    b = array("Q", [0x3DCCCCCD]) * n  # 0.1
+    c = array("Q", [0x3F000000]) * n  # 0.5
     ctx = FPContext()
     reset_batch_stats()
     with mock.patch.object(batchfloat, "_scalar_batch",
@@ -289,9 +290,9 @@ def test_eft_tier_off_under_directed_rounding_or_ftz_daz():
     exactly."""
     f = form("vfmaddps")
     n = _SCALAR_MAX_LANES + 1
-    a = np.array([0x3FC00000 + i for i in range(n)], np.uint64)
-    b = np.array([0x3DCCCCCD - i for i in range(n)], np.uint64)
-    c = np.full(n, 0xBF000000, np.uint64)  # -0.5
+    a = array("Q", [0x3FC00000 + i for i in range(n)])
+    b = array("Q", [0x3DCCCCCD - i for i in range(n)])
+    c = array("Q", [0xBF000000]) * n  # -0.5
     b[3] = 0x00000001  # one subnormal lane
     ctxs = [FPContext(rmode=r) for r in RoundingMode
             if r != RoundingMode.NEAREST]
@@ -345,10 +346,11 @@ def test_every_form_batches_equal_to_execute_form_per_group(
         mnemonic, data, groups, ctx):
     """Every catalogue form, over 1-3 whole groups plus a tail group
     padded as ``FPBlock`` pads it: each group's results, its OR of lane
-    flags and its tininess equal ``execute_form``'s, under every rounding
-    mode, FTZ and DAZ.  Kinds off the host loop carry their group's codes
-    and tininess on its first lane only; results are int64 for the
-    integer-result kinds."""
+    flags (and ``BatchResult.group_flags``) and its tininess equal
+    ``execute_form``'s, under every rounding mode, FTZ and DAZ.  Kinds
+    off the host loop carry their group's codes and tininess on its
+    first lane only; results are a ``'q'`` lane array for the
+    integer-result kinds and a ``'Q'`` one otherwise."""
     f = form(mnemonic)
     lanes = f.lanes
     tail = data.draw(st.integers(0, lanes - 1))
@@ -359,25 +361,29 @@ def test_every_form_batches_equal_to_execute_form_per_group(
         pad = 1 if f.kind is OpKind.CVT_I2F else (
             float_to_bits64(1.0) if f.fmt is BINARY64 else float_to_bits32(1.0))
         cols = [c + [pad] * (lanes - tail) for c in cols]
-    dtype = np.int64 if f.kind is OpKind.CVT_I2F else np.uint64
-    ops = tuple(np.array(c, dtype) for c in cols)
+    op_code, res_code = lane_typecodes(f)
+    ops = tuple(array(op_code, c) for c in cols)
     res = execute_batch(f, ops, ctx)
-    rtype = np.int64 if f.kind in INT_RESULT_KINDS else np.uint64
-    assert res.bits.dtype == rtype and res.flags.dtype == np.int64
-    assert res.tiny.dtype == np.bool_
+    # The results are the block's result lanes, signed for the
+    # integer-result kinds; codes and tininess are lists.
+    assert type(res.bits) is array and res.bits.typecode == res_code
+    assert (res_code == "q") == (f.kind in INT_RESULT_KINDS)
+    assert type(res.flags) is type(res.tiny) is list
+    assert all(type(v) is int for v in res.flags)
     for lo in range(0, len(cols[0]), lanes):
         inputs = tuple(zip(*[c[lo:lo + lanes] for c in cols]))
         want = execute_form(f, inputs, ctx)
         hi = lo + lanes
-        assert tuple(res.bits[lo:hi].tolist()) == want.results, (
+        assert tuple(res.bits[lo:hi]) == want.results, (
             mnemonic, inputs, ctx)
-        assert int(np.bitwise_or.reduce(res.flags[lo:hi])) == want.flags, (
+        assert reduce(or_, res.flags[lo:hi]) == want.flags, (
             mnemonic, inputs, ctx)
-        assert bool(res.tiny[lo:hi].any()) == want.tiny, (
+        assert res.group_flags(lanes)[lo // lanes] == want.flags, mnemonic
+        assert any(res.tiny[lo:hi]) == want.tiny, (
             mnemonic, inputs, ctx)
         if f.kind not in BATCH_KINDS:
-            assert not res.flags[lo + 1:hi].any(), mnemonic
-            assert not res.tiny[lo + 1:hi].any(), mnemonic
+            assert not any(res.flags[lo + 1:hi]), mnemonic
+            assert not any(res.tiny[lo + 1:hi]), mnemonic
 
 
 def test_batch_stats_account_lanes():
@@ -390,15 +396,15 @@ def test_batch_stats_account_lanes():
     f = form("mulsd")
     for n in (8, wide):
         ops = (
-            np.full(n, 0x3FF0000000000000, np.uint64),
-            np.full(n, 0x4000000000000000, np.uint64),
+            array("Q", [0x3FF0000000000000]) * n,
+            array("Q", [0x4000000000000000]) * n,
         )
         execute_batch(f, ops, FPContext())
-    ops[0][:3] = 0  # three zero lanes: outside the window
+    ops[0][:3] = array("Q", [0] * 3)  # three zero lanes: outside the window
     execute_batch(f, tuple(o[:8] for o in ops), FPContext())
     execute_batch(f, tuple(o[:5] for o in ops),
                   FPContext(rmode=RoundingMode.UP))
-    fma = tuple(np.full(wide, float_to_bits32(v), np.uint64)
+    fma = tuple(array("Q", [float_to_bits32(v)]) * wide
                 for v in (1.5, 0.75, 0.25))
     execute_batch(form("vfmaddps"), fma, FPContext())
     execute_batch(form("vfmaddps"), fma, FPContext(rmode=RoundingMode.UP))
@@ -413,9 +419,9 @@ def test_fma64_runs_scalar_at_any_lane_count():
     every lane is one SoftFPU call, above the host-loop limit too."""
     f = InstructionForm("fma64", OpKind.FMADD, BINARY64, 1)
     n = _SCALAR_MAX_LANES + 5
-    a = np.full(n, 0x3FF8000000000000, np.uint64)  # 1.5
-    b = np.full(n, 0x3FB999999999999A, np.uint64)  # 0.1
-    c = np.arange(n, dtype=np.uint64) << np.uint64(52)
+    a = array("Q", [0x3FF8000000000000]) * n  # 1.5
+    b = array("Q", [0x3FB999999999999A]) * n  # 0.1
+    c = array("Q", [i << 52 for i in range(n)])
     reset_batch_stats()
     res = execute_batch(f, (a, b, c), FPContext())
     assert batch_stats()["scalar_lanes"] == n
@@ -462,8 +468,7 @@ def test_host_loop_lanes_exact_under_round_to_nearest(mnemonic, data, n):
     tiny-exact against SoftFPU under round-to-nearest."""
     f = form(mnemonic)
     lanes = st.lists(_leaning(f.fmt), min_size=n, max_size=n)
-    ops = tuple(np.array(data.draw(lanes), dtype=np.uint64)
-                for _ in range(f.arity))
+    ops = tuple(array("Q", data.draw(lanes)) for _ in range(f.arity))
     _assert_lanes_match_oracle(f, ops, execute_batch(f, ops, FPContext()),
                                FPContext())
 
@@ -508,9 +513,9 @@ def test_host_loop_certifies_exactly_the_operand_window(mnemonic):
     one = _with_field(f.fmt, 0, f.fmt.bias, 0)
     for field in _FIELDS[f.fmt]:
         for mant in (0, f.fmt.mant_mask):
-            a = np.array([_with_field(f.fmt, s, field, mant) for s in (0, 1)]
-                         * 2, np.uint64)
-            b = np.array([one, one, a[0], a[1]], np.uint64)
+            a = array("Q", [_with_field(f.fmt, s, field, mant)
+                            for s in (0, 1)] * 2)
+            b = array("Q", [one, one, a[0], a[1]])
             reset_batch_stats()
             res = execute_batch(f, (a, b), FPContext())
             inside = lo < field < hi
@@ -530,9 +535,10 @@ def test_eft_tier_certifies_exactly_the_operand_window():
     for pos in range(3):
         for field in _FIELDS[BINARY32]:
             for mant in (0, BINARY32.mant_mask):
-                ops = [np.full(n, float_to_bits32(v), np.uint64)
+                ops = [array("Q", [float_to_bits32(v)]) * n
                        for v in (0.5, 0.5, 1.0)]
-                ops[pos][:] = _with_field(BINARY32, 0, field, mant)
+                ops[pos] = array(
+                    "Q", [_with_field(BINARY32, 0, field, mant)]) * n
                 certified = batchfloat._eft_fma32(f.kind, tuple(ops))[2]
                 res = execute_batch(f, tuple(ops), FPContext())
                 inside = lo < field < hi
@@ -544,7 +550,7 @@ def test_eft_tier_certifies_exactly_the_operand_window():
 
 def _fma32_lane(mnemonic, a, b, c):
     f = form(mnemonic)
-    ops = tuple(np.array([float_to_bits32(v)], np.uint64) for v in (a, b, c))
+    ops = tuple(array("Q", [float_to_bits32(v)]) for v in (a, b, c))
     return f, ops
 
 
@@ -584,7 +590,7 @@ def test_fma32_midpoint_lanes_fall_back_and_stay_exact():
     ordinary = [float_to_bits32(v) for v in (1.5, 0.75, 0.25)]
     rows = lanes + [ordinary] * (_SCALAR_MAX_LANES + 1 - len(lanes))
     f = form("vfmaddss")
-    ops = tuple(np.array(col, np.uint64) for col in zip(*rows))
+    ops = tuple(array("Q", col) for col in zip(*rows))
     reset_batch_stats()
     with _eft_spy() as spy:
         res = execute_batch(f, ops, ctx)
@@ -601,10 +607,10 @@ def test_certified_fma32_and_minmax_lanes_skip_the_canonical_softfloat():
     vals = rng.uniform(0.5, 2.0, (3, 24)) * np.exp2(rng.integers(-20, 20,
                                                                  (3, 24)))
     vals *= rng.choice([-1.0, 1.0], (3, 24))
-    ops32 = tuple(np.array([float_to_bits32(float(v)) for v in row],
-                           np.uint64) for row in vals)
-    ops64 = tuple(np.array([float_to_bits64(float(v)) for v in row],
-                           np.uint64) for row in vals[:2])
+    ops32 = tuple(array("Q", [float_to_bits32(float(v)) for v in row])
+                  for row in vals)
+    ops64 = tuple(array("Q", [float_to_bits64(float(v)) for v in row])
+                  for row in vals[:2])
     with mock.patch.object(SoftFPU, "fma", autospec=True,
                            side_effect=SoftFPU.fma) as fma, \
             mock.patch.object(SoftFPU, "_minmax", autospec=True,
@@ -621,7 +627,7 @@ def test_certified_fma32_and_minmax_lanes_skip_the_canonical_softfloat():
         # The oracle itself calls SoftFPU: count only execute_batch's calls.
         fma.reset_mock()
         minmax.reset_mock()
-        wide = tuple(np.tile(o, 3) for o in ops32)  # the EFT tier
+        wide = tuple(o * 3 for o in ops32)  # the EFT tier
         assert len(wide[0]) > _SCALAR_MAX_LANES
         for mnemonic in ("vfmaddps", "vfnmaddps"):
             execute_batch(form(mnemonic), ops32, ctx)
@@ -629,7 +635,7 @@ def test_certified_fma32_and_minmax_lanes_skip_the_canonical_softfloat():
         for mnemonic, ops in (("minss", ops32[:2]), ("maxsd", ops64)):
             execute_batch(form(mnemonic), ops, ctx)
         assert fma.call_count == 0 and minmax.call_count == 0
-        zero = tuple(o.copy() for o in ops32)
+        zero = tuple(array("Q", o) for o in ops32)
         zero[2][7] = 0
         execute_batch(form("vfmaddps"), zero, ctx)
         execute_batch(form("minss"), zero[1:], ctx)

@@ -18,11 +18,14 @@ and the observable record -- results, fault/trap landing points in
 virtual time, sticky flags, cycle counts -- must match bit for bit.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp.formats import BINARY32
 from repro.guest.ops import LibcCall
 from repro.guest.program import KernelBuilder
+from repro.isa.forms import form as form_of
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.signals import Signal
 
@@ -185,6 +188,76 @@ def test_non_vectorizable_forms_use_group_path_equivalently(
     fast = _run(mnemonic, streams, 2, capture, fastpaths="storm", block=True)
     assert substep == oracle
     assert fast == oracle
+
+
+# ------------------------------------------------ one lane format, two inputs
+
+#: Binary32 and binary64 forms, scalar and packed (tail-padded), FMA.
+_LANE_FORMS = [
+    ("addss", 2), ("vmulps", 2), ("sqrtss", 1), ("vfmaddps", 3),
+    ("addsd", 2), ("divpd", 2), ("sqrtsd", 1),
+]
+
+
+def _run_fpspy(mnemonic, streams, *, fastpaths):
+    """FPSpy individual mode over one block: storm windows at the
+    ``"storm"`` rung, per-event trap lifecycles at ``"precise"``."""
+    from repro.fpspy import fpspy_env
+
+    kb = KernelBuilder()
+    site = kb.site(mnemonic)
+    k = Kernel(KernelConfig(fastpaths=fastpaths))
+    out = {}
+
+    def main():
+        out["results"] = yield from kb.emit(site, *streams, interleave=2)
+
+    proc = k.exec_process(main, env=fpspy_env("individual"), name="spy")
+    k.run()
+    task = proc.main_task
+    return {
+        "results": list(out["results"]),
+        "state": {p: k.vfs.read(p) for p in k.vfs.listdir("")},
+        "vtime": task.vtime,
+        "mxcsr": task.mxcsr.value,
+        "cycles": k.cycles,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    form=st.sampled_from(_LANE_FORMS),
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=20),
+    capture=st.sampled_from(_CAPTURE_SETS),
+)
+def test_numpy_and_int_list_streams_retire_identically(
+        form, data, n, capture):
+    """A block emitted from a NumPy float stream (``SimApp.stream``'s
+    ``encode_bits`` path) and one emitted from the equal list of ints
+    (``stream_ints`` and hand-written guests) hold the same lanes, and
+    retire identical results, sticky status and cycle counts at the
+    ``"precise"`` and ``"storm"`` rungs, under the mask-and-single-step
+    handler pair and under FPSpy's individual mode."""
+    mnemonic, arity = form
+    fmt = form_of(mnemonic).fmt
+    narrow = fmt is BINARY32
+    ints = [data.draw(st.lists(bits32 if narrow else bits64,
+                               min_size=n, max_size=n))
+            for _ in range(arity)]
+    utype, ftype = (np.uint32, np.float32) if narrow else (np.uint64,
+                                                          np.float64)
+    floats = [np.array(col, utype).view(ftype) for col in ints]
+    encoded = [KernelBuilder.encode_bits(col, fmt) for col in floats]
+    assert [a.tolist() for a in encoded] == ints
+    for fastpaths in ("precise", "storm"):
+        want = _run(mnemonic, ints, 2, capture,
+                    fastpaths=fastpaths, block=True)
+        got = _run(mnemonic, encoded, 2, capture,
+                   fastpaths=fastpaths, block=True)
+        assert got == want, fastpaths
+        assert _run_fpspy(mnemonic, encoded, fastpaths=fastpaths) == (
+            _run_fpspy(mnemonic, ints, fastpaths=fastpaths)), fastpaths
 
 
 # --------------------------------------------- sampler off-phase windows

@@ -6,9 +6,9 @@ FastSoftFPU runs batchfloat's host loops over one lane, so it must also
 fall back on exactly the lanes the batch layer computes canonically.
 """
 
+from array import array
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,7 +219,7 @@ def _fast_fallbacks(kind, fmt, lanes, ctx):
 
 def _batch_scalar_lanes(kind, fmt, lanes, ctx):
     f = InstructionForm(f"{kind.value}{fmt.width}", kind, fmt)
-    ops = tuple(np.array(col, np.uint64) for col in zip(*lanes))
+    ops = tuple(array("Q", col) for col in zip(*lanes))
     reset_batch_stats()
     execute_batch(f, ops, ctx)
     return batch_stats()["scalar_lanes"]

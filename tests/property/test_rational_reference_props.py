@@ -21,9 +21,9 @@ binary32 midpoint with a nonzero residue of either sign.
 """
 
 import math
+from array import array
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,10 +308,10 @@ def test_reference_equals_softfpu_equals_execute_batch(case, data):
     kind, fmt = case
     lanes = data.draw(st.lists(_lanes(kind, fmt), min_size=1, max_size=32))
     f = InstructionForm(f"{kind.value}{fmt.width}", kind, fmt)
-    ops = tuple(np.array(col, dtype=np.uint64) for col in zip(*lanes))
+    ops = tuple(array("Q", col) for col in zip(*lanes))
     res = execute_batch(f, ops, _CTX)
     reps = _SCALAR_MAX_LANES // len(lanes) + 1
-    wide = execute_batch(f, tuple(np.tile(o, reps) for o in ops), _CTX)
+    wide = execute_batch(f, tuple(o * reps for o in ops), _CTX)
     for i, lane in enumerate(lanes):
         want = reference(kind, fmt, lane)
         if kind is OpKind.SQRT:

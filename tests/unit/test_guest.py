@@ -1,10 +1,12 @@
 """Unit tests for the guest authoring layer (KernelBuilder, ops)."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.fp.formats import BINARY32, BINARY64, float_to_bits64
-from repro.guest.ops import IntWork, LibcCall
+from repro.guest.ops import FPBlock, IntWork, LibcCall
 from repro.guest.program import KernelBuilder
 from repro.isa.instruction import FPInstruction
 from repro.kernel.kernel import Kernel
@@ -119,5 +121,66 @@ class TestKernelBuilder:
         kb = KernelBuilder()
         site = kb.site("vfmaddss")
         enc = lambda v: KernelBuilder.encode(v, BINARY32)  # noqa: E731
-        out = drive(kb.ternary(site, enc([2.0]), enc([3.0]), enc([4.0])))
+        out = drive(kb.emit(site, enc([2.0]), enc([3.0]), enc([4.0])))
         assert KernelBuilder.decode(out, BINARY32) == [10.0]
+
+
+class TestLaneFormat:
+    """The block lane format's producer side: ``encode_bits`` hands the
+    guest's NumPy data over as ``array('Q')``, ``FPBlock.build`` packs
+    that or an int list into padded lane arrays, and ``decode_array``
+    reads the results back."""
+
+    def test_encode_bits_is_the_lane_format(self):
+        vals = [1.5, -0.0, 3e38]
+        for fmt in (BINARY64, BINARY32):
+            dtype = np.float64 if fmt is BINARY64 else np.float32
+            bits = KernelBuilder.encode_bits(np.array(vals, dtype), fmt)
+            assert isinstance(bits, array) and bits.typecode == "Q"
+            assert bits.tolist() == KernelBuilder.encode(vals, fmt)
+
+    def test_build_from_array_or_int_list_is_equal(self):
+        kb = KernelBuilder()
+        site = kb.site("addpd")  # 2 lanes: 3 elements pad to 4
+        pad = KernelBuilder._pad_value(site)
+        a = KernelBuilder.encode([1.0, 2.0, 3.0])
+        b = KernelBuilder.encode([0.5, 0.25, 0.125])
+        from_list = FPBlock.build(site, (a, b), 0, pad)
+        from_array = FPBlock.build(
+            site, (array("Q", a), KernelBuilder.encode_bits(np.array(
+                [0.5, 0.25, 0.125]))), 0, pad)
+        for blk in (from_list, from_array):
+            assert [x.typecode for x in blk.arrays] == ["Q", "Q"]
+            assert blk.arrays[0].tolist() == a + [pad]
+            assert blk.arrays[1].tolist() == b + [pad]
+            assert blk.results.typecode == "Q"
+            assert (blk.n_groups, blk.n_elements, len(blk.results)) == (
+                2, 3, 3)
+            assert blk.group(1) == ((a[2], b[2]), (pad, pad))
+
+    def test_build_signed_lanes(self):
+        kb = KernelBuilder()
+        cvt = kb.site("cvtsi2sd")
+        blk = FPBlock.build(cvt, ([-5, 1 << 62],), 0, 1)
+        assert blk.arrays[0].typecode == "q" and blk.results.typecode == "Q"
+        assert blk.arrays[0].tolist() == [-5, 1 << 62]
+        cmp = kb.site("ucomisd")
+        one = float_to_bits64(1.0)
+        blk = FPBlock.build(cmp, ([one], [one]), 0, one)
+        assert blk.arrays[0].typecode == "Q" and blk.results.typecode == "q"
+
+    def test_decode_array_reads_result_lanes(self):
+        back = KernelBuilder.decode_array(array("Q", KernelBuilder.encode(
+            [0.5, -2.0])))
+        assert back.dtype == np.float64 and back.tolist() == [0.5, -2.0]
+        back = KernelBuilder.decode_array(
+            array("Q", KernelBuilder.encode([0.5, -2.0], BINARY32)), BINARY32)
+        assert back.dtype == np.float32 and back.tolist() == [0.5, -2.0]
+
+    def test_instruction_stream_returns_the_lane_format(self):
+        kb = KernelBuilder()
+        site = kb.site("addsd")
+        a = kb.encode([1.0, 2.0])
+        out = drive(kb.emit(site, a, a, block=False))
+        assert isinstance(out, array) and out.typecode == "Q"
+        assert kb.decode(out) == [2.0, 4.0]
