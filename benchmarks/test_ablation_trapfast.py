@@ -267,7 +267,8 @@ def test_trapfast_poisson_sampling_traces_byte_identical(benchmark):
     delivery window; the timer-defer fence plus the heap-head bail-out
     must keep both timer flavors byte-identical and cycle-exact.  The
     storm driver stays enabled: under the virtual timer it batches up to
-    (never across) each expiry, while an armed real timer rejects every
+    each expiry, into the expiring group's integer phase when the expiry
+    falls there (never past it), while an armed real timer rejects every
     batch, so this also exercises its fallback."""
     # Real-timer periods are microseconds of simulated time: short
     # enough here that the run storms with the timer armed.

@@ -14,7 +14,7 @@ We reproduce that structure exactly: :data:`SSE_FORMS` holds the 39
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 
@@ -103,6 +103,8 @@ class InstructionForm:
         True for the VEX-encoded / GROMACS-only catalogue entries.
     dst_fmt:
         Destination element format for conversions.
+    arity:
+        Operand count per lane, set from ``kind`` at construction.
 
     Forms compare and hash by identity: the catalogue holds one instance
     per mnemonic, so a dict keyed by form costs one pointer hash.
@@ -114,10 +116,10 @@ class InstructionForm:
     lanes: int = 1
     avx: bool = False
     dst_fmt: BinaryFormat | None = None
+    arity: int = field(init=False, repr=False)
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self.kind]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", _ARITY[self.kind])
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.mnemonic

@@ -22,7 +22,12 @@ charge, one vtime advance.  The chunk is capped by the scheduler
 quantum and by the vtimer/real-timer budgets exactly as
 ``CPU.int_chunk`` caps integer runs, so ``SIGVTALRM`` and ``SIGALRM``
 land on the precise instruction the per-instruction stream would
-deliver them at.
+deliver them at.  A virtual-timer expiry strictly inside a group's
+integer phase does not stop the chunk before that group: the group
+rides it as a *tail* (:meth:`CPU.vtimer_split`), its FP instruction
+retiring in the batch and its integer phase running up to the expiry,
+and the next step delivers the signal and finishes the phase through
+the precise path.  No tail is taken while a real timer is armed.
 
 **Precise replay.**  Below that rung, or outside quiescence -- FPSpy
 individual mode unmasking its capture set, a sampler duty cycle turning
@@ -80,34 +85,36 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             return True
         return _scalar_substep(cpu, task, block)
 
-    costs = cpu.costs
-    u = 1 + block.interleave  # vtime units per group
-    per_group = costs.block_group_cycles(block.interleave)
+    per_group = cpu.costs.block_group_cycles(block.interleave)
     # Scheduler-slice weight: per-instruction execution spends one step on
     # the FP instruction and (when interleaved) one on the IntWork chunk,
     # so a k-group batch stands for k*w steps of the task's quantum.
     w = 2 if block.interleave > 0 else 1
     k = min(block.n_groups - block.index, cpu.step_budget // w)
+    tail = 0
     vt_budget, real_budget = kernel.timer_budgets(task)
-    if vt_budget is not None:
-        k = min(k, vt_budget // u)
     if real_budget is not None:
         k = min(k, real_budget // per_group)
-    if k <= 0:
-        # A timer expires inside the next group (or the slice has less
-        # than a whole group's budget left): execute it with scalar
-        # sub-steps so signals and preemption land on the exact
-        # instruction.
+    if vt_budget is not None:
+        whole, tail = cpu.vtimer_split(vt_budget, block.interleave)
+        if k <= whole or real_budget is not None:
+            # The block, the slice or a real timer ends the chunk
+            # first.  (A tail is sized by the virtual timer alone, so
+            # none is taken while a real timer is armed.)
+            tail = 0
+        k = min(k, whole)
+    if k <= 0 and not tail:
+        # A timer expires on the next group's FP instruction, a real
+        # timer inside the next group, or the slice has less than a
+        # whole group's budget left: execute it with scalar sub-steps
+        # so signals and preemption land on the exact instruction.
         return _scalar_substep(cpu, task, block)
 
-    _commit_chunk(cpu, task, block, k)
-    cpu.step_cost = k * w
-    if cpu._tr is not None:
-        # Fast-path batches stamp one coarse span (never per-instruction
-        # detail -- nothing in a quiescent chunk can fault or trap).
-        cpu._tr.chunk(task, block.site.address, k)
+    _commit_chunk(cpu, task, block, k, tail)
+    n = k + (tail > 0)
+    cpu.step_cost = n * w
     cpu.blk_chunks += 1
-    cpu.blk_groups += k
+    cpu.blk_groups += n
     cpu._note_block_mode(task, True)
     return True
 
@@ -115,14 +122,21 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
 # --------------------------------------------------------------- fast path
 
 
-def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
-    """Retire ``k`` whole groups as one batch (quiescent state only)."""
+def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int,
+                  tail: int = 0) -> None:
+    """Retire ``k`` whole groups as one batch (quiescent state only),
+    then, when ``tail`` is nonzero, the next group's FP instruction and
+    ``tail`` units of its integer phase, up to the virtual timer's
+    expiry (:meth:`CPU.vtimer_split`)."""
     site = block.site
     form = site.form
     lanes = form.lanes
     start = block.index
-    lo, hi = start * lanes, (start + k) * lanes
-    per_group = cpu.costs.block_group_cycles(block.interleave)
+    n = k + (tail > 0)
+    lo, hi = start * lanes, (start + n) * lanes
+    kernel = cpu.kernel
+    costs = cpu.costs
+    per_group = costs.block_group_cycles(block.interleave)
     ops = tuple(a[lo:hi] for a in block.arrays)
     # One batch softfloat call computes every group's results and
     # condition codes exactly, whatever tier it picks.
@@ -136,13 +150,12 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
         # chain, so it only counts as observed.  The others replay
         # through the exact observe, each at the cycle its
         # per-instruction retirement would read.
-        sus = prov.scan_window(site, ops, bits, k, lanes,
-                               block.take(start + k - 1))
+        sus = prov.scan_window(site, ops, bits, n, lanes,
+                               block.take(start + n - 1))
         idxs = [g for g, s in enumerate(sus) if s]
-        prov.observed += k - len(idxs)
+        prov.observed += n - len(idxs)
         if idxs:
             gflags = res.group_flags(lanes)
-            kernel = cpu.kernel
             c0 = kernel.cycles
             for gi in idxs:
                 take = block.take(start + gi)
@@ -155,10 +168,20 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
             kernel.cycles = c0
 
     task.mxcsr.set_status(reduce(or_, res.flags))
-    cpu.commit_groups(task, block, bits, k)
+    cpu.commit_groups(task, block, bits, k, tail)
     cycles = k * per_group
+    kernel.cycles += cycles
+    if cpu._tr is not None and k:
+        # Fast-path batches stamp one coarse span for their whole groups
+        # (never per-instruction detail -- nothing in a quiescent chunk
+        # can fault or trap).  A tail stamps nothing, as its precise
+        # sub-steps would not.
+        cpu._tr.chunk(task, site.address, k)
+    if tail:
+        tail_cycles = costs.block_group_cycles(tail)
+        kernel.cycles += tail_cycles
+        cycles += tail_cycles
     task.utime_cycles += cycles
-    cpu.kernel.cycles += cycles
 
 
 # ----------------------------------------------------------- precise replay

@@ -450,20 +450,46 @@ class CPU:
             task.send_value = block.results
 
     @staticmethod
-    def commit_groups(task: Task, block: FPBlock, bits, k: int) -> None:
-        """Write back ``k`` whole groups from ``block``'s cursor, whose
-        results ``bits`` holds from its start: the batched retirement of
-        a blockexec chunk and of a storm batch.  Codes and cycle charges
-        stay with the caller; only the block's final group can carry
-        padding."""
+    def vtimer_split(budget: int, interleave: int) -> tuple[int, int]:
+        """Split a virtual-timer budget of ``budget`` units over groups of
+        ``1 + interleave`` units: ``(k, tail)``, the whole groups that
+        retire before the expiry and the integer units of group ``k``
+        that run after its FP instruction, up to the expiry.
+
+        ``tail`` is nonzero exactly when the expiry falls strictly
+        inside group ``k``'s integer phase (``2 <= b < 1 + interleave``,
+        ``b`` the units from the group's start to the expiry): a batch
+        may then retire that group as a tail and post the SIGVTALRM where
+        the per-instruction stream's integer chunk posts it.  An expiry
+        on a group's last unit leaves that group whole in ``k``; one on
+        its FP retirement (``b == 1``) leaves it out."""
+        k, b = divmod(budget, 1 + interleave)
+        return k, (b - 1 if b > 1 else 0)
+
+    @staticmethod
+    def commit_groups(task: Task, block: FPBlock, bits, k: int,
+                      tail: int = 0) -> None:
+        """Write back ``k`` whole groups from ``block``'s cursor, plus,
+        when ``tail`` is nonzero, the next group's FP instruction and
+        ``tail`` units of its integer phase; ``bits`` holds their results
+        from the cursor on.  This is the batched retirement of a
+        blockexec chunk and of a storm batch.  A tail leaves the cursor
+        on its group with the rest of the phase to run.  Codes and cycle
+        charges stay with the caller; only the block's final group can
+        carry padding."""
         site = block.site
         lanes = site.form.lanes
         lo = block.index * lanes
         block.index += k
-        valid = min(block.index * lanes, block.n_elements) - lo
+        valid = min((block.index + (tail > 0)) * lanes, block.n_elements) - lo
         block.results[lo:lo + valid] = bits[:valid]
         task.last_rip = site.address + len(site.encoding)
-        task.advance_vtime(k * (1 + block.interleave))
+        units = k * (1 + block.interleave)
+        if tail:
+            block.fp_done = True
+            block.int_remaining = block.interleave - tail
+            units += 1 + tail
+        task.advance_vtime(units)
         if block.done:
             task.pending_op = None
             task.send_value = block.results

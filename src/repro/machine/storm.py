@@ -33,8 +33,15 @@ the per-event one: FPSpy's own handlers installed (any guest handler
 bails), monitor live in ``AWAIT_FPE``, masks exactly the capture set,
 equal faulting/masked contexts, no armed real timer, and -- bisecting
 prefix lists over the batch window -- a run of groups that fits the
-scheduler quantum, stays strictly below the virtual timer's expiry, and
-leaves headroom under ``maxcount``.  With the flight recorder on, the
+scheduler quantum, runs no further than the virtual timer's expiry, and
+leaves headroom under ``maxcount``.  When the expiry falls strictly
+inside a group's integer phase, that group ends the batch as a *tail*:
+its FP instruction retires (its trap lifecycle too, if it faults) and
+its integer phase runs up to the expiry, so the batch's vtime advance
+posts the SIGVTALRM where the per-event path's integer chunk posts it;
+the next step delivers it and finishes the phase precisely
+(:meth:`~repro.machine.cpu.CPU.vtimer_split` holds the rule for this
+driver and the blockexec chunk alike).  With the flight recorder on, the
 run is faulting groups only of a :data:`~repro.fp.batchfloat.BATCH_KINDS`
 form, entered with clear sticky status, and an armed virtual timer
 rejects: the recorder stamps one ``storm`` span per batch, so there
@@ -100,9 +107,11 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     states (current group's FP already retired, TF set, signals queued)
     return False without counting a bail-out: they are the *interior* of
     an event the scalar path is already executing, not a rejected storm.
-    A batch ends before the group that would fire the virtual timer,
-    where the scheduler quantum runs out, and before the faulting group
-    that could reach ``maxcount``; those groups take the per-event path.
+    A batch ends at the virtual timer's expiry (in the expiring group,
+    as a tail, when the expiry falls inside its integer phase; before
+    it when the expiry lands on its FP retirement), where the scheduler
+    quantum runs out, and before the faulting group that could reach
+    ``maxcount``; the groups past those bounds take the per-event path.
     """
     if block.fp_done or task.trap_flag or task.pending_signals:
         return False
@@ -180,10 +189,18 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     # Scheduler quantum: every group's slice needs must fit what is left.
     k = min(k, bisect_right(
         win.need_end, cpu.step_budget + win.steps[rel]) - rel)
+    tail = 0
     if vtimer is not None:
-        # Strictly below the expiry: the expiring group goes per-event,
-        # where the timer posts its signal at the exact instruction.
-        k = min(k, (vtimer.remaining - 1) // (1 + block.interleave))
+        # Up to the expiry: whole groups, then the expiring group as a
+        # tail when the expiry falls inside its integer phase, so the
+        # batch's vtime advance posts the signal where the per-event
+        # path's integer chunk does.  With no integer phase the expiry
+        # lands on an FP retirement, where a fault's SIGTRAP cannot
+        # fuse: that group goes per-event.
+        whole, tail = cpu.vtimer_split(vtimer.remaining, block.interleave)
+        if not block.interleave:
+            whole -= 1
+        k = min(k, whole + (tail > 0))
     maxcount = engine.config.maxcount
     if maxcount is not None:
         # Stay strictly below the cap: the disarm transition must run on
@@ -193,7 +210,9 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             win.faults, win.faults[rel] + room) - 1 - rel)
     if k < (_MIN_GROUPS if quiet_ok else _MIN_TRACED_GROUPS):
         return _reject(cpu, "short")
-    _commit(cpu, task, block, engine, mon, win, rel, k, base, status)
+    if tail and k <= whole:
+        tail = 0  # another cap ends the batch before the expiring group
+    _commit(cpu, task, block, engine, mon, win, rel, k, base, status, tail)
     return True
 
 
@@ -263,11 +282,12 @@ class _Window:
 
 def _commit(
     cpu: "CPU", task: Task, block: FPBlock, engine: FPSpyEngine, mon,
-    win: _Window, rel: int, k: int, base: int, status: int,
+    win: _Window, rel: int, k: int, base: int, status: int, tail: int = 0,
 ) -> None:
     """Replicate ``k`` groups -- whole trap lifecycles for the faulting
     ones, plain retirements for the quiet ones -- without stepping the
-    machine.
+    machine.  A nonzero ``tail`` cuts the last group's integer phase to
+    its first ``tail`` units (:meth:`CPU.vtimer_split`).
 
     Everything the per-event path writes -- records, counters, spans,
     cycle/time splits, the sticky status -- is produced here with
@@ -315,7 +335,9 @@ def _commit(
     trap_c = 2 * (fault_c + deliv_c + ret_c) + 2 * huser_c
     rec_off = fault_c + deliv_c + huser_c  # fault start -> record stamp
     c0 = kernel.cycles
-    total = k * retire_c + kf * trap_c + r * tapp_c
+    # The tail's integer units the batch leaves to the precise path.
+    cut = (interleave - tail) * costs.int_instr if tail else 0
+    total = k * retire_c - cut + kf * trap_c + r * tapp_c
 
     def fstart(j: int, g: int) -> int:
         # Start cycle of fault ``j`` (group ``g``): the groups before it,
@@ -354,7 +376,7 @@ def _commit(
         )
     kernel.cycles = c0 + total
     task.stime_cycles += kf * 2 * (fault_c + deliv_c + ret_c)
-    task.utime_cycles += k * retire_c + kf * 2 * huser_c + r * tapp_c
+    task.utime_cycles += k * retire_c - cut + kf * 2 * huser_c + r * tapp_c
 
     # Monitor bookkeeping.
     mon.observed = obs + kf
@@ -374,9 +396,10 @@ def _commit(
         # scheduler clears it after the next check; the heap is empty
         # (admission), so replicate the count, and the floor itself
         # only when the batch's last step was a fused delivery (the last
-        # group faults, so the batch ends with its lifecycle).
+        # group faults, so the batch ends with its lifecycle, and is no
+        # tail, whose last step is its integer chunk).
         fences = kf
-        if pend[rel + k - 1]:
+        if pend[rel + k - 1] and not tail:
             kernel.defer_timers_once(
                 c0 + total - retire_c - trap_c + rec_off + ret_c + fp_c
                 + fault_c)
@@ -386,10 +409,12 @@ def _commit(
     if acc != status:
         task.mxcsr.value = base | acc
     # Writeback, identical to k precise retirements.  Admission kept the
-    # vtime advance strictly below any armed vtimer's expiry.
+    # vtime advance at or below any armed vtimer's expiry; a tail
+    # reaches it.
     lanes = site.form.lanes
     cpu.commit_groups(
-        task, block, win.bits[rel * lanes:(rel + k) * lanes], k)
+        task, block, win.bits[rel * lanes:(rel + k) * lanes],
+        k - (tail > 0), tail)
     cpu.step_cost = win.steps[rel + k] - win.steps[rel]
 
     st = cpu.storm_stats

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fp.formats import BINARY32
+from repro.fp.formats import BINARY32, float_to_bits64
 from repro.guest.ops import LibcCall
 from repro.guest.program import KernelBuilder
 from repro.isa.forms import form as form_of
@@ -330,6 +330,59 @@ def test_off_phase_windows_batch_equivalently(data, n, interleave):
     fast = _run_poisson("storm", streams, interleave)
     oracle = _run_poisson("trapfast", streams, interleave)
     assert fast == oracle
+
+
+def _run_vtimer(fastpaths, initial):
+    """A quiescent block of 20 ``mulpd`` groups, interleave 4 (groups of
+    five units), under a one-shot virtual timer the guest arms with
+    ``initial`` units; its handler notes the vtime it lands at."""
+    kb = KernelBuilder()
+    site = kb.site("mulpd")
+    k = Kernel(KernelConfig(fastpaths=fastpaths))
+    landed = []
+    out = {}
+
+    def on_alarm(signo, info, uctx):
+        landed.append(k.current_task.vtime)
+
+    streams = [[float_to_bits64(1.5 + i) for i in range(40)],
+               [float_to_bits64(0.1 * (i + 1)) for i in range(40)]]
+
+    def main():
+        yield LibcCall("sigaction", (int(Signal.SIGVTALRM), on_alarm))
+        yield LibcCall("setitimer", ("virtual", initial))
+        out["results"] = yield from kb.emit(site, *streams, interleave=4)
+
+    proc = k.exec_process(main, env={}, name="vtimer")
+    k.run()
+    task = proc.main_task
+    return k, {
+        "results": list(out["results"]),
+        "landed": landed,
+        "vtime": task.vtime,
+        "mxcsr": task.mxcsr.value,
+        "utime": task.utime_cycles,
+        "cycles": k.cycles,
+    }
+
+
+def test_quiescent_chunk_tail_boundaries():
+    """A quiescent chunk ends at the virtual timer's expiry.  The
+    setitimer call retires one unit after arming, so ``initial = b + 1``
+    leaves ``b`` units from the first group's start to the expiry.
+    ``b = 1`` lands on the group's FP retirement: that group takes two
+    precise sub-steps (the FP instruction, then its integer phase after
+    the SIGVTALRM).  ``b = 2`` and ``b = u - 1 = 4`` end the chunk in a
+    tail, and one sub-step runs the rest of its phase.  ``b = u = 5``
+    ends the group on its last unit, so it retires whole in the chunk.
+    Every case equals the ``"precise"`` machine, handler landing vtime
+    included."""
+    for b, substeps in ((1, 2), (2, 1), (4, 1), (5, 0)):
+        kf, fast = _run_vtimer("blockexec", b + 1)
+        _, precise = _run_vtimer("precise", b + 1)
+        assert fast == precise, b
+        assert fast["landed"] == [2 + b], b
+        assert kf.cpu.blk_substeps == substeps, b
 
 
 # ------------------------------------------- provenance stamps, three ways

@@ -70,7 +70,9 @@ def _segments(draw):
         n = draw(st.integers(min_value=1, max_value=40))
         streams = [draw(st.lists(_operands(width), min_size=n, max_size=n))
                    for _ in range(arity)]
-        out.append((mnemonic, streams, draw(st.sampled_from([0, 1, 3]))))
+        # A long integer phase (8) lets the sampler's expiries fall at
+        # many depths inside it, so batches end in tails of every size.
+        out.append((mnemonic, streams, draw(st.sampled_from([0, 1, 3, 8]))))
     return out
 
 

@@ -324,9 +324,10 @@ def test_storm_span_trees_replicated():
 
 def test_storm_off_matches_under_poisson_sampler():
     """An armed virtual timer bounds each batch instead of rejecting it:
-    the batch stops short of the expiring group, which the per-event
-    path runs so the sampler's SIGVTALRM lands on the exact instruction.
-    A Poisson-sampled run must stay byte-identical while batching."""
+    the batch runs up to the expiry, ending in the expiring group as a
+    tail when the expiry falls inside its integer phase, so the
+    sampler's SIGVTALRM lands on the exact instruction.  A
+    Poisson-sampled run must stay byte-identical while batching."""
     streams = _storm_streams(1024)
     kf, on = _run(
         "vfmaddps", streams, 2, True,
@@ -477,16 +478,68 @@ def _vtimer(initial):
 
 
 def test_storm_vtimer_cap_of_zero_and_one_group():
-    """A batch stays strictly below the virtual timer's expiry.  Each
-    interleaved group retires 3 units: with 3 left (cap 0) the first
-    group goes per-event; with 6 left (cap 1) one group batches and the
-    expiring one goes per-event.  The rest batch once the timer fired."""
+    """A batch runs up to the virtual timer's expiry.  Each interleaved
+    group retires 3 units: with 3 left the expiry falls on the first
+    group's last unit, so that group batches whole; with 6 left two
+    groups do.  The rest batch once the timer fired, and no group goes
+    per-event.  (An expiry on a group's FP retirement, where the cap is
+    zero groups, is the ``b == 1`` case of the tail test below.)"""
     st_ = _admitted("f" * 20, prelude=_vtimer(4))
-    assert (st_["groups"], st_["batches"]) == (19, 1)
-    assert st_["bailouts"] == {"short": 1}
+    assert (st_["groups"], st_["batches"]) == (20, 2)
+    assert st_["bailouts"] == {}
     st_ = _admitted("f" * 20, prelude=_vtimer(7))
-    assert (st_["groups"], st_["batches"]) == (19, 2)
-    assert st_["bailouts"] == {"short": 1}
+    assert (st_["groups"], st_["batches"]) == (20, 2)
+    assert st_["bailouts"] == {}
+
+
+def test_storm_vtimer_tail_boundaries():
+    """The expiring group rides the batch as a tail exactly when the
+    expiry falls strictly inside its integer phase.  Interleave 4 makes
+    groups of ``u = 5`` units, and the prelude leaves ``b`` units from
+    the first group's start to the expiry.  ``b = 1`` lands on that
+    group's FP retirement, where a fault's SIGTRAP cannot fuse: it goes
+    per-event (``short``), one sub-step for its FP instruction (two when
+    it faults: the fault, then the masked re-execution) and one for its
+    integer phase.  ``b = 2`` and ``b = u - 1`` end the first batch in a
+    tail, and one sub-step runs the rest of its phase after the
+    SIGVTALRM.  ``b = u`` ends the group on its last unit, so it batches
+    whole.  The rest of the block batches once the one-shot timer fired.
+    Faulting and quiet tails alike."""
+    for kind, per_event in (("f", 3), ("q", 2)):
+        for b, want in (
+            (1, (19, 1, {"short": 1}, per_event)),
+            (2, (20, 2, {}, 1)),
+            (4, (20, 2, {}, 1)),
+            (5, (20, 2, {}, 0)),
+        ):
+            streams = _group_streams([(kind, 0)] * 20, 8, 3)
+            env = dict(prelude=_vtimer(b + 1))
+            kf, on = _run("vfmaddps", streams, 4, True, **env)
+            _, off = _run("vfmaddps", streams, 4, False, **env)
+            assert on == off, (kind, b)
+            st_ = kf.cpu.storm_stats
+            got = (st_["groups"], st_["batches"], st_["bailouts"],
+                   kf.cpu.blk_substeps)
+            assert got == want, (kind, b)
+
+
+def test_storm_vtimer_expiry_on_a_retirement_without_integer_phase():
+    """With no integer phase every group's last unit is its FP
+    retirement, so an expiry there is the ``b == 1`` case: a faulting
+    group's re-execution posts the SIGVTALRM before its SIGTRAP, whose
+    delivery then cannot fuse.  The group goes per-event.  Batching it
+    would leave the guest-visible bytes equal but replicate one fused
+    trap (and timer-defer fence) the per-event path never takes, so the
+    per-event counts must match too."""
+    streams = _group_streams([("f", 0)] * 20, 8, 3)
+    env = dict(prelude=_vtimer(2), config={"telemetry": True})
+    kf, on = _run("vfmaddps", streams, 0, True, **env)
+    ks, off = _run("vfmaddps", streams, 0, False, **env)
+    assert on == off
+    assert _parity_counts(kf) == _parity_counts(ks)
+    st_ = kf.cpu.storm_stats
+    assert (st_["groups"], st_["batches"], st_["bailouts"]) == (
+        19, 1, {"short": 1})
 
 
 def test_storm_maxcount_room_of_zero_and_one():

@@ -283,16 +283,17 @@ def test_campaign_telemetry_merged_into_host_section():
 
 def test_telemetry_smoke_campaign_sums_storm_counts():
     """Storm batches are counts: the merged snapshot sums every run's,
-    where a gauge would keep only the last run's (0: its runs never
-    batch).  Per-process keys merge by kind too."""
+    where a gauge would keep only the last run's (8: WRF's sampled run
+    batches only the groups its timer expiries fall in).  Per-process
+    keys merge by kind too."""
     result = run_campaign(build_campaign("smoke", telemetry=True), workers=1)
     per_run = [o.telemetry["scopes"] for o in result.outcomes]
     merged = result.host["telemetry"]["scopes"]
     for key in ("storm.batches", "storm.groups"):
         assert merged["cpu"][key] == sum(
             s["cpu"]["counts"][key] for s in per_run), key
-    assert merged["cpu"]["storm.batches"] == 108
-    assert per_run[-1]["cpu"]["counts"]["storm.batches"] == 0
+    assert merged["cpu"]["storm.batches"] == 116
+    assert per_run[-1]["cpu"]["counts"]["storm.batches"] == 8
     counts = [s["fpspy"]["counts"] for s in per_run]
     levels = [s["fpspy"]["gauges"] for s in per_run]
     assert merged["fpspy"]["proc.1000.observed"] == sum(
