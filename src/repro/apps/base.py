@@ -12,8 +12,12 @@ from repro.fp.formats import (
     BINARY32, BINARY64, float_to_bits32, float_to_bits64)
 from repro.guest.ops import IntWork, LibcCall
 from repro.guest.program import GuestProgram, KernelBuilder
-from repro.isa.forms import INT_RESULT_KINDS
+from repro.isa.forms import INT_RESULT_KINDS, OpKind
 from repro.isa.instruction import CodeSite, FPInstruction
+
+#: Bound once: each ``OpKind.X`` read goes through the enum metaclass's
+#: ``__getattr__`` hook, so per-block guest code compares against this.
+CVT_I2F = OpKind.CVT_I2F
 
 
 class SimApp(GuestProgram):
@@ -88,7 +92,7 @@ class SimApp(GuestProgram):
         i = 0
         for site in sites:
             form = site.form
-            if form.kind.name == "CVT_I2F":
+            if form.kind is CVT_I2F:
                 conv = None
             elif (form.fmt or BINARY64) is BINARY32:
                 conv = float_to_bits32
@@ -122,8 +126,9 @@ class SimApp(GuestProgram):
         form = site.form
         fmt = form.fmt or BINARY64
         interleave = self.INT_PER_FP if spread is None else spread
-        # Raw bit arrays: no per-element Python conversion on the hot path.
-        encoded = [self.kb.encode_bits(np.asarray(a).ravel(), fmt) for a in arrays]
+        # Raw bit arrays (any shape, flattened in C order): no
+        # per-element Python conversion on the hot path.
+        encoded = [self.kb.encode_bits(a, fmt) for a in arrays]
         bits = yield from self.kb.emit(site, *encoded, interleave=interleave)
         if form.kind in INT_RESULT_KINDS:
             return np.frombuffer(bits, dtype=np.int64)

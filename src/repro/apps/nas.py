@@ -20,7 +20,7 @@ from typing import Generator
 
 import numpy as np
 
-from repro.apps.base import SimApp
+from repro.apps.base import CVT_I2F, SimApp
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class NasKernel(SimApp):
         for it in range(self.n(self.spec.iters)):
             for site in self.hot:
                 form = site.form
-                if form.kind.name == "CVT_I2F":
+                if form.kind is CVT_I2F:
                     ints = [(1 << 56) + 2 * (it * 5 + k) + 1 for k in range(width)]
                     acc = yield from self.stream_ints(site, ints)
                     acc = acc * 1e-16

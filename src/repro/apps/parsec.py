@@ -27,14 +27,20 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from repro.apps.base import SimApp, spawn_threads
+from repro.apps.base import CVT_I2F, SimApp, spawn_threads
 from repro.fp.formats import float_to_bits32, float_to_bits64
 from repro.guest.ops import IntWork
+from repro.isa.forms import OpKind
 from repro.isa.instruction import FPInstruction
 
 SNAN32 = 0x7F800001
 SNAN64 = 0x7FF0000000000005
 QNAN64 = 0x7FF8000000000001
+
+#: The kinds the generic workload branches on, bound once (see
+#: :data:`repro.apps.base.CVT_I2F`).
+_F2I = (OpKind.CVT_F2I, OpKind.CVT_F2I_TRUNC)
+_COMPARES = (OpKind.UCOMI, OpKind.COMI)
 
 #: Suite-wide static symbol inventory (Figure 8's PARSEC row).
 PARSEC_STATIC_SYMBOLS = frozenset(
@@ -233,24 +239,26 @@ class ParsecBenchmark(SimApp):
         acc = a
         for site in self.hot:
             form = site.form
-            if form.kind.name == "CVT_I2F":
+            kind = form.kind
+            if kind is CVT_I2F:
                 ints = [(1 << 54) + 2 * (it * 7 + k) + 1 for k in range(width)]
                 acc = yield from self.stream_ints(site, ints)
             elif form.arity == 1:
                 operand = np.abs(np.asarray(acc, dtype=np.float64)) + 0.01
-                if form.kind.name in ("CVT_F2I", "CVT_F2I_TRUNC"):
+                f2i = kind in _F2I
+                if f2i:
                     # Table lookups convert bounded indices, not raw sums.
                     operand = np.mod(operand, 997.0) + 0.5
                 acc = yield from self.stream(site, operand)
-                if form.kind.name in ("CVT_F2I", "CVT_F2I_TRUNC"):
+                if f2i:
                     acc = a  # integer result: restart the float chain
             elif form.arity == 2:
                 res = yield from self.stream(site, np.abs(acc[:width]) + 0.01, b)
-                if form.kind.name not in ("UCOMI", "COMI"):
+                if kind not in _COMPARES:
                     acc = np.asarray(res, dtype=np.float64)
             else:  # pragma: no cover - no 3-operand forms in PARSEC specs
                 raise AssertionError(form)
-            if not np.issubdtype(np.asarray(acc).dtype, np.floating):
+            if acc.dtype.kind != "f":
                 acc = a
         return None
 

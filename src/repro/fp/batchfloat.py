@@ -71,8 +71,7 @@ from repro.fp.fastpath import (
 )
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
-from repro.isa.forms import (
-    FMA_NEGATE, InstructionForm, OpKind, lane_typecodes)
+from repro.isa.forms import FMA_NEGATE, InstructionForm, OpKind
 from repro.isa.semantics import form_executor
 
 _U = np.uint64
@@ -111,7 +110,7 @@ BATCH_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResult:
     """Per-lane outcome of one batch execution.
 
@@ -181,29 +180,41 @@ def _eft_fma32(kind, operands):
         return r.view(np.uint32).astype(_U), pe, certified
 
 
+def _fma_loop(kind):
+    """The binary32 FMA host loop with ``kind``'s term signs; ``None``
+    for fma64 (no loop)."""
+    neg_p, neg_c = FMA_NEGATE[kind]
+
+    def run(w, narrow, X):
+        if not narrow:
+            return None
+        a, b, c = X
+        return _host_fma32(w, [-v for v in a] if neg_p else a, b,
+                           [-v for v in c] if neg_c else c)
+    return run
+
+
+#: :mod:`repro.fp.fastpath`'s host loop per :data:`BATCH_KINDS` kind, as
+#: ``loop(window, narrow, operand_lists)``.
+_HOST_LOOPS = {
+    OpKind.ADD: lambda w, narrow, X: _host_addsub(w, narrow, X[0], X[1]),
+    OpKind.SUB: lambda w, narrow, X: _host_addsub(
+        w, narrow, X[0], [-y for y in X[1]]),
+    OpKind.MUL: lambda w, narrow, X: _host_mul(w, narrow, X[0], X[1]),
+    OpKind.DIV: lambda w, narrow, X: _host_div(w, narrow, X[0], X[1]),
+    OpKind.SQRT: lambda w, narrow, X: _host_sqrt(w, narrow, X[0]),
+    OpKind.MIN: lambda w, narrow, X: _host_minmax(w, True, X[0], X[1]),
+    OpKind.MAX: lambda w, narrow, X: _host_minmax(w, False, X[0], X[1]),
+    **{kind: _fma_loop(kind) for kind in FMA_NEGATE},
+}
+
+
 def _run_host_loop(kind, fmt, X):
     """Run :mod:`repro.fp.fastpath`'s host loop for ``kind`` over the
     operand lists ``X``; ``None`` for fma64 (no loop)."""
     narrow = fmt is BINARY32
-    w = _HOST_WINDOW32 if narrow else _HOST_WINDOW64
-    if kind is OpKind.ADD:
-        return _host_addsub(w, narrow, X[0], X[1])
-    if kind is OpKind.SUB:
-        return _host_addsub(w, narrow, X[0], [-y for y in X[1]])
-    if kind is OpKind.MUL:
-        return _host_mul(w, narrow, X[0], X[1])
-    if kind is OpKind.DIV:
-        return _host_div(w, narrow, X[0], X[1])
-    if kind is OpKind.SQRT:
-        return _host_sqrt(w, narrow, X[0])
-    if kind is OpKind.MIN or kind is OpKind.MAX:
-        return _host_minmax(w, kind is OpKind.MIN, X[0], X[1])
-    if narrow:
-        neg_p, neg_c = FMA_NEGATE[kind]
-        a, b, c = X
-        return _host_fma32(w, [-v for v in a] if neg_p else a, b,
-                           [-v for v in c] if neg_c else c)
-    return None
+    return _HOST_LOOPS[kind](
+        _HOST_WINDOW32 if narrow else _HOST_WINDOW64, narrow, X)
 
 
 def _fpu_op(kind):
@@ -241,7 +252,7 @@ def _scalar_batch(kind, fmt, operands, ctx) -> BatchResult:
     else:
         res, fl, miss = out
     if fmt is BINARY64:
-        bits = array("Q", struct.pack(f"{n}d", *res))
+        bits = array("Q", array("d", res).tobytes())
     else:
         bits = array("Q", struct.unpack(f"{n}I", struct.pack(f"{n}f", *res)))
     tiny = [False] * n
@@ -269,7 +280,7 @@ def _executor_batch(form, operands, ctx) -> BatchResult:
         res += out.results
         fl[lo] = out.flags
         tiny[lo] = out.tiny
-    return BatchResult(array(lane_typecodes(form)[1], res), fl, tiny)
+    return BatchResult(array(form.typecodes[1], res), fl, tiny)
 
 
 def execute_batch(

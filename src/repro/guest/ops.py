@@ -10,7 +10,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.isa.forms import lane_typecodes
 from repro.isa.instruction import CodeSite
 
 
@@ -50,7 +49,7 @@ class IntWork(GuestOp):
             raise ValueError("IntWork count must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class FPBlock(GuestOp):
     """A contiguous run of dynamic executions of one FP code site.
 
@@ -72,7 +71,8 @@ class FPBlock(GuestOp):
     for compare and float-to-int kinds, ``'Q'`` bit patterns otherwise)
     that every retirement path writes its slice of.  The cursor fields record
     partial progress so a fault, trap, or timer can interrupt the block
-    mid-flight and restart it at the precise instruction.
+    mid-flight and restart it at the precise instruction.  The class has
+    slots: the machine reads these fields on every step of the block.
     """
 
     site: CodeSite
@@ -89,6 +89,9 @@ class FPBlock(GuestOp):
     index: int = 0  #: groups fully retired so far
     fp_done: bool = False  #: current group's FP instruction has retired
     int_remaining: int = 0  #: current group's leftover interleave units
+    #: Storm's batch-executed window over the remaining groups
+    #: (:mod:`repro.machine.storm`), kept across its attempts.
+    storm_window: Any = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -96,19 +99,20 @@ class FPBlock(GuestOp):
         site: CodeSite,
         operand_streams: Sequence[Sequence[int]],
         interleave: int,
-        pad: int,
     ) -> "FPBlock":
         """Pack parallel operand streams -- each the ``array`` of
         :meth:`repro.guest.program.KernelBuilder.encode_bits` or a list of
-        ints -- into a block (padding the tail)."""
-        op_code, res_code = lane_typecodes(site.form)
-        lanes = site.form.lanes
+        ints -- into a block, padding the tail with the form's ``pad``."""
+        form = site.form
+        op_code, res_code = form.typecodes
+        lanes = form.lanes
         n = len(operand_streams[0])
         n_groups = -(-n // lanes)
+        padding = [form.pad] * (n_groups * lanes - n)
         arrays = []
         for stream in operand_streams:
             a = array(op_code, stream)
-            a.extend([pad] * (n_groups * lanes - n))
+            a.extend(padding)
             arrays.append(a)
         return cls(
             site=site, n_groups=n_groups, n_elements=n,

@@ -27,7 +27,7 @@ from repro.fp.formats import (
     float_to_bits32,
     float_to_bits64,
 )
-from repro.isa.forms import OpKind, lane_typecodes
+from repro.guest.ops import FPBlock, IntWork
 from repro.isa.instruction import CodeLayout, CodeSite, FPInstruction
 
 
@@ -108,31 +108,25 @@ class KernelBuilder:
         ``array('Q')``, preserving NaNs/infs/denormals.
 
         The guest's NumPy data crosses into the lane format here, in one
-        buffer copy, so hot loops hand operand bits to the block engine
-        without a per-element Python round trip."""
+        buffer copy for binary64 (``tobytes`` flattens any shape or
+        stride in C order), so hot loops hand operand bits to the block
+        engine without a per-element Python round trip.  Binary32 widens
+        its 32-bit patterns to the 64-bit lanes once."""
         if fmt is BINARY64:
-            bits = np.asarray(values, dtype=np.float64).view(np.uint64)
-        else:
-            bits = np.asarray(values, dtype=np.float32).view(np.uint32)
-        return array("Q", bits.astype(np.uint64, copy=False).tobytes())
+            return array("Q", np.asarray(values, dtype=np.float64).tobytes())
+        bits = np.asarray(values, dtype=np.float32).view(np.uint32)
+        return array("Q", bits.astype(np.uint64).tobytes())
 
     @staticmethod
     def decode_array(bits: array, fmt=BINARY64) -> np.ndarray:
-        """A block's ``'Q'`` result lanes as a numpy float array."""
-        raw = np.frombuffer(bits, dtype=np.uint64)
+        """A block's ``'Q'`` result lanes as a numpy float array: for
+        binary64 a view of the lanes themselves."""
         if fmt is BINARY64:
-            return raw.view(np.float64)
+            return np.frombuffer(bits, np.float64)
+        raw = np.frombuffer(bits, dtype=np.uint64)
         return raw.astype(np.uint32).view(np.float32)
 
     # ---------------------------------------------------------- emitters
-
-    @staticmethod
-    def _pad_value(site: CodeSite) -> int:
-        """A benign operand for padding a partially-filled vector."""
-        if site.form.kind == OpKind.CVT_I2F:
-            return 1
-        fmt = site.form.fmt or BINARY64
-        return float_to_bits64(1.0) if fmt is BINARY64 else float_to_bits32(1.0)
 
     def emit(
         self,
@@ -159,8 +153,6 @@ class KernelBuilder:
         this spreads FP events through virtual time the way real
         applications do, which the Poisson sampler's statistics rely on.
         """
-        from repro.guest.ops import FPBlock, IntWork
-
         form = site.form
         if len(operand_streams) != form.arity:
             raise ValueError(
@@ -174,13 +166,10 @@ class KernelBuilder:
         if block is None:
             block = True
         if block and n > 0:
-            fpb = FPBlock.build(
-                site, operand_streams, interleave, self._pad_value(site)
-            )
-            return (yield fpb)
+            return (yield FPBlock.build(site, operand_streams, interleave))
         lanes = form.lanes
-        pad = self._pad_value(site)
-        out = array(lane_typecodes(form)[1])
+        pad = form.pad
+        out = array(form.typecodes[1])
         for i in range(0, n, lanes):
             lane_inputs = []
             for j in range(lanes):

@@ -16,11 +16,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
+from repro.fp.formats import (
+    BINARY32, BINARY64, BinaryFormat, float_to_bits32, float_to_bits64)
 
 
 class OpKind(enum.Enum):
-    """Semantic operation class of an instruction form."""
+    """Semantic operation class of an instruction form.
+
+    Kinds hash by identity, like forms: a ``kind in`` test against the
+    kind sets below costs one pointer hash, not a Python-level
+    ``Enum.__hash__`` call.  Nothing iterates a set of kinds into
+    output, so their iteration order may follow addresses.
+    """
+
+    __hash__ = object.__hash__
 
     ADD = "add"
     SUB = "sub"
@@ -105,9 +114,20 @@ class InstructionForm:
         Destination element format for conversions.
     arity:
         Operand count per lane, set from ``kind`` at construction.
+    pad:
+        The benign operand that pads a block's partially filled last
+        group: 1.0's bit pattern in ``fmt`` (binary64 when ``fmt`` is
+        ``None``), or the integer 1 for ``cvtsi2s*`` sources.
+    typecodes:
+        The :class:`array.array` typecodes of the form's operand and
+        result lanes in a block (DESIGN.md #6): ``'Q'`` bit patterns,
+        ``'q'`` for ``cvtsi2s*`` sources and :data:`INT_RESULT_KINDS`
+        results.
 
-    Forms compare and hash by identity: the catalogue holds one instance
-    per mnemonic, so a dict keyed by form costs one pointer hash.
+    The last three are set at construction, so the per-block path reads
+    fields instead of asking the kind.  Forms compare and hash by
+    identity: the catalogue holds one instance per mnemonic, so a dict
+    keyed by form costs one pointer hash.
     """
 
     mnemonic: str
@@ -117,9 +137,22 @@ class InstructionForm:
     avx: bool = False
     dst_fmt: BinaryFormat | None = None
     arity: int = field(init=False, repr=False)
+    pad: int = field(init=False, repr=False)
+    typecodes: tuple[str, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arity", _ARITY[self.kind])
+        kind = self.kind
+        i2f = kind is OpKind.CVT_I2F
+        if i2f:
+            pad = 1
+        elif self.fmt is BINARY32:
+            pad = float_to_bits32(1.0)
+        else:
+            pad = float_to_bits64(1.0)
+        object.__setattr__(self, "arity", _ARITY[kind])
+        object.__setattr__(self, "pad", pad)
+        object.__setattr__(self, "typecodes", (
+            "q" if i2f else "Q", "q" if kind in INT_RESULT_KINDS else "Q"))
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.mnemonic
@@ -221,15 +254,6 @@ FORMS: dict[str, InstructionForm] = {
 assert len(SSE_FORMS) == 39, len(SSE_FORMS)
 assert len(AVX_FORMS) == 25, len(AVX_FORMS)
 assert len(FORMS) == 64
-
-
-def lane_typecodes(form: InstructionForm) -> tuple[str, str]:
-    """The :class:`array.array` typecodes of ``form``'s operand and
-    result lanes in a block (DESIGN.md #6): ``'Q'`` bit patterns,
-    ``'q'`` for ``cvtsi2s*`` sources and :data:`INT_RESULT_KINDS`
-    results."""
-    return ("q" if form.kind is OpKind.CVT_I2F else "Q",
-            "q" if form.kind in INT_RESULT_KINDS else "Q")
 
 
 def form(mnemonic: str) -> InstructionForm:

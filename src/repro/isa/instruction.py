@@ -34,10 +34,8 @@ def encode_form(form: InstructionForm, address: int) -> bytes:
     round-trip the same way: a 2-3 byte opcode derived from the mnemonic
     plus a ModRM-like byte derived from the address.
     """
-    digest = hashlib.blake2b(form.mnemonic.encode(), digest_size=3).digest()
     prefix = b"\xc5" if form.avx else b"\x66"
-    modrm = bytes([(address >> 4) & 0xFF])
-    return prefix + digest + modrm
+    return prefix + _OPCODES[form] + bytes([(address >> 4) & 0xFF])
 
 
 def decode_form(encoding: bytes) -> InstructionForm:
@@ -49,9 +47,14 @@ def decode_form(encoding: bytes) -> InstructionForm:
     return match
 
 
-_OPCODE_TABLE: dict[bytes, InstructionForm] = {
-    hashlib.blake2b(f.mnemonic.encode(), digest_size=3).digest(): f
+#: Each catalogue form's 3-byte synthetic opcode, a digest of its
+#: mnemonic computed once here (forms hash by identity).
+_OPCODES: dict[InstructionForm, bytes] = {
+    f: hashlib.blake2b(f.mnemonic.encode(), digest_size=3).digest()
     for f in FORMS.values()
+}
+_OPCODE_TABLE: dict[bytes, InstructionForm] = {
+    op: f for f, op in _OPCODES.items()
 }
 # The synthetic opcodes must be collision-free or traces would mis-decode.
 assert len(_OPCODE_TABLE) == len(FORMS)

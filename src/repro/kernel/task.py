@@ -27,6 +27,11 @@ class TaskState(enum.Enum):
     KILLED = "killed"
 
 
+#: Bound once for :attr:`Task.alive`, read on every step: an enum
+#: class-attribute read goes through the metaclass's ``__getattr__`` hook.
+_RUNNABLE = TaskState.RUNNABLE
+
+
 #: Synthetic per-thread stack top; threads get descending 8 MiB windows.
 STACK_TOP = 0x7FFD_0000_0000
 STACK_SPACING = 8 << 20
@@ -69,6 +74,10 @@ class Task:
         self.pending_int_remaining = 0  #: leftover IntWork units
         self.send_value: object = None
         self.pending_signals: deque[SigInfo] = deque()
+        #: Host-only record of the block engine's last regime for this
+        #: task (True = batched chunk, False = precise sub-step, None =
+        #: none yet), for the CPU's quiescence entry/exit counts.
+        self.blk_mode: bool | None = None
 
         # Time accounting.
         self.vtime = 0  #: guest instructions retired (virtual time)
@@ -86,7 +95,7 @@ class Task:
 
     @property
     def alive(self) -> bool:
-        return self.state == TaskState.RUNNABLE
+        return self.state is _RUNNABLE
 
     @property
     def fp_quiescent(self) -> bool:

@@ -137,7 +137,9 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int,
     kernel = cpu.kernel
     costs = cpu.costs
     per_group = costs.block_group_cycles(block.interleave)
-    ops = tuple(a[lo:hi] for a in block.arrays)
+    # The common chunk is the whole block: its arrays go in unsliced.
+    ops = (block.arrays if n == block.n_groups
+           else tuple(a[lo:hi] for a in block.arrays))
     # One batch softfloat call computes every group's results and
     # condition codes exactly, whatever tier it picks.
     res = batchfloat.execute_batch(form, ops, task.mxcsr.context())

@@ -122,10 +122,6 @@ class CPU:
         self.blk_substeps = 0
         self.quiesce_entries = 0
         self.quiesce_exits = 0
-        #: Host-only per-task record of the block engine's last regime
-        #: (True = batched chunk, False = precise sub-step), for the
-        #: quiescence entry/exit transition counts.
-        self._blk_mode: dict[Task, bool] = {}
         #: Flight recorder + provenance (DESIGN.md #10), pre-fetched so a
         #: disabled hook site pays one ``is not None`` test.  The traced executor
         #: factory is chosen once here: traced memo closures expose a
@@ -175,10 +171,10 @@ class CPU:
 
     def _note_block_mode(self, task: Task, fast: bool) -> None:
         """Count quiescence regime transitions for ``task``."""
-        prev = self._blk_mode.get(task)
+        prev = task.blk_mode
         if prev is fast:
             return
-        self._blk_mode[task] = fast
+        task.blk_mode = fast
         if fast:
             self.quiesce_entries += 1
         elif prev is not None:

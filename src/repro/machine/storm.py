@@ -174,10 +174,10 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # (only differs when FTZ rides an unmasked Underflow).
         return _reject(cpu, "ctx")
 
-    win = getattr(block, "_storm_cache", None)
+    win = block.storm_window
     if (win is None or win.ctx != ctx or win.base != base
             or win.start > block.index):
-        win = block._storm_cache = _Window(
+        win = block.storm_window = _Window(
             block, form, ctx, base, quiet_ok, cpu._prov)
         cpu.storm_stats["windows"] += 1
     rel = block.index - win.start

@@ -36,8 +36,7 @@ from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.fp.vectorfast import vector_execute
 from repro.isa.forms import (
-    FMA_NEGATE, FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form,
-    lane_typecodes)
+    FMA_NEGATE, FORMS, INT_RESULT_KINDS, InstructionForm, OpKind, form)
 from repro.isa.semantics import execute_form
 
 _FPU = SoftFPU()
@@ -361,7 +360,7 @@ def test_every_form_batches_equal_to_execute_form_per_group(
         pad = 1 if f.kind is OpKind.CVT_I2F else (
             float_to_bits64(1.0) if f.fmt is BINARY64 else float_to_bits32(1.0))
         cols = [c + [pad] * (lanes - tail) for c in cols]
-    op_code, res_code = lane_typecodes(f)
+    op_code, res_code = f.typecodes
     ops = tuple(array(op_code, c) for c in cols)
     res = execute_batch(f, ops, ctx)
     # The results are the block's result lanes, signed for the

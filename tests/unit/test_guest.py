@@ -5,6 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
+from repro.apps.base import SimApp
 from repro.fp.formats import BINARY32, BINARY64, float_to_bits64
 from repro.guest.ops import FPBlock, IntWork, LibcCall
 from repro.guest.program import KernelBuilder
@@ -125,6 +126,70 @@ class TestKernelBuilder:
         assert KernelBuilder.decode(out, BINARY32) == [10.0]
 
 
+#: Bit patterns the crossing must carry unchanged: quiet and signalling
+#: NaNs with payloads (both signs), +-0, the smallest and largest
+#: subnormals (both signs), +-inf and two normals.
+_SPECIAL_BITS = {
+    BINARY64: [
+        0x7FF8000000000123, 0xFFF8000000000001, 0x7FF0000000000005,
+        0xFFF0000000000ABC, 0x0000000000000000, 0x8000000000000000,
+        0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+        0x7FF0000000000000, 0xFFF0000000000000, 0x3FF8000000000000,
+    ],
+    BINARY32: [
+        0x7FC00123, 0xFFC00001, 0x7F800001, 0xFF800ABC, 0x00000000,
+        0x80000000, 0x00000001, 0x007FFFFF, 0x807FFFFF, 0x7F800000,
+        0xFF800000, 0x3FC00000,
+    ],
+}
+_DTYPES = {BINARY64: (np.float64, np.uint64), BINARY32: (np.float32, np.uint32)}
+
+
+def _specials(fmt):
+    """The special values as a 1-D array of ``fmt``'s float dtype."""
+    ftype, utype = _DTYPES[fmt]
+    return np.array(_SPECIAL_BITS[fmt], dtype=utype).view(ftype)
+
+
+def _crossing_inputs(fmt):
+    """Every input shape a guest hands ``encode_bits``: 1-D, 2-D,
+    strided and transposed views, the other float width, Python lists
+    and 0-d values."""
+    flat = _specials(fmt)
+    grid = flat.reshape(3, 4)
+    other = _specials(BINARY32 if fmt is BINARY64 else BINARY64)
+    return [
+        flat, grid, grid[:, ::2], grid.T, flat[::3], grid[::-1, 1:3],
+        other, other.reshape(4, 3)[::2], flat.tolist(), grid.tolist(),
+        flat[5], np.array(flat[7]), 2.5, [],
+    ]
+
+
+def _old_encode_bits(values, fmt):
+    """The crossing as it was: ``stream``'s ravel, then a view, a
+    widening ``astype`` and a copy."""
+    a = np.asarray(values).ravel()
+    if fmt is BINARY64:
+        bits = np.asarray(a, dtype=np.float64).view(np.uint64)
+    else:
+        bits = np.asarray(a, dtype=np.float32).view(np.uint32)
+    return array("Q", bits.astype(np.uint64, copy=False).tobytes())
+
+
+#: Converting a signalling NaN between widths raises the host's invalid
+#: flag, which NumPy reports as a warning; both crossings convert alike.
+_SNAN_CASTS = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in cast:RuntimeWarning")
+
+
+class _Probe(SimApp):
+    name = "probe"
+
+    def _build_sites(self):
+        self.addpd = self.kb.site("addpd")
+        self.addps = self.kb.site("addps")
+
+
 class TestLaneFormat:
     """The block lane format's producer side: ``encode_bits`` hands the
     guest's NumPy data over as ``array('Q')``, ``FPBlock.build`` packs
@@ -139,16 +204,54 @@ class TestLaneFormat:
             assert isinstance(bits, array) and bits.typecode == "Q"
             assert bits.tolist() == KernelBuilder.encode(vals, fmt)
 
+    @_SNAN_CASTS
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=["d", "s"])
+    def test_encode_bits_equals_the_old_crossing(self, fmt):
+        for values in _crossing_inputs(fmt):
+            new = KernelBuilder.encode_bits(values, fmt)
+            assert new.typecode == "Q"
+            assert new.tolist() == _old_encode_bits(values, fmt).tolist(), (
+                values)
+
+    def test_special_bits_cross_unchanged(self):
+        for fmt in (BINARY64, BINARY32):
+            bits = KernelBuilder.encode_bits(_specials(fmt), fmt)
+            assert bits.tolist() == _SPECIAL_BITS[fmt]
+
+    @_SNAN_CASTS
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=["d", "s"])
+    def test_decode_array_round_trips_every_case(self, fmt):
+        ftype, utype = _DTYPES[fmt]
+        for values in _crossing_inputs(fmt):
+            back = KernelBuilder.decode_array(
+                KernelBuilder.encode_bits(values, fmt), fmt)
+            want = np.asarray(values, dtype=ftype).ravel()
+            assert back.dtype == ftype
+            assert back.view(utype).tolist() == want.view(utype).tolist(), (
+                values)
+
+    def test_stream_of_2d_builds_the_raveled_block(self):
+        app = _Probe()
+        for site, dtype in ((app.addpd, np.float64), (app.addps, np.float32)):
+            a = np.arange(1.0, 13.0, dtype=dtype).reshape(3, 4)
+            b = _specials(BINARY32 if dtype is np.float32 else BINARY64)
+            b = b.reshape(4, 3).T  # non-contiguous
+            blocks = [next(app.stream(site, x, y))
+                      for x, y in ((a, b), (a.ravel(), b.ravel()))]
+            assert [x.tolist() for x in blocks[0].arrays] == [
+                x.tolist() for x in blocks[1].arrays]
+            assert blocks[0].n_elements == blocks[1].n_elements == 12
+
     def test_build_from_array_or_int_list_is_equal(self):
         kb = KernelBuilder()
         site = kb.site("addpd")  # 2 lanes: 3 elements pad to 4
-        pad = KernelBuilder._pad_value(site)
+        pad = site.form.pad
         a = KernelBuilder.encode([1.0, 2.0, 3.0])
         b = KernelBuilder.encode([0.5, 0.25, 0.125])
-        from_list = FPBlock.build(site, (a, b), 0, pad)
+        from_list = FPBlock.build(site, (a, b), 0)
         from_array = FPBlock.build(
             site, (array("Q", a), KernelBuilder.encode_bits(np.array(
-                [0.5, 0.25, 0.125]))), 0, pad)
+                [0.5, 0.25, 0.125]))), 0)
         for blk in (from_list, from_array):
             assert [x.typecode for x in blk.arrays] == ["Q", "Q"]
             assert blk.arrays[0].tolist() == a + [pad]
@@ -161,12 +264,12 @@ class TestLaneFormat:
     def test_build_signed_lanes(self):
         kb = KernelBuilder()
         cvt = kb.site("cvtsi2sd")
-        blk = FPBlock.build(cvt, ([-5, 1 << 62],), 0, 1)
+        blk = FPBlock.build(cvt, ([-5, 1 << 62],), 0)
         assert blk.arrays[0].typecode == "q" and blk.results.typecode == "Q"
         assert blk.arrays[0].tolist() == [-5, 1 << 62]
         cmp = kb.site("ucomisd")
         one = float_to_bits64(1.0)
-        blk = FPBlock.build(cmp, ([one], [one]), 0, one)
+        blk = FPBlock.build(cmp, ([one], [one]), 0)
         assert blk.arrays[0].typecode == "Q" and blk.results.typecode == "q"
 
     def test_decode_array_reads_result_lanes(self):

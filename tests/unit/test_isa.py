@@ -1,5 +1,7 @@
 """Unit tests for the instruction set layer."""
 
+import hashlib
+
 import pytest
 
 from repro.fp.flags import Flag
@@ -51,6 +53,28 @@ class TestCatalogue:
         assert form("vfmaddps").arity == 3
 
 
+class TestFormFields:
+    """The per-form answers the block path reads as fields, pinned for
+    all 64 forms against the rules they replace."""
+
+    def test_pad_is_one_in_the_form_format(self):
+        one = {BINARY64: 0x3FF0000000000000, BINARY32: 0x3F800000}
+        for f in FORMS.values():
+            if f.kind is OpKind.CVT_I2F:
+                assert f.pad == 1, f.mnemonic
+            else:
+                assert f.pad == one[f.fmt], f.mnemonic
+
+    def test_typecodes_follow_the_lane_rule(self):
+        int_results = {OpKind.UCOMI, OpKind.COMI, OpKind.CVT_F2I,
+                       OpKind.CVT_F2I_TRUNC}
+        for f in FORMS.values():
+            assert f.typecodes == (
+                "q" if f.kind is OpKind.CVT_I2F else "Q",
+                "q" if f.kind in int_results else "Q",
+            ), f.mnemonic
+
+
 class TestEncoding:
     def test_encodings_are_unique_per_form(self):
         encs = {encode_form(f, TEXT_BASE)[:4] for f in FORMS.values()}
@@ -67,6 +91,20 @@ class TestEncoding:
     def test_avx_prefix(self):
         assert encode_form(form("vaddps"), 0)[0] == 0xC5
         assert encode_form(form("addsd"), 0)[0] == 0x66
+
+    def test_encoding_is_prefix_digest_modrm(self):
+        """Every trace record's instruction bytes: the VEX or operand-size
+        prefix, the mnemonic's 3-byte blake2b digest, and a ModRM byte
+        from the address."""
+        assert len(FORMS) == 64
+        for f in FORMS.values():
+            prefix = b"\xc5" if f.avx else b"\x66"
+            digest = hashlib.blake2b(
+                f.mnemonic.encode(), digest_size=3).digest()
+            for addr in (0, TEXT_BASE, 0x401234, 0x4FFFF5, 0xFFFFFFFFF0):
+                enc = encode_form(f, addr)
+                assert enc == prefix + digest + bytes([(addr >> 4) & 0xFF])
+                assert decode_form(enc) is f
 
 
 class TestCodeLayout:
