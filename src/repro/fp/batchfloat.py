@@ -99,17 +99,6 @@ def reset_batch_stats() -> None:
         _STATS[k] = 0
 
 
-#: The kinds the host loop and the EFT tier compute lane by lane (in
-#: binary32 and binary64); every other kind runs the per-form executor.
-BATCH_KINDS = frozenset(
-    {
-        OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.SQRT,
-        OpKind.MIN, OpKind.MAX,
-        OpKind.FMADD, OpKind.FMSUB, OpKind.FNMADD, OpKind.FNMSUB,
-    }
-)
-
-
 @dataclass(slots=True)
 class BatchResult:
     """Per-lane outcome of one batch execution.
@@ -194,7 +183,7 @@ def _fma_loop(kind):
     return run
 
 
-#: :mod:`repro.fp.fastpath`'s host loop per :data:`BATCH_KINDS` kind, as
+#: :mod:`repro.fp.fastpath`'s host loop per kind, as
 #: ``loop(window, narrow, operand_lists)``.
 _HOST_LOOPS = {
     OpKind.ADD: lambda w, narrow, X: _host_addsub(w, narrow, X[0], X[1]),
@@ -207,6 +196,10 @@ _HOST_LOOPS = {
     OpKind.MAX: lambda w, narrow, X: _host_minmax(w, False, X[0], X[1]),
     **{kind: _fma_loop(kind) for kind in FMA_NEGATE},
 }
+
+#: The kinds the host loop and the EFT tier compute lane by lane (in
+#: binary32 and binary64); every other kind runs the per-form executor.
+BATCH_KINDS = frozenset(_HOST_LOOPS)
 
 
 def _run_host_loop(kind, fmt, X):

@@ -357,9 +357,7 @@ def test_every_form_batches_equal_to_execute_form_per_group(
     cols = [data.draw(st.lists(_form_lanes(f), min_size=n, max_size=n))
             for _ in range(f.arity)]
     if tail:
-        pad = 1 if f.kind is OpKind.CVT_I2F else (
-            float_to_bits64(1.0) if f.fmt is BINARY64 else float_to_bits32(1.0))
-        cols = [c + [pad] * (lanes - tail) for c in cols]
+        cols = [c + [f.pad] * (lanes - tail) for c in cols]
     op_code, res_code = f.typecodes
     ops = tuple(array(op_code, c) for c in cols)
     res = execute_batch(f, ops, ctx)
