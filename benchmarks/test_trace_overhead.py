@@ -6,7 +6,10 @@ Two tier-1 promises, both gated here (``BENCH_traceoverhead.json``):
   site degenerates to one prefetched-``None`` test (the ``self._tr`` /
   ``self._prov`` idiom).  The bound is extrapolated from the measured
   per-guard cost times a generous overcount of guard executions and
-  gated at 3% of the workload's wall time.
+  gated at 3% of the workload's wall time.  The guard cost is measured
+  next to every off/on pair, so it sees the host state that pair's
+  workload saw, and each pair gives one figure against its own
+  disabled run; the gate reads their median.
 
 * **Enabled overhead**: with the packed ring + tail sampler on, the
   full observability stack (span trees, provenance, tail sampling)
@@ -29,6 +32,7 @@ results so CI can publish loadable artifacts.
 
 import timeit
 from pathlib import Path
+from statistics import median
 
 from repro.apps import APPLICATIONS
 from repro.fp.provenance import verify_attribution
@@ -90,7 +94,8 @@ def _per_guard_cost() -> float:
     not None`` test (the ``self._tr``/``self._prov`` idiom every hook
     site executes; ``kernel.tracer`` is ``None`` when tracing is off).
     Best-of-5 -- the same noise-only-inflates argument as the workload
-    pairs, at microbenchmark scale.
+    pairs, at microbenchmark scale -- with GC quiesced (``timeit``
+    disables it while timing).
     """
     reps = 200_000
 
@@ -116,11 +121,17 @@ def _measure():
     (quietest) baseline observed.  This is far lower-variance than the
     ratio of two independent per-mode minima, which needs *both* modes
     to catch a quiet window.
+
+    The guard cost is taken right after each pair, and each pair's
+    disabled figure divides it by that pair's own disabled run, so a
+    host state that slows both cancels.  Returns the median guard cost
+    and the median of the per-pair ``guard / t_off`` ratios.
     """
     _run(False)
     _run(True)
     min_off = min_on = best_delta = float("inf")
     pairs = 0
+    guards, ratios = [], []
     k_off = state_off = k_on = state_on = steps = None
     for i in range(MAX_PAIRS):
         if i % 2 == 0:
@@ -129,6 +140,8 @@ def _measure():
         else:
             k_on, state_on, t_on, _ = _run(True)
             k_off, state_off, t_off, steps = _run(False)
+        guards.append(_per_guard_cost())
+        ratios.append(guards[-1] / t_off)
         min_off = min(min_off, t_off)
         min_on = min(min_on, t_on)
         best_delta = min(best_delta, t_on - t_off)
@@ -139,7 +152,8 @@ def _measure():
         ):
             break
     return (k_off, state_off, k_on, state_on, steps,
-            min_off, min_on, max(best_delta, 0.0), pairs)
+            min_off, min_on, max(best_delta, 0.0), pairs,
+            median(guards), median(ratios))
 
 
 def _nanchain_attribution() -> tuple[int, int]:
@@ -154,7 +168,8 @@ def _nanchain_attribution() -> tuple[int, int]:
 
 def test_trace_overhead(benchmark):
     (k_off, state_off, k_on, state_on, steps,
-     min_off, min_on, best_delta, pairs) = benchmark.pedantic(
+     min_off, min_on, best_delta, pairs,
+     per_guard, guard_per_s) = benchmark.pedantic(
         _measure, rounds=1, iterations=1
     )
 
@@ -167,8 +182,7 @@ def test_trace_overhead(benchmark):
     assert tr.recorded > 0 and tr.trees_completed > 0
     assert stats["trees_retained_interesting"] > 0
 
-    per_guard = _per_guard_cost()
-    disabled_pct = 100.0 * GUARDS_PER_STEP * steps * per_guard / min_off
+    disabled_pct = 100.0 * GUARDS_PER_STEP * steps * guard_per_s
     enabled_pct = 100.0 * best_delta / min_off
 
     interesting = (
@@ -189,7 +203,9 @@ def test_trace_overhead(benchmark):
             "mode": "individual",
             "scale": ABLATION_SCALE,
             "timing": ("process_time, GC quiesced; min paired delta "
-                       "over alternating pairs / best baseline"),
+                       "over alternating pairs / best baseline; guard "
+                       "cost best-of-5 after each pair, disabled figure "
+                       "the median over pairs of guard / pair's off run"),
             "pairs": pairs,
             "disabled_s": round(min_off, 4),
             "enabled_s": round(min_on, 4),

@@ -18,9 +18,9 @@ a documented limitation (DESIGN.md decision #10), harmless in practice
 because distinct fault sites almost always differ in payload, sign, or
 magnitude.
 
-Coverage and counts do not depend on the path taken.  Both batched
-fast paths -- a blockexec chunk and a storm window -- run one
-plain-Python pre-scan over the block's operand and result lanes,
+Coverage and counts do not depend on the path taken.  The batch engine
+(``repro.machine.storm``, both of its arms) runs one plain-Python
+pre-scan over each window's operand and result lanes,
 :meth:`ProvenanceTracker.scan_window`, observe every group
 it flags (a NaN/Inf/denorm bit pattern as an input or a result) at the
 cycle its per-instruction retirement would read, and count the rest as
@@ -289,10 +289,10 @@ class ProvenanceTracker:
         """Pre-scan of ``ng`` groups of one block: which groups *might*
         touch provenance state?
 
-        The one pre-scan of both batched paths: a blockexec chunk and a
-        storm cache window.  ``ops`` are the groups' operand sequences
-        (one per operand position, ``ng * lanes`` flat elements each) and
-        ``results`` the matching results.  Tags only ever hold
+        The one pre-scan of the batch engine, once per window.  ``ops``
+        are the groups' operand sequences (one per operand position,
+        ``ng * lanes`` flat elements each) and ``results`` the matching
+        results.  Tags only ever hold
         exceptional bit patterns, so a group whose operand and result
         lanes are all ordinary can neither create, propagate, nor sink a
         chain -- the caller skips its :meth:`observe` entirely and adds
@@ -301,8 +301,8 @@ class ProvenanceTracker:
         ``True`` means "replay this group through observe exactly".
         Integer operand and result positions (``cvtsi2s*`` sources,
         compare and float-to-int results) are never exceptional and are
-        skipped.  The storm driver computes this once per batch cache
-        and slices per committed window, so the whole remaining block
+        skipped.  The batch engine computes this once per window and
+        slices it per committed batch, so the whole remaining block
         costs one plain-Python pass per operand position.  The final
         group is conservatively flagged when partial (``last_take <
         lanes``), because its padding lanes are unverified.

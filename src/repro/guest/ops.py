@@ -89,9 +89,10 @@ class FPBlock(GuestOp):
     index: int = 0  #: groups fully retired so far
     fp_done: bool = False  #: current group's FP instruction has retired
     int_remaining: int = 0  #: current group's leftover interleave units
-    #: Storm's batch-executed window over the remaining groups
-    #: (:mod:`repro.machine.storm`), kept across its attempts.
-    storm_window: Any = field(default=None, repr=False, compare=False)
+    #: The batch engine's windows over the remaining groups, one per
+    #: status-free ``%mxcsr`` (:mod:`repro.machine.storm`), kept across
+    #: its batches.
+    windows: Any = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -102,7 +103,13 @@ class FPBlock(GuestOp):
     ) -> "FPBlock":
         """Pack parallel operand streams -- each the ``array`` of
         :meth:`repro.guest.program.KernelBuilder.encode_bits` or a list of
-        ints -- into a block, padding the tail with the form's ``pad``."""
+        ints -- into a block, padding the tail with the form's ``pad``.
+
+        A stream that is already an ``array`` of the form's operand
+        typecode and needs no padding is adopted, not copied: the block
+        only reads its operands, and an emitter hands the stream over
+        (no caller of ``KernelBuilder.emit`` writes one after emitting
+        it).  Every other stream, lists included, is copied."""
         form = site.form
         op_code, res_code = form.typecodes
         lanes = form.lanes
@@ -111,14 +118,13 @@ class FPBlock(GuestOp):
         padding = [form.pad] * (n_groups * lanes - n)
         arrays = []
         for stream in operand_streams:
-            a = array(op_code, stream)
-            a.extend(padding)
-            arrays.append(a)
-        return cls(
-            site=site, n_groups=n_groups, n_elements=n,
-            arrays=tuple(arrays), results=array(res_code, [0]) * n,
-            interleave=interleave,
-        )
+            if padding or not (isinstance(stream, array)
+                               and stream.typecode == op_code):
+                stream = array(op_code, stream)
+                stream.extend(padding)
+            arrays.append(stream)
+        return cls(site, n_groups, n, tuple(arrays),
+                   array(res_code, [0]) * n, interleave)
 
     # ------------------------------------------------------------ accessors
 

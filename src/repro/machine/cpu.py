@@ -93,8 +93,9 @@ class CPU:
         self.step_cost = 1
         self.step_budget = kernel.config.quantum
         #: The configured rung of the fast-path ladder, as an index into
-        #: ``FASTPATHS``: ``_exec_fp``, ``_maybe_trap`` and
-        #: ``blockexec.step_block`` take each path at or below it.
+        #: ``FASTPATHS``: ``_exec_fp``, ``_maybe_trap``,
+        #: ``blockexec.step_block`` and ``storm.try_storm`` take each path
+        #: at or below it.
         self.rung = FASTPATHS.index(kernel.config.fastpaths)
         #: Trap-storm fast path (DESIGN.md #7).  ``_fuse_armed`` is set by
         #: ``deliver_signals`` when the step's last delivery was a SIGFPE
@@ -102,7 +103,8 @@ class CPU:
         #: follows in the same step may then fold its single-step SIGTRAP
         #: delivery inline instead of posting it for the next step.
         self._fuse_armed = False
-        #: Storm batch driver (DESIGN.md #11) batch/bail-out counts.
+        #: Batch engine (DESIGN.md #11), FPSpy individual-mode arm:
+        #: batch/bail-out counts.
         self.storm_stats: dict = {
             "batches": 0, "groups": 0, "quiet": 0, "records": 0,
             "windows": 0, "bailouts": {},
@@ -115,8 +117,9 @@ class CPU:
         self.fusion_bailouts: dict[str, int] = {}
         #: User-handler deliveries, indexed by signal number.
         self.signals_delivered = [0] * (max(Signal) + 1)
-        #: Block engine: batched chunks and the groups they retired,
-        #: precise sub-steps, and quiescence regime transitions.
+        #: Block engine: the batch engine's quiescent batches and the
+        #: groups they retired, precise sub-steps, and quiescence regime
+        #: transitions.
         self.blk_chunks = 0
         self.blk_groups = 0
         self.blk_substeps = 0
@@ -461,34 +464,6 @@ class CPU:
         its FP retirement (``b == 1``) leaves it out."""
         k, b = divmod(budget, 1 + interleave)
         return k, (b - 1 if b > 1 else 0)
-
-    @staticmethod
-    def commit_groups(task: Task, block: FPBlock, bits, k: int,
-                      tail: int = 0) -> None:
-        """Write back ``k`` whole groups from ``block``'s cursor, plus,
-        when ``tail`` is nonzero, the next group's FP instruction and
-        ``tail`` units of its integer phase; ``bits`` holds their results
-        from the cursor on.  This is the batched retirement of a
-        blockexec chunk and of a storm batch.  A tail leaves the cursor
-        on its group with the rest of the phase to run.  Codes and cycle
-        charges stay with the caller; only the block's final group can
-        carry padding."""
-        site = block.site
-        lanes = site.form.lanes
-        lo = block.index * lanes
-        block.index += k
-        valid = min((block.index + (tail > 0)) * lanes, block.n_elements) - lo
-        block.results[lo:lo + valid] = bits[:valid]
-        task.last_rip = site.address + len(site.encoding)
-        units = k * (1 + block.interleave)
-        if tail:
-            block.fp_done = True
-            block.int_remaining = block.interleave - tail
-            units += 1 + tail
-        task.advance_vtime(units)
-        if block.done:
-            task.pending_op = None
-            task.send_value = block.results
 
     def _exec_call(self, task: Task, op: LibcCall) -> bool:
         loader = task.process.loader

@@ -14,9 +14,15 @@ The program is one to three ``KernelBuilder.emit`` blocks of a drawn
 form, interleave and operand stream (stratified over NaNs, infinities,
 subnormals and ordinary values), run by two FPSpy-monitored processes in
 individual mode under a drawn capture set (empty: quiescent), quantum,
-and with or without the Poisson virtual-timer sampler.  Every rung must
-leave equal trace bytes, cycles, per-task user/system cycles, delivered
-signal counts, final ``%mxcsr`` and results.
+with or without the Poisson virtual-timer sampler, and with the flight
+recorder and provenance tracker (``KernelConfig.tracing``) on or off.
+Every rung must leave equal FPSpy trace bytes, cycles, per-task
+user/system cycles, delivered signal counts, final ``%mxcsr`` and
+results, and, traced, equal provenance coils, rollup rows and
+``observed`` count.  The flight recorder's span stream is left out: it
+stamps one coarse span per batch (``block_chunk`` for a quiescent batch,
+``storm`` for an FPSpy individual-mode one), so it differs by rung by
+design until the recorder records the guest rather than the fast path.
 """
 
 from hypothesis import given, settings
@@ -36,6 +42,8 @@ _SUBNORMALS = {32: [0x00000001, 0x807FFFFF, 0x00400000],
                64: [0x0000000000000001, 0x800FFFFFFFFFFFFF,
                     0x0008000000000000]}
 _TO_BITS = {32: float_to_bits32, 64: float_to_bits64}
+#: The flight recorder's span stream, present only when traced.
+_SPAN_STREAM = "/proc/fpspy/trace"
 
 
 def _operands(width):
@@ -76,10 +84,11 @@ def _segments(draw):
     return out
 
 
-def _machine(segments, capture, quantum, poisson, fastpaths):
+def _machine(segments, capture, quantum, poisson, tracing, fastpaths):
     """Run the program in two processes at rung ``fastpaths``; return the
     kernel and everything the rungs must agree on."""
-    k = Kernel(KernelConfig(fastpaths=fastpaths, quantum=quantum))
+    k = Kernel(KernelConfig(fastpaths=fastpaths, quantum=quantum,
+                            tracing=tracing))
     sampler = dict(poisson="60:40", timer="virtual") if poisson else {}
     env = fpspy_env("individual", except_list=capture, seed=5, **sampler)
     procs = []
@@ -97,23 +106,27 @@ def _machine(segments, capture, quantum, poisson, fastpaths):
 
         procs.append((k.exec_process(main, env=env, name=name), out))
     k.run()
+    prov = k.provenance
     return k, {
-        "vfs": {p: k.vfs.read(p) for p in k.vfs.listdir("")},
+        "vfs": {p: k.vfs.read(p) for p in k.vfs.listdir("")
+                if p != _SPAN_STREAM},
         "cycles": k.cycles,
         "tasks": [(p.main_task.utime_cycles, p.main_task.stime_cycles,
                    p.main_task.mxcsr.value, out) for p, out in procs],
         "signals": list(k.cpu.signals_delivered),
+        "provenance": prov and (prov.coils(), prov.rollup_rows(),
+                                prov.observed),
     }
 
 
-def _ladder(segments, capture, quantum, poisson):
+def _ladder(segments, capture, quantum, poisson, tracing=False):
     """Run every rung; assert each equals ``"precise"``; return the
     ``"storm"`` kernel."""
     kernels = {}
     outs = {}
     for rung in FASTPATHS:
         kernels[rung], outs[rung] = _machine(
-            segments, capture, quantum, poisson, rung)
+            segments, capture, quantum, poisson, tracing, rung)
     for rung in FASTPATHS[1:]:
         assert outs[rung] == outs["precise"], rung
     return kernels["storm"]
@@ -126,9 +139,11 @@ def _ladder(segments, capture, quantum, poisson):
     quantum=st.one_of(st.integers(min_value=4, max_value=16),
                       st.integers(min_value=4, max_value=128)),
     poisson=st.booleans(),
+    tracing=st.booleans(),
 )
-def test_every_rung_matches_precise(segments, capture, quantum, poisson):
-    _ladder(segments, capture, quantum, poisson)
+def test_every_rung_matches_precise(segments, capture, quantum, poisson,
+                                    tracing):
+    _ladder(segments, capture, quantum, poisson, tracing)
 
 
 def test_every_rung_matches_precise_with_storms_and_chunks():

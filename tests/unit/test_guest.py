@@ -261,6 +261,35 @@ class TestLaneFormat:
                 2, 3, 3)
             assert blk.group(1) == ((a[2], b[2]), (pad, pad))
 
+    def test_build_copies_lists_and_padded_streams(self):
+        kb = KernelBuilder()
+        site = kb.site("addpd")  # 2 lanes
+        a = KernelBuilder.encode([1.0, 2.0, 3.0, 4.0])
+        b = KernelBuilder.encode([0.5, 0.25, 0.125, 2.0])
+        blk = FPBlock.build(site, (a, b), 0)
+        before = [x.tolist() for x in blk.arrays]
+        a[0] = b[1] = float_to_bits64(7.0)
+        a.append(b[0])
+        assert [x.tolist() for x in blk.arrays] == before
+        # A lane array that needs padding is copied too: the caller's
+        # array keeps its length.
+        odd = array("Q", a[:3])
+        blk = FPBlock.build(site, (odd, odd), 0)
+        assert len(odd) == 3 and blk.arrays[0] is not odd
+        assert len(blk.arrays[0]) == 4
+
+    def test_build_adopts_an_unpadded_lane_array(self):
+        kb = KernelBuilder()
+        site = kb.site("addpd")
+        bits = KernelBuilder.encode_bits(np.array([1.0, 2.0, 3.0, 4.0]))
+        blk = FPBlock.build(site, (bits, bits), 0)
+        assert blk.arrays[0] is bits and blk.arrays[1] is bits
+        # Another typecode is converted, not adopted.
+        cvt = kb.site("cvtsi2sd")
+        ints = array("Q", [5])
+        blk = FPBlock.build(cvt, (ints,), 0)
+        assert blk.arrays[0].typecode == "q" and blk.arrays[0] is not ints
+
     def test_build_signed_lanes(self):
         kb = KernelBuilder()
         cvt = kb.site("cvtsi2sd")
